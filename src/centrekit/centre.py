@@ -82,27 +82,35 @@ def _require_central_grade(M: GradedStrongMonad, z: str) -> None:
         raise GradeNotCentral(f"{z} is not central in {M.pomonoid.name or 'the grading'}")
 
 
-def _violation(M: GradedStrongMonad, z: str, X: FinSet, t: str, bound=None):
-    """First (b, Y, s) against which t fails to commute, or None."""
+def _commuting(M: GradedStrongMonad, z: str, X: FinSet, candidates, bound=None) -> list:
+    """The candidates in T^z X that commute with every test computation, in order.
+
+    The two sequencing composites are built once per test grade b and set Y,
+    and every remaining candidate is checked against them.  The scan stops as
+    soon as no candidate is left.
+    """
+    survivors = list(candidates)
     for b in M.pomonoid.elements:
+        if not survivors:
+            break
         for n in range(bound_for(M, b, bound) + 1):
+            if not survivors:
+                break
             Y = canonical_set(n)
             TbY = M.carrier(b, Y)
             if len(TbY) == 0:
                 continue
             left, right = commute_maps(M, z, b, X, Y)
-            for s in TbY:
-                p = make_pair(t, s)
-                if left(p) != right(p):
-                    return b, Y, s
-    return None
+            survivors = [t for t in survivors
+                         if all(left(p) == right(p) for p in (make_pair(t, s) for s in TbY))]
+    return survivors
 
 
 def is_central(M: GradedStrongMonad, z: str, X: FinSet, t: str, bound=None) -> bool:
     _require_central_grade(M, z)
     if t not in M.carrier(z, X):
         raise ElementNotInCarrier(f"{t} is not in the carrier at ({z}, {X.name})")
-    return _violation(M, z, X, t, bound) is None
+    return bool(_commuting(M, z, X, (t,), bound))
 
 
 def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSet:
@@ -110,7 +118,7 @@ def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSe
     _require_central_grade(M, z)
     key = ("central-subset", z, X, bound if not callable(bound) else None)
     if callable(bound) or key not in M._memo:
-        survivors = [t for t in M.carrier(z, X) if _violation(M, z, X, t, bound) is None]
+        survivors = _commuting(M, z, X, M.carrier(z, X), bound)
         sub = FinSet(f"Z^{z}({X.name})", tuple(survivors))
         if callable(bound):
             return sub

@@ -17,7 +17,7 @@ import sys
 
 from .centre import CentralityViolation, CentreError, build_centre_monad, central_subset
 from .effectlang import EffectLangError, parse_program, reorder_report
-from .finkit import canonical_set
+from .finkit import SetSizeError, canonical_set
 from .graded_monad import (
     GradedMonadError,
     build,
@@ -315,7 +315,8 @@ def main(argv=None) -> int:
         print(f"FAIL  {exc}", file=sys.stderr)
         return FAIL
     except (InputError, FileNotFoundError, EffectLangError, PomonoidError,
-            GradedMonadError, CentreError, LanguageError, NotCommutative) as exc:
+            GradedMonadError, CentreError, LanguageError, NotCommutative,
+            SetSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -5,15 +5,23 @@ kept as plain string tokens.  Structured values use a fixed encoding:
 pairs are ``(l,r)``, sum injections are ``inl:v`` / ``inr:v``, and leaves
 stay bare.  Set membership and all law comparisons are string equality on
 this encoding, which is why it is never allowed to drift.
+
+``FinSet`` and ``FinFn`` are immutable values: nothing may change a set's
+name or tokens, or a map's table, once built.  Structure is shared on that
+basis: ``tensor`` hands back the product it already built for the same
+operands while that product is still in use, so equal products may be the
+same object.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 
 __all__ = [
     "TokenError",
+    "SetSizeError",
     "FinSet",
     "FinFn",
     "FunctorExpr",
@@ -54,6 +62,10 @@ class TokenError(ValueError):
     """A token the pair/sum encoding cannot accommodate."""
 
 
+class SetSizeError(ValueError):
+    """A canonical test set outside the sizes exhaustive scans can afford."""
+
+
 def _check_token(tok: str) -> None:
     # Tokens must survive being spliced into "(l,r)": brackets balanced,
     # commas only inside brackets, no whitespace.
@@ -80,9 +92,10 @@ class FinSet:
 
     The name is cosmetic: equality and hashing look at the tokens only, so
     two differently-named sets with the same tokens are the same set.
+    Instances are immutable and may be shared, so the hash is computed once.
     """
 
-    __slots__ = ("name", "elems", "_members")
+    __slots__ = ("name", "elems", "_members", "_hash", "__weakref__")
 
     def __init__(self, name: str, elems):
         elems = tuple(sorted(elems))
@@ -94,6 +107,7 @@ class FinSet:
         self.name = name
         self.elems = elems
         self._members = members
+        self._hash = hash(elems)
 
     def __contains__(self, tok) -> bool:
         return tok in self._members
@@ -105,32 +119,41 @@ class FinSet:
         return len(self.elems)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FinSet) and self.elems == other.elems
+        if other is self:
+            return True
+        return (isinstance(other, FinSet) and self._hash == other._hash
+                and self.elems == other.elems)
 
     def __hash__(self) -> int:
-        return hash(self.elems)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"FinSet({self.name!r}, {{{', '.join(self.elems)}}})"
 
 
 class FinFn:
-    """A total function between two FinSets, given by an explicit table."""
+    """A total function between two FinSets, given by an explicit table.
+
+    The table is copied in domain order and keyed by the domain's own token
+    objects, so maps over a shared domain do not hold copies of its tokens.
+    """
 
     __slots__ = ("dom", "cod", "mapping")
 
     def __init__(self, dom: FinSet, cod: FinSet, mapping):
-        mapping = dict(mapping)
-        if set(mapping) != dom._members:
+        if not isinstance(mapping, dict):
+            mapping = dict(mapping)
+        if mapping.keys() != dom._members:
             missing = dom._members - set(mapping)
             extra = set(mapping) - dom._members
             raise ValueError(f"map not total on {dom.name}: missing={missing} extra={extra}")
-        for v in mapping.values():
-            if v not in cod:
-                raise ValueError(f"value {v!r} outside codomain {cod.name}")
+        table = {t: mapping[t] for t in dom.elems}
+        if not cod._members.issuperset(table.values()):
+            bad = next(v for v in table.values() if v not in cod._members)
+            raise ValueError(f"value {bad!r} outside codomain {cod.name}")
         self.dom = dom
         self.cod = cod
-        self.mapping = mapping
+        self.mapping = table
 
     def __call__(self, tok: str) -> str:
         return self.mapping[tok]
@@ -260,6 +283,13 @@ def size_at(expr: FunctorExpr, n: int) -> int:
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
+def _sum_set(l: FinSet, r: FinSet) -> FinSet:
+    return FinSet(
+        f"({l.name}+{r.name})",
+        itertools.chain((make_inl(t) for t in l), (make_inr(t) for t in r)),
+    )
+
+
 def apply_obj(expr: FunctorExpr, X: FinSet) -> FinSet:
     """Evaluate the functor at a set.  Id is identity on the nose."""
     if isinstance(expr, Id):
@@ -269,36 +299,28 @@ def apply_obj(expr: FunctorExpr, X: FinSet) -> FinSet:
     if isinstance(expr, Prod):
         return tensor(apply_obj(expr.left, X), apply_obj(expr.right, X))
     if isinstance(expr, Sum):
-        l = apply_obj(expr.left, X)
-        r = apply_obj(expr.right, X)
-        return FinSet(
-            f"({l.name}+{r.name})",
-            itertools.chain((make_inl(t) for t in l), (make_inr(t) for t in r)),
-        )
-    raise TypeError(f"not a FunctorExpr: {expr!r}")
-
-
-def _map_token(expr: FunctorExpr, f: FinFn, tok: str) -> str:
-    if isinstance(expr, Id):
-        return f(tok)
-    if isinstance(expr, Const):
-        return tok
-    if isinstance(expr, Prod):
-        l, r = split_pair(tok)
-        return make_pair(_map_token(expr.left, f, l), _map_token(expr.right, f, r))
-    if isinstance(expr, Sum):
-        tag, v = split_sum(tok)
-        if tag == "inl":
-            return make_inl(_map_token(expr.left, f, v))
-        return make_inr(_map_token(expr.right, f, v))
+        return _sum_set(apply_obj(expr.left, X), apply_obj(expr.right, X))
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
 def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
-    """Functor action on a map: relabel Id leaves by f, fix Const leaves."""
-    dom = apply_obj(expr, f.dom)
-    cod = apply_obj(expr, f.cod)
-    return FinFn(dom, cod, {t: _map_token(expr, f, t) for t in dom})
+    """Functor action on a map: relabel Id leaves by f, fix Const leaves.
+
+    Built bottom-up from the action on the parts, so no token is parsed.
+    """
+    if isinstance(expr, Id):
+        return f
+    if isinstance(expr, Const):
+        return FinFn.identity(expr.value)
+    if isinstance(expr, Prod):
+        return tensor_fn(apply_mor(expr.left, f), apply_mor(expr.right, f))
+    if isinstance(expr, Sum):
+        l = apply_mor(expr.left, f)
+        r = apply_mor(expr.right, f)
+        mapping = {make_inl(t): make_inl(v) for t, v in l.mapping.items()}
+        mapping.update((make_inr(t), make_inr(v)) for t, v in r.mapping.items())
+        return FinFn(_sum_set(l.dom, r.dom), _sum_set(l.cod, r.cod), mapping)
+    raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
 def decode(expr: FunctorExpr, tok: str):
@@ -332,44 +354,54 @@ def encode(tree) -> str:
 
 _UNIT = FinSet("I", ("*",))
 
+# Products still in use, keyed by both operands and their names so that a
+# shared product carries the names of the operands it was asked for.  The
+# values are weak: an entry, and the operands its key holds, go away with
+# the last user of the product.
+_PRODUCTS = weakref.WeakValueDictionary()
+
 
 def unit_set() -> FinSet:
     return _UNIT
 
 
 def tensor(A: FinSet, B: FinSet) -> FinSet:
-    return FinSet(f"({A.name}x{B.name})", (make_pair(a, b) for a in A for b in B))
+    key = (A, B, A.name, B.name)
+    product = _PRODUCTS.get(key)
+    if product is None:
+        product = FinSet(f"({A.name}x{B.name})", [make_pair(a, b) for a in A for b in B])
+        _PRODUCTS[key] = product
+    return product
 
 
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     dom = tensor(f.dom, g.dom)
     cod = tensor(f.cod, g.cod)
-    mapping = {}
-    for a in f.dom:
-        for b in g.dom:
-            mapping[make_pair(a, b)] = make_pair(f(a), g(b))
+    gm = g.mapping.items()
+    mapping = {make_pair(a, b): make_pair(fa, gb) for a, fa in f.mapping.items() for b, gb in gm}
     return FinFn(dom, cod, mapping)
 
 
+# The structure maps below are tabulated from the factors' tokens: a
+# product's tokens are exactly make_pair(a, b) for its factors' tokens.
+
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
     """Symmetry (x,y) -> (y,x)."""
-    dom = tensor(X, Y)
-    mapping = {}
-    for t in dom:
-        l, r = split_pair(t)
-        mapping[t] = make_pair(r, l)
-    return FinFn(dom, tensor(Y, X), mapping)
+    mapping = {make_pair(x, y): make_pair(y, x) for x in X for y in Y}
+    return FinFn(tensor(X, Y), tensor(Y, X), mapping)
 
 
 def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """Associator ((x,y),z) -> (x,(y,z))."""
     dom = tensor(tensor(X, Y), Z)
+    cod = tensor(X, tensor(Y, Z))
     mapping = {}
-    for t in dom:
-        lr, z = split_pair(t)
-        x, y = split_pair(lr)
-        mapping[t] = make_pair(x, make_pair(y, z))
-    return FinFn(dom, tensor(X, tensor(Y, Z)), mapping)
+    for x in X:
+        for y in Y:
+            xy = make_pair(x, y)
+            for z in Z:
+                mapping[make_pair(xy, z)] = make_pair(x, make_pair(y, z))
+    return FinFn(dom, cod, mapping)
 
 
 def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
@@ -378,12 +410,7 @@ def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
 
 def lam(X: FinSet) -> FinFn:
     """Left unitor (*,x) -> x."""
-    dom = tensor(_UNIT, X)
-    mapping = {}
-    for t in dom:
-        _, x = split_pair(t)
-        mapping[t] = x
-    return FinFn(dom, X, mapping)
+    return FinFn(tensor(_UNIT, X), X, {make_pair(u, x): x for u in _UNIT for x in X})
 
 
 def lam_inv(X: FinSet) -> FinFn:
@@ -392,12 +419,7 @@ def lam_inv(X: FinSet) -> FinFn:
 
 def rho(X: FinSet) -> FinFn:
     """Right unitor (x,*) -> x."""
-    dom = tensor(X, _UNIT)
-    mapping = {}
-    for t in dom:
-        x, _ = split_pair(t)
-        mapping[t] = x
-    return FinFn(dom, X, mapping)
+    return FinFn(tensor(X, _UNIT), X, {make_pair(x, u): x for x in X for u in _UNIT})
 
 
 def rho_inv(X: FinSet) -> FinFn:
@@ -434,7 +456,9 @@ def monoidal_kit(X: FinSet, Y: FinSet, Z: FinSet) -> MonoidalKit:
 def canonical_set(n: int) -> FinSet:
     """The standard n-element test set y0..y{n-1}."""
     if not 0 <= n <= 9:
-        raise ValueError("canonical sets are meant for small exhaustive scans")
+        raise SetSizeError(
+            f"canonical set size {n} is outside 0..9: canonical sets are meant "
+            "for small exhaustive scans")
     return FinSet(f"Y{n}", tuple(f"y{i}" for i in range(n)))
 
 

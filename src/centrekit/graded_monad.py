@@ -34,7 +34,6 @@ from .finkit import (
     lam,
     make_pair,
     rho,
-    split_pair,
     tensor,
     tensor_fn,
     unit_set,
@@ -654,9 +653,6 @@ def identity_monad(P: Pomonoid) -> GradedStrongMonad:
     )
 
 
-_WARN_VALUE = {"wa": "a", "wb": "b"}
-
-
 def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
     """Writer with per-grade annotation sets and an absorbing error grade.
 
@@ -666,13 +662,9 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
     grade product; any error grade in the product discards both.
     """
     P = multi_error_pomonoid(topped=topped)
-    warnings = set(_WARN_VALUE)
-    exprs = {
-        "t": Id(),
-        "e": Const(unit_set()),
-        "wa": Prod(Id(), Const(FinSet("Wa", ("a",)))),
-        "wb": Prod(Id(), Const(FinSet("Wb", ("b",)))),
-    }
+    warnings = {"wa": FinSet("Wa", ("a",)), "wb": FinSet("Wb", ("b",))}
+    exprs = {"t": Id(), "e": Const(unit_set())}
+    exprs.update((a, Prod(Id(), Const(W))) for a, W in warnings.items())
 
     def mult(a, b, X):
         dom_inner = apply_obj(exprs[b], X)
@@ -681,7 +673,8 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
         if P.times(a, b) == "e":
             return FinFn(dom, cod, {t: "*" for t in dom})
         if a in warnings and b in warnings:
-            return FinFn(dom, cod, {t: split_pair(t)[0] for t in dom})
+            # ((x,v),u) -> (x,v)
+            return FinFn(dom, cod, {make_pair(t, u): t for t in dom_inner for u in warnings[a]})
         # remaining cases have a = t or b = t, so the carriers coincide
         return FinFn(dom, cod, {t: t for t in dom})
 
@@ -693,12 +686,7 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
             return FinFn(dom, cod, {t: "*" for t in dom})
         if a == "t":
             return FinFn(dom, cod, {t: t for t in dom})
-        mapping = {}
-        for t in dom:
-            x, inner = split_pair(t)
-            y, ann = split_pair(inner)
-            mapping[t] = make_pair(make_pair(x, y), ann)
-        return FinFn(dom, cod, mapping)
+        return FinFn(dom, cod, _writer_strength_table(X, Y, warnings[a]))
 
     def lift(a, b, X):
         # only grade e sits above others, and its carrier is a point
@@ -719,6 +707,17 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
     )
 
 
+def _writer_strength_table(X: FinSet, Y: FinSet, annotations: FinSet) -> dict:
+    """(x,(y,u)) -> ((x,y),u), tabulated from the factors."""
+    mapping = {}
+    for x in X:
+        for y in Y:
+            xy = make_pair(x, y)
+            for u in annotations:
+                mapping[make_pair(x, make_pair(y, u))] = make_pair(xy, u)
+    return mapping
+
+
 def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
                  annotation_mul, unit_ann: str, name: str = "writer") -> GradedStrongMonad:
     """Graded writer over per-grade annotation sets.
@@ -734,22 +733,19 @@ def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
         inner = apply_obj(exprs[b], X)
         dom = apply_obj(exprs[a], inner)
         cod = apply_obj(exprs[P.times(a, b)], X)
+        # ((x,v),u) -> (x,u*v) for outer annotation u and inner v
         mapping = {}
-        for t in dom:
-            pair, outer_ann = split_pair(t)
-            x, inner_ann = split_pair(pair)
-            mapping[t] = make_pair(x, annotation_mul(outer_ann, inner_ann))
+        for x in X:
+            for v in carriers[b]:
+                xv = make_pair(x, v)
+                for u in carriers[a]:
+                    mapping[make_pair(xv, u)] = make_pair(x, annotation_mul(u, v))
         return FinFn(dom, cod, mapping)
 
     def strength(a, X, Y):
         dom = tensor(X, apply_obj(exprs[a], Y))
         cod = apply_obj(exprs[a], tensor(X, Y))
-        mapping = {}
-        for t in dom:
-            x, inner = split_pair(t)
-            y, ann = split_pair(inner)
-            mapping[t] = make_pair(make_pair(x, y), ann)
-        return FinFn(dom, cod, mapping)
+        return FinFn(dom, cod, _writer_strength_table(X, Y, carriers[a]))
 
     def lift(a, b, X):
         dom = apply_obj(exprs[a], X)

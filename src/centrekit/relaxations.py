@@ -269,23 +269,31 @@ def build_language_writer(alphabet: str, cap: int, duoid: Duoid) -> DuoidalGrade
                             tuple(sorted(s.literal() for s in subsets(L))))
                 for lit, L in parsed.items()}
 
-    def ann_concat(u: str, v: str) -> str:
-        return language_concat(parse_language_literal(u, alphabet, cap),
-                               parse_language_literal(v, alphabet, cap)).literal()
+    def tabulated(op):
+        # op on annotation literals, computed once per literal pair
+        table = {}
+
+        def ann_op(u: str, v: str) -> str:
+            w = table.get((u, v))
+            if w is None:
+                w = table[u, v] = op(parse_language_literal(u, alphabet, cap),
+                                     parse_language_literal(v, alphabet, cap)).literal()
+            return w
+        return ann_op
+
+    ann_concat = tabulated(language_concat)
+    ann_shuffle = tabulated(language_shuffle)
 
     M = writer_monad(P, carriers, ann_concat, "{_}", name=f"lang_writer({alphabet},{cap})")
 
     def m(a, b, X, Y):
         dom = tensor(M.carrier(a, X), M.carrier(b, Y))
         cod = M.carrier(duoid.par_of(a, b), tensor(X, Y))
-        mapping = {}
-        for t in dom:
-            l, r = split_pair(t)
-            x, u = split_pair(l)
-            y, v = split_pair(r)
-            ann = language_shuffle(parse_language_literal(u, alphabet, cap),
-                                   parse_language_literal(v, alphabet, cap))
-            mapping[t] = make_pair(make_pair(x, y), ann.literal())
+        # ((x,u),(y,v)) -> ((x,y),u||v), tabulated from the factors
+        left = [(make_pair(x, u), x, u) for x in X for u in carriers[a]]
+        right = [(make_pair(y, v), y, v) for y in Y for v in carriers[b]]
+        mapping = {make_pair(xu, yv): make_pair(make_pair(x, y), ann_shuffle(u, v))
+                   for xu, x, u in left for yv, y, v in right}
         return FinFn(dom, cod, mapping)
 
     return DuoidalGradedMonad(monad=M, duoid=duoid, m=m,

@@ -64,6 +64,16 @@ class TestIsCentral:
 
 
 class TestCentralSubset:
+    @pytest.mark.parametrize("name", sorted(registry()))
+    def test_batch_scan_matches_per_element_verdicts(self, name):
+        M = registry()[name]()
+        Z, _ = centre_of_pomonoid(M.pomonoid)
+        for z in Z.elements:
+            for n in range(3):
+                X = canonical_set(n)
+                expected = [t for t in M.carrier(z, X) if is_central(M, z, X, t)]
+                assert list(central_subset(M, z, X).elems) == expected
+
     def test_bool_pair_at_ff_is_proper_and_nonempty(self):
         M = bool_writer_pair()
         sub = central_subset(M, "ff", X2)

@@ -82,6 +82,15 @@ class TestMonadCommands:
         assert main(["monad", "laws", "--monad", "nope"]) == 2
         assert "nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["monad", "laws", "--monad", "multi_error_writer", "--max-set-size", "12"],
+        ["monad", "centre", "--monad", "multi_error_writer", "--set-size", "12"],
+    ])
+    def test_oversized_set_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: canonical set size") and err.count("\n") == 1
+
     def test_commutative_witness_pair(self, capsys):
         code = main(["monad", "commutative", "--monad", "multi_error_writer",
                      "--max-set-size", "2"])

@@ -1,4 +1,7 @@
-from hypothesis import given
+import gc
+import weakref
+
+from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
@@ -9,6 +12,7 @@ from centrekit.finkit import (
     Id,
     Prod,
     Sum,
+    SetSizeError,
     TokenError,
     all_fns,
     alpha,
@@ -228,5 +232,142 @@ def test_canonical_set():
     s = canonical_set(3)
     assert s.elems == ("y0", "y1", "y2")
     assert canonical_set(0).elems == ()
-    with pytest.raises(ValueError):
+    with pytest.raises(SetSizeError):
         canonical_set(11)
+    with pytest.raises(ValueError):
+        canonical_set(-1)
+
+
+class TestSharedProducts:
+    def test_equal_operands_share_the_product(self):
+        assert tensor(canonical_set(2), canonical_set(3)) is tensor(canonical_set(2),
+                                                                    canonical_set(3))
+
+    def test_product_takes_the_names_of_its_operands(self):
+        A1 = FinSet("A1", ("a", "b"))
+        A2 = FinSet("A2", ("a", "b"))
+        P1, P2 = tensor(A1, Y), tensor(A2, Y)
+        assert P1 == P2
+        assert (P1.name, P2.name) == ("(A1xY)", "(A2xY)")
+        swap = gamma(A2, Y)
+        assert (swap.dom.name, swap.cod.name) == ("(A2xY)", "(YxA2)")
+
+    def test_product_dies_with_its_last_user(self):
+        A = FinSet("A", ("a0", "a1"))
+        B = FinSet("B", ("b0",))
+        f = identity_fn(tensor(A, B))
+        product = weakref.ref(f.dom)
+        gc.collect()
+        assert tensor(A, B) is product()
+        del A, B, f
+        gc.collect()
+        assert product() is None
+
+
+# --- reference oracle: the structure maps parsed back out of product tokens ---
+
+def ref_gamma(X, Y):
+    dom = tensor(X, Y)
+    mapping = {}
+    for t in dom:
+        l, r = split_pair(t)
+        mapping[t] = make_pair(r, l)
+    return FinFn(dom, tensor(Y, X), mapping)
+
+
+def ref_alpha(X, Y, Z):
+    dom = tensor(tensor(X, Y), Z)
+    mapping = {}
+    for t in dom:
+        lr, z = split_pair(t)
+        x, y = split_pair(lr)
+        mapping[t] = make_pair(x, make_pair(y, z))
+    return FinFn(dom, tensor(X, tensor(Y, Z)), mapping)
+
+
+def ref_lam(X):
+    dom = tensor(unit_set(), X)
+    return FinFn(dom, X, {t: split_pair(t)[1] for t in dom})
+
+
+def ref_rho(X):
+    dom = tensor(X, unit_set())
+    return FinFn(dom, X, {t: split_pair(t)[0] for t in dom})
+
+
+def ref_map_token(expr, f, tok):
+    if isinstance(expr, Id):
+        return f(tok)
+    if isinstance(expr, Const):
+        return tok
+    if isinstance(expr, Prod):
+        l, r = split_pair(tok)
+        return make_pair(ref_map_token(expr.left, f, l), ref_map_token(expr.right, f, r))
+    tag, v = split_sum(tok)
+    if tag == "inl":
+        return make_inl(ref_map_token(expr.left, f, v))
+    return make_inr(ref_map_token(expr.right, f, v))
+
+
+def ref_apply_mor(expr, f):
+    dom = apply_obj(expr, f.dom)
+    cod = apply_obj(expr, f.cod)
+    return FinFn(dom, cod, {t: ref_map_token(expr, f, t) for t in dom})
+
+
+leaf_tokens = st.text(alphabet="abc*", min_size=1, max_size=3)
+tokens = st.recursive(
+    leaf_tokens,
+    lambda inner: st.one_of(
+        st.builds(make_pair, inner, inner),
+        st.builds(make_inl, inner),
+        st.lists(leaf_tokens, min_size=1, max_size=2).map(lambda ws: "{" + ",".join(ws) + "}"),
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def token_sets(draw, min_size=0, max_size=3):
+    name = draw(st.sampled_from(["A", "B", "C", "Y2"]))
+    return FinSet(name, draw(st.frozensets(tokens, min_size=min_size, max_size=max_size)))
+
+
+@st.composite
+def finite_maps(draw):
+    dom = draw(token_sets())
+    cod = draw(token_sets(min_size=1))
+    return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
+
+
+exprs = st.recursive(
+    st.one_of(st.just(Id()), token_sets(max_size=2).map(Const)),
+    lambda inner: st.one_of(st.builds(Prod, inner, inner), st.builds(Sum, inner, inner)),
+    max_leaves=4,
+)
+
+
+def same_map(new, ref):
+    assert new == ref
+    assert (new.dom.name, new.cod.name) == (ref.dom.name, ref.cod.name)
+
+
+class TestStructureMapsMatchReference:
+    @given(token_sets(), token_sets())
+    def test_gamma(self, A, B):
+        same_map(gamma(A, B), ref_gamma(A, B))
+
+    @given(token_sets(), token_sets(), token_sets())
+    def test_alpha(self, A, B, C):
+        same_map(alpha(A, B, C), ref_alpha(A, B, C))
+        same_map(alpha_inv(A, B, C), ref_alpha(A, B, C).inverse())
+
+    @given(token_sets())
+    def test_unitors(self, A):
+        same_map(lam(A), ref_lam(A))
+        same_map(rho(A), ref_rho(A))
+
+    @settings(max_examples=200)
+    @given(exprs, finite_maps())
+    def test_apply_mor(self, expr, f):
+        same_map(apply_mor(expr, f), ref_apply_mor(expr, f))
