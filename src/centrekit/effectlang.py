@@ -322,6 +322,7 @@ def reorder_report(program: EffectProgram, P: Pomonoid,
     Z, _ = centre_of_pomonoid(P)
     central_grades = set(Z.elements)
     entries = []
+    pairwise_verdicts = {}   # commuting_pair(M, a, b, k) by (a, b), for this program only
 
     def walk(node):
         if isinstance(node, Call):
@@ -334,7 +335,11 @@ def reorder_report(program: EffectProgram, P: Pomonoid,
             walk(node.right)
             a, b = grades[node.left], grades[node.right]
             central = a in central_grades or b in central_grades
-            pairwise = commuting_pair(M, a, b, k) if M is not None else None
+            pairwise = None
+            if M is not None:
+                if (a, b) not in pairwise_verdicts:
+                    pairwise_verdicts[a, b] = commuting_pair(M, a, b, k)
+                pairwise = pairwise_verdicts[a, b]
             if central and pairwise is not False:
                 verdict = FREE
             elif P.times(a, b) == P.times(b, a) and not central and pairwise is not True:

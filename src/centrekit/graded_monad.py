@@ -29,6 +29,7 @@ from .finkit import (
     apply_mor,
     apply_obj,
     canonical_set,
+    first_mismatch,
     gamma,
     identity_fn,
     lam,
@@ -510,16 +511,14 @@ def check_commutative(M: GradedStrongMonad, k: int = 3) -> Report:
                         rec.witness = only[0] if only else None
                         break
                     left, right = commute_maps(M, a, b, X, Y)
-                    for t in left.dom:
-                        if left(t) != right(t):
-                            rec.ok = False
-                            rec.note = "value-mismatch"
-                            rec.sets = (X.name, Y.name)
-                            rec.witness = t
-                            rec.lhs = left(t)
-                            rec.rhs = right(t)
-                            break
-                    if not rec.ok:
+                    t = first_mismatch(left, right)
+                    if t is not None:
+                        rec.ok = False
+                        rec.note = "value-mismatch"
+                        rec.sets = (X.name, Y.name)
+                        rec.witness = t
+                        rec.lhs = left(t)
+                        rec.rhs = right(t)
                         break
                 if not rec.ok:
                     break

@@ -23,13 +23,17 @@ from .finkit import (
     FinSet,
     all_fns,
     alpha,
+    alpha_path,
     canonical_set,
-    identity_fn,
-    lam,
+    first_mismatch,
+    identity_path,
     lam_inv,
+    lam_path,
     make_pair,
-    rho,
+    par,
     rho_inv,
+    rho_path,
+    seq,
     split_pair,
     tensor,
     tensor_fn,
@@ -219,16 +223,16 @@ class DuoidalGradedMonad:
     _memo: dict = field(default_factory=dict, repr=False)
 
     def m_fn(self, a: str, b: str, X: FinSet, Y: FinSet) -> FinFn:
-        key = (a, b, X, Y)
-        if key not in self._memo:
+        fn = self._memo.get((a, b, X, Y))
+        if fn is None:
             fn = self.m(a, b, X, Y)
             M = self.monad
             dom = tensor(M.carrier(a, X), M.carrier(b, Y))
             cod = M.carrier(self.duoid.par_of(a, b), tensor(X, Y))
             if fn.dom != dom or fn.cod != cod:
                 raise LanguageError(f"m({a},{b}) has wrong type")
-            self._memo[key] = fn
-        return self._memo[key]
+            self._memo[a, b, X, Y] = fn
+        return fn
 
     def elements_equal(self, lhs: str, rhs: str) -> bool:
         if self.element_leq is None:
@@ -238,6 +242,8 @@ class DuoidalGradedMonad:
 
 def _annotation_subset(lhs: str, rhs: str) -> bool:
     """Writer-pair order: same value, smaller language annotation."""
+    if lhs == rhs:
+        return True
     xl, al = split_pair(lhs)
     xr, ar = split_pair(rhs)
     if xl != xr:
@@ -329,6 +335,11 @@ def _triples(elements, budget: int, seed: int):
     return sorted(triples)
 
 
+def _first_failure(results):
+    """The first failure a lazy scan of law instances reports, or None."""
+    return next((r for r in results if r is not None), None)
+
+
 def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
                             budget: int = 300, seed: int = 2026) -> Report:
     """Diagram checks for an interchange map over a duoid-graded monad.
@@ -337,50 +348,37 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     multiply-then-interchange, transported along the duoid inequality
     (a||c)*(b||d) <= (a*b)||(c*d).  Grade tuples are scanned exhaustively
     when the grading is small and by a seeded deterministic sample above
-    the budget.
+    the budget.  Both sides of every diagram are finkit paths compared
+    pointwise; a grade tuple stops at its first failing instance.
     """
     M, D = DM.monad, DM.duoid
     P = M.pomonoid
     rep = Report(title=f"duoidal gradation for {DM.name or M.name or 'monad'}")
     sets = canonical_sets(k)
 
-    def transported_pair(g_from, g_to, fn, XY):
-        # move fn's output grade to g_to if the order allows it
-        if g_from == g_to:
-            return fn, True
-        if P.le(g_from, g_to):
-            return fn.then(M.lift_fn(g_from, g_to, XY)), True
-        if M.carrier(g_from, XY) == M.carrier(g_to, XY):
-            return fn, True
-        return fn, False
+    def main_failure(a, b, c, d, X, Y):
+        # (witness, note) of a failing instance, or None
+        ac, bd = D.par_of(a, c), D.par_of(b, d)
+        XY = tensor(X, Y)
+        inner = DM.m_fn(b, d, X, Y)
+        outer = DM.m_fn(a, c, M.carrier(b, X), M.carrier(d, Y))
+        par_first = seq(outer, M.fmap(ac, inner), M.mult_fn(ac, bd, XY))
+        mul_first = seq(par(M.mult_fn(a, b, X), M.mult_fn(c, d, Y)),
+                        DM.m_fn(P.times(a, b), P.times(c, d), X, Y))
+        # move the interchange-first grade to the other one if the order allows
+        g_from, g_to = P.times(ac, bd), D.par_of(P.times(a, b), P.times(c, d))
+        if g_from != g_to:
+            if P.le(g_from, g_to):
+                par_first = seq(par_first, M.lift_fn(g_from, g_to, XY))
+            elif M.carrier(g_from, XY) != M.carrier(g_to, XY):
+                return "", "delta-unrelated"
+        witness = first_mismatch(par_first, mul_first, DM.elements_equal)
+        return None if witness is None else (witness, "")
 
     for (a, b, c, d) in _quadruples(P.elements, budget, seed):
-        g_par_first = P.times(D.par_of(a, c), D.par_of(b, d))
-        g_mul_first = D.par_of(P.times(a, b), P.times(c, d))
-        ok, witness, note = True, "", ""
-        for X in sets:
-            for Y in sets:
-                XY = tensor(X, Y)
-                inner = DM.m_fn(b, d, X, Y)
-                outer = DM.m_fn(a, c, M.carrier(b, X), M.carrier(d, Y))
-                par_first = outer.then(M.fmap(D.par_of(a, c), inner)).then(
-                    M.mult_fn(D.par_of(a, c), D.par_of(b, d), XY))
-                mul_first = tensor_fn(M.mult_fn(a, b, X), M.mult_fn(c, d, Y)).then(
-                    DM.m_fn(P.times(a, b), P.times(c, d), X, Y))
-                par_first, typed = transported_pair(g_par_first, g_mul_first,
-                                                    par_first, XY)
-                if not typed:
-                    ok, note = False, "delta-unrelated"
-                    break
-                for t in par_first.dom:
-                    if not DM.elements_equal(par_first(t), mul_first(t)):
-                        ok, witness = False, t
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(LawRecord(law="duoidal-main", grades=(a, b, c, d), ok=ok,
+        failure = _first_failure(main_failure(a, b, c, d, X, Y) for X in sets for Y in sets)
+        witness, note = failure or ("", "")
+        rep.add(LawRecord(law="duoidal-main", grades=(a, b, c, d), ok=failure is None,
                           witness=witness, note=note))
 
     i = P.unit
@@ -388,39 +386,36 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     for X in sets:
         for Y in sets:
             XY = tensor(X, Y)
-            both_units = tensor_fn(M.unit_fn(X), M.unit_fn(Y)).then(DM.m_fn(i, i, X, Y))
-            unit_path, typed = (M.unit_fn(XY), True) if g_ii == i else (
-                (M.unit_fn(XY).then(M.lift_fn(i, g_ii, XY)), True)
-                if P.le(i, g_ii) else (M.unit_fn(XY), False))
-            if not typed:
-                rep.add(LawRecord(law="m-unit", grades=(i,), sets=(X.name, Y.name),
-                                  ok=False, note="unit-grade-unrelated"))
-                continue
+            both_units = seq(par(M.unit_fn(X), M.unit_fn(Y)), DM.m_fn(i, i, X, Y))
+            unit_path = M.unit_fn(XY)
+            if g_ii != i:
+                if not P.le(i, g_ii):
+                    rep.add(LawRecord(law="m-unit", grades=(i,), sets=(X.name, Y.name),
+                                      ok=False, note="unit-grade-unrelated"))
+                    continue
+                unit_path = seq(unit_path, M.lift_fn(i, g_ii, XY))
             rep.compare("m-unit", (i,), (X.name, Y.name), both_units, unit_path)
 
+    reassociate = {}   # T^g(alpha(X,Y,Z)) by (g, X, Y, Z), built once per suite
+
+    def assoc_failure(a, b, c, X, Y, Z):
+        TX, TY, TZ = M.carrier(a, X), M.carrier(b, Y), M.carrier(c, Z)
+        lhs = seq(alpha_path(TX, TY, TZ),
+                  par(identity_path(TX), DM.m_fn(b, c, Y, Z)),
+                  DM.m_fn(a, D.par_of(b, c), X, tensor(Y, Z)))
+        g = D.par_of(D.par_of(a, b), c)
+        if (g, X, Y, Z) not in reassociate:
+            reassociate[g, X, Y, Z] = M.fmap(g, alpha(X, Y, Z))
+        rhs = seq(par(DM.m_fn(a, b, X, Y), identity_path(TZ)),
+                  DM.m_fn(D.par_of(a, b), c, tensor(X, Y), Z),
+                  reassociate[g, X, Y, Z])
+        return first_mismatch(lhs, rhs)
+
     for (a, b, c) in _triples(P.elements, budget, seed):
-        ok, witness = True, ""
-        for X in sets:
-            for Y in sets:
-                for Z in sets:
-                    TX, TY, TZ = M.carrier(a, X), M.carrier(b, Y), M.carrier(c, Z)
-                    lhs = alpha(TX, TY, TZ).then(
-                        tensor_fn(identity_fn(TX), DM.m_fn(b, c, Y, Z))).then(
-                        DM.m_fn(a, D.par_of(b, c), X, tensor(Y, Z)))
-                    rhs = tensor_fn(DM.m_fn(a, b, X, Y), identity_fn(TZ)).then(
-                        DM.m_fn(D.par_of(a, b), c, tensor(X, Y), Z)).then(
-                        M.fmap(D.par_of(D.par_of(a, b), c), alpha(X, Y, Z)))
-                    for t in lhs.dom:
-                        if lhs(t) != rhs(t):
-                            ok, witness = False, t
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(LawRecord(law="m-assoc", grades=(a, b, c), ok=ok, witness=witness))
+        witness = _first_failure(assoc_failure(a, b, c, X, Y, Z)
+                                 for X in sets for Y in sets for Z in sets)
+        rep.add(LawRecord(law="m-assoc", grades=(a, b, c), ok=witness is None,
+                          witness=witness or ""))
 
     I = unit_set()
     for a in P.elements:
@@ -429,21 +424,24 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         for X in sets:
             TX = M.carrier(a, X)
             if left_grade == a:
-                via_m = tensor_fn(M.unit_fn(I), identity_fn(TX)).then(
-                    DM.m_fn(i, a, I, X))
-                direct = lam(TX).then(M.fmap(a, lam_inv(X)))
+                via_m = seq(par(M.unit_fn(I), identity_path(TX)), DM.m_fn(i, a, I, X))
+                direct = seq(lam_path(TX), M.fmap(a, lam_inv(X)))
                 rep.compare("m-unitor-left", (a,), (X.name,), via_m, direct)
             else:
                 rep.add(LawRecord(law="m-unitor-left", grades=(a,), ok=True,
                                   note="skipped: i||a differs from a"))
             if right_grade == a:
-                via_m = tensor_fn(identity_fn(TX), M.unit_fn(I)).then(
-                    DM.m_fn(a, i, X, I))
-                direct = rho(TX).then(M.fmap(a, rho_inv(X)))
+                via_m = seq(par(identity_path(TX), M.unit_fn(I)), DM.m_fn(a, i, X, I))
+                direct = seq(rho_path(TX), M.fmap(a, rho_inv(X)))
                 rep.compare("m-unitor-right", (a,), (X.name,), via_m, direct)
             else:
                 rep.add(LawRecord(law="m-unitor-right", grades=(a,), ok=True,
                                   note="skipped: a||i differs from a"))
+
+    def natural_failure(a, b, f, g):
+        lhs = seq(par(M.fmap(a, f), M.fmap(b, g)), DM.m_fn(a, b, f.cod, g.cod))
+        rhs = seq(DM.m_fn(a, b, f.dom, g.dom), M.fmap(D.par_of(a, b), tensor_fn(f, g)))
+        return first_mismatch(lhs, rhs)
 
     small = [canonical_set(n) for n in range(min(k, 2) + 1)]
     pairs = [(a, b) for a in P.elements for b in P.elements]
@@ -452,34 +450,11 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         pairs = sorted(set(tuple(rng.choice(P.elements) for _ in range(2))
                            for _ in range(36)))
     for (a, b) in pairs:
-        ok, witness = True, ""
-        for X in small:
-            for X2 in small:
-                for Y in small:
-                    for Y2 in small:
-                        for f in all_fns(X, X2):
-                            for g in all_fns(Y, Y2):
-                                lhs = tensor_fn(M.fmap(a, f), M.fmap(b, g)).then(
-                                    DM.m_fn(a, b, X2, Y2))
-                                rhs = DM.m_fn(a, b, X, Y).then(
-                                    M.fmap(D.par_of(a, b), tensor_fn(f, g)))
-                                for t in lhs.dom:
-                                    if lhs(t) != rhs(t):
-                                        ok, witness = False, t
-                                        break
-                                if not ok:
-                                    break
-                            if not ok:
-                                break
-                        if not ok:
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(LawRecord(law="m-natural", grades=(a, b), ok=ok, witness=witness))
+        witness = _first_failure(natural_failure(a, b, f, g)
+                                 for X in small for X2 in small for Y in small for Y2 in small
+                                 for f in all_fns(X, X2) for g in all_fns(Y, Y2))
+        rep.add(LawRecord(law="m-natural", grades=(a, b), ok=witness is None,
+                          witness=witness or ""))
     return rep
 
 

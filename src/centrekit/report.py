@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .finkit import first_mismatch
+
 
 @dataclass
 class LawRecord:
@@ -97,17 +99,21 @@ class Report:
             self.records.append(r)
 
     def compare(self, law, grades, sets, f, g, note="") -> LawRecord:
-        """Record pointwise equality of two FinFns with a common domain."""
-        if f.dom != g.dom:
-            raise ValueError(f"{law}: domains differ: {f.dom.name} vs {g.dom.name}")
+        """Record pointwise equality of two maps with a common domain.
+
+        f and g are FinFns or finkit paths; a failing record carries the
+        least token at which they differ and both values there.
+        """
+        try:
+            tok = first_mismatch(f, g)
+        except ValueError as exc:
+            raise ValueError(f"{law}: {exc}") from None
         rec = LawRecord(law=law, grades=tuple(grades), sets=tuple(sets), note=note)
-        for tok in f.dom:
-            if f(tok) != g(tok):
-                rec.ok = False
-                rec.witness = tok
-                rec.lhs = f(tok)
-                rec.rhs = g(tok)
-                break
+        if tok is not None:
+            rec.ok = False
+            rec.witness = tok
+            rec.lhs = f(tok)
+            rec.rhs = g(tok)
         self.records.append(rec)
         return rec
 

@@ -291,3 +291,32 @@ class TestReorderReport:
         d = rep.entries[0].to_dict()
         assert d == {"line": 3, "col": 8, "op": "+",
                      "a": "ff", "b": "tt", "verdict": FREE}
+
+    def test_commuting_pair_runs_once_per_grade_pair(self, monkeypatch):
+        import centrekit.effectlang as effectlang
+        from centrekit.graded_monad import commuting_pair
+
+        P = bool_pomonoid()
+        M = bool_writer_pair()
+        # seven binary nodes over three distinct operand grade pairs
+        p = parse_program(
+            "prim pure ! tt\nprim log ! ff\n"
+            "main = op+(op-(log(1), log(2)), op*(op/(log(3), log(4)),"
+            " op+(op-(pure(5), log(6)), op*(log(7), pure(8)))))")
+        calls = []
+
+        def counting(*args):
+            calls.append(args[1:3])
+            return commuting_pair(*args)
+
+        monkeypatch.setattr(effectlang, "commuting_pair", counting)
+        rep = reorder_report(p, P, M=M, k=2)
+        pairs = [(e.left_grade, e.right_grade) for e in rep.entries]
+        assert len(pairs) == 7
+        assert sorted(calls) == sorted(set(pairs))
+        # every node's verdict is the one its own uncached scan gives
+        monkeypatch.undo()
+        for entry in rep.entries:
+            alone = reorder_report(me_program(entry.left_grade, entry.right_grade),
+                                   P, M=M, k=2)
+            assert [entry.verdict] == alone.verdicts()

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrekit.centre import build_centre_monad, central_subset
-from centrekit.finkit import canonical_set, make_pair, tensor, tensor_fn
+from centrekit.finkit import canonical_set, make_pair, split_pair, tensor, tensor_fn
 from centrekit.graded_monad import (
     bool_writer_pair,
     check_monad_laws,
@@ -219,6 +219,21 @@ class TestLanguageWriter:
         assert mul_first(t) == "((y0,y0),{ab,ba})"
         assert lifted(t) != mul_first(t)
         assert _annotation_subset(lifted(t), mul_first(t))
+
+    def test_annotation_order_is_reflexive_and_keeps_values_apart(self):
+        M = self.DM.monad
+        for n in range(3):
+            X = canonical_set(n)
+            for a in M.pomonoid.elements:
+                carrier = M.carrier(a, X)
+                for t in carrier:
+                    assert _annotation_subset(t, t), t
+                for s in carrier:
+                    for t in carrier:
+                        if split_pair(s)[0] != split_pair(t)[0]:
+                            assert not _annotation_subset(s, t), (s, t)
+        assert _annotation_subset("(y0,{a})", "(y0,{a,b})")
+        assert not _annotation_subset("(y0,{a,b})", "(y0,{a})")
 
     def test_broken_m_fails_unit_and_unitor(self):
         good = self.DM
