@@ -12,6 +12,17 @@ basis: ``tensor`` hands back the product it already built for the same
 operands while that product is still in use, so equal products may be the
 same object.
 
+A ``FinFn`` stores its table as ``idx``, a tuple of codomain positions:
+``idx[i]`` is the place, in the codomain's sorted tokens, of the image of
+the domain's i-th token.  The token dict ``mapping`` is built from it on
+first use.  Composition, tensor, identities, ``all_fns``, ``apply_mor`` and
+equality work on these integer tables and never re-check a table they
+built; ``FinFn(dom, cod, mapping)`` checks every table it is given.  A
+product built by ``tensor`` knows where the pair of its factors' i-th and
+j-th tokens sits among its own sorted tokens, which can differ from
+row-major order when a factor token is a prefix of another (``a`` and
+``a*``: ``(a*,b)`` sorts before ``(a,b)``).
+
 The two sides of a law diagram are compared pointwise, without building
 them.  ``seq`` (a diagrammatic composite), ``par`` (the tensor of two
 maps) and the re-bracketings ``alpha_path``, ``lam_path``, ``rho_path``,
@@ -116,16 +127,18 @@ class FinSet:
     The name is cosmetic: equality and hashing look at the tokens only, so
     two differently-named sets with the same tokens are the same set.
     Instances are immutable and may be shared, so the hash is computed once.
-    A product built by ``tensor`` keeps its two factors in ``factors``.
+    A product built by ``tensor`` keeps its two factors in ``factors``; its
+    tokens are pairs of the factors' checked tokens and are not checked again.
     """
 
     __slots__ = ("name", "elems", "factors", "_members", "_hash", "_prefix_free",
-                 "__weakref__")
+                 "_index", "_pairs", "__weakref__")
 
     def __init__(self, name: str, elems, factors=None):
         elems = tuple(sorted(elems))
-        for tok in elems:
-            _check_token(tok)
+        if factors is None:
+            for tok in elems:
+                _check_token(tok)
         members = frozenset(elems)
         if len(members) != len(elems):
             raise TokenError(f"duplicate tokens in {name or 'set'}: {elems}")
@@ -135,6 +148,8 @@ class FinSet:
         self._prefix_free = None
         self._members = members
         self._hash = hash(elems)
+        self._index = None
+        self._pairs = _UNKNOWN
 
     def __contains__(self, tok) -> bool:
         return tok in self._members
@@ -145,6 +160,31 @@ class FinSet:
             e = self.elems
             self._prefix_free = not any(b.startswith(a) for a, b in zip(e, e[1:]))
         return self._prefix_free
+
+    def token_index(self) -> dict:
+        """Token -> its position in ``elems`` (built on first use)."""
+        if self._index is None:
+            self._index = dict(zip(self.elems, range(len(self.elems))))
+        return self._index
+
+    def pair_positions(self):
+        """Where a product's factor pairs sit among its sorted tokens.
+
+        None when the pair of the factors' i-th and j-th tokens is token
+        i*|B| + j (row-major order); otherwise ``(pos, order)``, with pos
+        mapping row-major positions to sorted ones and order its inverse.
+        Worked out on first use, for products built by ``tensor`` only.
+        """
+        if self._pairs is _UNKNOWN:
+            A, B = self.factors
+            ra, rb = _key_ranks(A, ","), _key_ranks(B, ")")
+            if ra is None and rb is None:
+                self._pairs = None
+            else:
+                nb = len(B)
+                pos = [x * nb + y for x in (ra or range(len(A))) for y in (rb or range(nb))]
+                self._pairs = (pos, _inverse(pos))
+        return self._pairs
 
     def __iter__(self):
         return iter(self.elems)
@@ -165,14 +205,36 @@ class FinSet:
         return f"FinSet({self.name!r}, {{{', '.join(self.elems)}}})"
 
 
-class FinFn:
-    """A total function between two FinSets, given by an explicit table.
+_UNKNOWN = object()
 
-    The table is copied in domain order and keyed by the domain's own token
-    objects, so maps over a shared domain do not hold copies of its tokens.
+
+def _inverse(perm) -> list:
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return inv
+
+
+def _key_ranks(S: FinSet, suffix: str):
+    """rank[i]: the place of S's i-th token when tokens are ordered with
+    suffix appended, or None when that is their own order."""
+    if S.prefix_free():
+        return None
+    e = S.elems
+    order = sorted(range(len(e)), key=lambda i: e[i] + suffix)
+    return None if order == list(range(len(e))) else _inverse(order)
+
+
+class FinFn:
+    """A total function between two FinSets, given by a table.
+
+    ``idx[i]`` is the position in ``cod.elems`` of the image of
+    ``dom.elems[i]``.  The token dict ``mapping`` is built from ``idx`` when
+    something reads it.  The constructor takes a token table and checks that
+    it is total on the domain and lands in the codomain.
     """
 
-    __slots__ = ("dom", "cod", "mapping")
+    __slots__ = ("dom", "cod", "idx", "_mapping")
 
     def __init__(self, dom: FinSet, cod: FinSet, mapping):
         if not isinstance(mapping, dict):
@@ -181,13 +243,34 @@ class FinFn:
             missing = dom._members - set(mapping)
             extra = set(mapping) - dom._members
             raise ValueError(f"map not total on {dom.name}: missing={missing} extra={extra}")
-        table = {t: mapping[t] for t in dom.elems}
-        if not cod._members.issuperset(table.values()):
-            bad = next(v for v in table.values() if v not in cod._members)
-            raise ValueError(f"value {bad!r} outside codomain {cod.name}")
+        image = list(map(mapping.__getitem__, dom.elems))
+        position = cod.token_index()
+        try:
+            idx = tuple(map(position.__getitem__, image))
+        except KeyError:
+            bad = next(v for v in image if v not in position)
+            raise ValueError(f"value {bad!r} outside codomain {cod.name}") from None
         self.dom = dom
         self.cod = cod
-        self.mapping = table
+        self.idx = idx
+        self._mapping = None
+
+    @classmethod
+    def _table(cls, dom: FinSet, cod: FinSet, idx: tuple) -> "FinFn":
+        # an index table built here from checked ones: no check needed
+        fn = object.__new__(cls)
+        fn.dom = dom
+        fn.cod = cod
+        fn.idx = idx
+        fn._mapping = None
+        return fn
+
+    @property
+    def mapping(self) -> dict:
+        """The table as token -> token, in domain order."""
+        if self._mapping is None:
+            self._mapping = dict(zip(self.dom.elems, map(self.cod.elems.__getitem__, self.idx)))
+        return self._mapping
 
     def __call__(self, tok: str) -> str:
         return self.mapping[tok]
@@ -204,30 +287,30 @@ class FinFn:
         """Diagrammatic composite: first self, then other."""
         if self.cod != other.dom:
             raise ValueError(f"cannot compose {self.cod.name} -> {other.dom.name}")
-        return FinFn(self.dom, other.cod, {k: other.mapping[v] for k, v in self.mapping.items()})
+        return FinFn._table(self.dom, other.cod, tuple(map(other.idx.__getitem__, self.idx)))
 
     def is_injective(self) -> bool:
-        return len(set(self.mapping.values())) == len(self.mapping)
+        return len(set(self.idx)) == len(self.idx)
 
     def inverse(self) -> "FinFn":
         if not self.is_injective() or len(self.dom) != len(self.cod):
             raise ValueError(f"{self!r} is not a bijection")
-        return FinFn(self.cod, self.dom, {v: k for k, v in self.mapping.items()})
+        return FinFn._table(self.cod, self.dom, tuple(_inverse(self.idx)))
 
     @staticmethod
     def identity(X: FinSet) -> "FinFn":
-        return FinFn(X, X, {t: t for t in X})
+        return FinFn._table(X, X, tuple(range(len(X))))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinFn)
+            and self.idx == other.idx
             and self.dom == other.dom
             and self.cod == other.cod
-            and self.mapping == other.mapping
         )
 
     def __hash__(self) -> int:
-        return hash((self.dom, self.cod, tuple(sorted(self.mapping.items()))))
+        return hash((self.dom, self.cod, self.idx))
 
     def __repr__(self) -> str:
         return f"FinFn({self.dom.name} -> {self.cod.name})"
@@ -348,7 +431,8 @@ def apply_obj(expr: FunctorExpr, X: FinSet) -> FinSet:
 def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     """Functor action on a map: relabel Id leaves by f, fix Const leaves.
 
-    Built bottom-up from the action on the parts, so no token is parsed.
+    Built bottom-up from the index tables of the parts, so no token is
+    parsed or built.
     """
     if isinstance(expr, Id):
         return f
@@ -359,9 +443,10 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     if isinstance(expr, Sum):
         l = apply_mor(expr.left, f)
         r = apply_mor(expr.right, f)
-        mapping = {make_inl(t): make_inl(v) for t, v in l.mapping.items()}
-        mapping.update((make_inr(t), make_inr(v)) for t, v in r.mapping.items())
-        return FinFn(_sum_set(l.dom, r.dom), _sum_set(l.cod, r.cod), mapping)
+        # a sum lists its inl: tokens, in the left set's order, before its inr: ones
+        shift = len(l.cod)
+        return FinFn._table(_sum_set(l.dom, r.dom), _sum_set(l.cod, r.cod),
+                            l.idx + tuple([shift + j for j in r.idx]))
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
@@ -420,9 +505,17 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     dom = tensor(f.dom, g.dom)
     cod = tensor(f.cod, g.cod)
-    gm = g.mapping.items()
-    mapping = {make_pair(a, b): make_pair(fa, gb) for a, fa in f.mapping.items() for b, gb in gm}
-    return FinFn(dom, cod, mapping)
+    # row-major position in cod of the image of each row-major element of dom
+    n = len(g.cod)
+    gi = g.idx
+    images = [row + j for row in [i * n for i in f.idx] for j in gi]
+    pairs = cod.pair_positions()
+    if pairs is not None:
+        images = list(map(pairs[0].__getitem__, images))
+    pairs = dom.pair_positions()
+    if pairs is not None:
+        images = map(images.__getitem__, pairs[1])
+    return FinFn._table(dom, cod, tuple(images))
 
 
 # The structure maps below are tabulated from the factors' tokens: a
@@ -511,11 +604,8 @@ def identity_fn(X: FinSet) -> FinFn:
 
 def all_fns(X: FinSet, Y: FinSet):
     """Every function X -> Y, in a fixed order."""
-    if len(X) == 0:
-        yield FinFn(X, Y, {})
-        return
-    for images in itertools.product(Y.elems, repeat=len(X)):
-        yield FinFn(X, Y, dict(zip(X.elems, images)))
+    for idx in itertools.product(range(len(Y)), repeat=len(X)):
+        yield FinFn._table(X, Y, idx)
 
 
 # --- lazy paths and pointwise comparison --------------------------------
@@ -794,12 +884,19 @@ def first_mismatch(lhs, rhs, eq=None):
     lhs and rhs are FinFns or paths over the same set; eq(l, r) says
     whether two values agree and defaults to token equality.  Both sides
     are evaluated on the whole domain; eq is then applied in sorted token
-    order up to the first failure.  Raises ValueError when the two domains
-    differ.
+    order up to the first failure; two FinFns compared by equality are
+    compared as index tables.  Raises ValueError when the two domains, or
+    the two codomains, differ as sets.
     """
     dom = _same_set(lhs.dom, rhs.dom)
     if dom is None:
         raise ValueError(f"domains differ: {lhs.dom.name} vs {rhs.dom.name}")
+    if _same_set(lhs.cod, rhs.cod) is None:
+        raise ValueError(f"codomains differ: {lhs.cod.name} vs {rhs.cod.name}")
+    if eq is None and lhs.__class__ is FinFn and rhs.__class__ is FinFn:
+        if lhs.idx == rhs.idx:
+            return None
+        return next(t for t, l, r in zip(dom.elems, lhs.idx, rhs.idx) if l != r)
     elems = list(_values(dom, ""))
     if not elems:
         return None

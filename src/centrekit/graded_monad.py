@@ -100,12 +100,14 @@ class GradedStrongMonad:
 
     def carrier(self, a: str, X: FinSet) -> FinSet:
         key = ("carrier", a, X)
-        if key not in self._memo:
+        S = self._memo.get(key)
+        if S is None:
             if self.functor is not None:
-                self._memo[key] = apply_obj(self.functor(a), X)
+                S = apply_obj(self.functor(a), X)
             else:
-                self._memo[key] = self.carrier_fn(a, X)
-        return self._memo[key]
+                S = self.carrier_fn(a, X)
+            self._memo[key] = S
+        return S
 
     def fmap(self, a: str, f: FinFn) -> FinFn:
         if self.functor is not None:
@@ -114,21 +116,23 @@ class GradedStrongMonad:
 
     def unit_fn(self, X: FinSet) -> FinFn:
         key = ("unit", X)
-        if key not in self._memo:
+        fn = self._memo.get(key)
+        if fn is None:
             fn = self.unit(X)
             self._expect(fn, X, self.carrier(self.pomonoid.unit, X), "unit")
             self._memo[key] = fn
-        return self._memo[key]
+        return fn
 
     def mult_fn(self, a: str, b: str, X: FinSet) -> FinFn:
         key = ("mult", a, b, X)
-        if key not in self._memo:
+        fn = self._memo.get(key)
+        if fn is None:
             fn = self.mult(a, b, X)
             dom = self.carrier(a, self.carrier(b, X))
             cod = self.carrier(self.pomonoid.times(a, b), X)
             self._expect(fn, dom, cod, f"mult({a},{b})")
             self._memo[key] = fn
-        return self._memo[key]
+        return fn
 
     def lift_fn(self, a: str, b: str, X: FinSet) -> FinFn:
         if not self.pomonoid.le(a, b):
@@ -138,25 +142,28 @@ class GradedStrongMonad:
         if self.lift is None:
             raise ComponentMissing(f"lift for {a} <= {b} not provided")
         key = ("lift", a, b, X)
-        if key not in self._memo:
+        fn = self._memo.get(key)
+        if fn is None:
             fn = self.lift(a, b, X)
             self._expect(fn, self.carrier(a, X), self.carrier(b, X), f"lift({a},{b})")
             self._memo[key] = fn
-        return self._memo[key]
+        return fn
 
     def strength_fn(self, a: str, X: FinSet, Y: FinSet) -> FinFn:
         key = ("tau", a, X, Y)
-        if key not in self._memo:
+        fn = self._memo.get(key)
+        if fn is None:
             fn = self.strength(a, X, Y)
             dom = tensor(X, self.carrier(a, Y))
             cod = self.carrier(a, tensor(X, Y))
             self._expect(fn, dom, cod, f"strength({a})")
             self._memo[key] = fn
-        return self._memo[key]
+        return fn
 
     def costrength_fn(self, a: str, X: FinSet, Y: FinSet) -> FinFn:
         key = ("tau'", a, X, Y)
-        if key not in self._memo:
+        fn = self._memo.get(key)
+        if fn is None:
             if self.costrength is not None:
                 fn = self.costrength(a, X, Y)
                 dom = tensor(self.carrier(a, X), Y)
@@ -165,7 +172,7 @@ class GradedStrongMonad:
             else:
                 fn = derive_costrength(self, a, X, Y)
             self._memo[key] = fn
-        return self._memo[key]
+        return fn
 
     @staticmethod
     def _expect(fn: FinFn, dom: FinSet, cod: FinSet, what: str) -> None:

@@ -8,6 +8,7 @@ render as text or JSON and parse back losslessly.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from dataclasses import dataclass, field
 
 from .finkit import first_mismatch
@@ -66,6 +67,36 @@ class LawRecord:
             rhs=d["rhs"],
             note=d["note"],
         )
+
+
+_RECORD = """\
+    {
+      "law": %s,
+      "grades": %s,
+      "sets": %s,
+      "ok": %s,
+      "witness": %s,
+      "lhs": %s,
+      "rhs": %s,
+      "note": %s
+    }"""
+
+
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _value(v) -> str:
+    if v.__class__ is str:
+        return encode_basestring_ascii(v)
+    if v is None or v is True or v is False:
+        return _CONSTANTS[v]
+    return json.dumps(v)
+
+
+def _list(items) -> str:
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_value, items)) + "\n      ]"
 
 
 @dataclass
@@ -131,11 +162,18 @@ class Report:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"title": self.title, "ok": self.ok, "records": [r.to_dict() for r in self.records]},
-            indent=2,
-            sort_keys=False,
-        )
+        """The report as ``json.dumps(..., indent=2)`` renders it, byte for byte.
+
+        json.dumps with an indent runs the pure-Python encoder; the fixed
+        record shape is filled in from a template instead, with the C string
+        encoder for the values.
+        """
+        records = ",\n".join(_RECORD % (
+            _value(r.law), _list(r.grades), _list(r.sets), _value(r.ok), _value(r.witness),
+            _value(r.lhs), _value(r.rhs), _value(r.note)) for r in self.records)
+        records = f"[\n{records}\n  ]" if records else "[]"
+        return (f'{{\n  "title": {_value(self.title)},\n  "ok": {_value(self.ok)},\n'
+                f'  "records": {records}\n}}')
 
     @staticmethod
     def from_json(text: str) -> "Report":

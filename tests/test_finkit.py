@@ -1,4 +1,5 @@
 import gc
+import itertools
 import weakref
 
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from centrekit.finkit import (
     Sum,
     SetSizeError,
     TokenError,
+    _check_token,
     all_fns,
     alpha,
     alpha_inv,
@@ -492,6 +494,19 @@ class TestFirstMismatch:
         with pytest.raises(ValueError, match="domains differ"):
             first_mismatch(par(identity_fn(X), identity_fn(Y)), identity_fn(tensor(Y, X)))
 
+    def test_different_codomains_raise(self):
+        f = FinFn(X, Y, {"x0": "y1", "x1": "y2"})
+        with pytest.raises(ValueError, match="codomains differ"):
+            first_mismatch(f, identity_fn(X))
+        with pytest.raises(ValueError, match="codomains differ"):
+            first_mismatch(par(identity_fn(X), identity_fn(Y)), gamma_path(X, Y))
+        with pytest.raises(ValueError, match="codomains differ"):
+            first_mismatch(seq(f, identity_path(Y)), identity_fn(X), lambda l, r: True)
+        # products with an empty factor are one set, whatever the other factor
+        E = canonical_set(0)
+        into_empty = FinFn(E, tensor(E, X), {})
+        assert first_mismatch(into_empty, FinFn(E, tensor(Y, E), {})) is None
+
     def test_witness_is_least_in_sorted_order(self):
         # "a" sorts before "a*", yet "(a*,b)" sorts before "(a,b)": the walk
         # follows the order of the product's tokens, not of its factors
@@ -501,3 +516,172 @@ class TestFirstMismatch:
         bad = FinFn(good.dom, good.cod, {"(a,b)": "(a*,b)", "(a*,b)": "(a,b)"})
         assert list(tensor(A, B)) == ["(a*,b)", "(a,b)"]
         assert first_mismatch(par(identity_fn(A), identity_fn(B)), bad) == "(a*,b)"
+
+
+# --- reference oracle: the dict-based maps the index tables replaced ----------
+
+def dict_then(f, g):
+    assert f.cod == g.dom
+    return f.dom, g.cod, {k: g.mapping[v] for k, v in f.mapping.items()}
+
+
+def dict_tensor_fn(f, g):
+    gm = g.mapping.items()
+    return (tensor(f.dom, g.dom), tensor(f.cod, g.cod),
+            {make_pair(a, b): make_pair(fa, gb) for a, fa in f.mapping.items() for b, gb in gm})
+
+
+def dict_identity(S):
+    return S, S, {t: t for t in S}
+
+
+def dict_all_fns(S, T):
+    if len(S) == 0:
+        return [{}]
+    return [dict(zip(S.elems, images)) for images in itertools.product(T.elems, repeat=len(S))]
+
+
+def dict_apply_mor(expr, f):
+    if isinstance(expr, Id):
+        return f.dom, f.cod, dict(f.mapping)
+    if isinstance(expr, Const):
+        return dict_identity(expr.value)
+    if isinstance(expr, Prod):
+        l, r = (FinFn(*dict_apply_mor(e, f)) for e in (expr.left, expr.right))
+        return dict_tensor_fn(l, r)
+    l, r = (FinFn(*dict_apply_mor(e, f)) for e in (expr.left, expr.right))
+    mapping = {make_inl(t): make_inl(v) for t, v in l.mapping.items()}
+    mapping.update((make_inr(t), make_inr(v)) for t, v in r.mapping.items())
+    return apply_obj(expr, f.dom), apply_obj(expr, f.cod), mapping
+
+
+def is_table(fn, dom, cod, table):
+    """fn is the map the checked constructor builds from the token table."""
+    assert fn.dom == dom and fn.cod == cod
+    assert list(fn.mapping.items()) == [(t, table[t]) for t in dom.elems]
+    assert fn.idx == tuple(cod.elems.index(table[t]) for t in dom.elems)
+    checked = FinFn(dom, cod, table)
+    assert fn == checked and hash(fn) == hash(checked)
+    assert all(fn(t) == table[t] for t in dom)
+
+
+# factors with a token that is a prefix of another ("a" and "a*"), where the
+# pairs may sort off row-major order
+prefixed_sets = st.sampled_from([("a", "ab"), ("a", "a*", "ab"), ("b", "b!", "b(c)"), ("y0",), ()]).map(
+    lambda ts: FinSet("P", ts))
+oracle_sets = st.one_of(token_sets(), prefixed_sets)
+
+
+@st.composite
+def oracle_maps(draw, dom=None):
+    dom = draw(oracle_sets) if dom is None else dom
+    cod = draw(st.one_of(token_sets(min_size=1), prefixed_sets.filter(len)))
+    return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
+
+
+class TestIndexTablesMatchReference:
+    def test_pair_positions_off_row_major(self):
+        A = FinSet("A", ("a", "ab"))
+        AC = tensor(A, FinSet("C", ("c",)))
+        assert AC.elems == ("(a,c)", "(ab,c)")
+        assert AC.pair_positions() is None
+        # "a," sorts after "a*,", and "b)" after "b(c))"
+        L = FinSet("L", ("a", "a*"))
+        R = FinSet("R", ("b", "b(c)"))
+        LR = tensor(L, R)
+        assert LR.elems == ("(a*,b(c))", "(a*,b)", "(a,b(c))", "(a,b)")
+        assert LR.pair_positions() == ([3, 2, 1, 0], [3, 2, 1, 0])
+        f = FinFn(L, L, {"a": "a*", "a*": "a*"})
+        g = FinFn(R, A, {"b": "a", "b(c)": "ab"})
+        is_table(tensor_fn(f, g), *dict_tensor_fn(f, g))
+        is_table(tensor_fn(g, f), *dict_tensor_fn(g, f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), oracle_maps())
+    def test_then(self, data, f):
+        g = data.draw(oracle_maps(f.cod))
+        is_table(f.then(g), *dict_then(f, g))
+        if f.cod != f.dom:
+            with pytest.raises(ValueError, match="cannot compose"):
+                f.then(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_maps(), oracle_maps())
+    def test_tensor_fn(self, f, g):
+        is_table(tensor_fn(f, g), *dict_tensor_fn(f, g))
+
+    @settings(deadline=None)
+    @given(oracle_sets)
+    def test_identity(self, S):
+        is_table(identity_fn(S), *dict_identity(S))
+        assert identity_fn(S).is_injective()
+
+    @settings(deadline=None)
+    @given(oracle_sets, oracle_sets.filter(lambda S: len(S) <= 2))
+    def test_all_fns(self, S, T):
+        if len(T) ** len(S) > 100:
+            return
+        fns = list(all_fns(S, T))
+        tables = dict_all_fns(S, T)
+        assert len(fns) == len(tables)
+        for fn, table in zip(fns, tables):
+            is_table(fn, S, T, table)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(exprs, st.builds(Prod, prefixed_sets.map(Const), st.just(Id()))),
+           oracle_maps())
+    def test_apply_mor(self, expr, f):
+        is_table(apply_mor(expr, f), *dict_apply_mor(expr, f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), oracle_maps())
+    def test_eq_hash_inverse_and_witness(self, data, f):
+        g = data.draw(with_mismatches(f))
+        assert (f == g) == (f.mapping == g.mapping)
+        if f == g:
+            assert hash(f) == hash(g)
+        assert first_mismatch(f, g) == sorted_scan(f, g, EQS[0])
+        assert first_mismatch(f, g) == first_mismatch(seq(f, identity_path(f.cod)), g)
+        values = set(f.mapping.values())
+        assert f.is_injective() == (len(values) == len(f.dom))
+        if f.is_injective() and len(f.dom) == len(f.cod):
+            is_table(f.inverse(), f.cod, f.dom, {v: k for k, v in f.mapping.items()})
+            assert f.then(f.inverse()) == identity_fn(f.dom)
+        else:
+            with pytest.raises(ValueError, match="not a bijection"):
+                f.inverse()
+
+
+# --- product tokens are built from checked tokens and not checked again -------
+
+invalid_tokens = st.one_of(
+    st.just(""),
+    st.builds("{},{}".format, leaf_tokens, leaf_tokens),
+    st.builds("{} ".format, tokens),
+    st.builds("({}".format, tokens),
+    st.builds("{})".format, tokens),
+    st.builds("{{{}".format, tokens),
+)
+
+
+class TestProductTokens:
+    @settings(deadline=None)
+    @given(tokens, tokens)
+    def test_pairs_of_valid_tokens_are_valid(self, left, right):
+        _check_token(left)
+        _check_token(right)
+        _check_token(make_pair(left, right))
+
+    @settings(deadline=None)
+    @given(token_sets(), token_sets())
+    def test_tensor_tokens_are_valid_pairs(self, A, B):
+        AB = tensor(A, B)
+        assert set(AB) == {make_pair(a, b) for a in A for b in B}
+        for tok in AB:
+            _check_token(tok)
+
+    @settings(deadline=None)
+    @given(st.lists(tokens, max_size=2), invalid_tokens)
+    def test_outside_tokens_are_still_checked(self, good, bad):
+        with pytest.raises(TokenError):
+            FinSet("S", set(good) | {bad})

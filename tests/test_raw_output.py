@@ -1,0 +1,105 @@
+"""Raw-byte goldens for reports and CLI output.
+
+The perfbench goldens normalise JSON before digesting it, so they cannot
+see a change in how a report is rendered.  These digests are of the exact
+bytes: ``to_json()`` and ``to_text()`` of every built-in's ``check_all`` at
+k=2 and ``check_commutative`` at k=3, and stdout, stderr and exit code of
+the README's CLI commands, in text and (where offered) JSON form.
+
+    PYTHONPATH=src python tests/test_raw_output.py
+
+prints the digests of the current tree as JSON, in the format of
+``raw_output_digests.json``.
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+DIGESTS = os.path.join(HERE, "raw_output_digests.json")
+
+README_COMMANDS = [
+    ["pomonoid", "centre", "fixtures/multi_error.pom"],
+    ["pomonoid", "check", "fixtures/bool.pom"],
+    ["duoid", "check", "fixtures/escalation.duo"],
+    ["monad", "laws", "--monad", "multi_error_writer"],
+    ["monad", "commutative", "--monad", "multi_error_writer"],
+    ["monad", "centre", "--monad", "multi_error_writer", "--set-size", "2"],
+    ["monad", "morphism", "--from", "centre(multi_error_writer)", "--to", "multi_error_writer"],
+    ["duoidal", "check", "--monad", "language_writer", "--alphabet", "ab", "--cap", "2"],
+    ["analyze", "fixtures/reorder.eff", "--pomonoid", "fixtures/bool.pom",
+     "--monad", "bool_writer_pair"],
+    ["examples", "list"],
+]
+
+
+def sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def report_digests() -> dict:
+    from centrekit import check_all, check_commutative
+    from centrekit.graded_monad import registry
+
+    out = {}
+    for name, make in registry().items():
+        M = make()
+        for scan, rep in (("check_all(k=2)", check_all(M, 2)),
+                          ("check_commutative(k=3)", check_commutative(M, 3))):
+            out[f"{name} {scan} json"] = sha(rep.to_json())
+            out[f"{name} {scan} text"] = sha(rep.to_text())
+    return out
+
+
+def cli_run(argv) -> str:
+    from centrekit.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    return f"exit={code} stdout={sha(stdout.getvalue())} stderr={sha(stderr.getvalue())}"
+
+
+def cli_digests() -> dict:
+    here = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        out = {}
+        for argv in README_COMMANDS:
+            out[" ".join(argv)] = cli_run(argv)
+            if argv[0] != "examples":
+                out[" ".join(argv + ["--json"])] = cli_run(argv + ["--json"])
+        return out
+    finally:
+        os.chdir(here)
+
+
+def collect() -> dict:
+    return {"reports": report_digests(), "cli": cli_digests()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    with open(DIGESTS) as fh:
+        return json.load(fh)
+
+
+def test_reports_are_byte_identical(golden):
+    assert report_digests() == golden["reports"]
+
+
+def test_readme_commands_are_byte_identical(golden, monkeypatch):
+    monkeypatch.delenv("CENTREKIT_FIXTURES", raising=False)
+    assert cli_digests() == golden["cli"]
+
+
+if __name__ == "__main__":
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    print(json.dumps(collect(), indent=2, sort_keys=True))

@@ -1,3 +1,7 @@
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 import pytest
 
 from centrekit.finkit import FinFn, FinSet, identity_fn
@@ -66,3 +70,43 @@ def test_to_text_failures_only():
     assert "bad" in text and "good" not in text
     full = rep.to_text(failures_only=False)
     assert "good" in full
+
+
+def reference_json(rep):
+    return json.dumps(
+        {"title": rep.title, "ok": rep.ok, "records": [r.to_dict() for r in rep.records]},
+        indent=2,
+        sort_keys=False,
+    )
+
+
+# non-ASCII, quotes, backslashes and control characters all need escaping
+texts = st.text(alphabet=st.sampled_from('aZ*,(){}: "\\\n\t\x00\x1f\x7fé€\U0001f600'),
+                max_size=6)
+optional_texts = st.none() | texts
+records = st.builds(
+    LawRecord,
+    law=texts,
+    grades=st.lists(texts, max_size=3).map(tuple),
+    sets=st.lists(texts, max_size=3).map(tuple),
+    ok=st.booleans(),
+    witness=optional_texts,
+    lhs=optional_texts,
+    rhs=optional_texts,
+    note=texts,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(texts, st.lists(records, max_size=4))
+def test_to_json_matches_json_dumps(title, recs):
+    rep = Report(title, recs)
+    assert rep.to_json() == reference_json(rep)
+    assert Report.from_json(rep.to_json()).records == rep.records
+
+
+def test_to_json_of_an_empty_report():
+    rep = Report("empty")
+    assert rep.to_json() == reference_json(rep)
+    rep.add(LawRecord(law="bare"))
+    assert rep.to_json() == reference_json(rep)
