@@ -288,27 +288,12 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
         # tokens of Z^z1(Z^z2 X) are tokens of T^z1(T^z2 X), so the big
         # multiplication applies directly
         dom = sub(z1, sub(z2, X))
-        big = M.mult_fn(z1, z2, X)
-        mapping = {}
-        cod = sub(ZP.times(z1, z2), X)
-        for t in dom:
-            v = big(t)
-            if v not in cod:
-                raise CentralityViolation(f"mult({z1},{z2})", f"{t} -> {v}")
-            mapping[t] = v
-        return FinFn(dom, cod, mapping)
+        return restrict(M.mult_fn(z1, z2, X), dom, sub(ZP.times(z1, z2), X),
+                        f"mult({z1},{z2})")
 
     def strength(z, X, Y):
         dom = tensor(X, sub(z, Y))
-        big = M.strength_fn(z, X, Y)
-        cod = sub(z, tensor(X, Y))
-        mapping = {}
-        for t in dom:
-            v = big(t)
-            if v not in cod:
-                raise CentralityViolation(f"strength({z})", f"{t} -> {v}")
-            mapping[t] = v
-        return FinFn(dom, cod, mapping)
+        return restrict(M.strength_fn(z, X, Y), dom, sub(z, tensor(X, Y)), f"strength({z})")
 
     lift = None
     if M.lift is not None:

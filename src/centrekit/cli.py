@@ -225,90 +225,103 @@ def _add_common(ap, json_flag=True, set_size=True):
                         help="largest canonical set fed to the suites")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(first: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser for a command line starting with first: when that
+    names a command, the other commands get no arguments or nested parsers."""
     parser = argparse.ArgumentParser(
         prog="centrekit",
         description="check graded monads, their centres, and effect reorderings")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, text in (("pomonoid", "validate a structure file or print its centre"),
+                       ("duoid", "check a two-operation structure file"),
+                       ("monad", "run suites against a built-in monad"),
+                       ("duoidal", "check a duoidal gradation"),
+                       ("analyze", "grade a program and judge each reordering"),
+                       ("examples", "list built-ins and fixtures")):
+        sub.add_parser(name, help=text)
+    cmd = sub.choices
+    built = (first,) if first in cmd else cmd
 
-    pom = sub.add_parser("pomonoid", help="validate a structure file or print its centre")
-    pomsub = pom.add_subparsers(dest="action", required=True)
-    for action in ("check", "centre"):
-        ap = pomsub.add_parser(action)
+    if "pomonoid" in built:
+        pomsub = cmd["pomonoid"].add_subparsers(dest="action", required=True)
+        for action in ("check", "centre"):
+            ap = pomsub.add_parser(action)
+            ap.add_argument("file")
+            _add_common(ap, set_size=False)
+            ap.set_defaults(fn=cmd_pomonoid, action=action)
+
+    if "duoid" in built:
+        duosub = cmd["duoid"].add_subparsers(dest="action", required=True)
+        ap = duosub.add_parser("check")
         ap.add_argument("file")
         _add_common(ap, set_size=False)
-        ap.set_defaults(fn=cmd_pomonoid, action=action)
+        ap.set_defaults(fn=cmd_duoid)
 
-    duo = sub.add_parser("duoid", help="check a two-operation structure file")
-    duosub = duo.add_subparsers(dest="action", required=True)
-    ap = duosub.add_parser("check")
-    ap.add_argument("file")
-    _add_common(ap, set_size=False)
-    ap.set_defaults(fn=cmd_duoid)
+    if "monad" in built:
+        monsub = cmd["monad"].add_subparsers(dest="action", required=True)
 
-    mon = sub.add_parser("monad", help="run suites against a built-in monad")
-    monsub = mon.add_subparsers(dest="action", required=True)
+        ap = monsub.add_parser("laws")
+        ap.add_argument("--monad", required=True)
+        ap.add_argument("--pomonoid", help="grading for monads that accept one")
+        _add_common(ap)
+        ap.set_defaults(fn=cmd_monad_laws)
 
-    ap = monsub.add_parser("laws")
-    ap.add_argument("--monad", required=True)
-    ap.add_argument("--pomonoid", help="grading for monads that accept one")
-    _add_common(ap)
-    ap.set_defaults(fn=cmd_monad_laws)
+        ap = monsub.add_parser("commutative")
+        ap.add_argument("--monad", required=True)
+        ap.add_argument("--pomonoid")
+        _add_common(ap)
+        ap.set_defaults(fn=cmd_monad_commutative)
 
-    ap = monsub.add_parser("commutative")
-    ap.add_argument("--monad", required=True)
-    ap.add_argument("--pomonoid")
-    _add_common(ap)
-    ap.set_defaults(fn=cmd_monad_commutative)
+        ap = monsub.add_parser("centre")
+        ap.add_argument("--monad", required=True)
+        ap.add_argument("--pomonoid")
+        ap.add_argument("--grade", help="one grade instead of the whole centre")
+        ap.add_argument("--set-size", type=int, default=2, metavar="N",
+                        help="size of the base set whose centre is printed")
+        ap.add_argument("--bound", type=int, default=None, metavar="N",
+                        help="test-set size cap for the centrality scan")
+        _add_common(ap, set_size=False)
+        ap.set_defaults(fn=cmd_monad_centre)
 
-    ap = monsub.add_parser("centre")
-    ap.add_argument("--monad", required=True)
-    ap.add_argument("--pomonoid")
-    ap.add_argument("--grade", help="one grade instead of the whole centre")
-    ap.add_argument("--set-size", type=int, default=2, metavar="N",
-                    help="size of the base set whose centre is printed")
-    ap.add_argument("--bound", type=int, default=None, metavar="N",
-                    help="test-set size cap for the centrality scan")
-    _add_common(ap, set_size=False)
-    ap.set_defaults(fn=cmd_monad_centre)
+        ap = monsub.add_parser("morphism")
+        ap.add_argument("--from", dest="from_name", required=True)
+        ap.add_argument("--to", dest="to_name", required=True)
+        ap.add_argument("--pomonoid")
+        ap.add_argument("--bound", type=int, default=None)
+        _add_common(ap)
+        ap.set_defaults(fn=cmd_monad_morphism)
 
-    ap = monsub.add_parser("morphism")
-    ap.add_argument("--from", dest="from_name", required=True)
-    ap.add_argument("--to", dest="to_name", required=True)
-    ap.add_argument("--pomonoid")
-    ap.add_argument("--bound", type=int, default=None)
-    _add_common(ap)
-    ap.set_defaults(fn=cmd_monad_morphism)
+    if "duoidal" in built:
+        duUsub = cmd["duoidal"].add_subparsers(dest="action", required=True)
+        ap = duUsub.add_parser("check")
+        ap.add_argument("--monad", required=True)
+        ap.add_argument("--pomonoid")
+        ap.add_argument("--alphabet", default="ab")
+        ap.add_argument("--cap", type=int, default=2)
+        ap.add_argument("--json", action="store_true")
+        ap.add_argument("--max-set-size", type=int, default=2, metavar="K")
+        ap.set_defaults(fn=cmd_duoidal)
 
-    duU = sub.add_parser("duoidal", help="check a duoidal gradation")
-    duUsub = duU.add_subparsers(dest="action", required=True)
-    ap = duUsub.add_parser("check")
-    ap.add_argument("--monad", required=True)
-    ap.add_argument("--pomonoid")
-    ap.add_argument("--alphabet", default="ab")
-    ap.add_argument("--cap", type=int, default=2)
-    ap.add_argument("--json", action="store_true")
-    ap.add_argument("--max-set-size", type=int, default=2, metavar="K")
-    ap.set_defaults(fn=cmd_duoidal)
+    if "analyze" in built:
+        ap = cmd["analyze"]
+        ap.add_argument("program")
+        ap.add_argument("--pomonoid", required=True)
+        ap.add_argument("--monad", help="refine verdicts with a built-in monad")
+        _add_common(ap)
+        ap.set_defaults(fn=cmd_analyze)
 
-    ap = sub.add_parser("analyze", help="grade a program and judge each reordering")
-    ap.add_argument("program")
-    ap.add_argument("--pomonoid", required=True)
-    ap.add_argument("--monad", help="refine verdicts with a built-in monad")
-    _add_common(ap)
-    ap.set_defaults(fn=cmd_analyze)
-
-    ap = sub.add_parser("examples", help="list built-ins and fixtures")
-    exsub = ap.add_subparsers(dest="action", required=True)
-    lp = exsub.add_parser("list")
-    lp.set_defaults(fn=cmd_examples)
+    if "examples" in built:
+        exsub = cmd["examples"].add_subparsers(dest="action", required=True)
+        lp = exsub.add_parser("list")
+        lp.set_defaults(fn=cmd_examples)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except CentralityViolation as exc:

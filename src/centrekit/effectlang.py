@@ -160,6 +160,23 @@ def _lex(text: str) -> list:
     return tokens
 
 
+def _run(gen):
+    """Run a recursive walk written as a generator that yields each recursive
+    call's generator and is sent its result: depth is bounded by memory."""
+    stack, value = [gen], None
+    while True:
+        try:
+            call = stack[-1].send(value)
+        except StopIteration as done:
+            stack.pop()
+            if not stack:
+                return done.value
+            value = done.value
+        else:
+            stack.append(call)
+            value = None
+
+
 class _Parser:
     def __init__(self, tokens: list, prims: dict):
         self.tokens = tokens
@@ -190,9 +207,9 @@ class _Parser:
             if name.text in _KEYWORDS:
                 raise ParseError(name.line, name.col, "a variable name", repr(name.text))
             self.expect("sym", "=")
-            bound = self.expr(scope)
+            bound = yield self.expr(scope)
             self.expect("ident", "in")
-            body = self.expr(scope | {name.text})
+            body = yield self.expr(scope | {name.text})
             return Let(var=name.text, bound=bound, body=body,
                        line=tok.line, col=tok.col)
         if tok.kind == "int":
@@ -203,9 +220,9 @@ class _Parser:
             if tok.text == "op":
                 name = self.expect("sym")
                 self.expect("punct", "(")
-                left = self.expr(scope)
+                left = yield self.expr(scope)
                 self.expect("punct", ",")
-                right = self.expr(scope)
+                right = yield self.expr(scope)
                 self.expect("punct", ")")
                 return Op(name=name.text, left=left, right=right,
                           line=tok.line, col=tok.col)
@@ -214,7 +231,7 @@ class _Parser:
                     raise UnknownPrimitive(
                         f"line {tok.line}, col {tok.col}: {tok.text} is not a declared prim")
                 self.take()
-                arg = self.expr(scope)
+                arg = yield self.expr(scope)
                 self.expect("punct", ")")
                 return Call(prim=tok.text, arg=arg, line=tok.line, col=tok.col)
             if tok.text in _KEYWORDS:
@@ -243,7 +260,7 @@ def parse_program(text: str) -> EffectProgram:
         raise ParseError(head.line, head.col, "'main'", repr(head.text or head.kind))
     parser.take()
     parser.expect("sym", "=")
-    body = parser.expr(frozenset())
+    body = _run(parser.expr(frozenset()))
     parser.expect("eof")
     return EffectProgram(prims=parser.prims, body=body)
 
@@ -255,21 +272,21 @@ def infer_grades(program: EffectProgram, P: Pomonoid) -> dict:
             raise UnknownGrade(f"prim {prim} is graded {grade}, not in {P.name or 'the pomonoid'}")
     grades = {}
 
-    def walk(node) -> str:
+    def walk(node):
         if isinstance(node, (Var, Lit)):
             g = P.unit
         elif isinstance(node, Call):
-            g = P.times(walk(node.arg), program.prims[node.prim])
+            g = P.times((yield walk(node.arg)), program.prims[node.prim])
         elif isinstance(node, Op):
-            g = P.times(walk(node.left), walk(node.right))
+            g = P.times((yield walk(node.left)), (yield walk(node.right)))
         elif isinstance(node, Let):
-            g = P.times(walk(node.bound), walk(node.body))
+            g = P.times((yield walk(node.bound)), (yield walk(node.body)))
         else:
             raise EffectLangError(f"unknown node {node!r}")
         grades[node] = g
         return g
 
-    walk(program.body)
+    _run(walk(program.body))
     return grades
 
 
@@ -326,13 +343,13 @@ def reorder_report(program: EffectProgram, P: Pomonoid,
 
     def walk(node):
         if isinstance(node, Call):
-            walk(node.arg)
+            yield walk(node.arg)
         elif isinstance(node, Let):
-            walk(node.bound)
-            walk(node.body)
+            yield walk(node.bound)
+            yield walk(node.body)
         elif isinstance(node, Op):
-            walk(node.left)
-            walk(node.right)
+            yield walk(node.left)
+            yield walk(node.right)
             a, b = grades[node.left], grades[node.right]
             central = a in central_grades or b in central_grades
             pairwise = None
@@ -349,5 +366,5 @@ def reorder_report(program: EffectProgram, P: Pomonoid,
             entries.append(OpVerdict(line=node.line, col=node.col, op=node.name,
                                      left_grade=a, right_grade=b, verdict=verdict))
 
-    walk(program.body)
+    _run(walk(program.body))
     return ReorderReport(main_grade=grades[program.body], entries=entries)

@@ -9,19 +9,20 @@ this encoding, which is why it is never allowed to drift.
 ``FinSet`` and ``FinFn`` are immutable values: nothing may change a set's
 name or tokens, or a map's table, once built.  Structure is shared on that
 basis: ``tensor`` hands back the product it already built for the same
-operands while that product is still in use, so equal products may be the
-same object.
+operands while that product is still in use, ``canonical_set(n)`` is one
+set per n, and a set keeps its identity map once built.
 
 A ``FinFn`` stores its table as ``idx``, a tuple of codomain positions:
 ``idx[i]`` is the place, in the codomain's sorted tokens, of the image of
 the domain's i-th token.  The token dict ``mapping`` is built from it on
-first use.  Composition, tensor, identities, ``all_fns``, ``apply_mor`` and
-equality work on these integer tables and never re-check a table they
-built; ``FinFn(dom, cod, mapping)`` checks every table it is given.  A
-product built by ``tensor`` knows where the pair of its factors' i-th and
-j-th tokens sits among its own sorted tokens, which can differ from
-row-major order when a factor token is a prefix of another (``a`` and
-``a*``: ``(a*,b)`` sorts before ``(a,b)``).
+first use.  Composition, tensor, identities, ``all_fns``, ``apply_mor``,
+equality, the structure maps and the built-in monads' components work on
+these integer tables and never re-check a table they built;
+``FinFn(dom, cod, mapping)`` checks every table it is given.  A product
+built by ``tensor`` knows where the pair of its factors' i-th and j-th
+tokens sits among its own sorted tokens (``pair_grid``, ``pair_list``),
+which can differ from row-major order when a factor token is a prefix of
+another (``a`` and ``a*``: ``(a*,b)`` sorts before ``(a,b)``).
 
 The two sides of a law diagram are compared pointwise, without building
 them.  ``seq`` (a diagrammatic composite), ``par`` (the tensor of two
@@ -54,11 +55,8 @@ __all__ = [
     "Prod",
     "Sum",
     "degree",
-    "size_at",
     "apply_obj",
     "apply_mor",
-    "decode",
-    "encode",
     "make_pair",
     "split_pair",
     "make_inl",
@@ -74,10 +72,9 @@ __all__ = [
     "lam_inv",
     "rho",
     "rho_inv",
-    "MonoidalKit",
-    "monoidal_kit",
     "canonical_set",
     "identity_fn",
+    "op_table",
     "all_fns",
     "Product",
     "Path",
@@ -132,7 +129,7 @@ class FinSet:
     """
 
     __slots__ = ("name", "elems", "factors", "_members", "_hash", "_prefix_free",
-                 "_index", "_pairs", "__weakref__")
+                 "_index", "_pairs", "_identity", "__weakref__")
 
     def __init__(self, name: str, elems, factors=None):
         elems = tuple(sorted(elems))
@@ -150,6 +147,7 @@ class FinSet:
         self._hash = hash(elems)
         self._index = None
         self._pairs = _UNKNOWN
+        self._identity = None
 
     def __contains__(self, tok) -> bool:
         return tok in self._members
@@ -185,6 +183,24 @@ class FinSet:
                 pos = [x * nb + y for x in (ra or range(len(A))) for y in (rb or range(nb))]
                 self._pairs = (pos, _inverse(pos))
         return self._pairs
+
+    def pair_grid(self) -> list:
+        """grid[i][j]: the position of the pair of a product's factors' i-th
+        and j-th tokens among its own tokens."""
+        A, B = self.factors
+        nb = len(B)
+        pairs = self.pair_positions()
+        if pairs is None:
+            return [range(i * nb, i * nb + nb) for i in range(len(A))]
+        return [pairs[0][i * nb:i * nb + nb] for i in range(len(A))]
+
+    def pair_list(self) -> list:
+        """(i, j) for each of a product's tokens, in order: the token is the
+        pair of its factors' i-th and j-th tokens."""
+        A, B = self.factors
+        rows = list(itertools.product(range(len(A)), range(len(B))))
+        pairs = self.pair_positions()
+        return rows if pairs is None else list(map(rows.__getitem__, pairs[1]))
 
     def __iter__(self):
         return iter(self.elems)
@@ -265,6 +281,15 @@ class FinFn:
         fn._mapping = None
         return fn
 
+    @classmethod
+    def from_pairs(cls, dom: FinSet, cod: FinSet, images) -> "FinFn":
+        """The map from a product sending the pair of its factors' i-th and
+        j-th tokens to cod's images[i*|B| + j]-th token (images unchecked)."""
+        pairs = dom.pair_positions()
+        if pairs is not None:
+            images = map(images.__getitem__, pairs[1])
+        return cls._table(dom, cod, tuple(images))
+
     @property
     def mapping(self) -> dict:
         """The table as token -> token, in domain order."""
@@ -299,7 +324,10 @@ class FinFn:
 
     @staticmethod
     def identity(X: FinSet) -> "FinFn":
-        return FinFn._table(X, X, tuple(range(len(X))))
+        """X's identity, built once and kept on X."""
+        if X._identity is None:
+            X._identity = FinFn._table(X, X, tuple(range(len(X))))
+        return X._identity
 
     def __eq__(self, other) -> bool:
         return (
@@ -395,19 +423,6 @@ def degree(expr: FunctorExpr) -> int:
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
-def size_at(expr: FunctorExpr, n: int) -> int:
-    """Cardinality of the functor at an n-element set, computed symbolically."""
-    if isinstance(expr, Id):
-        return n
-    if isinstance(expr, Const):
-        return len(expr.value)
-    if isinstance(expr, Prod):
-        return size_at(expr.left, n) * size_at(expr.right, n)
-    if isinstance(expr, Sum):
-        return size_at(expr.left, n) + size_at(expr.right, n)
-    raise TypeError(f"not a FunctorExpr: {expr!r}")
-
-
 def _sum_set(l: FinSet, r: FinSet) -> FinSet:
     return FinSet(
         f"({l.name}+{r.name})",
@@ -450,42 +465,17 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
-def decode(expr: FunctorExpr, tok: str):
-    """View an element token as a tree guided by the functor shape."""
-    if isinstance(expr, (Id, Const)):
-        return ("leaf", tok)
-    if isinstance(expr, Prod):
-        l, r = split_pair(tok)
-        return ("pair", decode(expr.left, l), decode(expr.right, r))
-    if isinstance(expr, Sum):
-        tag, v = split_sum(tok)
-        branch = expr.left if tag == "inl" else expr.right
-        return (tag, decode(branch, v))
-    raise TypeError(f"not a FunctorExpr: {expr!r}")
-
-
-def encode(tree) -> str:
-    tag = tree[0]
-    if tag == "leaf":
-        return tree[1]
-    if tag == "pair":
-        return make_pair(encode(tree[1]), encode(tree[2]))
-    if tag == "inl":
-        return make_inl(encode(tree[1]))
-    if tag == "inr":
-        return make_inr(encode(tree[1]))
-    raise ValueError(f"bad element tree: {tree!r}")
-
-
 # --- symmetric monoidal kit on FinSet ----------------------------------
 
 _UNIT = FinSet("I", ("*",))
 
 # Products still in use, keyed by both operands and their names so that a
 # shared product carries the names of the operands it was asked for.  The
-# values are weak: an entry, and the operands its key holds, go away with
-# the last user of the product.
-_PRODUCTS = weakref.WeakValueDictionary()
+# values are weak references: an entry, and the operands its key holds, go
+# away with the last user of the product.
+_PRODUCTS = {}
+_GONE = weakref.ref(set())   # a reference whose object is gone: calling it gives None
+_CANONICAL = {}              # canonical_set(n) by n
 
 
 def unit_set() -> FinSet:
@@ -494,11 +484,15 @@ def unit_set() -> FinSet:
 
 def tensor(A: FinSet, B: FinSet) -> FinSet:
     key = (A, B, A.name, B.name)
-    product = _PRODUCTS.get(key)
+    product = _PRODUCTS.get(key, _GONE)()
     if product is None:
         product = FinSet(f"({A.name}x{B.name})", [make_pair(a, b) for a in A for b in B],
                          factors=(A, B))
-        _PRODUCTS[key] = product
+
+        def forget(ref, key=key):
+            if _PRODUCTS.get(key) is ref:
+                del _PRODUCTS[key]
+        _PRODUCTS[key] = weakref.ref(product, forget)
     return product
 
 
@@ -512,32 +506,26 @@ def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     pairs = cod.pair_positions()
     if pairs is not None:
         images = list(map(pairs[0].__getitem__, images))
-    pairs = dom.pair_positions()
-    if pairs is not None:
-        images = map(images.__getitem__, pairs[1])
-    return FinFn._table(dom, cod, tuple(images))
+    return FinFn.from_pairs(dom, cod, images)
 
 
-# The structure maps below are tabulated from the factors' tokens: a
-# product's tokens are exactly make_pair(a, b) for its factors' tokens.
+# The structure maps below are index tables computed from the positions of
+# the factors' tokens: no token is built or looked up.
 
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
     """Symmetry (x,y) -> (y,x)."""
-    mapping = {make_pair(x, y): make_pair(y, x) for x in X for y in Y}
-    return FinFn(tensor(X, Y), tensor(Y, X), mapping)
+    cod = tensor(Y, X)
+    at = cod.pair_grid()
+    return FinFn.from_pairs(tensor(X, Y), cod, [row[x] for x in range(len(X)) for row in at])
 
 
 def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """Associator ((x,y),z) -> (x,(y,z))."""
-    dom = tensor(tensor(X, Y), Z)
-    cod = tensor(X, tensor(Y, Z))
-    mapping = {}
-    for x in X:
-        for y in Y:
-            xy = make_pair(x, y)
-            for z in Z:
-                mapping[make_pair(xy, z)] = make_pair(x, make_pair(y, z))
-    return FinFn(dom, cod, mapping)
+    XY, YZ = tensor(X, Y), tensor(Y, Z)
+    cod = tensor(X, YZ)
+    yz, at = YZ.pair_grid(), cod.pair_grid()
+    return FinFn.from_pairs(tensor(XY, Z), cod,
+                            [at[x][w] for x, y in XY.pair_list() for w in yz[y]])
 
 
 def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
@@ -546,7 +534,7 @@ def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
 
 def lam(X: FinSet) -> FinFn:
     """Left unitor (*,x) -> x."""
-    return FinFn(tensor(_UNIT, X), X, {make_pair(u, x): x for u in _UNIT for x in X})
+    return FinFn.from_pairs(tensor(_UNIT, X), X, range(len(X)))
 
 
 def lam_inv(X: FinSet) -> FinFn:
@@ -555,51 +543,38 @@ def lam_inv(X: FinSet) -> FinFn:
 
 def rho(X: FinSet) -> FinFn:
     """Right unitor (x,*) -> x."""
-    return FinFn(tensor(X, _UNIT), X, {make_pair(x, u): x for x in X for u in _UNIT})
+    return FinFn.from_pairs(tensor(X, _UNIT), X, range(len(X)))
 
 
 def rho_inv(X: FinSet) -> FinFn:
     return rho(X).inverse()
 
 
-@dataclass
-class MonoidalKit:
-    product: FinSet
-    gamma: FinFn
-    gamma_inv: FinFn
-    alpha: FinFn
-    alpha_inv: FinFn
-    lam: FinFn
-    lam_inv: FinFn
-    rho: FinFn
-    rho_inv: FinFn
-
-
-def monoidal_kit(X: FinSet, Y: FinSet, Z: FinSet) -> MonoidalKit:
-    return MonoidalKit(
-        product=tensor(X, Y),
-        gamma=gamma(X, Y),
-        gamma_inv=gamma(Y, X),
-        alpha=alpha(X, Y, Z),
-        alpha_inv=alpha_inv(X, Y, Z),
-        lam=lam(X),
-        lam_inv=lam_inv(X),
-        rho=rho(X),
-        rho_inv=rho_inv(X),
-    )
-
-
 def canonical_set(n: int) -> FinSet:
-    """The standard n-element test set y0..y{n-1}."""
+    """The standard n-element test set y0..y{n-1}, one shared set per n."""
     if not 0 <= n <= 9:
         raise SetSizeError(
             f"canonical set size {n} is outside 0..9: canonical sets are meant "
             "for small exhaustive scans")
-    return FinSet(f"Y{n}", tuple(f"y{i}" for i in range(n)))
+    S = _CANONICAL.get(n)
+    if S is None:
+        S = _CANONICAL[n] = FinSet(f"Y{n}", tuple(f"y{i}" for i in range(n)))
+    return S
 
 
 def identity_fn(X: FinSet) -> FinFn:
     return FinFn.identity(X)
+
+
+def op_table(op, A: FinSet, B: FinSet, C: FinSet) -> list:
+    """table[i][j]: the position in C of op(a, b), for A's i-th token a and
+    B's j-th token b.  Raises ValueError when a value falls outside C."""
+    values = [[op(a, b) for b in B] for a in A]
+    position = C.token_index()
+    try:
+        return [list(map(position.__getitem__, row)) for row in values]
+    except KeyError as exc:
+        raise ValueError(f"value {exc.args[0]!r} outside {C.name}") from None
 
 
 def all_fns(X: FinSet, Y: FinSet):

@@ -14,6 +14,7 @@ Conventions that everything below depends on:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .finkit import (
@@ -33,7 +34,7 @@ from .finkit import (
     gamma,
     identity_fn,
     lam,
-    make_pair,
+    op_table,
     rho,
     tensor,
     tensor_fn,
@@ -110,9 +111,16 @@ class GradedStrongMonad:
         return S
 
     def fmap(self, a: str, f: FinFn) -> FinFn:
-        if self.functor is not None:
-            return apply_mor(self.functor(a), f)
-        return self.fmap_fn(a, f)
+        # keyed by f's value: equal maps share one image, named after the first
+        key = ("fmap", a, f.dom, f.cod, f.idx)
+        fn = self._memo.get(key)
+        if fn is None:
+            if self.functor is not None:
+                fn = apply_mor(self.functor(a), f)
+            else:
+                fn = self.fmap_fn(a, f)
+            self._memo[key] = fn
+        return fn
 
     def unit_fn(self, X: FinSet) -> FinFn:
         key = ("unit", X)
@@ -672,34 +680,34 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
     exprs = {"t": Id(), "e": Const(unit_set())}
     exprs.update((a, Prod(Id(), Const(W))) for a, W in warnings.items())
 
+    def to_point(dom):
+        return FinFn._table(dom, unit_set(), (0,) * len(dom))
+
     def mult(a, b, X):
         dom_inner = apply_obj(exprs[b], X)
         dom = apply_obj(exprs[a], dom_inner)
-        cod = apply_obj(exprs[P.times(a, b)], X)
         if P.times(a, b) == "e":
-            return FinFn(dom, cod, {t: "*" for t in dom})
+            return to_point(dom)
         if a in warnings and b in warnings:
-            # ((x,v),u) -> (x,v)
-            return FinFn(dom, cod, {make_pair(t, u): t for t in dom_inner for u in warnings[a]})
+            # ((x,v),u) -> (x,v), and the inner carrier is the target one
+            cod = apply_obj(exprs[P.times(a, b)], X)
+            return FinFn.from_pairs(dom, cod,
+                                    [p for p in range(len(dom_inner)) for _ in warnings[a]])
         # remaining cases have a = t or b = t, so the carriers coincide
-        return FinFn(dom, cod, {t: t for t in dom})
+        return FinFn.identity(dom)
 
     def strength(a, X, Y):
-        TaY = apply_obj(exprs[a], Y)
-        dom = tensor(X, TaY)
-        cod = apply_obj(exprs[a], tensor(X, Y))
+        dom = tensor(X, apply_obj(exprs[a], Y))
         if a == "e":
-            return FinFn(dom, cod, {t: "*" for t in dom})
+            return to_point(dom)
         if a == "t":
-            return FinFn(dom, cod, {t: t for t in dom})
-        return FinFn(dom, cod, _writer_strength_table(X, Y, warnings[a]))
+            return FinFn.identity(dom)
+        return _writer_strength(X, Y, warnings[a])
 
     def lift(a, b, X):
         # only grade e sits above others, and its carrier is a point
-        dom = apply_obj(exprs[a], X)
-        cod = apply_obj(exprs[b], X)
         if b == "e":
-            return FinFn(dom, cod, {t: "*" for t in dom})
+            return to_point(apply_obj(exprs[a], X))
         raise ComponentMissing(f"unexpected lift {a} <= {b}")
 
     return GradedStrongMonad(
@@ -713,15 +721,13 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
     )
 
 
-def _writer_strength_table(X: FinSet, Y: FinSet, annotations: FinSet) -> dict:
-    """(x,(y,u)) -> ((x,y),u), tabulated from the factors."""
-    mapping = {}
-    for x in X:
-        for y in Y:
-            xy = make_pair(x, y)
-            for u in annotations:
-                mapping[make_pair(x, make_pair(y, u))] = make_pair(xy, u)
-    return mapping
+def _writer_strength(X: FinSet, Y: FinSet, annotations: FinSet) -> FinFn:
+    """(x,(y,u)) -> ((x,y),u), from the positions of the factors' tokens."""
+    YA = tensor(Y, annotations)
+    cod = tensor(tensor(X, Y), annotations)
+    xy, at = cod.factors[0].pair_grid(), cod.pair_grid()
+    ya = YA.pair_list()
+    return FinFn.from_pairs(tensor(X, YA), cod, [at[row[y]][u] for row in xy for y, u in ya])
 
 
 def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
@@ -735,32 +741,32 @@ def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
     """
     exprs = {a: Prod(Id(), Const(carriers[a])) for a in P.elements}
 
+    @functools.cache
+    def products(a, b):
+        return op_table(annotation_mul, carriers[a], carriers[b], carriers[P.times(a, b)])
+
     def mult(a, b, X):
-        inner = apply_obj(exprs[b], X)
-        dom = apply_obj(exprs[a], inner)
-        cod = apply_obj(exprs[P.times(a, b)], X)
         # ((x,v),u) -> (x,u*v) for outer annotation u and inner v
-        mapping = {}
-        for x in X:
-            for v in carriers[b]:
-                xv = make_pair(x, v)
-                for u in carriers[a]:
-                    mapping[make_pair(xv, u)] = make_pair(x, annotation_mul(u, v))
-        return FinFn(dom, cod, mapping)
+        table = products(a, b)
+        inner = tensor(X, carriers[b])
+        cod = tensor(X, carriers[P.times(a, b)])
+        at = cod.pair_grid()
+        return FinFn.from_pairs(tensor(inner, carriers[a]), cod,
+                                [at[x][row[v]] for x, v in inner.pair_list() for row in table])
 
     def strength(a, X, Y):
-        dom = tensor(X, apply_obj(exprs[a], Y))
-        cod = apply_obj(exprs[a], tensor(X, Y))
-        return FinFn(dom, cod, _writer_strength_table(X, Y, carriers[a]))
+        return _writer_strength(X, Y, carriers[a])
 
     def lift(a, b, X):
-        dom = apply_obj(exprs[a], X)
-        cod = apply_obj(exprs[b], X)
-        return FinFn(dom, cod, {t: t for t in dom})
+        # (x,u) -> (x,u); the checked constructor rejects a carrier that shrinks
+        inclusion = FinFn(carriers[a], carriers[b], {u: u for u in carriers[a]})
+        return tensor_fn(identity_fn(X), inclusion)
 
     def unit(X):
-        cod = apply_obj(exprs[P.unit], X)
-        return FinFn(X, cod, {x: make_pair(x, unit_ann) for x in X})
+        # x -> (x,unit_ann); the checked constructor rejects a unit_ann outside the carrier
+        e = FinFn(unit_set(), carriers[P.unit], {"*": unit_ann}).idx[0]
+        cod = tensor(X, carriers[P.unit])
+        return FinFn._table(X, cod, tuple([row[e] for row in cod.pair_grid()]))
 
     return GradedStrongMonad(
         pomonoid=P,

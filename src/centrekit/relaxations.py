@@ -13,6 +13,7 @@ associativity because intermediate words are never shorter than the final
 one they end up in.
 """
 
+import functools
 import random
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -30,6 +31,7 @@ from .finkit import (
     lam_inv,
     lam_path,
     make_pair,
+    op_table,
     par,
     rho_inv,
     rho_path,
@@ -277,30 +279,28 @@ def build_language_writer(alphabet: str, cap: int, duoid: Duoid) -> DuoidalGrade
 
     def tabulated(op):
         # op on annotation literals, computed once per literal pair
-        table = {}
-
-        def ann_op(u: str, v: str) -> str:
-            w = table.get((u, v))
-            if w is None:
-                w = table[u, v] = op(parse_language_literal(u, alphabet, cap),
-                                     parse_language_literal(v, alphabet, cap)).literal()
-            return w
-        return ann_op
+        return functools.cache(lambda u, v: op(parse_language_literal(u, alphabet, cap),
+                                               parse_language_literal(v, alphabet, cap)).literal())
 
     ann_concat = tabulated(language_concat)
     ann_shuffle = tabulated(language_shuffle)
 
     M = writer_monad(P, carriers, ann_concat, "{_}", name=f"lang_writer({alphabet},{cap})")
 
+    @functools.cache
+    def shuffles(a, b):
+        return op_table(ann_shuffle, carriers[a], carriers[b], carriers[duoid.par_of(a, b)])
+
     def m(a, b, X, Y):
-        dom = tensor(M.carrier(a, X), M.carrier(b, Y))
-        cod = M.carrier(duoid.par_of(a, b), tensor(X, Y))
-        # ((x,u),(y,v)) -> ((x,y),u||v), tabulated from the factors
-        left = [(make_pair(x, u), x, u) for x in X for u in carriers[a]]
-        right = [(make_pair(y, v), y, v) for y in Y for v in carriers[b]]
-        mapping = {make_pair(xu, yv): make_pair(make_pair(x, y), ann_shuffle(u, v))
-                   for xu, x, u in left for yv, y, v in right}
-        return FinFn(dom, cod, mapping)
+        # ((x,u),(y,v)) -> ((x,y),u||v)
+        table = shuffles(a, b)
+        TaX, TbY, XY = M.carrier(a, X), M.carrier(b, Y), tensor(X, Y)
+        cod = M.carrier(duoid.par_of(a, b), XY)
+        xy, at = XY.pair_grid(), cod.pair_grid()
+        right = TbY.pair_list()
+        rows = [(xy[x], table[u]) for x, u in TaX.pair_list()]
+        return FinFn.from_pairs(tensor(TaX, TbY), cod,
+                                [at[xr[y]][sr[v]] for xr, sr in rows for y, v in right])
 
     return DuoidalGradedMonad(monad=M, duoid=duoid, m=m,
                               element_leq=_annotation_subset,

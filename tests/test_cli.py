@@ -202,6 +202,44 @@ class TestAnalyzeCommand:
         assert "different pomonoid" in capsys.readouterr().err
 
 
+class TestDeepPrograms:
+    """Programs nested 3,000 deep, past the interpreter's recursion limit."""
+
+    DEPTH = 3000
+
+    def analyze(self, tmp_path, capsys, text):
+        program = tmp_path / "deep.eff"
+        program.write_text(text)
+        code = main(["analyze", str(program), "--pomonoid", fx("bool.pom"),
+                     "--monad", "bool_writer_pair", "--json"])
+        assert code == 0
+        return json.loads(capsys.readouterr().out)
+
+    def test_pure_chain(self, tmp_path, capsys):
+        n = self.DEPTH
+        text = "prim pure ! tt\nmain = " + "pure(" * n + "1" + ")" * n + "\n"
+        assert self.analyze(tmp_path, capsys, text) == {"main_grade": "tt", "entries": []}
+
+    def test_left_nested_op_chain(self, tmp_path, capsys):
+        n = self.DEPTH
+        text = "prim log ! ff\nmain = " + "op+(" * n + "log(1)" + ", 2)" * n + "\n"
+        # operands first: the innermost op, at the last "op+(", comes first
+        entries = [{"line": 2, "col": 8 + 4 * i, "op": "+", "a": "ff", "b": "tt",
+                    "verdict": "FREE"} for i in reversed(range(n))]
+        assert self.analyze(tmp_path, capsys, text) == {"main_grade": "ff", "entries": entries}
+
+    def test_nested_lets(self, tmp_path, capsys):
+        n = self.DEPTH
+        line = "main = let x0 = log(0) in "
+        entries = []
+        for i in range(1, n):
+            entries.append({"line": 2, "col": len(line) + len(f"let x{i} = ") + 1, "op": "*",
+                            "a": "tt", "b": "ff", "verdict": "FREE"})
+            line += f"let x{i} = op*(x{i - 1}, log({i})) in "
+        text = "prim log ! ff\n" + line + f"x{n - 1}\n"
+        assert self.analyze(tmp_path, capsys, text) == {"main_grade": "ff", "entries": entries}
+
+
 class TestExamplesCommand:
     def test_lists_builtins_and_fixtures(self, capsys, monkeypatch):
         monkeypatch.setenv("CENTREKIT_FIXTURES", FIXTURES)

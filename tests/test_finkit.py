@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from dataclasses import dataclass
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,9 +24,7 @@ from centrekit.finkit import (
     apply_mor,
     apply_obj,
     canonical_set,
-    decode,
     degree,
-    encode,
     first_mismatch,
     gamma,
     gamma_path,
@@ -37,19 +36,87 @@ from centrekit.finkit import (
     make_inl,
     make_inr,
     make_pair,
-    monoidal_kit,
     par,
     rho,
     rho_inv,
     rho_path,
     seq,
-    size_at,
     split_pair,
     split_sum,
     tensor,
     tensor_fn,
     unit_set,
 )
+
+
+# Helpers only the tests use, kept here rather than in the library: the size
+# of a functor's carrier, element trees, and the structure maps as one bundle.
+
+def size_at(expr, n: int) -> int:
+    """Cardinality of the functor at an n-element set, computed symbolically."""
+    if isinstance(expr, Id):
+        return n
+    if isinstance(expr, Const):
+        return len(expr.value)
+    if isinstance(expr, Prod):
+        return size_at(expr.left, n) * size_at(expr.right, n)
+    if isinstance(expr, Sum):
+        return size_at(expr.left, n) + size_at(expr.right, n)
+    raise TypeError(f"not a FunctorExpr: {expr!r}")
+
+
+def decode(expr, tok: str):
+    """View an element token as a tree guided by the functor shape."""
+    if isinstance(expr, (Id, Const)):
+        return ("leaf", tok)
+    if isinstance(expr, Prod):
+        l, r = split_pair(tok)
+        return ("pair", decode(expr.left, l), decode(expr.right, r))
+    if isinstance(expr, Sum):
+        tag, v = split_sum(tok)
+        branch = expr.left if tag == "inl" else expr.right
+        return (tag, decode(branch, v))
+    raise TypeError(f"not a FunctorExpr: {expr!r}")
+
+
+def encode(tree) -> str:
+    tag = tree[0]
+    if tag == "leaf":
+        return tree[1]
+    if tag == "pair":
+        return make_pair(encode(tree[1]), encode(tree[2]))
+    if tag == "inl":
+        return make_inl(encode(tree[1]))
+    if tag == "inr":
+        return make_inr(encode(tree[1]))
+    raise ValueError(f"bad element tree: {tree!r}")
+
+
+@dataclass
+class MonoidalKit:
+    product: FinSet
+    gamma: FinFn
+    gamma_inv: FinFn
+    alpha: FinFn
+    alpha_inv: FinFn
+    lam: FinFn
+    lam_inv: FinFn
+    rho: FinFn
+    rho_inv: FinFn
+
+
+def monoidal_kit(X: FinSet, Y: FinSet, Z: FinSet) -> MonoidalKit:
+    return MonoidalKit(
+        product=tensor(X, Y),
+        gamma=gamma(X, Y),
+        gamma_inv=gamma(Y, X),
+        alpha=alpha(X, Y, Z),
+        alpha_inv=alpha_inv(X, Y, Z),
+        lam=lam(X),
+        lam_inv=lam_inv(X),
+        rho=rho(X),
+        rho_inv=rho_inv(X),
+    )
 
 
 X = FinSet("X", ("x0", "x1"))
@@ -261,6 +328,13 @@ class TestSharedProducts:
         assert (P1.name, P2.name) == ("(A1xY)", "(A2xY)")
         swap = gamma(A2, Y)
         assert (swap.dom.name, swap.cod.name) == ("(A2xY)", "(YxA2)")
+
+    def test_canonical_sets_and_identities_are_shared(self):
+        assert canonical_set(3) is canonical_set(3)
+        A = FinSet("A", ("a0", "a1"))
+        assert FinFn.identity(A) is FinFn.identity(A)
+        assert identity_fn(A) is FinFn.identity(A)
+        assert identity_fn(tensor(A, A)) is identity_fn(tensor(A, A))
 
     def test_product_dies_with_its_last_user(self):
         A = FinSet("A", ("a0", "a1"))

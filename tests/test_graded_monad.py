@@ -1,8 +1,12 @@
 import pytest
 
+from centrekit import graded_monad
+from centrekit.centre import build_centre_monad
 from centrekit.finkit import (
     FinFn,
     FinSet,
+    all_fns,
+    apply_mor,
     canonical_set,
     identity_fn,
     make_pair,
@@ -321,6 +325,39 @@ class TestMorphisms:
         assert all(r.law.startswith("grades.") for r in rep.records)
 
 
+class TestFmapMemo:
+    def test_apply_mor_runs_once_per_distinct_map(self, monkeypatch):
+        calls = []
+
+        def counting(expr, f):
+            calls.append(f)
+            return apply_mor(expr, f)
+        monkeypatch.setattr(graded_monad, "apply_mor", counting)
+        M = multi_error_writer()
+        maps = list(all_fns(X2, X3))
+        # equal values, other objects
+        copies = [FinFn(canonical_set(2), canonical_set(3), dict(f.mapping)) for f in maps]
+        for _ in range(2):
+            for a in M.pomonoid.elements:
+                for f in maps + copies:
+                    M.fmap(a, f)
+        assert len(calls) == len(M.pomonoid.elements) * len(maps)
+
+    def test_memoised_fmap_is_the_direct_one(self):
+        M = bool_writer_pair()
+        Z = build_centre_monad(M).monad
+        for f in all_fns(X2, X2):
+            for a in M.pomonoid.elements:
+                direct = apply_mor(M.functor(a), f)
+                assert M.fmap(a, f) == direct
+                assert (M.fmap(a, f).dom.name, M.fmap(a, f).cod.name) == (direct.dom.name,
+                                                                          direct.cod.name)
+                assert M.fmap(a, f) is M.fmap(a, f)
+            for z in Z.pomonoid.elements:
+                assert Z.fmap(z, f) == Z.fmap_fn(z, f)
+                assert Z.fmap(z, f) is Z.fmap(z, f)
+
+
 class TestWriterFactory:
     def test_annotation_mul_escaping_carrier_is_rejected(self):
         P = bool_pomonoid()
@@ -332,6 +369,15 @@ class TestWriterFactory:
         M = writer_monad(P, carriers, ann_mul, "t")
         with pytest.raises(ValueError):
             M.mult_fn("tt", "tt", X2)
+
+    def test_unit_annotation_and_lift_must_stay_in_the_carriers(self):
+        P = bool_pomonoid()
+        carriers = {"tt": FinSet("Small", ("t",)), "ff": FinSet("Big", ("t", "e"))}
+        with pytest.raises(ValueError):
+            writer_monad(P, carriers, lambda u, v: "t", "e").unit_fn(X2)
+        shrinking = {"tt": carriers["ff"], "ff": carriers["tt"]}
+        with pytest.raises(ValueError):
+            writer_monad(P, shrinking, lambda u, v: "t", "t").lift_fn("tt", "ff", X2)
 
 
 class TestRegistry:
