@@ -24,23 +24,17 @@ tokens sits among its own sorted tokens (``pair_grid``, ``pair_list``),
 which can differ from row-major order when a factor token is a prefix of
 another (``a`` and ``a*``: ``(a*,b)`` sorts before ``(a,b)``).
 
-The two sides of a law diagram are compared pointwise, without building
-them.  ``seq`` (a diagrammatic composite), ``par`` (the tensor of two
-maps) and the re-bracketings ``alpha_path``, ``lam_path``, ``rho_path``,
-``gamma_path`` and ``identity_path`` are paths: they carry no table and act
-on elements, with a ``FinFn`` as the leaf.  A path's domain is a
-``Product`` of its factor sets, enumerated from the factors and never
-built.  ``first_mismatch`` evaluates both sides over the common domain a
-list at a time, then compares them in sorted token order and stops at the
-first element they disagree on: the witness is the least failing token,
-the one a sorted scan of the built composites reports.  Every law
+The two sides of a law diagram are built as composites of these tables
+(``then``, ``tensor_fn``, the structure maps and identities) and compared
+pointwise by ``first_mismatch``.  It scans the two index tables in domain
+order, applies the comparison only where they differ and stops at the
+first failure: the witness is the least failing token.  Every law
 comparison goes through it.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import weakref
 from dataclasses import dataclass
 
@@ -76,15 +70,6 @@ __all__ = [
     "identity_fn",
     "op_table",
     "all_fns",
-    "Product",
-    "Path",
-    "seq",
-    "par",
-    "alpha_path",
-    "lam_path",
-    "rho_path",
-    "gamma_path",
-    "identity_path",
     "first_mismatch",
 ]
 
@@ -299,14 +284,6 @@ class FinFn:
 
     def __call__(self, tok: str) -> str:
         return self.mapping[tok]
-
-    def _compile(self, form):
-        get = self.mapping.__getitem__
-        if form.__class__ is not tuple:
-            return (lambda vs: list(map(get, vs))), None
-        if form[0].__class__ is not tuple and form[1].__class__ is not tuple:
-            return (lambda vs: list(map(get, map("(%s,%s)".__mod__, vs)))), None
-        return (lambda vs: list(map(get, map(_encode, vs)))), None
 
     def then(self, other: "FinFn") -> "FinFn":
         """Diagrammatic composite: first self, then other."""
@@ -583,303 +560,24 @@ def all_fns(X: FinSet, Y: FinSet):
         yield FinFn._table(X, Y, idx)
 
 
-# --- lazy paths and pointwise comparison --------------------------------
-#
-# Inside a comparison an element is a token or a (left, right) tuple of
-# elements.  Its form says which: a tuple of two forms, or anything else
-# for a token.  Each map compiles, for the form of its input, a step that
-# maps a list of elements to the list of their images (None for the
-# identity), and the form of its output.
-#
-# A product token "(l,r)" sorts like the pair of keys (l + ",", r + ")"):
-# a factor token has no top-level comma, so "l," is never a proper prefix
-# of another "l2,".  Pair tokens are prefix-free, so for a product factor
-# the suffix does not change the order.
+# --- pointwise comparison -----------------------------------------------
 
-
-class Product:
-    """The product of two sets, described by its factors and never built.
-
-    It answers ``len``, ``in`` and iteration (tokens in sorted order, as a
-    built product lists them) from the factors alone.
-    """
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-
-    @property
-    def name(self) -> str:
-        return f"({self.left.name}x{self.right.name})"
-
-    def __len__(self) -> int:
-        return len(self.left) * len(self.right)
-
-    def __iter__(self):
-        return map(_encode, _values(self, ""))
-
-    def __contains__(self, tok) -> bool:
-        try:
-            l, r = split_pair(tok)
-        except (TokenError, AttributeError):
-            return False
-        return l in self.left and r in self.right
-
-    def build(self) -> FinSet:
-        return tensor(_build(self.left), _build(self.right))
-
-
-def _build(S) -> FinSet:
-    return S.build() if S.__class__ is Product else S
-
-
-def _factors(S):
-    return (S.left, S.right) if S.__class__ is Product else S.factors
-
-
-def _same_set(A, B):
-    """The finer of two descriptions of one set, or None if the sets differ.
-
-    Products, described or built by ``tensor``, are compared factor by
-    factor.  The sets are built and compared only when the factors differ,
-    since an empty factor makes such products equal.
-    """
-    if A is B:
-        return A
-    if A.__class__ is not Product and B.__class__ is not Product:
-        return A if A == B else None
-    fa, fb = _factors(A), _factors(B)
-    if fa is not None and fb is not None:
-        left = _same_set(fa[0], fb[0])
-        right = _same_set(fa[1], fb[1]) if left is not None else None
-        if right is not None:
-            for S in (A, B):
-                if S.__class__ is Product and S.left is left and S.right is right:
-                    return S
-            return Product(left, right)
-    return (A if A.__class__ is Product else B) if _build(A) == _build(B) else None
-
-
-def _form(S):
-    return (_form(S.left), _form(S.right)) if S.__class__ is Product else None
-
-
-def _values(S, suffix: str):
-    """S's elements ordered by their tokens followed by suffix."""
-    if S.__class__ is Product:
-        return itertools.product(_values(S.left, ","), _values(S.right, ")"))
-    if suffix and not S.prefix_free():
-        return sorted(S.elems, key=lambda t: t + suffix)
-    return S.elems
-
-
-def _encode(v) -> str:
-    if v.__class__ is str:
-        return v
-    l, r = v
-    return (f"({l if l.__class__ is str else _encode(l)},"
-            f"{r if r.__class__ is str else _encode(r)})")
-
-
-_first = operator.itemgetter(0)
-_second = operator.itemgetter(1)
-
-
-def _halves(form) -> tuple:
-    return form if form.__class__ is tuple else (None, None)
-
-
-def _then(f, g):
-    if f is None or g is None:
-        return g if f is None else f
-    return lambda vs: g(f(vs))
-
-
-def _on_halves(form, f, g):
-    """The step applying f and g (None: leave alone) to the two halves of
-    every element, taking tokens apart first."""
-    def step(vs):
-        ls, rs = map(_first, vs), map(_second, vs)
-        return list(zip(ls if f is None else f(list(ls)), rs if g is None else g(list(rs))))
-    if form.__class__ is tuple:
-        return step
-    return lambda vs: step(list(map(split_pair, vs)))
-
-
-def _expand(form, pattern):
-    """(step, form): take tokens apart until elements are tuples at least
-    as deep as pattern (a form)."""
-    if pattern.__class__ is not tuple:
-        return None, form
-    fl, fr = _halves(form)
-    f, fl = _expand(fl, pattern[0])
-    g, fr = _expand(fr, pattern[1])
-    if f is None and g is None and form.__class__ is tuple:
-        return None, form
-    return _on_halves(form, f, g), (fl, fr)
-
-
-class Path:
-    """A map given by how it acts on elements; it holds no table.
-
-    Called on a token it returns a token, like a FinFn.
-    """
-
-    __slots__ = ("dom", "cod")
-
-    def __call__(self, tok: str) -> str:
-        step, _ = self._compile(None)
-        return _encode((step([tok]) if step is not None else [tok])[0])
-
-
-class _Seq(Path):
-    __slots__ = ("maps",)
-
-    def __init__(self, maps):
-        for f, g in zip(maps, maps[1:]):
-            if _same_set(f.cod, g.dom) is None:
-                raise ValueError(f"cannot compose {f.cod.name} -> {g.dom.name}")
-        self.maps = maps
-        self.dom = maps[0].dom
-        self.cod = maps[-1].cod
-
-    def _compile(self, form):
-        steps = []
-        for f in self.maps:
-            step, form = f._compile(form)
-            if step is not None:
-                steps.append(step)
-        if len(steps) < 2:
-            return (steps[0] if steps else None), form
-
-        def run(vs):
-            for step in steps:
-                vs = step(vs)
-            return vs
-        return run, form
-
-
-class _Par(Path):
-    __slots__ = ("f", "g")
-
-    def __init__(self, f, g):
-        self.dom = Product(f.dom, g.dom)
-        self.cod = Product(f.cod, g.cod)
-        self.f = f
-        self.g = g
-
-    def _compile(self, form):
-        fl, fr = _halves(form)
-        f, out_l = self.f._compile(fl)
-        g, out_r = self.g._compile(fr)
-        if f is None and g is None:
-            return None, form
-        return _on_halves(form, f, g), (out_l, out_r)
-
-
-class _Rebracket(Path):
-    """A move such as ((x,y),z) -> (x,(y,z)) on elements whose tuples are
-    at least as deep as pattern; the same move turns the input form into
-    the output form."""
-
-    __slots__ = ("pattern", "move")
-
-    def __init__(self, dom, cod, pattern, move):
-        self.dom = dom
-        self.cod = cod
-        self.pattern = pattern
-        self.move = move
-
-    def _compile(self, form):
-        expand, form = _expand(form, self.pattern)
-        if self.move is None:
-            return expand, form
-        move = self.move
-        return _then(expand, lambda vs: list(map(move, vs))), move(form)
-
-
-def seq(*maps) -> Path:
-    """Diagrammatic composite of FinFns and paths: first maps[0], then the rest.
-
-    Raises the ValueError of ``FinFn.then`` when a codomain and the next
-    domain differ as sets.
-    """
-    flat = []
-    for f in maps:
-        flat.extend(f.maps if isinstance(f, _Seq) else (f,))
-    return _Seq(tuple(flat))
-
-
-def par(f, g) -> Path:
-    """The tensor of two maps: (x,y) -> (f x, g y)."""
-    return _Par(f, g)
-
-
-_PAIR = (None, None)
-
-
-def alpha_path(X, Y, Z) -> Path:
-    """Associator ((x,y),z) -> (x,(y,z)) on elements."""
-    return _Rebracket(Product(Product(X, Y), Z), Product(X, Product(Y, Z)), (_PAIR, None),
-                      lambda v: (v[0][0], (v[0][1], v[1])))
-
-
-def lam_path(X) -> Path:
-    """Left unitor (*,x) -> x on elements."""
-    return _Rebracket(Product(_UNIT, X), X, _PAIR, _second)
-
-
-def rho_path(X) -> Path:
-    """Right unitor (x,*) -> x on elements."""
-    return _Rebracket(Product(X, _UNIT), X, _PAIR, _first)
-
-
-def gamma_path(X, Y) -> Path:
-    """Symmetry (x,y) -> (y,x) on elements."""
-    return _Rebracket(Product(X, Y), Product(Y, X), _PAIR, lambda v: (v[1], v[0]))
-
-
-def identity_path(X) -> Path:
-    return _Rebracket(X, X, None, None)
-
-
-def _to_tokens(f, form):
-    """f's step for elements of the given form, with tokens as values."""
-    step, out = f._compile(form)
-    if out.__class__ is tuple:
-        return _then(step, lambda vs: list(map(_encode, vs)))
-    return step or list
-
-
-def first_mismatch(lhs, rhs, eq=None):
+def first_mismatch(lhs: FinFn, rhs: FinFn, eq=None):
     """The least domain token at which two maps disagree, or None.
 
-    lhs and rhs are FinFns or paths over the same set; eq(l, r) says
-    whether two values agree and defaults to token equality.  Both sides
-    are evaluated on the whole domain; eq is then applied in sorted token
-    order up to the first failure; two FinFns compared by equality are
-    compared as index tables.  Raises ValueError when the two domains, or
-    the two codomains, differ as sets.
+    eq(l, r) says whether two values agree and defaults to token equality.
+    It must be reflexive: it is applied only where the two index tables
+    differ, in domain order, up to the first failure.  Raises ValueError
+    when the two domains, or the two codomains, differ as sets.
     """
-    dom = _same_set(lhs.dom, rhs.dom)
-    if dom is None:
+    if lhs.dom != rhs.dom:
         raise ValueError(f"domains differ: {lhs.dom.name} vs {rhs.dom.name}")
-    if _same_set(lhs.cod, rhs.cod) is None:
+    if lhs.cod != rhs.cod:
         raise ValueError(f"codomains differ: {lhs.cod.name} vs {rhs.cod.name}")
-    if eq is None and lhs.__class__ is FinFn and rhs.__class__ is FinFn:
-        if lhs.idx == rhs.idx:
-            return None
-        return next(t for t, l, r in zip(dom.elems, lhs.idx, rhs.idx) if l != r)
-    elems = list(_values(dom, ""))
-    if not elems:
+    if lhs.idx == rhs.idx:
         return None
-    form = _form(dom)
-    lvals, rvals = _to_tokens(lhs, form)(elems), _to_tokens(rhs, form)(elems)
-    if eq is None:
-        eq = operator.eq
-    for v, l, r in zip(elems, lvals, rvals):
-        if not eq(l, r):
-            return _encode(v)
+    values = lhs.cod.elems
+    for t, l, r in zip(lhs.dom.elems, lhs.idx, rhs.idx):
+        if l != r and (eq is None or not eq(values[l], values[r])):
+            return t
     return None

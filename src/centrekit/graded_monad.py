@@ -576,13 +576,18 @@ class GradedMonadMorphism:
     target: GradedStrongMonad
     component: callable     # (a, X) -> FinFn
     name: str = ""
+    _memo: dict = field(default_factory=dict, repr=False)
 
     def component_fn(self, a: str, X: FinSet) -> FinFn:
-        fn = self.component(a, X)
-        dom = self.source.carrier(a, X)
-        cod = self.target.carrier(self.phi(a), X)
-        if fn.dom != dom or fn.cod != cod:
-            raise ComponentMissing(f"component({a}) has wrong type")
+        """The component at (a, X), built and type-checked once per key."""
+        fn = self._memo.get((a, X))
+        if fn is None:
+            fn = self.component(a, X)
+            dom = self.source.carrier(a, X)
+            cod = self.target.carrier(self.phi(a), X)
+            if fn.dom != dom or fn.cod != cod:
+                raise ComponentMissing(f"component({a}) has wrong type")
+            self._memo[a, X] = fn
         return fn
 
 

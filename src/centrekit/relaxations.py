@@ -24,18 +24,15 @@ from .finkit import (
     FinSet,
     all_fns,
     alpha,
-    alpha_path,
     canonical_set,
     first_mismatch,
-    identity_path,
+    identity_fn,
+    lam,
     lam_inv,
-    lam_path,
     make_pair,
     op_table,
-    par,
+    rho,
     rho_inv,
-    rho_path,
-    seq,
     split_pair,
     tensor,
     tensor_fn,
@@ -214,7 +211,8 @@ class DuoidalGradedMonad:
     m(a, b, X, Y) runs an a-graded and a b-graded computation in parallel,
     landing at the parallel product grade.  element_leq, when set, is the
     order on carrier elements used to read the main diagram laxly; without
-    it the diagram is checked as an equality.
+    it the diagram is checked as an equality.  The order must be reflexive:
+    it is consulted only where the two sides' values differ.
     """
 
     monad: GradedStrongMonad
@@ -348,8 +346,9 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     multiply-then-interchange, transported along the duoid inequality
     (a||c)*(b||d) <= (a*b)||(c*d).  Grade tuples are scanned exhaustively
     when the grading is small and by a seeded deterministic sample above
-    the budget.  Both sides of every diagram are finkit paths compared
-    pointwise; a grade tuple stops at its first failing instance.
+    the budget.  Both sides of every diagram are composites of index tables
+    (``then``, ``tensor_fn``, the structure maps), compared pointwise by
+    ``first_mismatch``; a grade tuple stops at its first failing instance.
     """
     M, D = DM.monad, DM.duoid
     P = M.pomonoid
@@ -362,14 +361,14 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         XY = tensor(X, Y)
         inner = DM.m_fn(b, d, X, Y)
         outer = DM.m_fn(a, c, M.carrier(b, X), M.carrier(d, Y))
-        par_first = seq(outer, M.fmap(ac, inner), M.mult_fn(ac, bd, XY))
-        mul_first = seq(par(M.mult_fn(a, b, X), M.mult_fn(c, d, Y)),
-                        DM.m_fn(P.times(a, b), P.times(c, d), X, Y))
+        par_first = outer.then(M.fmap(ac, inner)).then(M.mult_fn(ac, bd, XY))
+        mul_first = tensor_fn(M.mult_fn(a, b, X), M.mult_fn(c, d, Y)).then(
+            DM.m_fn(P.times(a, b), P.times(c, d), X, Y))
         # move the interchange-first grade to the other one if the order allows
         g_from, g_to = P.times(ac, bd), D.par_of(P.times(a, b), P.times(c, d))
         if g_from != g_to:
             if P.le(g_from, g_to):
-                par_first = seq(par_first, M.lift_fn(g_from, g_to, XY))
+                par_first = par_first.then(M.lift_fn(g_from, g_to, XY))
             elif M.carrier(g_from, XY) != M.carrier(g_to, XY):
                 return "", "delta-unrelated"
         witness = first_mismatch(par_first, mul_first, DM.elements_equal)
@@ -386,29 +385,27 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     for X in sets:
         for Y in sets:
             XY = tensor(X, Y)
-            both_units = seq(par(M.unit_fn(X), M.unit_fn(Y)), DM.m_fn(i, i, X, Y))
-            unit_path = M.unit_fn(XY)
+            both_units = tensor_fn(M.unit_fn(X), M.unit_fn(Y)).then(DM.m_fn(i, i, X, Y))
+            unit = M.unit_fn(XY)
             if g_ii != i:
                 if not P.le(i, g_ii):
                     rep.add(LawRecord(law="m-unit", grades=(i,), sets=(X.name, Y.name),
                                       ok=False, note="unit-grade-unrelated"))
                     continue
-                unit_path = seq(unit_path, M.lift_fn(i, g_ii, XY))
-            rep.compare("m-unit", (i,), (X.name, Y.name), both_units, unit_path)
+                unit = unit.then(M.lift_fn(i, g_ii, XY))
+            rep.compare("m-unit", (i,), (X.name, Y.name), both_units, unit)
 
     reassociate = {}   # T^g(alpha(X,Y,Z)) by (g, X, Y, Z), built once per suite
 
     def assoc_failure(a, b, c, X, Y, Z):
         TX, TY, TZ = M.carrier(a, X), M.carrier(b, Y), M.carrier(c, Z)
-        lhs = seq(alpha_path(TX, TY, TZ),
-                  par(identity_path(TX), DM.m_fn(b, c, Y, Z)),
-                  DM.m_fn(a, D.par_of(b, c), X, tensor(Y, Z)))
+        lhs = alpha(TX, TY, TZ).then(tensor_fn(identity_fn(TX), DM.m_fn(b, c, Y, Z))).then(
+            DM.m_fn(a, D.par_of(b, c), X, tensor(Y, Z)))
         g = D.par_of(D.par_of(a, b), c)
         if (g, X, Y, Z) not in reassociate:
             reassociate[g, X, Y, Z] = M.fmap(g, alpha(X, Y, Z))
-        rhs = seq(par(DM.m_fn(a, b, X, Y), identity_path(TZ)),
-                  DM.m_fn(D.par_of(a, b), c, tensor(X, Y), Z),
-                  reassociate[g, X, Y, Z])
+        rhs = tensor_fn(DM.m_fn(a, b, X, Y), identity_fn(TZ)).then(
+            DM.m_fn(D.par_of(a, b), c, tensor(X, Y), Z)).then(reassociate[g, X, Y, Z])
         return first_mismatch(lhs, rhs)
 
     for (a, b, c) in _triples(P.elements, budget, seed):
@@ -424,23 +421,23 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         for X in sets:
             TX = M.carrier(a, X)
             if left_grade == a:
-                via_m = seq(par(M.unit_fn(I), identity_path(TX)), DM.m_fn(i, a, I, X))
-                direct = seq(lam_path(TX), M.fmap(a, lam_inv(X)))
+                via_m = tensor_fn(M.unit_fn(I), identity_fn(TX)).then(DM.m_fn(i, a, I, X))
+                direct = lam(TX).then(M.fmap(a, lam_inv(X)))
                 rep.compare("m-unitor-left", (a,), (X.name,), via_m, direct)
             else:
                 rep.add(LawRecord(law="m-unitor-left", grades=(a,), ok=True,
                                   note="skipped: i||a differs from a"))
             if right_grade == a:
-                via_m = seq(par(identity_path(TX), M.unit_fn(I)), DM.m_fn(a, i, X, I))
-                direct = seq(rho_path(TX), M.fmap(a, rho_inv(X)))
+                via_m = tensor_fn(identity_fn(TX), M.unit_fn(I)).then(DM.m_fn(a, i, X, I))
+                direct = rho(TX).then(M.fmap(a, rho_inv(X)))
                 rep.compare("m-unitor-right", (a,), (X.name,), via_m, direct)
             else:
                 rep.add(LawRecord(law="m-unitor-right", grades=(a,), ok=True,
                                   note="skipped: a||i differs from a"))
 
     def natural_failure(a, b, f, g):
-        lhs = seq(par(M.fmap(a, f), M.fmap(b, g)), DM.m_fn(a, b, f.cod, g.cod))
-        rhs = seq(DM.m_fn(a, b, f.dom, g.dom), M.fmap(D.par_of(a, b), tensor_fn(f, g)))
+        lhs = tensor_fn(M.fmap(a, f), M.fmap(b, g)).then(DM.m_fn(a, b, f.cod, g.cod))
+        rhs = DM.m_fn(a, b, f.dom, g.dom).then(M.fmap(D.par_of(a, b), tensor_fn(f, g)))
         return first_mismatch(lhs, rhs)
 
     small = [canonical_set(n) for n in range(min(k, 2) + 1)]

@@ -132,8 +132,9 @@ class Report:
     def compare(self, law, grades, sets, f, g, note="") -> LawRecord:
         """Record pointwise equality of two maps with a common domain.
 
-        f and g are FinFns or finkit paths; a failing record carries the
-        least token at which they differ and both values there.
+        f and g are FinFns, typically composites of index tables; a failing
+        record carries the least token at which they differ and both values
+        there.
         """
         try:
             tok = first_mismatch(f, g)

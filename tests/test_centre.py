@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from centrekit.centre import (
@@ -176,6 +178,18 @@ class TestBuildCentreMonad:
             for n in range(3):
                 X = canonical_set(n)
                 assert res.inclusion.component_fn(z, X).is_injective()
+
+    def test_inclusion_components_are_built_once_per_grade_and_set(self):
+        iota = build_centre_monad(multi_error_writer()).inclusion
+        calls = Counter()
+        component = iota.component
+
+        def counting(z, X):
+            calls[z, X] += 1
+            return component(z, X)
+        iota.component = counting
+        assert check_graded_monad_morphism(iota, 2).ok
+        assert calls and set(calls.values()) == {1}
 
     def test_identity_monad_centre_is_itself_on_central_grades(self):
         M = identity_monad(multi_error_pomonoid())

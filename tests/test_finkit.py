@@ -20,27 +20,20 @@ from centrekit.finkit import (
     all_fns,
     alpha,
     alpha_inv,
-    alpha_path,
     apply_mor,
     apply_obj,
     canonical_set,
     degree,
     first_mismatch,
     gamma,
-    gamma_path,
     identity_fn,
-    identity_path,
     lam,
     lam_inv,
-    lam_path,
     make_inl,
     make_inr,
     make_pair,
-    par,
     rho,
     rho_inv,
-    rho_path,
-    seq,
     split_pair,
     split_sum,
     tensor,
@@ -457,141 +450,6 @@ class TestStructureMapsMatchReference:
         same_map(apply_mor(expr, f), ref_apply_mor(expr, f))
 
 
-# --- lazy paths against the materialised composites ---------------------------
-
-def sorted_scan(lhs, rhs, eq):
-    """The witness a sorted scan of two built maps reports."""
-    assert lhs.dom == rhs.dom
-    return next((t for t in lhs.dom if not eq(lhs(t), rhs(t))), None)
-
-
-@st.composite
-def maps_into(draw, dom, min_cod=1):
-    cod = draw(token_sets(min_size=min_cod))
-    return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
-
-
-@st.composite
-def with_mismatches(draw, f):
-    """f with some entries moved to other values of its codomain."""
-    mapping = dict(f.mapping)
-    for t in draw(st.lists(st.sampled_from(f.dom.elems), max_size=3) if len(f.dom) else
-                  st.just([])):
-        mapping[t] = draw(st.sampled_from(f.cod.elems))
-    return FinFn(f.dom, f.cod, mapping)
-
-
-def agree_pointwise(path, table):
-    assert len(path.dom) == len(table.dom)
-    assert list(path.dom) == list(table.dom)
-    assert all(t in path.dom for t in table.dom)
-    for t in table.dom:
-        assert path(t) == table(t), t
-
-
-EQS = [lambda l, r: l == r, lambda l, r: l <= r]
-
-
-class TestFirstMismatch:
-    @settings(max_examples=150, deadline=None)
-    @given(st.data(), token_sets(), token_sets(), token_sets(), st.sampled_from(EQS))
-    def test_naturality_of_alpha_pointwise(self, data, A, B, C, eq):
-        f = data.draw(maps_into(A))
-        g = data.draw(maps_into(B))
-        h1 = data.draw(maps_into(tensor(f.cod, tensor(g.cod, C))))
-        h2 = data.draw(with_mismatches(h1))
-        lhs = seq(alpha_path(A, B, C), par(f, par(g, identity_path(C))), h1)
-        rhs = seq(par(par(f, g), identity_path(C)), alpha_path(f.cod, g.cod, C), h2)
-        lhs_table = alpha(A, B, C).then(tensor_fn(f, tensor_fn(g, identity_fn(C)))).then(h1)
-        rhs_table = tensor_fn(tensor_fn(f, g), identity_fn(C)).then(
-            alpha(f.cod, g.cod, C)).then(h2)
-        agree_pointwise(lhs, lhs_table)
-        agree_pointwise(rhs, rhs_table)
-        expected = sorted_scan(lhs_table, rhs_table, eq)
-        assert first_mismatch(lhs, rhs, eq) == expected
-        assert first_mismatch(lhs_table, rhs_table, eq) == expected
-        assert first_mismatch(lhs, rhs_table, eq) == expected
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.data(), token_sets(), token_sets())
-    def test_rebracketings(self, data, A, B):
-        I = unit_set()
-        moves = [
-            (gamma_path(A, B), gamma(A, B)),
-            (lam_path(A), lam(A)),
-            (rho_path(A), rho(A)),
-            (alpha_path(A, I, B), alpha(A, I, B)),
-            (identity_path(A), identity_fn(A)),
-        ]
-        for path, table in moves:
-            h1 = data.draw(maps_into(table.cod))
-            h2 = data.draw(with_mismatches(h1))
-            agree_pointwise(seq(path, h1), table.then(h1))
-            assert first_mismatch(seq(path, h1), seq(path, h2)) == \
-                sorted_scan(table.then(h1), table.then(h2), EQS[0])
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data(), token_sets(), token_sets(), token_sets())
-    def test_paths_after_a_table_take_tokens_apart(self, data, A, B, C):
-        # the table's values are pair tokens, so alpha and par split them
-        ABC = tensor(tensor(A, B), C)
-        if len(ABC) == 0:
-            return
-        D = data.draw(token_sets())
-        into = FinFn(D, ABC, {t: data.draw(st.sampled_from(ABC.elems)) for t in D})
-        f = data.draw(maps_into(A))
-        h = data.draw(maps_into(tensor(f.cod, tensor(B, C))))
-        path = seq(into, alpha_path(A, B, C), par(f, identity_path(tensor(B, C))), h)
-        table = into.then(alpha(A, B, C)).then(
-            tensor_fn(f, identity_fn(tensor(B, C)))).then(h)
-        agree_pointwise(path, table)
-
-    def test_seq_is_typed_like_then(self):
-        f = FinFn(X, Y, {"x0": "y1", "x1": "y2"})
-        with pytest.raises(ValueError, match="cannot compose"):
-            seq(f, f)
-        with pytest.raises(ValueError, match="cannot compose"):
-            seq(par(f, f), identity_fn(tensor(Y, X)))
-        with pytest.raises(ValueError, match="cannot compose"):
-            seq(alpha_path(X, X, Y), identity_path(tensor(X, tensor(Y, X))))
-        assert seq(par(f, f), identity_fn(tensor(Y, Y))).cod == tensor(Y, Y)
-
-    def test_empty_factors_make_equal_products(self):
-        E = canonical_set(0)
-        p = seq(par(identity_path(E), identity_path(X)), identity_fn(tensor(E, Y)))
-        assert len(p.dom) == 0
-        assert first_mismatch(p, identity_fn(tensor(Y, E))) is None
-
-    def test_different_domains_raise(self):
-        with pytest.raises(ValueError, match="domains differ"):
-            first_mismatch(identity_fn(X), identity_path(Y))
-        with pytest.raises(ValueError, match="domains differ"):
-            first_mismatch(par(identity_fn(X), identity_fn(Y)), identity_fn(tensor(Y, X)))
-
-    def test_different_codomains_raise(self):
-        f = FinFn(X, Y, {"x0": "y1", "x1": "y2"})
-        with pytest.raises(ValueError, match="codomains differ"):
-            first_mismatch(f, identity_fn(X))
-        with pytest.raises(ValueError, match="codomains differ"):
-            first_mismatch(par(identity_fn(X), identity_fn(Y)), gamma_path(X, Y))
-        with pytest.raises(ValueError, match="codomains differ"):
-            first_mismatch(seq(f, identity_path(Y)), identity_fn(X), lambda l, r: True)
-        # products with an empty factor are one set, whatever the other factor
-        E = canonical_set(0)
-        into_empty = FinFn(E, tensor(E, X), {})
-        assert first_mismatch(into_empty, FinFn(E, tensor(Y, E), {})) is None
-
-    def test_witness_is_least_in_sorted_order(self):
-        # "a" sorts before "a*", yet "(a*,b)" sorts before "(a,b)": the walk
-        # follows the order of the product's tokens, not of its factors
-        A = FinSet("A", ("a", "a*"))
-        B = FinSet("B", ("b",))
-        good = identity_fn(tensor(A, B))
-        bad = FinFn(good.dom, good.cod, {"(a,b)": "(a*,b)", "(a*,b)": "(a,b)"})
-        assert list(tensor(A, B)) == ["(a*,b)", "(a,b)"]
-        assert first_mismatch(par(identity_fn(A), identity_fn(B)), bad) == "(a*,b)"
-
-
 # --- reference oracle: the dict-based maps the index tables replaced ----------
 
 def dict_then(f, g):
@@ -651,6 +509,152 @@ def oracle_maps(draw, dom=None):
     dom = draw(oracle_sets) if dom is None else dom
     cod = draw(st.one_of(token_sets(min_size=1), prefixed_sets.filter(len)))
     return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
+
+
+# --- first_mismatch on index-table composites --------------------------------
+
+def sorted_scan(lhs, rhs, eq):
+    """The witness a sorted scan of two built maps reports."""
+    assert lhs.dom == rhs.dom
+    return next((t for t in lhs.dom if not eq(lhs(t), rhs(t))), None)
+
+
+def ref_then(*maps):
+    """The diagrammatic composite, built with the dict-based reference."""
+    out = maps[0]
+    for g in maps[1:]:
+        out = FinFn(*dict_then(out, g))
+    return out
+
+
+def ref_par(f, g):
+    return FinFn(*dict_tensor_fn(f, g))
+
+
+def ref_id(S):
+    return FinFn(*dict_identity(S))
+
+
+@st.composite
+def maps_into(draw, dom, min_cod=1):
+    cod = draw(token_sets(min_size=min_cod))
+    return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
+
+
+@st.composite
+def with_mismatches(draw, f):
+    """f with some entries moved to other values of its codomain."""
+    mapping = dict(f.mapping)
+    for t in draw(st.lists(st.sampled_from(f.dom.elems), max_size=3) if len(f.dom) else
+                  st.just([])):
+        mapping[t] = draw(st.sampled_from(f.cod.elems))
+    return FinFn(f.dom, f.cod, mapping)
+
+
+EQS = [lambda l, r: l == r, lambda l, r: l <= r]
+
+
+class TestFirstMismatch:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), token_sets(), token_sets(), token_sets(), st.sampled_from(EQS))
+    def test_naturality_of_alpha_pointwise(self, data, A, B, C, eq):
+        f = data.draw(maps_into(A))
+        g = data.draw(maps_into(B))
+        h1 = data.draw(maps_into(tensor(f.cod, tensor(g.cod, C))))
+        h2 = data.draw(with_mismatches(h1))
+        lhs = alpha(A, B, C).then(tensor_fn(f, tensor_fn(g, identity_fn(C)))).then(h1)
+        rhs = tensor_fn(tensor_fn(f, g), identity_fn(C)).then(
+            alpha(f.cod, g.cod, C)).then(h2)
+        lhs_ref = ref_then(ref_alpha(A, B, C), ref_par(f, ref_par(g, ref_id(C))), h1)
+        rhs_ref = ref_then(ref_par(ref_par(f, g), ref_id(C)), ref_alpha(f.cod, g.cod, C), h2)
+        assert lhs == lhs_ref and rhs == rhs_ref
+        expected = sorted_scan(lhs_ref, rhs_ref, eq)
+        assert first_mismatch(lhs, rhs, eq) == expected
+        assert first_mismatch(lhs, rhs_ref, eq) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), token_sets(), token_sets())
+    def test_rebracketings(self, data, A, B):
+        I = unit_set()
+        moves = [
+            (gamma(A, B), ref_gamma(A, B)),
+            (lam(A), ref_lam(A)),
+            (rho(A), ref_rho(A)),
+            (alpha(A, I, B), ref_alpha(A, I, B)),
+            (identity_fn(A), ref_id(A)),
+        ]
+        for table, ref in moves:
+            h1 = data.draw(maps_into(table.cod))
+            h2 = data.draw(with_mismatches(h1))
+            assert table.then(h1) == ref_then(ref, h1)
+            assert first_mismatch(table.then(h1), table.then(h2)) == \
+                sorted_scan(ref_then(ref, h1), ref_then(ref, h2), EQS[0])
+
+    def test_composites_are_typed_by_then(self):
+        f = FinFn(X, Y, {"x0": "y1", "x1": "y2"})
+        with pytest.raises(ValueError, match="cannot compose"):
+            f.then(f)
+        with pytest.raises(ValueError, match="cannot compose"):
+            tensor_fn(f, f).then(identity_fn(tensor(Y, X)))
+        with pytest.raises(ValueError, match="cannot compose"):
+            alpha(X, X, Y).then(identity_fn(tensor(X, tensor(Y, X))))
+        assert tensor_fn(f, f).then(identity_fn(tensor(Y, Y))).cod == tensor(Y, Y)
+
+    def test_empty_factors_make_equal_products(self):
+        E = canonical_set(0)
+        p = tensor_fn(identity_fn(E), identity_fn(X)).then(identity_fn(tensor(E, Y)))
+        assert len(p.dom) == 0
+        assert first_mismatch(p, identity_fn(tensor(Y, E))) is None
+
+    def test_different_domains_raise(self):
+        for eq in (None, lambda l, r: True):
+            with pytest.raises(ValueError, match="domains differ"):
+                first_mismatch(identity_fn(X), identity_fn(Y), eq)
+            with pytest.raises(ValueError, match="domains differ"):
+                first_mismatch(tensor_fn(identity_fn(X), identity_fn(Y)),
+                               identity_fn(tensor(Y, X)), eq)
+
+    def test_different_codomains_raise(self):
+        f = FinFn(X, Y, {"x0": "y1", "x1": "y2"})
+        with pytest.raises(ValueError, match="codomains differ"):
+            first_mismatch(f, identity_fn(X))
+        with pytest.raises(ValueError, match="codomains differ"):
+            first_mismatch(tensor_fn(identity_fn(X), identity_fn(Y)), gamma(X, Y))
+        with pytest.raises(ValueError, match="codomains differ"):
+            first_mismatch(f.then(identity_fn(Y)), identity_fn(X), lambda l, r: True)
+        # products with an empty factor are one set, whatever the other factor
+        E = canonical_set(0)
+        into_empty = FinFn(E, tensor(E, X), {})
+        assert first_mismatch(into_empty, FinFn(E, tensor(Y, E), {})) is None
+
+    def test_witness_is_least_in_sorted_order(self):
+        # "a" sorts before "a*", yet "(a*,b)" sorts before "(a,b)": the scan
+        # follows the order of the product's tokens, not of its factors
+        A = FinSet("A", ("a", "a*"))
+        B = FinSet("B", ("b",))
+        good = identity_fn(tensor(A, B))
+        bad = FinFn(good.dom, good.cod, {"(a,b)": "(a*,b)", "(a*,b)": "(a,b)"})
+        assert list(tensor(A, B)) == ["(a*,b)", "(a,b)"]
+        assert first_mismatch(tensor_fn(identity_fn(A), identity_fn(B)), bad) == "(a*,b)"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), oracle_maps())
+    def test_eq_runs_only_where_the_tables_differ(self, data, f):
+        g = data.draw(with_mismatches(f))
+        differ = [t for t in f.dom if f(t) != g(t)]
+        failing = data.draw(st.sets(st.sampled_from([(f(t), g(t)) for t in differ]))
+                            if differ else st.just(set()))
+        calls = []
+
+        def eq(l, r):
+            calls.append((l, r))
+            return (l, r) not in failing
+
+        witness = first_mismatch(f, g, eq)
+        stop = next((i for i, t in enumerate(differ) if (f(t), g(t)) in failing), None)
+        scanned = differ if stop is None else differ[:stop + 1]
+        assert calls == [(f(t), g(t)) for t in scanned]
+        assert witness == (None if stop is None else differ[stop])
 
 
 class TestIndexTablesMatchReference:
@@ -715,7 +719,7 @@ class TestIndexTablesMatchReference:
         if f == g:
             assert hash(f) == hash(g)
         assert first_mismatch(f, g) == sorted_scan(f, g, EQS[0])
-        assert first_mismatch(f, g) == first_mismatch(seq(f, identity_path(f.cod)), g)
+        assert first_mismatch(f, g) == first_mismatch(f.then(identity_fn(f.cod)), g)
         values = set(f.mapping.values())
         assert f.is_injective() == (len(values) == len(f.dom))
         if f.is_injective() and len(f.dom) == len(f.cod):
