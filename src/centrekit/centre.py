@@ -14,7 +14,7 @@ paranoia runs; it never changes the answer for polynomial carriers.
 
 from dataclasses import dataclass
 
-from .finkit import FinFn, FinSet, all_fns, canonical_set, degree, make_pair, tensor
+from .finkit import FinFn, FinSet, SetSizeError, all_fns, canonical_set, degree, make_pair, tensor
 from .graded_monad import (
     GradedMonadMorphism,
     GradedStrongMonad,
@@ -57,16 +57,25 @@ class CentralityViolation(RuntimeError):
 
 
 def bound_for(M: GradedStrongMonad, b: str, bound=None) -> int:
-    """Test-set size needed to decide centrality against grade b."""
+    """Test-set size needed to decide centrality against grade b.
+
+    A negative bound raises SetSizeError: it leaves no test set, so every
+    element would pass as central.
+    """
     if callable(bound):
-        return bound(b)
-    if bound is not None:
-        return int(bound)
-    expr = M.functor_expr(b)
-    if expr is None:
-        raise CentreError(
-            "monad has no functor expression; pass an explicit bound")
-    return degree(expr)
+        n = bound(b)
+    elif bound is not None:
+        n = int(bound)
+    else:
+        expr = M.functor_expr(b)
+        if expr is None:
+            raise CentreError(
+                "monad has no functor expression; pass an explicit bound")
+        n = degree(expr)
+    if n < 0:
+        raise SetSizeError(
+            f"test-set bound {n} is negative: every element would pass as central")
+    return n
 
 
 def _central_grades(M: GradedStrongMonad) -> frozenset:

@@ -10,7 +10,11 @@ this encoding, which is why it is never allowed to drift.
 name or tokens, or a map's table, once built.  Structure is shared on that
 basis: ``tensor`` hands back the product it already built for the same
 operands while that product is still in use, ``canonical_set(n)`` is one
-set per n, and a set keeps its identity map once built.
+set per n, and a set keeps its identity map once built.  Empty products are
+the exception: a product with an empty factor is built afresh on every call
+and not shared through that registry, and every map out of an empty domain
+(``tensor_fn``, ``from_pairs``, the structure maps) is the empty table,
+returned at once.
 
 A ``FinFn`` stores its table as ``idx``, a tuple of codomain positions:
 ``idx[i]`` is the place, in the codomain's sorted tokens, of the image of
@@ -270,6 +274,8 @@ class FinFn:
     def from_pairs(cls, dom: FinSet, cod: FinSet, images) -> "FinFn":
         """The map from a product sending the pair of its factors' i-th and
         j-th tokens to cod's images[i*|B| + j]-th token (images unchecked)."""
+        if not dom.elems:
+            return cls._table(dom, cod, ())
         pairs = dom.pair_positions()
         if pairs is not None:
             images = map(images.__getitem__, pairs[1])
@@ -460,6 +466,15 @@ def unit_set() -> FinSet:
 
 
 def tensor(A: FinSet, B: FinSet) -> FinSet:
+    """The product A (x) B, named ``(AxB)``.
+
+    A product in use is shared: equal operands with the same names get the
+    same set back.  A product with an empty factor is built afresh instead,
+    with no token list and no entry in the registry, since every such
+    product is the same empty set.
+    """
+    if not (A.elems and B.elems):
+        return FinSet(f"({A.name}x{B.name})", (), factors=(A, B))
     key = (A, B, A.name, B.name)
     product = _PRODUCTS.get(key, _GONE)()
     if product is None:
@@ -476,6 +491,8 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     dom = tensor(f.dom, g.dom)
     cod = tensor(f.cod, g.cod)
+    if not dom.elems:
+        return FinFn._table(dom, cod, ())
     # row-major position in cod of the image of each row-major element of dom
     n = len(g.cod)
     gi = g.idx
@@ -491,18 +508,21 @@ def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
 
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
     """Symmetry (x,y) -> (y,x)."""
-    cod = tensor(Y, X)
+    dom, cod = tensor(X, Y), tensor(Y, X)
+    if not dom.elems:
+        return FinFn._table(dom, cod, ())
     at = cod.pair_grid()
-    return FinFn.from_pairs(tensor(X, Y), cod, [row[x] for x in range(len(X)) for row in at])
+    return FinFn.from_pairs(dom, cod, [row[x] for x in range(len(X)) for row in at])
 
 
 def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """Associator ((x,y),z) -> (x,(y,z))."""
     XY, YZ = tensor(X, Y), tensor(Y, Z)
-    cod = tensor(X, YZ)
+    dom, cod = tensor(XY, Z), tensor(X, YZ)
+    if not dom.elems:
+        return FinFn._table(dom, cod, ())
     yz, at = YZ.pair_grid(), cod.pair_grid()
-    return FinFn.from_pairs(tensor(XY, Z), cod,
-                            [at[x][w] for x, y in XY.pair_list() for w in yz[y]])
+    return FinFn.from_pairs(dom, cod, [at[x][w] for x, y in XY.pair_list() for w in yz[y]])
 
 
 def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:

@@ -24,6 +24,7 @@ from .finkit import (
     FunctorExpr,
     Id,
     Prod,
+    SetSizeError,
     all_fns,
     alpha,
     alpha_inv,
@@ -65,6 +66,10 @@ class UnknownName(GradedMonadError):
 
 
 def canonical_sets(k: int) -> list[FinSet]:
+    """The canonical sets of sizes 0..k; a negative k raises SetSizeError,
+    since a scan over no set would pass without checking anything."""
+    if k < 0:
+        raise SetSizeError(f"largest set size {k} is negative: the scan would check nothing")
     return [canonical_set(n) for n in range(k + 1)]
 
 

@@ -141,6 +141,27 @@ class TestMonadCommands:
         assert "no built-in morphism" in capsys.readouterr().err
 
 
+class TestNegativeSizes:
+    # a negative size or bound leaves no instance to check; it is bad input,
+    # not a pass
+    @pytest.mark.parametrize("argv", [
+        ["monad", "commutative", "--monad", "multi_error_writer", "--max-set-size", "-1"],
+        ["monad", "laws", "--monad", "identity", "--max-set-size", "-1"],
+        ["monad", "morphism", "--from", "multi_error_writer",
+         "--to", "multi_error_writer_topped", "--max-set-size", "-1"],
+        ["monad", "centre", "--monad", "bool_writer_pair", "--bound", "-5"],
+        ["monad", "centre", "--monad", "bool_writer_pair", "--grade", "ff", "--bound", "-1"],
+        ["duoidal", "check", "--monad", "language_writer", "--max-set-size", "-1"],
+        ["duoidal", "check", "--monad", "identity", "--max-set-size", "-1"],
+    ])
+    def test_exits_2_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 class TestDuoidalCommand:
     def test_language_writer(self, capsys):
         code = main(["duoidal", "check", "--monad", "language_writer"])

@@ -6,9 +6,12 @@ The reference builders below spell every map out token by token, through
 same maps from the positions of the factors' tokens.  Both must give the
 same index table between the same sets, with the same set names, also for
 empty sets and for factors whose pairs sort off row-major order (``a`` and
-``a*``, ``b`` and ``b(c)``).
+``a*``, ``b`` and ``b(c)``).  Products with an empty factor and maps out of
+them take a shortcut in the library; the references build them through the
+checked constructors like any other.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,12 +19,18 @@ from centrekit.finkit import (
     FinFn,
     FinSet,
     alpha,
+    alpha_inv,
     apply_obj,
+    first_mismatch,
     gamma,
+    identity_fn,
     lam,
+    lam_inv,
     make_pair,
     rho,
+    rho_inv,
     tensor,
+    tensor_fn,
     unit_set,
 )
 from centrekit.graded_monad import multi_error_writer, writer_monad
@@ -35,6 +44,19 @@ from centrekit.relaxations import (
 
 
 # --- reference builders: tables of tokens ---------------------------------------
+
+def ref_tensor(A, B):
+    return FinSet(f"({A.name}x{B.name})", [make_pair(a, b) for a in A for b in B])
+
+
+def ref_tensor_fn(f, g):
+    mapping = {make_pair(x, y): make_pair(f(x), g(y)) for x in f.dom for y in g.dom}
+    return FinFn(ref_tensor(f.dom, g.dom), ref_tensor(f.cod, g.cod), mapping)
+
+
+def ref_inverse(f):
+    return FinFn(f.cod, f.dom, {v: t for t, v in f.mapping.items()})
+
 
 def ref_gamma(X, Y):
     mapping = {make_pair(x, y): make_pair(y, x) for x in X for y in Y}
@@ -129,7 +151,7 @@ def ref_language_m(DM, a, b, X, Y):
     mapping = {make_pair(make_pair(x, u), make_pair(y, v)):
                make_pair(make_pair(x, y), shuffle(u, v))
                for x in X for u in annotations(M, a) for y in Y for v in annotations(M, b)}
-    return FinFn(tensor(M.carrier(a, X), M.carrier(b, Y)),
+    return FinFn(ref_tensor(M.carrier(a, X), M.carrier(b, Y)),
                  M.carrier(D.par_of(a, b), tensor(X, Y)), mapping)
 
 
@@ -223,6 +245,92 @@ class TestMultiErrorComponents:
                 same_table(M.mult(a, b, X), ref["mult"](a, b, X))
 
 
+# --- maps out of the empty set ----------------------------------------------------
+
+empty_sets = st.builds(FinSet, st.sampled_from(["E", "Y0", "(Y0xY2)"]), st.just(()))
+
+
+@st.composite
+def with_an_empty_set(draw, n):
+    """n sets, at least one of them empty."""
+    sets = [draw(token_sets()) for _ in range(n)]
+    sets[draw(st.integers(0, n - 1))] = draw(empty_sets)
+    return sets
+
+
+@st.composite
+def maps_into(draw, dom, cod):
+    """A map dom -> cod; cod is replaced by dom when it cannot receive one."""
+    if dom.elems and not cod.elems:
+        cod = dom
+    return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
+
+
+def same_set(new, ref):
+    assert new == ref and new.elems == ref.elems and new.name == ref.name
+
+
+class TestEmptyDomains:
+    @settings(max_examples=100, deadline=None)
+    @given(with_an_empty_set(2))
+    def test_tensor(self, sets):
+        A, B = sets
+        for P, Q in ((A, B), (B, A)):
+            product = tensor(P, Q)
+            same_set(product, ref_tensor(P, Q))
+            assert product.factors == (P, Q)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), with_an_empty_set(2), token_sets(), token_sets())
+    def test_tensor_fn(self, data, doms, A2, B2):
+        f = data.draw(maps_into(doms[0], A2))
+        g = data.draw(maps_into(doms[1], B2))
+        same_table(tensor_fn(f, g), ref_tensor_fn(f, g))
+        same_table(tensor_fn(g, f), ref_tensor_fn(g, f))
+
+    @settings(max_examples=100, deadline=None)
+    @given(with_an_empty_set(3))
+    def test_structure_maps_and_inverses(self, sets):
+        A, B, C = sets
+        for X, Y, Z in ((A, B, C), (B, C, A), (C, A, B)):
+            same_table(gamma(X, Y), ref_gamma(X, Y))
+            same_table(alpha(X, Y, Z), ref_alpha(X, Y, Z))
+            same_table(alpha_inv(X, Y, Z), ref_inverse(ref_alpha(X, Y, Z)))
+
+    @settings(max_examples=30, deadline=None)
+    @given(empty_sets)
+    def test_unitors_and_inverses(self, E):
+        same_table(lam(E), ref_lam(E))
+        same_table(rho(E), ref_rho(E))
+        same_table(lam_inv(E), ref_inverse(ref_lam(E)))
+        same_table(rho_inv(E), ref_inverse(ref_rho(E)))
+
+    @settings(max_examples=50, deadline=None)
+    @given(with_an_empty_set(2), token_sets())
+    def test_from_pairs(self, factors, cod):
+        dom = tensor(*factors)
+        same_table(FinFn.from_pairs(dom, cod, ()), FinFn(ref_tensor(*factors), cod, {}))
+
+    @settings(max_examples=50, deadline=None)
+    @given(with_an_empty_set(2), token_sets().filter(len))
+    def test_then_still_checks_an_empty_maps_codomain(self, factors, cod):
+        empty = FinFn.from_pairs(tensor(*factors), cod, ())
+        wrong = FinSet("W", cod.elems + ("w!",))
+        with pytest.raises(ValueError, match="cannot compose"):
+            empty.then(identity_fn(wrong))
+        assert empty.then(identity_fn(cod)).idx == ()
+
+    @settings(max_examples=50, deadline=None)
+    @given(with_an_empty_set(2), token_sets().filter(len))
+    def test_first_mismatch_still_checks_empty_maps_codomains(self, factors, cod):
+        dom = tensor(*factors)
+        wrong = FinSet("W", cod.elems + ("w!",))
+        with pytest.raises(ValueError, match="codomains differ"):
+            first_mismatch(FinFn.from_pairs(dom, cod, ()), FinFn.from_pairs(dom, wrong, ()))
+        assert first_mismatch(FinFn.from_pairs(dom, cod, ()),
+                              FinFn.from_pairs(dom, cod, ())) is None
+
+
 class TestLanguageInterchange:
     DM = build_language_writer("ab", 2, language_duoid("ab", 2))
 
@@ -231,4 +339,12 @@ class TestLanguageInterchange:
     def test_m(self, data, X, Y):
         a = data.draw(st.sampled_from(self.DM.monad.pomonoid.elements))
         b = data.draw(st.sampled_from(self.DM.monad.pomonoid.elements))
+        same_table(self.DM.m(a, b, X, Y), ref_language_m(self.DM, a, b, X, Y))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), with_an_empty_set(2))
+    def test_m_out_of_an_empty_set(self, data, sets):
+        a = data.draw(st.sampled_from(self.DM.monad.pomonoid.elements))
+        b = data.draw(st.sampled_from(self.DM.monad.pomonoid.elements))
+        X, Y = sets
         same_table(self.DM.m(a, b, X, Y), ref_language_m(self.DM, a, b, X, Y))

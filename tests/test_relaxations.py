@@ -1,11 +1,21 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from centrekit.centre import build_centre_monad, central_subset
-from centrekit.finkit import canonical_set, make_pair, split_pair, tensor, tensor_fn
+from centrekit import relaxations
+from centrekit.finkit import (
+    FinFn,
+    canonical_set,
+    make_pair,
+    split_pair,
+    tensor,
+    tensor_fn,
+    unit_set,
+)
 from centrekit.graded_monad import (
     bool_writer_pair,
     check_monad_laws,
@@ -26,6 +36,7 @@ from centrekit.relaxations import (
     CappedLanguage,
     ClosureExplosion,
     DuoidalGradedMonad,
+    LanguageError,
     LanguageFormatError,
     NotCommutative,
     _annotation_subset,
@@ -253,6 +264,49 @@ class TestLanguageWriter:
         failed = {r.law for r in rep.failures()}
         assert "m-unit" in failed
         assert "m-unitor-left" in failed
+
+
+class TestVacuousInstances:
+    """Diagram instances with an empty domain: every set tuple holding Y0."""
+
+    D = language_duoid("ab", 2)
+
+    @pytest.mark.parametrize("wrong_at", [
+        # every key with an empty set
+        lambda X, Y: not (X and Y),
+        # only duoidal-main's outer interchange, between carriers T^g(Y0)
+        lambda X, Y: not (X and Y) and "P(" in X.name + Y.name,
+        # only m-assoc's keys with a product of canonical sets, like (Y1xY0)
+        lambda X, Y: not (X and Y) and "x" in X.name + Y.name and "P(" not in X.name + Y.name,
+    ], ids=["any", "main-outer", "assoc-product"])
+    def test_wrong_type_at_an_empty_key_still_raises(self, wrong_at):
+        good = build_language_writer("ab", 2, self.D)
+
+        def m(a, b, X, Y):
+            fn = good.m(a, b, X, Y)
+            return FinFn.from_pairs(fn.dom, unit_set(), ()) if wrong_at(X, Y) else fn
+
+        bad = DuoidalGradedMonad(monad=good.monad, duoid=good.duoid, m=m,
+                                 element_leq=good.element_leq)
+        with pytest.raises(LanguageError, match="wrong type"):
+            check_duoidal_gradation(bad, 2)
+
+    def test_no_composite_is_built_for_a_vacuous_instance(self, monkeypatch):
+        calls = []   # (calling function, result has an empty domain)
+
+        def counted(fn):
+            def wrapper(*args):
+                out = fn(*args)
+                calls.append((sys._getframe(1).f_code.co_name, not out.dom))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(relaxations, "alpha", counted(relaxations.alpha))
+        monkeypatch.setattr(relaxations, "tensor_fn", counted(relaxations.tensor_fn))
+        assert check_duoidal_gradation(build_language_writer("ab", 2, self.D), 2).ok
+        per_instance = [empty for caller, empty in calls
+                        if caller in ("main_failure", "assoc_failure", "natural_failure")]
+        assert per_instance and not any(per_instance)
 
 
 class TestDeriveMonoidalM:
