@@ -42,6 +42,7 @@ from .graded_monad import (
     check_graded_monad_morphism,
     check_monad_laws,
     check_strength_laws,
+    commutation_witness,
     commute_maps,
     commuting_pair,
     identity_monad,
@@ -50,7 +51,6 @@ from .graded_monad import (
     writer_monad,
 )
 from .pomonoid import (
-    Bimonoid,
     Duoid,
     Pomonoid,
     PomonoidMorphism,
@@ -59,7 +59,6 @@ from .pomonoid import (
     check_bimonoid,
     check_duoid,
     check_pomonoid_morphism,
-    load_bimonoid,
     load_duoid,
     load_pomonoid,
     multi_error_pomonoid,

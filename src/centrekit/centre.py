@@ -10,18 +10,22 @@ an element of a polynomial T^b Y mentions at most degree(T^b) points of Y, so
 by naturality every instance of the centrality equation factors through an
 injection from a canonical set of that size.  `bound` widens the scan for
 paranoia runs; it never changes the answer for polynomial carriers.
+
+Central subsets, cones and bimonoidal centres share one row filter,
+`failing_rows`, over one scan of the composites' index tables,
+`commutation_witness`: rows are elements t, columns test computations s.
 """
 
 from dataclasses import dataclass
 
-from .finkit import FinFn, FinSet, SetSizeError, all_fns, canonical_set, degree, make_pair, tensor
+from .finkit import FinFn, FinSet, SetSizeError, all_fns, canonical_set, degree, tensor
 from .graded_monad import (
     GradedMonadMorphism,
     GradedStrongMonad,
     canonical_sets,
     check_commutative,
     check_graded_monad_morphism,
-    commute_maps,
+    commutation_witness,
 )
 from .pomonoid import Pomonoid, PomonoidMorphism, centre_of_pomonoid
 from .report import LawRecord, Report
@@ -91,35 +95,44 @@ def _require_central_grade(M: GradedStrongMonad, z: str) -> None:
         raise GradeNotCentral(f"{z} is not central in {M.pomonoid.name or 'the grading'}")
 
 
-def _commuting(M: GradedStrongMonad, z: str, X: FinSet, candidates, bound=None) -> list:
-    """The candidates in T^z X that commute with every test computation, in order.
+def failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, bound=None, top=None):
+    """Yield (row, Y, column) for each entry of ``rows`` (positions in T^z X)
+    that fails to commute with some s in T^b Y, at the first such Y.
 
-    The two sequencing composites are built once per test grade b and set Y,
-    and every remaining candidate is checked against them.  The scan stops as
-    soon as no candidate is left.
+    Y runs over the canonical sets up to ``bound_for(M, b, bound)``, skipping
+    an empty T^b Y; the column is the first failing s.  Failing entries come
+    in the order of ``rows`` and drop out; the scan ends when none is left.
     """
-    survivors = list(candidates)
+    alive = list(rows)
+    for n in range(bound_for(M, b, bound) + 1):
+        if not alive:
+            return
+        Y = canonical_set(n)
+        if len(M.carrier(b, Y)) == 0:
+            continue
+        bad = commutation_witness(M, z, b, X, Y, top)[2]
+        if bad:
+            yield from ((r, Y, bad[r]) for r in alive if r in bad)
+            alive = [r for r in alive if r not in bad]
+
+
+def _central_rows(M: GradedStrongMonad, z: str, X: FinSet, rows, bound=None) -> list:
+    """The rows (positions in T^z X) that commute with every test computation,
+    in order; the scan stops as soon as none is left."""
     for b in M.pomonoid.elements:
-        if not survivors:
+        if not rows:
             break
-        for n in range(bound_for(M, b, bound) + 1):
-            if not survivors:
-                break
-            Y = canonical_set(n)
-            TbY = M.carrier(b, Y)
-            if len(TbY) == 0:
-                continue
-            left, right = commute_maps(M, z, b, X, Y)
-            survivors = [t for t in survivors
-                         if all(left(p) == right(p) for p in (make_pair(t, s) for s in TbY))]
-    return survivors
+        failed = {r for r, _, _ in failing_rows(M, z, b, X, rows, bound)}
+        rows = [r for r in rows if r not in failed]
+    return rows
 
 
 def is_central(M: GradedStrongMonad, z: str, X: FinSet, t: str, bound=None) -> bool:
     _require_central_grade(M, z)
-    if t not in M.carrier(z, X):
+    TzX = M.carrier(z, X)
+    if t not in TzX:
         raise ElementNotInCarrier(f"{t} is not in the carrier at ({z}, {X.name})")
-    return bool(_commuting(M, z, X, (t,), bound))
+    return bool(_central_rows(M, z, X, [TzX.token_index()[t]], bound))
 
 
 def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSet:
@@ -127,8 +140,9 @@ def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSe
     _require_central_grade(M, z)
     key = ("central-subset", z, X, bound if not callable(bound) else None)
     if callable(bound) or key not in M._memo:
-        survivors = _commuting(M, z, X, M.carrier(z, X), bound)
-        sub = FinSet(f"Z^{z}({X.name})", tuple(survivors))
+        TzX = M.carrier(z, X)
+        rows = _central_rows(M, z, X, range(len(TzX)), bound)
+        sub = FinSet(f"Z^{z}({X.name})", tuple(TzX.elems[r] for r in rows))
         if callable(bound):
             return sub
         M._memo[key] = sub
@@ -168,50 +182,36 @@ def check_central_cone(M: GradedStrongMonad, cone: CentralCone, bound=None,
     if cone.leg.cod != M.carrier(z, X):
         raise CentreError("leg codomain is not the carrier at the cone's grade")
     rep = Report(title=f"central cone ({z}, {X.name})")
+    rows = cone.leg.idx
     for b in M.pomonoid.elements:
-        ok, witness = True, ""
-        for n in range(bound_for(M, b, bound) + 1):
-            Y = canonical_set(n)
-            TbY = M.carrier(b, Y)
-            if len(TbY) == 0:
-                continue
-            left, right = commute_maps(M, z, b, X, Y)
-            for p in cone.apex:
-                for s in TbY:
-                    pair = make_pair(cone.leg(p), s)
-                    if left(pair) != right(pair):
-                        ok, witness = False, f"apex {p} vs {s} in T^{b} {Y.name}"
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        rep.add(LawRecord(law="cone-eq", grades=(z, b), sets=(X.name,), ok=ok,
+        failure = next(failing_rows(M, z, b, X, rows, bound), None)
+        witness = ""
+        if failure is not None:
+            r, Y, j = failure
+            p, s = cone.apex.elems[rows.index(r)], M.carrier(b, Y).elems[j]
+            witness = f"apex {p} vs {s} in T^{b} {Y.name}"
+        rep.add(LawRecord(law="cone-eq", grades=(z, b), sets=(X.name,), ok=failure is None,
                           witness=witness))
     if not closure_lemmas:
         return rep
     base_ok = rep.ok
+
+    def hold(cones):
+        # every cone is built; each is checked only if the base cone passed
+        return all(not base_ok or check_central_cone(M, c, bound).ok for c in cones)
+
     for n in range(3):
         W = canonical_set(n)
-        ok = True
-        for g in all_fns(W, cone.apex):
-            pre = CentralCone(grade=z, base=X, apex=W, leg=g.then(cone.leg))
-            if base_ok and not check_central_cone(M, pre, bound).ok:
-                ok = False
-                break
+        pre = (CentralCone(grade=z, base=X, apex=W, leg=g.then(cone.leg))
+               for g in all_fns(W, cone.apex))
         rep.add(LawRecord(law="cone-precompose", grades=(z,), sets=(W.name, X.name),
-                          ok=ok))
+                          ok=hold(pre)))
     for n in range(3):
         X2 = canonical_set(n)
-        ok = True
-        for h in all_fns(X, X2):
-            post = CentralCone(grade=z, base=X2, apex=cone.apex,
-                               leg=cone.leg.then(M.fmap(z, h)))
-            if base_ok and not check_central_cone(M, post, bound).ok:
-                ok = False
-                break
+        post = (CentralCone(grade=z, base=X2, apex=cone.apex, leg=cone.leg.then(M.fmap(z, h)))
+                for h in all_fns(X, X2))
         rep.add(LawRecord(law="cone-postcompose", grades=(z,), sets=(X.name, X2.name),
-                          ok=ok))
+                          ok=hold(post)))
     return rep
 
 

@@ -233,6 +233,32 @@ def commute_maps(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinSet):
     return left, right
 
 
+def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinSet,
+                        top: str | None = None):
+    """Where the two sequencing composites of T^a X (x) T^b Y disagree.
+
+    Returns (left, right, bad): the composites of ``commute_maps``, both
+    lifted to grade ``top`` when it is given, and ``bad[i] = j`` for each row
+    i of T^a X at which they disagree somewhere, j being the first column of
+    T^b Y, in token order, where they do.  Reads the two index tables only.
+    """
+    left, right = commute_maps(M, a, b, X, Y)
+    if top is not None:
+        XY = tensor(X, Y)
+        left = left.then(M.lift_fn(M.pomonoid.times(a, b), top, XY))
+        right = right.then(M.lift_fn(M.pomonoid.times(b, a), top, XY))
+    if left.cod != right.cod:
+        raise ValueError(f"codomains differ: {left.cod.name} vs {right.cod.name}")
+    bad = {}
+    lhs, rhs = left.idx, right.idx
+    if lhs != rhs:
+        for i, row in enumerate(tensor(M.carrier(a, X), M.carrier(b, Y)).pair_grid()):
+            j = next((j for j, p in enumerate(row) if lhs[p] != rhs[p]), None)
+            if j is not None:
+                bad[i] = j
+    return left, right, bad
+
+
 # --- law suites ----------------------------------------------------------
 
 def check_monad_laws(M: GradedStrongMonad, k: int = 3) -> Report:
@@ -505,6 +531,28 @@ def check_naturality(M: GradedStrongMonad, k: int = 3) -> Report:
     return rep
 
 
+def _commute_record(M: GradedStrongMonad, a: str, b: str, sets) -> LawRecord:
+    P = M.pomonoid
+    rec = LawRecord(law="commute", grades=(a, b))
+    for X in sets:
+        for Y in sets:
+            XY = tensor(X, Y)
+            Cab = M.carrier(P.times(a, b), XY)
+            Cba = M.carrier(P.times(b, a), XY)
+            if Cab != Cba:
+                only = sorted(set(Cab.elems) ^ set(Cba.elems))
+                rec.ok, rec.note, rec.sets = False, "carrier-mismatch", (X.name, Y.name)
+                rec.witness = only[0] if only else None
+                return rec
+            left, right, bad = commutation_witness(M, a, b, X, Y)
+            if bad:
+                t = first_mismatch(left, right)
+                rec.ok, rec.note, rec.sets = False, "value-mismatch", (X.name, Y.name)
+                rec.witness, rec.lhs, rec.rhs = t, left(t), right(t)
+                return rec
+    return rec
+
+
 def check_commutative(M: GradedStrongMonad, k: int = 3) -> Report:
     """Left-first vs right-first sequencing at every grade pair.
 
@@ -513,51 +561,16 @@ def check_commutative(M: GradedStrongMonad, k: int = 3) -> Report:
     of the two comparisons broke.
     """
     rep = Report(f"commutative({M.name})")
-    P = M.pomonoid
     sets = canonical_sets(k)
-    for a in P.elements:
-        for b in P.elements:
-            rec = LawRecord(law="commute", grades=(a, b))
-            for X in sets:
-                for Y in sets:
-                    XY = tensor(X, Y)
-                    Cab = M.carrier(P.times(a, b), XY)
-                    Cba = M.carrier(P.times(b, a), XY)
-                    if Cab != Cba:
-                        rec.ok = False
-                        rec.note = "carrier-mismatch"
-                        rec.sets = (X.name, Y.name)
-                        only = sorted(set(Cab.elems) ^ set(Cba.elems))
-                        rec.witness = only[0] if only else None
-                        break
-                    left, right = commute_maps(M, a, b, X, Y)
-                    t = first_mismatch(left, right)
-                    if t is not None:
-                        rec.ok = False
-                        rec.note = "value-mismatch"
-                        rec.sets = (X.name, Y.name)
-                        rec.witness = t
-                        rec.lhs = left(t)
-                        rec.rhs = right(t)
-                        break
-                if not rec.ok:
-                    break
-            rep.add(rec)
+    for a in M.pomonoid.elements:
+        for b in M.pomonoid.elements:
+            rep.add(_commute_record(M, a, b, sets))
     return rep
 
 
 def commuting_pair(M: GradedStrongMonad, a: str, b: str, k: int = 3) -> bool:
     """The pairwise slice of check_commutative for one grade pair."""
-    P = M.pomonoid
-    for X in canonical_sets(k):
-        for Y in canonical_sets(k):
-            XY = tensor(X, Y)
-            if M.carrier(P.times(a, b), XY) != M.carrier(P.times(b, a), XY):
-                return False
-            left, right = commute_maps(M, a, b, X, Y)
-            if left != right:
-                return False
-    return True
+    return _commute_record(M, a, b, canonical_sets(k)).ok
 
 
 def check_all(M: GradedStrongMonad, k: int = 3) -> Report:

@@ -8,9 +8,9 @@ check doubles as the definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .report import LawRecord, Report
+from .report import LawRecord, Report, failure_record
 
 
 class PomonoidError(ValueError):
@@ -205,57 +205,26 @@ def check_pomonoid_morphism(m: PomonoidMorphism) -> Report:
         if m.mapping[a] not in set(Q.elements):
             raise UnknownElement(f"image {m.mapping[a]!r} not in target")
     rep = Report("pomonoid-morphism")
-
-    rec = LawRecord(law="morphism-unit")
-    if not Q.le(Q.unit, m(P.unit)):
-        rec.ok = False
-        rec.witness = P.unit
-        rec.lhs = Q.unit
-        rec.rhs = m(P.unit)
-    rep.add(rec)
-
-    rec = LawRecord(law="morphism-mul")
-    for a in P.elements:
-        for b in P.elements:
-            if not Q.le(Q.times(m(a), m(b)), m(P.times(a, b))):
-                rec.ok = False
-                rec.witness = f"({a},{b})"
-                rec.lhs = Q.times(m(a), m(b))
-                rec.rhs = m(P.times(a, b))
-                break
-        if not rec.ok:
-            break
-    rep.add(rec)
-
-    rec = LawRecord(law="morphism-monotone")
-    for (a, b) in P.comparable_pairs():
-        if not Q.le(m(a), m(b)):
-            rec.ok = False
-            rec.witness = f"({a},{b})"
-            rec.lhs = m(a)
-            rec.rhs = m(b)
-            break
-    rep.add(rec)
+    rep.add(failure_record("morphism-unit", [
+        None if Q.le(Q.unit, m(P.unit)) else (P.unit, Q.unit, m(P.unit))]))
+    rep.add(failure_record("morphism-mul", (
+        (f"({a},{b})", Q.times(m(a), m(b)), m(P.times(a, b)))
+        for a in P.elements for b in P.elements
+        if not Q.le(Q.times(m(a), m(b)), m(P.times(a, b))))))
+    rep.add(failure_record("morphism-monotone", (
+        (f"({a},{b})", m(a), m(b)) for (a, b) in P.comparable_pairs() if not Q.le(m(a), m(b)))))
     return rep
 
 
 # --- second operations: bimonoids and duoids ---------------------------
 
 @dataclass
-class Bimonoid:
-    """A pomonoid with a second commutative monoid (unit2, op2) sitting above *."""
-
-    base: Pomonoid
-    op2: dict[tuple[str, str], str]
-    unit2: str
-
-    def par(self, a: str, b: str) -> str:
-        return self.op2[(a, b)]
-
-
-@dataclass
 class Duoid:
-    """A pomonoid with a commutative monotone monoid (unit2, par) satisfying interchange."""
+    """A pomonoid with a second commutative monoid (unit2, par).
+
+    As a duoid, par is monotone and satisfies interchange with * (see
+    ``check_duoid``); as a bimonoid, par sits above * (see ``check_bimonoid``).
+    """
 
     base: Pomonoid
     par: dict[tuple[str, str], str]
@@ -276,77 +245,30 @@ def _check_second_op(rep: Report, P: Pomonoid, op: dict, unit2: str, tag: str) -
             if op[(a, b)] not in members:
                 raise UnknownElement(f"{a} {tag} {b} lands outside the carrier")
 
-    rec = LawRecord(law=f"{tag}-assoc")
-    for a in P.elements:
-        for b in P.elements:
-            ab = op[(a, b)]
-            for c in P.elements:
-                if op[(ab, c)] != op[(a, op[(b, c)])]:
-                    rec.ok = False
-                    rec.witness = f"({a},{b},{c})"
-                    rec.lhs = op[(ab, c)]
-                    rec.rhs = op[(a, op[(b, c)])]
-                    break
-            if not rec.ok:
-                break
-        if not rec.ok:
-            break
-    rep.add(rec)
-
-    rec = LawRecord(law=f"{tag}-unit")
-    for a in P.elements:
-        if op[(unit2, a)] != a or op[(a, unit2)] != a:
-            rec.ok = False
-            rec.witness = a
-            break
-    rep.add(rec)
-
-    rec = LawRecord(law=f"{tag}-commutative")
-    for a in P.elements:
-        for b in P.elements:
-            if op[(a, b)] != op[(b, a)]:
-                rec.ok = False
-                rec.witness = f"({a},{b})"
-                rec.lhs = op[(a, b)]
-                rec.rhs = op[(b, a)]
-                break
-        if not rec.ok:
-            break
-    rep.add(rec)
-
-    rec = LawRecord(law=f"{tag}-monotone")
+    els = P.elements
+    rep.add(failure_record(f"{tag}-assoc", (
+        (f"({a},{b},{c})", op[(op[(a, b)], c)], op[(a, op[(b, c)])])
+        for a in els for b in els for c in els
+        if op[(op[(a, b)], c)] != op[(a, op[(b, c)])])))
+    rep.add(failure_record(f"{tag}-unit", (
+        (a, None, None) for a in els if op[(unit2, a)] != a or op[(a, unit2)] != a)))
+    rep.add(failure_record(f"{tag}-commutative", (
+        (f"({a},{b})", op[(a, b)], op[(b, a)])
+        for a in els for b in els if op[(a, b)] != op[(b, a)])))
     comparable = P.comparable_pairs()
-    for (w, x) in comparable:
-        for (y, z) in comparable:
-            if not P.le(op[(w, y)], op[(x, z)]):
-                rec.ok = False
-                rec.witness = f"({w}<={x},{y}<={z})"
-                rec.lhs = op[(w, y)]
-                rec.rhs = op[(x, z)]
-                break
-        if not rec.ok:
-            break
-    rep.add(rec)
+    rep.add(failure_record(f"{tag}-monotone", (
+        (f"({w}<={x},{y}<={z})", op[(w, y)], op[(x, z)])
+        for (w, x) in comparable for (y, z) in comparable if not P.le(op[(w, y)], op[(x, z)]))))
 
 
-def check_bimonoid(B: Bimonoid) -> Report:
+def check_bimonoid(B: Duoid) -> Report:
     """Second operation is a commutative monotone monoid with a*b <= a(x)b."""
     rep = Report("bimonoid")
     P = B.base
-    _check_second_op(rep, P, B.op2, B.unit2, "op2")
-
-    rec = LawRecord(law="bimonoid-delta")
-    for a in P.elements:
-        for b in P.elements:
-            if not P.le(P.times(a, b), B.op2[(a, b)]):
-                rec.ok = False
-                rec.witness = f"({a},{b})"
-                rec.lhs = P.times(a, b)
-                rec.rhs = B.op2[(a, b)]
-                break
-        if not rec.ok:
-            break
-    rep.add(rec)
+    _check_second_op(rep, P, B.par, B.unit2, "op2")
+    rep.add(failure_record("bimonoid-delta", (
+        (f"({a},{b})", P.times(a, b), B.par_of(a, b))
+        for a in P.elements for b in P.elements if not P.le(P.times(a, b), B.par_of(a, b)))))
     return rep
 
 
@@ -401,20 +323,13 @@ def check_duoid(D: Duoid) -> Report:
     rep.add(rec)
 
     # a*b <= a par b follows from interchange with units; scan it directly anyway.
-    rec = LawRecord(law="duoid-derived-delta")
-    for a in els:
-        for b in els:
-            if not P.le(P.times(a, b), D.par[(a, b)]):
-                rec.ok = False
-                rec.witness = f"({a},{b})"
-                break
-        if not rec.ok:
-            break
-    rep.add(rec)
+    rep.add(failure_record("duoid-derived-delta", (
+        (f"({a},{b})", None, None)
+        for a in els for b in els if not P.le(P.times(a, b), D.par[(a, b)]))))
     return rep
 
 
-def bimonoid_from_absorbing_top(P: Pomonoid, top: str) -> Bimonoid:
+def bimonoid_from_absorbing_top(P: Pomonoid, top: str) -> Duoid:
     """Second operation: a*b when either argument is central, the top otherwise.
 
     Requires the top to be absorbing for * and the maximum of the order.
@@ -429,14 +344,9 @@ def bimonoid_from_absorbing_top(P: Pomonoid, top: str) -> Bimonoid:
             raise NotTop(f"{a} is not below {top}")
     Z, _ = centre_of_pomonoid(P)
     central = set(Z.elements)
-    op2 = {}
-    for a in P.elements:
-        for b in P.elements:
-            if a in central or b in central:
-                op2[(a, b)] = P.times(a, b)
-            else:
-                op2[(a, b)] = top
-    return Bimonoid(base=P, op2=op2, unit2=P.unit)
+    par = {(a, b): P.times(a, b) if a in central or b in central else top
+           for a in P.elements for b in P.elements}
+    return Duoid(base=P, par=par, unit2=P.unit)
 
 
 # --- small builders -----------------------------------------------------
@@ -530,7 +440,7 @@ def load_pomonoid(text: str, name: str = "") -> Pomonoid:
     return validate_pomonoid(raw["elements"], raw["unit"], raw["mul"], raw["le"], name=name)
 
 
-def load_bimonoid(text: str, name: str = "") -> Bimonoid:
+def load_duoid(text: str, name: str = "") -> Duoid:
     raw = parse_structure_text(text)
     base = validate_pomonoid(raw["elements"], raw["unit"], raw["mul"], raw["le"], name=name)
     if not raw["op2"] or raw["unit2"] is None:
@@ -539,9 +449,4 @@ def load_bimonoid(text: str, name: str = "") -> Bimonoid:
         for b in base.elements:
             if (a, b) not in raw["op2"]:
                 raise MissingTableEntry(f"no op2 entry for ({a},{b})")
-    return Bimonoid(base=base, op2=raw["op2"], unit2=raw["unit2"])
-
-
-def load_duoid(text: str, name: str = "") -> Duoid:
-    B = load_bimonoid(text, name=name)
-    return Duoid(base=B.base, par=B.op2, unit2=B.unit2)
+    return Duoid(base=base, par=raw["op2"], unit2=raw["unit2"])

@@ -1,10 +1,10 @@
 """Relative centres and parallel-composition structure on the grading.
 
-Two relaxations live here.  Bimonoidal centres compare the two sequencing
-composites only after transporting both into a common over-approximating
-grade a(*)b.  Duoidal gradations add an interchange map m that runs two
-computations side by side, graded by a second multiplication on the
-pomonoid.
+Two relaxations live here, both over a `Duoid`: a pomonoid with a second
+multiplication ||.  Bimonoidal centres compare the two sequencing composites
+on the index tables of `commutation_witness`, after lifting both into the
+common over-approximating grade a||b.  Duoidal gradations add an interchange
+map m that runs two computations side by side, graded by ||.
 
 The running example is the duoid of capped languages under concatenation
 and shuffle, with its graded writer monad.  Capping keeps everything
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .centre import bound_for, CentralCone
+from .centre import CentralCone, failing_rows
 from .finkit import (
     FinFn,
     FinSet,
@@ -29,7 +29,6 @@ from .finkit import (
     identity_fn,
     lam,
     lam_inv,
-    make_pair,
     op_table,
     rho,
     rho_inv,
@@ -45,8 +44,8 @@ from .graded_monad import (
     commute_maps,
     writer_monad,
 )
-from .pomonoid import Bimonoid, Duoid, Pomonoid, structurally_equal, validate_pomonoid
-from .report import LawRecord, Report
+from .pomonoid import Duoid, structurally_equal, validate_pomonoid
+from .report import LawRecord, Report, first_failure
 
 
 class LanguageError(ValueError):
@@ -161,7 +160,11 @@ def language_duoid(alphabet: str, cap: int, generators=None,
     Default generators are the single-letter singletons.  The result is a
     duoid on the closure (plus {eps}), ordered by language inclusion, with
     concat as the sequential and shuffle as the parallel multiplication.
+    Letters that language literals use as syntax are refused.
     """
+    clash = sorted({ch for ch in alphabet if ch in "{},_" or ch.isspace()})
+    if clash:
+        raise LanguageError(f"language literals use {', '.join(map(repr, clash))} as syntax")
     if generators is None:
         generators = [CappedLanguage(alphabet, cap, frozenset({ch}))
                       for ch in alphabet]
@@ -335,11 +338,6 @@ def _triples(elements, budget: int, seed: int):
     return sorted(triples)
 
 
-def _first_failure(results):
-    """The first failure a lazy scan of law instances reports, or None."""
-    return next((r for r in results if r is not None), None)
-
-
 def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
                             budget: int = 300, seed: int = 2026) -> Report:
     """Diagram checks for an interchange map over a duoid-graded monad.
@@ -396,7 +394,7 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         return None if witness is None else (witness, "")
 
     for (a, b, c, d) in _quadruples(P.elements, budget, seed):
-        failure = _first_failure(main_failure(a, b, c, d, X, Y) for X in sets for Y in sets)
+        failure = first_failure(main_failure(a, b, c, d, X, Y) for X in sets for Y in sets)
         witness, note = failure or ("", "")
         rep.add(LawRecord(law="duoidal-main", grades=(a, b, c, d), ok=failure is None,
                           witness=witness, note=note))
@@ -439,8 +437,8 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         return first_mismatch(lhs, rhs.then(reassociate[g, X, Y, Z]))
 
     for (a, b, c) in _triples(P.elements, budget, seed):
-        witness = _first_failure(assoc_failure(a, b, c, X, Y, Z)
-                                 for X in sets for Y in sets for Z in sets)
+        witness = first_failure(assoc_failure(a, b, c, X, Y, Z)
+                                for X in sets for Y in sets for Z in sets)
         rep.add(LawRecord(law="m-assoc", grades=(a, b, c), ok=witness is None,
                           witness=witness or ""))
 
@@ -491,7 +489,7 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         pairs = sorted(set(tuple(rng.choice(P.elements) for _ in range(2))
                            for _ in range(36)))
     for (a, b) in pairs:
-        witness = _first_failure(natural_failure(a, b, f, g, fg) for f, g, fg in maps)
+        witness = first_failure(natural_failure(a, b, f, g, fg) for f, g, fg in maps)
         rep.add(LawRecord(law="m-natural", grades=(a, b), ok=witness is None,
                           witness=witness or ""))
     return rep
@@ -517,39 +515,27 @@ def derive_monoidal_m(M: GradedStrongMonad, k: int = 2):
     return DM, check_duoidal_gradation(DM, k)
 
 
-def bimonoidal_centre_at(M: GradedStrongMonad, B: Bimonoid, a: str, X: FinSet,
+def bimonoidal_centre_at(M: GradedStrongMonad, D: Duoid, a: str, X: FinSet,
                          bound=None) -> CentralCone:
     """Centrality relative to a commutative over-approximation of the grades.
 
-    The two sequencing composites are lifted into the common grade a(*)b
-    before comparison, so grades that only disagree below the
-    over-approximation still count as interchangeable.  Any grade may be
-    tested, not just central ones.
+    The two sequencing composites are lifted into the common grade a||b of
+    D's second operation before comparison, so grades that only disagree
+    below the over-approximation still count as interchangeable.  Any grade
+    may be tested, not just central ones.
     """
-    if not structurally_equal(B.base, M.pomonoid):
+    if not structurally_equal(D.base, M.pomonoid):
         raise BimonoidMismatch("bimonoid is not over this monad's grading")
     P = M.pomonoid
-    survivors = list(M.carrier(a, X))
+    TaX = M.carrier(a, X)
+    rows = list(range(len(TaX)))
     for b in P.elements:
-        ab, ba, top = P.times(a, b), P.times(b, a), B.par(a, b)
+        ab, ba, top = P.times(a, b), P.times(b, a), D.par_of(a, b)
         if not (P.le(ab, top) and P.le(ba, top)):
             raise BimonoidMismatch(
                 f"{ab} or {ba} is not below {top}; the relaxed product does not dominate")
-        for n in range(bound_for(M, b, bound) + 1):
-            Y = canonical_set(n)
-            TbY = M.carrier(b, Y)
-            if len(TbY) == 0:
-                continue
-            XY = tensor(X, Y)
-            left, right = commute_maps(M, a, b, X, Y)
-            left = left.then(M.lift_fn(ab, top, XY))
-            right = right.then(M.lift_fn(ba, top, XY))
-            for t in list(survivors):
-                for s in TbY:
-                    p = make_pair(t, s)
-                    if left(p) != right(p):
-                        survivors.remove(t)
-                        break
-    apex = FinSet(f"ZB^{a}({X.name})", tuple(survivors))
-    leg = FinFn(apex, M.carrier(a, X), {t: t for t in apex})
+        failed = {r for r, _, _ in failing_rows(M, a, b, X, rows, bound, top)}
+        rows = [r for r in rows if r not in failed]
+    apex = FinSet(f"ZB^{a}({X.name})", tuple(TaX.elems[r] for r in rows))
+    leg = FinFn(apex, TaX, {t: t for t in apex})
     return CentralCone(grade=a, base=X, apex=apex, leg=leg)

@@ -69,6 +69,23 @@ class LawRecord:
         )
 
 
+def first_failure(results):
+    """The first failure a lazy scan of law instances reports, or None:
+    ``results`` yields None for each instance that passes."""
+    return next((r for r in results if r is not None), None)
+
+
+def failure_record(law: str, results) -> LawRecord:
+    """The record of a law whose instances a lazy scan checks in order;
+    ``results`` yields None or a failing instance's (witness, lhs, rhs)."""
+    rec = LawRecord(law=law)
+    failure = first_failure(results)
+    if failure is not None:
+        rec.ok = False
+        rec.witness, rec.lhs, rec.rhs = failure
+    return rec
+
+
 _RECORD = """\
     {
       "law": %s,

@@ -173,6 +173,17 @@ class TestDuoidalCommand:
                      "--pomonoid", fx("bool.pom"), "--max-set-size", "2"])
         assert code == 0
 
+    # letters the language-literal syntax uses are refused before any literal
+    # is written, with one error line and no traceback
+    @pytest.mark.parametrize("alphabet", ["{", "}", "_", "a,b", "a b", "a\tb", "{}"])
+    def test_literal_syntax_in_alphabet_exits_2(self, alphabet, capsys):
+        code = main(["duoidal", "check", "--monad", "language_writer", "--alphabet", alphabet])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "as syntax" in captured.err
+
     def test_noncommutative_monad_exits_2(self, capsys):
         code = main(["duoidal", "check", "--monad", "multi_error_writer"])
         assert code == 2

@@ -1,0 +1,519 @@
+"""The commutation scans against the token-level scans they replaced.
+
+check_commutative, commuting_pair, central_subset/is_central,
+check_central_cone and bimonoidal_centre_at all read one index-table scan,
+``graded_monad.commutation_witness``.  The reference scans below are the
+token-level ones that came before: they build the two sequencing composites
+with ``commute_maps`` and apply them to ``make_pair(t, s)`` token by token.
+They are kept as they were, except that the bimonoid is read through the
+``Duoid`` API (``par_of``) and the reference central subset is not memoised.
+Both sides must give the same reports byte for byte, the same verdicts and
+subsets, and the same exceptions.
+"""
+
+import dataclasses
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from centrekit.centre import (
+    CentralCone,
+    CentreError,
+    ElementNotInCarrier,
+    _central_grades,
+    _require_central_grade,
+    bound_for,
+    build_centre_monad,
+    central_subset,
+    check_central_cone,
+    graded_centre_at,
+    is_central,
+)
+from centrekit.finkit import (
+    FinFn,
+    FinSet,
+    all_fns,
+    canonical_set,
+    first_mismatch,
+    make_pair,
+    tensor,
+)
+from centrekit.graded_monad import (
+    bool_writer_pair,
+    canonical_sets,
+    check_commutative,
+    commute_maps,
+    commuting_pair,
+    identity_monad,
+    multi_error_writer,
+    registry,
+)
+from centrekit.pomonoid import (
+    Duoid,
+    bimonoid_from_absorbing_top,
+    bool_pomonoid,
+    multi_error_pomonoid,
+    structurally_equal,
+    validate_pomonoid,
+)
+from centrekit.relaxations import BimonoidMismatch, bimonoidal_centre_at
+from centrekit.report import LawRecord, Report
+
+
+# --- the token-level scans -----------------------------------------------------
+
+def ref_check_commutative(M, k=3):
+    rep = Report(f"commutative({M.name})")
+    P = M.pomonoid
+    sets = canonical_sets(k)
+    for a in P.elements:
+        for b in P.elements:
+            rec = LawRecord(law="commute", grades=(a, b))
+            for X in sets:
+                for Y in sets:
+                    XY = tensor(X, Y)
+                    Cab = M.carrier(P.times(a, b), XY)
+                    Cba = M.carrier(P.times(b, a), XY)
+                    if Cab != Cba:
+                        rec.ok = False
+                        rec.note = "carrier-mismatch"
+                        rec.sets = (X.name, Y.name)
+                        only = sorted(set(Cab.elems) ^ set(Cba.elems))
+                        rec.witness = only[0] if only else None
+                        break
+                    left, right = commute_maps(M, a, b, X, Y)
+                    t = first_mismatch(left, right)
+                    if t is not None:
+                        rec.ok = False
+                        rec.note = "value-mismatch"
+                        rec.sets = (X.name, Y.name)
+                        rec.witness = t
+                        rec.lhs = left(t)
+                        rec.rhs = right(t)
+                        break
+                if not rec.ok:
+                    break
+            rep.add(rec)
+    return rep
+
+
+def ref_commuting_pair(M, a, b, k=3):
+    P = M.pomonoid
+    for X in canonical_sets(k):
+        for Y in canonical_sets(k):
+            XY = tensor(X, Y)
+            if M.carrier(P.times(a, b), XY) != M.carrier(P.times(b, a), XY):
+                return False
+            left, right = commute_maps(M, a, b, X, Y)
+            if left != right:
+                return False
+    return True
+
+
+def ref_commuting(M, z, X, candidates, bound=None):
+    survivors = list(candidates)
+    for b in M.pomonoid.elements:
+        if not survivors:
+            break
+        for n in range(bound_for(M, b, bound) + 1):
+            if not survivors:
+                break
+            Y = canonical_set(n)
+            TbY = M.carrier(b, Y)
+            if len(TbY) == 0:
+                continue
+            left, right = commute_maps(M, z, b, X, Y)
+            survivors = [t for t in survivors
+                         if all(left(p) == right(p) for p in (make_pair(t, s) for s in TbY))]
+    return survivors
+
+
+def ref_is_central(M, z, X, t, bound=None):
+    _require_central_grade(M, z)
+    if t not in M.carrier(z, X):
+        raise ElementNotInCarrier(f"{t} is not in the carrier at ({z}, {X.name})")
+    return bool(ref_commuting(M, z, X, (t,), bound))
+
+
+def ref_central_subset(M, z, X, bound=None):
+    _require_central_grade(M, z)
+    return FinSet(f"Z^{z}({X.name})", tuple(ref_commuting(M, z, X, M.carrier(z, X), bound)))
+
+
+def ref_check_central_cone(M, cone, bound=None, closure_lemmas=False):
+    _require_central_grade(M, z := cone.grade)
+    X = cone.base
+    if cone.leg.cod != M.carrier(z, X):
+        raise CentreError("leg codomain is not the carrier at the cone's grade")
+    rep = Report(title=f"central cone ({z}, {X.name})")
+    for b in M.pomonoid.elements:
+        ok, witness = True, ""
+        for n in range(bound_for(M, b, bound) + 1):
+            Y = canonical_set(n)
+            TbY = M.carrier(b, Y)
+            if len(TbY) == 0:
+                continue
+            left, right = commute_maps(M, z, b, X, Y)
+            for p in cone.apex:
+                for s in TbY:
+                    pair = make_pair(cone.leg(p), s)
+                    if left(pair) != right(pair):
+                        ok, witness = False, f"apex {p} vs {s} in T^{b} {Y.name}"
+                        break
+                if not ok:
+                    break
+            if not ok:
+                break
+        rep.add(LawRecord(law="cone-eq", grades=(z, b), sets=(X.name,), ok=ok,
+                          witness=witness))
+    if not closure_lemmas:
+        return rep
+    base_ok = rep.ok
+    for n in range(3):
+        W = canonical_set(n)
+        ok = True
+        for g in all_fns(W, cone.apex):
+            pre = CentralCone(grade=z, base=X, apex=W, leg=g.then(cone.leg))
+            if base_ok and not ref_check_central_cone(M, pre, bound).ok:
+                ok = False
+                break
+        rep.add(LawRecord(law="cone-precompose", grades=(z,), sets=(W.name, X.name),
+                          ok=ok))
+    for n in range(3):
+        X2 = canonical_set(n)
+        ok = True
+        for h in all_fns(X, X2):
+            post = CentralCone(grade=z, base=X2, apex=cone.apex,
+                               leg=cone.leg.then(M.fmap(z, h)))
+            if base_ok and not ref_check_central_cone(M, post, bound).ok:
+                ok = False
+                break
+        rep.add(LawRecord(law="cone-postcompose", grades=(z,), sets=(X.name, X2.name),
+                          ok=ok))
+    return rep
+
+
+def ref_bimonoidal_centre_at(M, B, a, X, bound=None):
+    if not structurally_equal(B.base, M.pomonoid):
+        raise BimonoidMismatch("bimonoid is not over this monad's grading")
+    P = M.pomonoid
+    survivors = list(M.carrier(a, X))
+    for b in P.elements:
+        ab, ba, top = P.times(a, b), P.times(b, a), B.par_of(a, b)
+        if not (P.le(ab, top) and P.le(ba, top)):
+            raise BimonoidMismatch(
+                f"{ab} or {ba} is not below {top}; the relaxed product does not dominate")
+        for n in range(bound_for(M, b, bound) + 1):
+            Y = canonical_set(n)
+            TbY = M.carrier(b, Y)
+            if len(TbY) == 0:
+                continue
+            XY = tensor(X, Y)
+            left, right = commute_maps(M, a, b, X, Y)
+            left = left.then(M.lift_fn(ab, top, XY))
+            right = right.then(M.lift_fn(ba, top, XY))
+            for t in list(survivors):
+                for s in TbY:
+                    p = make_pair(t, s)
+                    if left(p) != right(p):
+                        survivors.remove(t)
+                        break
+    apex = FinSet(f"ZB^{a}({X.name})", tuple(survivors))
+    leg = FinFn(apex, M.carrier(a, X), {t: t for t in apex})
+    return CentralCone(grade=a, base=X, apex=apex, leg=leg)
+
+
+# --- comparing outcomes -----------------------------------------------------------
+
+def outcome(fn, *args, **kwargs):
+    """What a call returned, made comparable, or the exception it raised."""
+    try:
+        value = fn(*args, **kwargs)
+    except Exception as exc:   # the exception is the outcome
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(value, Report):
+        return ("report", value.to_json())
+    if isinstance(value, FinSet):
+        return ("set", value.name, value.elems)
+    if isinstance(value, CentralCone):
+        leg = value.leg
+        return ("cone", value.grade, value.base.name, value.apex.name, value.apex.elems,
+                leg.dom.elems, leg.cod.name, leg.idx)
+    return ("value", value)
+
+
+def agree(make, new, ref, *args, **kwargs):
+    """new and ref, each on a fresh monad from make(), give the same outcome."""
+    got = outcome(new, make(), *args, **kwargs)
+    assert got == outcome(ref, make(), *args, **kwargs)
+    return got
+
+
+def check_commutation(make, k):
+    agree(make, check_commutative, ref_check_commutative, k)
+    M = make()
+    for a in M.pomonoid.elements:
+        for b in M.pomonoid.elements:
+            agree(make, commuting_pair, ref_commuting_pair, a, b, k)
+
+
+def check_centre(make, sets, bound=None):
+    M = make()
+    for z in M.pomonoid.elements:
+        for X in sets:
+            got = agree(make, central_subset, ref_central_subset, z, X, bound)
+            if got[0] == "raised":
+                continue
+            for t in M.carrier(z, X):
+                agree(make, is_central, ref_is_central, z, X, t, bound)
+
+
+def check_cones(make, sets, sizes=(1, 2), bound=None, closure_lemmas=False):
+    """Every cone whose apex has one or two points, over every central grade."""
+    M = make()
+    for z in sorted(_central_grades(M)):
+        for X in sets:
+            TzX = M.carrier(z, X)
+            for n in sizes:
+                W = canonical_set(n)
+                for leg in all_fns(W, TzX):
+                    cone = CentralCone(grade=z, base=X, apex=W, leg=leg)
+                    agree(make, check_central_cone, ref_check_central_cone, cone, bound,
+                          closure_lemmas=closure_lemmas)
+
+
+def check_bimonoidal(make, D, sets, bound=None):
+    M = make()
+    for a in M.pomonoid.elements:
+        for X in sets:
+            agree(make, bimonoidal_centre_at, ref_bimonoidal_centre_at, D, a, X, bound)
+
+
+def times_as_par(P):
+    return Duoid(base=P, par={(x, y): P.times(x, y) for x in P.elements for y in P.elements},
+                 unit2=P.unit)
+
+
+# --- built-ins ----------------------------------------------------------------------
+
+BUILTINS = registry()
+SMALL = [name for name in BUILTINS if name != "language_writer"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_commutativity_on_builtins(name):
+    check_commutation(BUILTINS[name], 2 if name == "language_writer" else 3)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_central_subsets_on_builtins(name):
+    check_centre(BUILTINS[name], canonical_sets(1 if name == "language_writer" else 2))
+
+
+@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("bound", [0, 1, 3, lambda b: 2 if b in ("t", "tt") else 1, -1])
+def test_central_subsets_with_explicit_bounds(name, bound):
+    check_centre(BUILTINS[name], canonical_sets(2), bound)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_centre_monads(name):
+    # carrier_fn monads: no functor expression, so no default bound
+    def make():
+        return build_centre_monad(BUILTINS[name]()).monad
+    check_commutation(make, 2)
+    check_centre(make, canonical_sets(1))
+    check_centre(make, canonical_sets(1), bound=2)
+    check_cones(make, canonical_sets(1), sizes=(0, 1), bound=2)
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_one_and_two_point_cones(name):
+    check_cones(BUILTINS[name], canonical_sets(2))
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_cones_with_closure_lemmas(name):
+    check_cones(BUILTINS[name], canonical_sets(1), sizes=(0, 1), closure_lemmas=True)
+    M = BUILTINS[name]()
+    for z in sorted(_central_grades(M)):
+        for X in canonical_sets(2):
+            cone = graded_centre_at(M, z, X)
+            agree(BUILTINS[name], check_central_cone, ref_check_central_cone, cone,
+                  closure_lemmas=True)
+
+
+def test_failing_cones_name_a_witness():
+    # the non-central annotations wa, wb of bool_writer_pair at ff fail the
+    # cone equation; the witness text must be the same
+    M = bool_writer_pair()
+    X = canonical_set(2)
+    legs = list(all_fns(canonical_set(2), M.carrier("ff", X)))
+    failed = 0
+    for leg in legs:
+        cone = CentralCone(grade="ff", base=X, apex=canonical_set(2), leg=leg)
+        got = agree(bool_writer_pair, check_central_cone, ref_check_central_cone, cone)
+        failed += '"ok": false' in got[1]
+    assert failed > 0
+
+
+def test_cone_errors():
+    M = bool_writer_pair()
+    X = canonical_set(1)
+    wrong = CentralCone(grade="tt", base=X, apex=canonical_set(1),
+                        leg=FinFn(canonical_set(1), M.carrier("ff", X),
+                                  {"y0": M.carrier("ff", X).elems[0]}))
+    assert agree(bool_writer_pair, check_central_cone, ref_check_central_cone,
+                 wrong)[0] == "raised"
+    Mm = multi_error_writer()
+    leg = FinFn(canonical_set(1), Mm.carrier("wa", X), {"y0": Mm.carrier("wa", X).elems[0]})
+    cone = CentralCone(grade="wa", base=X, apex=canonical_set(1), leg=leg)
+    assert agree(multi_error_writer, check_central_cone, ref_check_central_cone,
+                 cone)[1] == "GradeNotCentral"
+
+
+def test_centrality_errors():
+    X = canonical_set(1)
+    assert agree(multi_error_writer, is_central, ref_is_central, "t", X, "nope")[1] == \
+        "ElementNotInCarrier"
+    assert agree(multi_error_writer, central_subset, ref_central_subset, "wa", X)[1] == \
+        "GradeNotCentral"
+    assert agree(multi_error_writer, central_subset, ref_central_subset, "t", X, -1)[1] == \
+        "SetSizeError"
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_bimonoidal_with_times_as_par(name):
+    # par = * dominates only where a*b and b*a are ordered: elsewhere both raise
+    sets = canonical_sets(1 if name == "language_writer" else 2)
+    check_bimonoidal(BUILTINS[name], times_as_par(BUILTINS[name]().pomonoid), sets)
+
+
+@pytest.mark.parametrize("bound", [None, 1])
+def test_bimonoidal_over_absorbing_top(bound):
+    def make():
+        return multi_error_writer(topped=True)
+    check_bimonoidal(make, bimonoid_from_absorbing_top(make().pomonoid, "e"),
+                     canonical_sets(2), bound)
+
+
+def test_bimonoid_mismatches():
+    X = canonical_set(2)
+    wrong_base = bimonoid_from_absorbing_top(multi_error_pomonoid(topped=True), "e")
+    assert agree(bool_writer_pair, bimonoidal_centre_at, ref_bimonoidal_centre_at,
+                 wrong_base, "tt", X)[1] == "BimonoidMismatch"
+    P = multi_error_pomonoid(topped=True)
+    low = Duoid(base=P, par={(x, y): "t" for x in P.elements for y in P.elements}, unit2="t")
+    for a in P.elements:
+        assert agree(lambda: multi_error_writer(topped=True), bimonoidal_centre_at,
+                     ref_bimonoidal_centre_at, low, a, X)[1] == "BimonoidMismatch"
+
+
+def test_empty_test_computations_are_skipped():
+    # mult raises on the empty set, which only a test set Y with an empty
+    # T^b Y reaches: the scans must skip it, as the token-level ones did
+    def make():
+        M = bool_writer_pair()
+
+        def mult(a, b, X, orig=M.mult):
+            if not X.elems:
+                raise RuntimeError(f"mult({a},{b}) asked at an empty set")
+            return orig(a, b, X)
+        return dataclasses.replace(M, mult=mult, _memo={})
+
+    sets = [canonical_set(1), canonical_set(2)]
+    check_centre(make, sets)
+    check_cones(make, sets, sizes=(1,))
+    check_bimonoidal(make, times_as_par(make().pomonoid), sets)
+    check_bimonoidal(make, bimonoid_from_absorbing_top(bool_pomonoid(), "ff"), sets)
+
+
+# --- writers with prefix tokens -------------------------------------------------------
+
+def keep_last(tokens, name="K"):
+    """The monoid on 1 + tokens in which a product keeps its right factor."""
+    els = ("1",) + tuple(tokens)
+    mul = {(x, y): x if y == "1" else y for x in els for y in els}
+    return validate_pomonoid(els, "1", mul, name=name)
+
+
+def keep_first(tokens, name="F"):
+    els = ("1",) + tuple(tokens)
+    mul = {(x, y): y if x == "1" else x for x in els for y in els}
+    return validate_pomonoid(els, "1", mul, name=name)
+
+
+PREFIXED = [("a", "a*"), ("b", "b(c)"), ("a", "a*", "b", "b(c)")]
+
+
+@pytest.mark.parametrize("tokens", PREFIXED)
+@pytest.mark.parametrize("monoid", [keep_last, keep_first])
+def test_writers_with_prefix_tokens(tokens, monoid):
+    def make():
+        return bool_writer_pair(monoid(tokens))
+    X = FinSet("Xp", ("a", "a*"))
+    sets = canonical_sets(2) + [X]
+    check_commutation(make, 2)
+    check_centre(make, sets)
+    check_cones(make, [canonical_set(1), X])
+    check_bimonoidal(make, times_as_par(make().pomonoid), sets)
+    check_bimonoidal(make, bimonoid_from_absorbing_top(bool_pomonoid(), "ff"), sets)
+
+
+def test_identity_monad_on_prefix_tokens():
+    def make():
+        return identity_monad(keep_last(("b", "b(c)")))
+    X = FinSet("Xp", ("a", "a*", "b", "b(c)"))
+    check_commutation(make, 2)
+    check_centre(make, [X])
+    check_cones(make, [X], sizes=(1,))
+
+
+# --- drawn writers ----------------------------------------------------------------------
+
+tokens = st.sampled_from(PREFIXED + [("x", "y"), ("u",)])
+test_sets = st.one_of(st.integers(0, 2).map(canonical_set),
+                      st.sampled_from([FinSet("Xp", ("a", "a*")),
+                                       FinSet("Xq", ("b", "b(c)", "c"))]))
+bounds = st.sampled_from([None, 0, 1, 2])
+
+
+@st.composite
+def writer_makers(draw):
+    monoid = draw(st.sampled_from([keep_last, keep_first]))
+    toks = draw(tokens)
+    return lambda: bool_writer_pair(monoid(toks))
+
+
+class TestDrawnWriters:
+    @settings(max_examples=25, deadline=None)
+    @given(writer_makers(), st.integers(0, 2))
+    def test_commutativity(self, make, k):
+        check_commutation(make, k)
+
+    @settings(max_examples=25, deadline=None)
+    @given(writer_makers(), test_sets, bounds)
+    def test_centre(self, make, X, bound):
+        check_centre(make, [X], bound)
+
+    @settings(max_examples=25, deadline=None)
+    @given(writer_makers(), st.data(), test_sets, bounds)
+    def test_cone(self, make, data, X, bound):
+        M = make()
+        z = data.draw(st.sampled_from(M.pomonoid.elements))
+        W = canonical_set(data.draw(st.integers(0, 2)))
+        TzX = M.carrier(z, X)
+        if not TzX.elems and W.elems:
+            return
+        leg = FinFn(W, TzX, {p: data.draw(st.sampled_from(TzX.elems)) for p in W})
+        cone = CentralCone(grade=z, base=X, apex=W, leg=leg)
+        agree(make, check_central_cone, ref_check_central_cone, cone, bound,
+              closure_lemmas=data.draw(st.booleans()))
+
+    @settings(max_examples=25, deadline=None)
+    @given(writer_makers(), test_sets, bounds, st.booleans())
+    def test_bimonoidal(self, make, X, bound, absorbing):
+        P = make().pomonoid
+        D = bimonoid_from_absorbing_top(P, "ff") if absorbing else times_as_par(P)
+        check_bimonoidal(make, D, [X], bound)

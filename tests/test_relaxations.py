@@ -25,7 +25,7 @@ from centrekit.graded_monad import (
     multi_error_writer,
 )
 from centrekit.pomonoid import (
-    Bimonoid,
+    Duoid,
     bimonoid_from_absorbing_top,
     check_duoid,
     multi_error_pomonoid,
@@ -341,9 +341,9 @@ class TestBimonoidalCentre:
     def test_degenerates_to_plain_centrality_when_op2_is_mul(self):
         M = bool_writer_pair()
         P = M.pomonoid
-        B = Bimonoid(base=P, op2={(x, y): P.times(x, y)
-                                  for x in P.elements for y in P.elements},
-                     unit2=P.unit)
+        B = Duoid(base=P, par={(x, y): P.times(x, y)
+                               for x in P.elements for y in P.elements},
+                  unit2=P.unit)
         for g in P.elements:
             cone = bimonoidal_centre_at(M, B, g, self.X2)
             assert set(cone.apex) == set(central_subset(M, g, self.X2))
@@ -357,7 +357,7 @@ class TestBimonoidalCentre:
     def test_non_dominating_op2_is_rejected(self):
         M = multi_error_writer(topped=True)
         P = M.pomonoid
-        B = Bimonoid(base=P, op2={(x, y): "t" for x in P.elements
-                                  for y in P.elements}, unit2="t")
+        B = Duoid(base=P, par={(x, y): "t" for x in P.elements
+                               for y in P.elements}, unit2="t")
         with pytest.raises(BimonoidMismatch):
             bimonoidal_centre_at(M, B, "wa", self.X2)
