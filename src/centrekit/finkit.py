@@ -23,10 +23,10 @@ first use.  Composition, tensor, identities, ``all_fns``, ``apply_mor``,
 equality, the structure maps and the built-in monads' components work on
 these integer tables and never re-check a table they built;
 ``FinFn(dom, cod, mapping)`` checks every table it is given.  A product
-built by ``tensor`` knows where the pair of its factors' i-th and j-th
-tokens sits among its own sorted tokens (``pair_grid``, ``pair_list``),
-which can differ from row-major order when a factor token is a prefix of
-another (``a`` and ``a*``: ``(a*,b)`` sorts before ``(a,b)``).
+built by ``tensor`` keeps, as tuples worked out on first use, where the
+pair of its factors' i-th and j-th tokens sits among its own sorted tokens
+(``pair_grid``, ``pair_list``): not always row-major when a factor token
+prefixes another (``a`` and ``a*``: ``(a*,b)`` sorts before ``(a,b)``).
 
 The two sides of a law diagram are built as composites of these tables
 (``then``, ``tensor_fn``, the structure maps and identities) and compared
@@ -118,7 +118,7 @@ class FinSet:
     """
 
     __slots__ = ("name", "elems", "factors", "_members", "_hash", "_prefix_free",
-                 "_index", "_pairs", "_identity", "__weakref__")
+                 "_index", "_pairs", "_grid", "_pair_list", "_identity", "__weakref__")
 
     def __init__(self, name: str, elems, factors=None):
         elems = tuple(sorted(elems))
@@ -134,7 +134,7 @@ class FinSet:
         self._prefix_free = None
         self._members = members
         self._hash = hash(elems)
-        self._index = None
+        self._index = self._grid = self._pair_list = None
         self._pairs = _UNKNOWN
         self._identity = None
 
@@ -173,23 +173,23 @@ class FinSet:
                 self._pairs = (pos, _inverse(pos))
         return self._pairs
 
-    def pair_grid(self) -> list:
+    def pair_grid(self) -> tuple:
         """grid[i][j]: the position of the pair of a product's factors' i-th
-        and j-th tokens among its own tokens."""
-        A, B = self.factors
-        nb = len(B)
-        pairs = self.pair_positions()
-        if pairs is None:
-            return [range(i * nb, i * nb + nb) for i in range(len(A))]
-        return [pairs[0][i * nb:i * nb + nb] for i in range(len(A))]
+        and j-th tokens among its own tokens (worked out once)."""
+        if self._grid is None:
+            (A, B), pairs = self.factors, self.pair_positions()
+            flat, nb = tuple(range(len(self)) if pairs is None else pairs[0]), len(B)
+            self._grid = tuple([flat[i * nb:i * nb + nb] for i in range(len(A))])
+        return self._grid
 
-    def pair_list(self) -> list:
+    def pair_list(self) -> tuple:
         """(i, j) for each of a product's tokens, in order: the token is the
-        pair of its factors' i-th and j-th tokens."""
-        A, B = self.factors
-        rows = list(itertools.product(range(len(A)), range(len(B))))
-        pairs = self.pair_positions()
-        return rows if pairs is None else list(map(rows.__getitem__, pairs[1]))
+        pair of its factors' i-th and j-th tokens (worked out once)."""
+        if self._pair_list is None:
+            rows = tuple(itertools.product(*[range(len(F)) for F in self.factors]))
+            pairs = self.pair_positions()
+            self._pair_list = rows if pairs is None else tuple(map(rows.__getitem__, pairs[1]))
+        return self._pair_list
 
     def __iter__(self):
         return iter(self.elems)

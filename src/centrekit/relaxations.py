@@ -310,6 +310,18 @@ def build_language_writer(alphabet: str, cap: int, duoid: Duoid) -> DuoidalGrade
                               name=M.name)
 
 
+def _assoc_sides(TX, TY, TZ, m_ab, m_bc, lhs_m, rhs_m, re):
+    """m-assoc's sides lhs_m(x, m_bc(y,z)) and re(rhs_m(m_ab(x,y), z)) as index
+    lists over (TX (x) TY) (x) TZ, pair by pair in ((x,y),z) order."""
+    if not (TX and TY and TZ):
+        return [], []
+    ml, mr, ri = lhs_m.idx, rhs_m.idx, re.idx
+    at_l, at_r = tensor(TX, m_bc.cod).pair_grid(), tensor(m_ab.cod, TZ).pair_grid()
+    bc = [[m_bc.idx[p] for p in row] for row in tensor(TY, TZ).pair_grid()]
+    lhs = [ml[at_l[x][w]] for x, y in tensor(TX, TY).pair_list() for w in bc[y]]
+    return lhs, [ri[mr[p]] for u in m_ab.idx for p in at_r[u]]
+
+
 def _quadruples(elements, budget: int, seed: int):
     n = len(elements)
     if n ** 4 <= budget:
@@ -346,34 +358,40 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     multiply-then-interchange, transported along the duoid inequality
     (a||c)*(b||d) <= (a*b)||(c*d).  Grade tuples are scanned exhaustively
     when the grading is small and by a seeded deterministic sample above
-    the budget.  Both sides of every diagram are composites of index tables
-    (``then``, ``tensor_fn``, the structure maps), compared pointwise by
-    ``first_mismatch``; a grade tuple stops at its first failing instance.
+    the budget, which must be at least 1.  Both sides of every diagram are
+    composites of index tables (``then``, ``tensor_fn``, the structure
+    maps), compared pointwise by ``first_mismatch``; a grade tuple stops at
+    its first failing instance.  m-assoc instead reads each side off the
+    ``idx`` tables and product grids in one pass (``_assoc_sides``), and
+    builds the domain only where the two sides or their codomains differ.
 
     An instance whose diagram has an empty domain (on the language writer,
     every set tuple holding ``Y0``) is vacuous: no element can fail.
     duoidal-main, m-assoc and m-natural read the emptiness off memoised
-    carriers and build none of its ``tensor_fn``/``alpha`` composites, but
+    carriers and build none of its composites (m-assoc builds no set), but
     keep every check that could still raise:
 
     * every component and ``fmap`` image the full instance uses is fetched,
       in the same order, so every accessor type check runs on the same keys;
     * ``fmap`` images have no type check of their own, so the ``then`` links
-      through them stay (on an empty map they cost nothing), and m-natural
-      builds its vacuous instances in full for a monad given by ``fmap_fn``;
+      through them stay (m-assoc checks that its reassociator composes), and
+      m-natural builds its vacuous instances in full for an ``fmap_fn`` monad;
     * duoidal-main still takes the ``delta-unrelated`` branch;
-    * the empty maps into the two sides' codomains go through
-      ``first_mismatch``, so ``codomains differ`` still raises.
+    * the two sides' codomains are compared, so ``codomains differ`` still
+      raises.
     """
+    if budget < 1:
+        raise ValueError(f"budget {budget} is below 1: the sampled scans would check nothing")
     M, D = DM.monad, DM.duoid
     P = M.pomonoid
     rep = Report(title=f"duoidal gradation for {DM.name or M.name or 'monad'}")
     sets = canonical_sets(k)
+    products = {(X, Y): tensor(X, Y) for X in sets for Y in sets}
 
     def main_failure(a, b, c, d, X, Y):
         # (witness, note) of a failing instance, or None
         ac, bd = D.par_of(a, c), D.par_of(b, d)
-        XY = tensor(X, Y)
+        XY = products[X, Y]
         inner = DM.m_fn(b, d, X, Y)
         outer = DM.m_fn(a, c, M.carrier(b, X), M.carrier(d, Y))
         par_first = outer.then(M.fmap(ac, inner)).then(M.mult_fn(ac, bd, XY))
@@ -403,7 +421,7 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     g_ii = D.par_of(i, i)
     for X in sets:
         for Y in sets:
-            XY = tensor(X, Y)
+            XY = products[X, Y]
             both_units = tensor_fn(M.unit_fn(X), M.unit_fn(Y)).then(DM.m_fn(i, i, X, Y))
             unit = M.unit_fn(XY)
             if g_ii != i:
@@ -421,20 +439,21 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     def assoc_failure(a, b, c, X, Y, Z):
         TX, TY, TZ = M.carrier(a, X), M.carrier(b, Y), M.carrier(c, Z)
         m_bc = DM.m_fn(b, c, Y, Z)
-        lhs_m = DM.m_fn(a, D.par_of(b, c), X, tensor(Y, Z))
+        lhs_m = DM.m_fn(a, D.par_of(b, c), X, products[Y, Z])
         g = D.par_of(D.par_of(a, b), c)
         if (g, X, Y, Z) not in reassociate:
             reassociate[g, X, Y, Z] = M.fmap(g, alphas[X, Y, Z])
+        re = reassociate[g, X, Y, Z]
         m_ab = DM.m_fn(a, b, X, Y)
-        rhs_m = DM.m_fn(D.par_of(a, b), c, tensor(X, Y), Z)
-        if TX and TY and TZ:
-            lhs = alpha(TX, TY, TZ).then(tensor_fn(identity_fn(TX), m_bc)).then(lhs_m)
-            rhs = tensor_fn(m_ab, identity_fn(TZ)).then(rhs_m)
-        else:   # vacuous
-            dom = tensor(m_ab.dom, TZ)
-            lhs = FinFn.from_pairs(dom, lhs_m.cod, ())
-            rhs = FinFn.from_pairs(dom, rhs_m.cod, ())
-        return first_mismatch(lhs, rhs.then(reassociate[g, X, Y, Z]))
+        rhs_m = DM.m_fn(D.par_of(a, b), c, products[X, Y], Z)
+        if rhs_m.cod != re.dom:
+            raise ValueError(f"cannot compose {rhs_m.cod.name} -> {re.dom.name}")
+        lhs, rhs = _assoc_sides(TX, TY, TZ, m_ab, m_bc, lhs_m, rhs_m, re)
+        if lhs == rhs and lhs_m.cod == re.cod:
+            return None
+        dom = tensor(tensor(TX, TY), TZ)
+        return first_mismatch(FinFn.from_pairs(dom, lhs_m.cod, lhs),
+                              FinFn.from_pairs(dom, re.cod, rhs))
 
     for (a, b, c) in _triples(P.elements, budget, seed):
         witness = first_failure(assoc_failure(a, b, c, X, Y, Z)

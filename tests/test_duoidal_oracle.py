@@ -3,8 +3,9 @@
 ``reference_check_duoidal_gradation`` is the materialising form of
 ``check_duoidal_gradation``: both sides of every diagram are composed into
 ``FinFn`` tables with ``then``/``tensor_fn``/``alpha`` and scanned in sorted
-domain order.  The suite compares the sides pointwise through finkit paths
-instead; its reports must be byte for byte the same.
+domain order.  The suite builds the same composites for most diagrams but
+reads m-assoc's two sides off index tables and product grids in one pass
+each; its reports must be byte for byte the same.
 """
 
 import random

@@ -674,6 +674,20 @@ class TestIndexTablesMatchReference:
         is_table(tensor_fn(f, g), *dict_tensor_fn(f, g))
         is_table(tensor_fn(g, f), *dict_tensor_fn(g, f))
 
+    def test_pair_grid_and_list_are_kept_on_the_product(self):
+        L = FinSet("L", ("a", "a*"))
+        R = FinSet("R", ("b", "b(c)"))
+        for P in (tensor(L, R), tensor(R, L), tensor(R, R), tensor(L, FinSet("C", ("c",)))):
+            grid, pairs = P.pair_grid(), P.pair_list()
+            assert P.pair_grid() is grid and P.pair_list() is pairs
+            A, B = P.factors
+            # worked out afresh from the tokens
+            assert grid == tuple(tuple(P.elems.index(make_pair(a, b)) for b in B) for a in A)
+            assert pairs == tuple((A.elems.index(l), B.elems.index(r))
+                                  for l, r in map(split_pair, P.elems))
+        assert tensor(L, FinSet("E", ())).pair_grid() == ((), ())
+        assert tensor(FinSet("E", ()), L).pair_list() == ()
+
     @settings(max_examples=100, deadline=None)
     @given(st.data(), oracle_maps())
     def test_then(self, data, f):

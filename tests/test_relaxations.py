@@ -1,3 +1,4 @@
+import hashlib
 import random
 import sys
 
@@ -9,7 +10,11 @@ from centrekit.centre import build_centre_monad, central_subset
 from centrekit import relaxations
 from centrekit.finkit import (
     FinFn,
+    FinSet,
+    alpha,
     canonical_set,
+    first_mismatch,
+    identity_fn,
     make_pair,
     split_pair,
     tensor,
@@ -17,6 +22,7 @@ from centrekit.finkit import (
     unit_set,
 )
 from centrekit.graded_monad import (
+    GradedStrongMonad,
     bool_writer_pair,
     check_monad_laws,
     check_order_laws,
@@ -265,6 +271,57 @@ class TestLanguageWriter:
         assert "m-unit" in failed
         assert "m-unitor-left" in failed
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_a_budget_below_one_is_refused(self, budget):
+        # _triples would draw no m-assoc triple and the report would pass
+        with pytest.raises(ValueError, match="budget"):
+            check_duoidal_gradation(self.DM, 2, budget=budget)
+
+    def test_exhaustive_report_keeps_its_digest(self):
+        # every m-assoc triple, where the benchmark samples 300 of the 729
+        rep = check_duoidal_gradation(build_language_writer("ab", 2, language_duoid("ab", 2)),
+                                      k=2, budget=10**9)
+        assert len(rep.records) == 7383
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+            "8017c939a61627ba775fbb7d292aebc08c3f2c8ba9b6a1dd40eb5328318508d4")
+
+
+@st.composite
+def prefix_token_sets(draw, name, min_size=0):
+    # "a," sorts after "a*," and "b)" after "b(c))", so products of these
+    # sets are not in row-major order
+    tokens = draw(st.lists(st.sampled_from(["a", "a*", "b", "b(c)"]), unique=True,
+                           min_size=min_size, max_size=3))
+    return FinSet(name, tokens)
+
+
+@st.composite
+def maps_between(draw, dom, cod):
+    return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
+
+
+class TestAssocSides:
+    """m-assoc's one-pass sides against the composites they replace."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_the_composites(self, data):
+        TX, TY, TZ = (data.draw(prefix_token_sets(n)) for n in ("TX", "TY", "TZ"))
+        C_ab, C_bc, R, L = (data.draw(prefix_token_sets(n, 1)) for n in ("Cab", "Cbc", "R", "L"))
+        m_ab = data.draw(maps_between(tensor(TX, TY), C_ab))
+        m_bc = data.draw(maps_between(tensor(TY, TZ), C_bc))
+        lhs_m = data.draw(maps_between(tensor(TX, C_bc), L))
+        rhs_m = data.draw(maps_between(tensor(C_ab, TZ), R))
+        re = data.draw(maps_between(R, L))
+        lhs_ref = alpha(TX, TY, TZ).then(tensor_fn(identity_fn(TX), m_bc)).then(lhs_m)
+        rhs_ref = tensor_fn(m_ab, identity_fn(TZ)).then(rhs_m).then(re)
+
+        lhs, rhs = relaxations._assoc_sides(TX, TY, TZ, m_ab, m_bc, lhs_m, rhs_m, re)
+        dom = tensor(tensor(TX, TY), TZ)
+        lhs, rhs = FinFn.from_pairs(dom, L, lhs), FinFn.from_pairs(dom, L, rhs)
+        assert lhs == lhs_ref and rhs == rhs_ref
+        assert first_mismatch(lhs, rhs) == first_mismatch(lhs_ref, rhs_ref)
+
 
 class TestVacuousInstances:
     """Diagram instances with an empty domain: every set tuple holding Y0."""
@@ -307,6 +364,55 @@ class TestVacuousInstances:
         per_instance = [empty for caller, empty in calls
                         if caller in ("main_failure", "assoc_failure", "natural_failure")]
         assert per_instance and not any(per_instance)
+
+    @pytest.mark.parametrize("wrong, message", [
+        (lambda re: FinFn.identity(FinSet("W", ("w",))), "cannot compose"),
+        # the same index table into a renamed codomain: only the codomains differ
+        (lambda re: FinFn(re.dom, FinSet("W", [t + "!" for t in re.cod]),
+                          {t: re(t) + "!" for t in re.dom}), "codomains differ"),
+    ], ids=["domain", "codomain"])
+    def test_m_assoc_still_checks_its_reassociator(self, wrong, message):
+        # an fmap_fn's images carry no type check of their own (empty maps
+        # are left alone: they equal the empty maps other laws lift first)
+        good = build_language_writer("ab", 2, self.D)
+        M, sets = good.monad, [canonical_set(n) for n in range(1, 3)]
+        alphas = {alpha(X, Y, Z) for X in sets for Y in sets for Z in sets}
+
+        def fmap(a, f):
+            return wrong(M.fmap(a, f)) if f in alphas else M.fmap(a, f)
+
+        N = GradedStrongMonad(pomonoid=M.pomonoid, unit=M.unit, mult=M.mult,
+                              strength=M.strength, carrier_fn=M.carrier, fmap_fn=fmap,
+                              lift=M.lift)
+        bad = DuoidalGradedMonad(monad=N, duoid=good.duoid, m=good.m,
+                                 element_leq=good.element_leq)
+        with pytest.raises(ValueError, match=message):
+            check_duoidal_gradation(bad, 2)
+
+    def test_m_assoc_builds_no_associator_and_no_set_when_vacuous(self, monkeypatch):
+        DM = build_language_writer("ab", 2, self.D)
+        check_duoidal_gradation(DM, 2)   # memoise every component first
+        alpha_callers, vacuous_sets = [], []
+        real_alpha, real_init = relaxations.alpha, FinSet.__init__
+
+        def counted_alpha(*args):
+            alpha_callers.append(sys._getframe(1).f_code.co_name)
+            return real_alpha(*args)
+
+        def counted_init(fs, name, *args, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "assoc_failure":
+                frame = frame.f_back
+            if frame is not None and not all(frame.f_locals[v] for v in "XYZ"):
+                vacuous_sets.append(name)
+            real_init(fs, name, *args, **kwargs)
+
+        monkeypatch.setattr(relaxations, "alpha", counted_alpha)
+        monkeypatch.setattr(FinSet, "__init__", counted_init)
+        rep = check_duoidal_gradation(DM, 2)
+        assert rep.ok and any(r.law == "m-assoc" for r in rep.records)
+        assert alpha_callers and "assoc_failure" not in alpha_callers
+        assert vacuous_sets == []
 
 
 class TestDeriveMonoidalM:
