@@ -92,7 +92,8 @@ def _central_grades(M: GradedStrongMonad) -> frozenset:
 
 def _require_central_grade(M: GradedStrongMonad, z: str) -> None:
     if z not in _central_grades(M):
-        raise GradeNotCentral(f"{z} is not central in {M.pomonoid.name or 'the grading'}")
+        what = "central in" if z in M.pomonoid.elements else "a grade of"
+        raise GradeNotCentral(f"{z} is not {what} {M.pomonoid.name or 'the grading'}")
 
 
 def failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, bound=None, top=None):

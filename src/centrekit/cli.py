@@ -64,8 +64,13 @@ def _resolve(path: str) -> str:
 
 
 def _read(path: str) -> str:
-    with open(_resolve(path), encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(_resolve(path), encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text") from None
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}") from None
 
 
 def _load_pomonoid_arg(args):

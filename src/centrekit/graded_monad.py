@@ -116,7 +116,8 @@ class GradedStrongMonad:
         return S
 
     def fmap(self, a: str, f: FinFn) -> FinFn:
-        # keyed by f's value: equal maps share one image, named after the first
+        """T^a f, memoised by f's value: equal maps share one image, named after the
+        first.  An ``fmap_fn`` image is type-checked once; ``apply_mor`` types its own."""
         key = ("fmap", a, f.dom, f.cod, f.idx)
         fn = self._memo.get(key)
         if fn is None:
@@ -124,6 +125,7 @@ class GradedStrongMonad:
                 fn = apply_mor(self.functor(a), f)
             else:
                 fn = self.fmap_fn(a, f)
+                self._expect(fn, self.carrier(a, f.dom), self.carrier(a, f.cod), f"fmap({a})")
             self._memo[key] = fn
         return fn
 

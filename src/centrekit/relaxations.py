@@ -16,7 +16,7 @@ one they end up in.
 import functools
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .centre import CentralCone, failing_rows
 from .finkit import (
@@ -322,32 +322,20 @@ def _assoc_sides(TX, TY, TZ, m_ab, m_bc, lhs_m, rhs_m, re):
     return lhs, [ri[mr[p]] for u in m_ab.idx for p in at_r[u]]
 
 
-def _quadruples(elements, budget: int, seed: int):
-    n = len(elements)
-    if n ** 4 <= budget:
-        return [(a, b, c, d) for a in elements for b in elements
-                for c in elements for d in elements]
+def _grade_tuples(elements, n: int, budget: int, seed: int, corners: bool = False):
+    """Every n-tuple of grades if there are at most ``budget``, else a sorted
+    seeded sample of ``budget`` distinct ones.  ``corners`` first puts in every
+    tuple with the first grade at both ends: degenerate corners catch easy bugs."""
+    if len(elements) ** n <= budget:
+        return list(product(elements, repeat=n))
     rng = random.Random(seed)
-    quads = set()
-    # make sure the unit shows up; degenerate corners catch easy bugs
-    i = elements[0]
-    for a in elements:
-        for b in elements:
-            quads.add((i, a, b, i))
-    while len(quads) < budget:
-        quads.add(tuple(rng.choice(elements) for _ in range(4)))
-    return sorted(quads)
-
-
-def _triples(elements, budget: int, seed: int):
-    n = len(elements)
-    if n ** 3 <= budget:
-        return [(a, b, c) for a in elements for b in elements for c in elements]
-    rng = random.Random(seed)
-    triples = set()
-    while len(triples) < budget:
-        triples.add(tuple(rng.choice(elements) for _ in range(3)))
-    return sorted(triples)
+    tuples = set()
+    if corners:
+        i = elements[0]
+        tuples.update((i, *mid, i) for mid in product(elements, repeat=n - 2))
+    while len(tuples) < budget:
+        tuples.add(tuple(rng.choice(elements) for _ in range(n)))
+    return sorted(tuples)
 
 
 def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
@@ -367,15 +355,12 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
 
     An instance whose diagram has an empty domain (on the language writer,
     every set tuple holding ``Y0``) is vacuous: no element can fail.
-    duoidal-main, m-assoc and m-natural read the emptiness off memoised
-    carriers and build none of its composites (m-assoc builds no set), but
-    keep every check that could still raise:
+    duoidal-main and m-assoc read the emptiness off memoised carriers and
+    build none of its composites (m-assoc builds no set), but keep every
+    check that could still raise:
 
     * every component and ``fmap`` image the full instance uses is fetched,
       in the same order, so every accessor type check runs on the same keys;
-    * ``fmap`` images have no type check of their own, so the ``then`` links
-      through them stay (m-assoc checks that its reassociator composes), and
-      m-natural builds its vacuous instances in full for an ``fmap_fn`` monad;
     * duoidal-main still takes the ``delta-unrelated`` branch;
     * the two sides' codomains are compared, so ``codomains differ`` still
       raises.
@@ -388,8 +373,15 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     sets = canonical_sets(k)
     products = {(X, Y): tensor(X, Y) for X in sets for Y in sets}
 
+    def add_records(law, grade_tuples, instance_failures):
+        # instance_failures(*grades) yields, per instance, None or a failing (witness, note)
+        for grades in grade_tuples:
+            failure = first_failure(instance_failures(*grades))
+            witness, note = failure or ("", "")
+            rep.add(LawRecord(law=law, grades=grades, ok=failure is None,
+                              witness=witness, note=note))
+
     def main_failure(a, b, c, d, X, Y):
-        # (witness, note) of a failing instance, or None
         ac, bd = D.par_of(a, c), D.par_of(b, d)
         XY = products[X, Y]
         inner = DM.m_fn(b, d, X, Y)
@@ -411,11 +403,9 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         witness = first_mismatch(par_first, mul_first, DM.elements_equal)
         return None if witness is None else (witness, "")
 
-    for (a, b, c, d) in _quadruples(P.elements, budget, seed):
-        failure = first_failure(main_failure(a, b, c, d, X, Y) for X in sets for Y in sets)
-        witness, note = failure or ("", "")
-        rep.add(LawRecord(law="duoidal-main", grades=(a, b, c, d), ok=failure is None,
-                          witness=witness, note=note))
+    add_records("duoidal-main", _grade_tuples(P.elements, 4, budget, seed, corners=True),
+                lambda a, b, c, d: (main_failure(a, b, c, d, X, Y)
+                                    for X in sets for Y in sets))
 
     i = P.unit
     g_ii = D.par_of(i, i)
@@ -446,20 +436,17 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         re = reassociate[g, X, Y, Z]
         m_ab = DM.m_fn(a, b, X, Y)
         rhs_m = DM.m_fn(D.par_of(a, b), c, products[X, Y], Z)
-        if rhs_m.cod != re.dom:
-            raise ValueError(f"cannot compose {rhs_m.cod.name} -> {re.dom.name}")
         lhs, rhs = _assoc_sides(TX, TY, TZ, m_ab, m_bc, lhs_m, rhs_m, re)
         if lhs == rhs and lhs_m.cod == re.cod:
             return None
         dom = tensor(tensor(TX, TY), TZ)
-        return first_mismatch(FinFn.from_pairs(dom, lhs_m.cod, lhs),
-                              FinFn.from_pairs(dom, re.cod, rhs))
+        witness = first_mismatch(FinFn.from_pairs(dom, lhs_m.cod, lhs),
+                                 FinFn.from_pairs(dom, re.cod, rhs))
+        return None if witness is None else (witness, "")
 
-    for (a, b, c) in _triples(P.elements, budget, seed):
-        witness = first_failure(assoc_failure(a, b, c, X, Y, Z)
-                                for X in sets for Y in sets for Z in sets)
-        rep.add(LawRecord(law="m-assoc", grades=(a, b, c), ok=witness is None,
-                          witness=witness or ""))
+    add_records("m-assoc", _grade_tuples(P.elements, 3, budget, seed),
+                lambda a, b, c: (assoc_failure(a, b, c, X, Y, Z)
+                                 for X in sets for Y in sets for Z in sets))
 
     I = unit_set()
     for a in P.elements:
@@ -482,20 +469,11 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
                 rep.add(LawRecord(law="m-unitor-right", grades=(a,), ok=True,
                                   note="skipped: a||i differs from a"))
 
-    # the lhs tensors two fmap images, which have their carriers' types by
-    # construction only for a functor-presented monad; an fmap_fn's images
-    # are checked only where they are composed, so nothing is skipped there
-    typed_fmap = M.functor is not None
-
     def natural_failure(a, b, f, g, fg):
-        fa, fb = M.fmap(a, f), M.fmap(b, g)
-        m_cod = DM.m_fn(a, b, f.cod, g.cod)
-        if (fa.dom and fb.dom) or not typed_fmap:
-            lhs = tensor_fn(fa, fb).then(m_cod)
-        else:   # vacuous
-            lhs = FinFn.from_pairs(tensor(fa.dom, fb.dom), m_cod.cod, ())
+        lhs = tensor_fn(M.fmap(a, f), M.fmap(b, g)).then(DM.m_fn(a, b, f.cod, g.cod))
         rhs = DM.m_fn(a, b, f.dom, g.dom).then(M.fmap(D.par_of(a, b), fg))
-        return first_mismatch(lhs, rhs)
+        witness = first_mismatch(lhs, rhs)
+        return None if witness is None else (witness, "")
 
     small = [canonical_set(n) for n in range(min(k, 2) + 1)]
     # every pair of test maps with their product f (x) g, built once per suite
@@ -507,10 +485,8 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         rng = random.Random(seed)
         pairs = sorted(set(tuple(rng.choice(P.elements) for _ in range(2))
                            for _ in range(36)))
-    for (a, b) in pairs:
-        witness = first_failure(natural_failure(a, b, f, g, fg) for f, g, fg in maps)
-        rep.add(LawRecord(law="m-natural", grades=(a, b), ok=witness is None,
-                          witness=witness or ""))
+    add_records("m-natural", pairs,
+                lambda a, b: (natural_failure(a, b, f, g, fg) for f, g, fg in maps))
     return rep
 
 

@@ -70,6 +70,16 @@ class TestDuoidCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness" in out
 
+    def test_stray_op2_entry_exits_2(self, tmp_path, capsys):
+        # c is not an element; the same line as mul is refused the same way
+        stray = tmp_path / "stray.duo"
+        with open(fx("escalation.duo")) as fh:
+            stray.write_text(fh.read() + "op2 c c c\n")
+        assert main(["duoid", "check", str(stray)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: par table entry for unknown pair ('c', 'c')\n"
+
 
 class TestMonadCommands:
     def test_laws_identity_over_file_pomonoid(self, capsys):
@@ -114,6 +124,11 @@ class TestMonadCommands:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "grade t: 2 of 2 central: {y0,y1}"
         assert lines[1].startswith("grade e: 1 of 1 central:")
+
+    def test_centre_unknown_grade_exits_2(self, capsys):
+        code = main(["monad", "centre", "--monad", "multi_error_writer", "--grade", "zz"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: zz is not a grade of multi_error\n"
 
     def test_centre_single_grade_json(self, capsys):
         code = main(["monad", "centre", "--monad", "bool_writer_pair",
@@ -160,6 +175,36 @@ class TestNegativeSizes:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
+
+
+class TestUnreadableFiles:
+    # a file that cannot be read as text is bad input: one error line naming
+    # it and exit 2, whichever argument names it
+    @pytest.fixture(params=["binary", "directory"])
+    def unreadable(self, request, tmp_path):
+        path = tmp_path / "unreadable"
+        if request.param == "binary":
+            path.write_bytes(b"\xff\xfe\x00elements t\n")
+        else:
+            path.mkdir()
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["pomonoid", "check", "{}"],
+        ["pomonoid", "centre", "{}"],
+        ["duoid", "check", "{}"],
+        ["analyze", "{}", "--pomonoid", fx("bool.pom")],
+        ["analyze", fx("reorder.eff"), "--pomonoid", "{}"],
+        ["monad", "laws", "--monad", "identity", "--pomonoid", "{}"],
+        ["monad", "centre", "--monad", "identity", "--pomonoid", "{}"],
+    ], ids=["pomonoid-check", "pomonoid-centre", "duoid-check", "analyze-program",
+            "analyze-pomonoid", "monad-laws-pomonoid", "monad-centre-pomonoid"])
+    def test_exits_2_with_one_error_line(self, argv, unreadable, capsys):
+        assert main([a.format(unreadable) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {unreadable}: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestDuoidalCommand:

@@ -5,7 +5,9 @@
 ``FinFn`` tables with ``then``/``tensor_fn``/``alpha`` and scanned in sorted
 domain order.  The suite builds the same composites for most diagrams but
 reads m-assoc's two sides off index tables and product grids in one pass
-each; its reports must be byte for byte the same.
+each; its reports must be byte for byte the same.  The reference draws its
+grade tuples with its own samplers, ``_quadruples`` and ``_triples``, which
+``_grade_tuples`` must reproduce draw for draw.
 """
 
 import random
@@ -32,14 +34,40 @@ from centrekit.finkit import (
 from centrekit.graded_monad import canonical_sets, check_commutative, registry
 from centrekit.relaxations import (
     DuoidalGradedMonad,
-    _quadruples,
-    _triples,
+    _grade_tuples,
     build_language_writer,
     check_duoidal_gradation,
     derive_monoidal_m,
     language_duoid,
 )
 from centrekit.report import LawRecord, Report
+
+
+def _quadruples(elements, budget, seed):
+    n = len(elements)
+    if n ** 4 <= budget:
+        return [(a, b, c, d) for a in elements for b in elements
+                for c in elements for d in elements]
+    rng = random.Random(seed)
+    quads = set()
+    i = elements[0]
+    for a in elements:
+        for b in elements:
+            quads.add((i, a, b, i))
+    while len(quads) < budget:
+        quads.add(tuple(rng.choice(elements) for _ in range(4)))
+    return sorted(quads)
+
+
+def _triples(elements, budget, seed):
+    n = len(elements)
+    if n ** 3 <= budget:
+        return [(a, b, c) for a in elements for b in elements for c in elements]
+    rng = random.Random(seed)
+    triples = set()
+    while len(triples) < budget:
+        triples.add(tuple(rng.choice(elements) for _ in range(3)))
+    return sorted(triples)
 
 
 def reference_check_duoidal_gradation(DM, k=2, budget=300, seed=2026):
@@ -167,6 +195,24 @@ def reference_check_duoidal_gradation(DM, k=2, budget=300, seed=2026):
         rep.add(LawRecord(law="m-natural", grades=(a, b), ok=witness is None,
                           witness=witness or ""))
     return rep
+
+
+@pytest.mark.parametrize("n", range(1, 24))
+def test_grade_tuples_draw_as_the_reference_samplers(n):
+    elements = tuple(f"g{i:02d}" for i in range(n))
+    for budget in (1, 9, 36, 300, 529, 10**9):
+        for seed in (2026, 7):
+            assert _grade_tuples(elements, 4, budget, seed, corners=True) == \
+                _quadruples(elements, budget, seed)
+            assert _grade_tuples(elements, 3, budget, seed) == _triples(elements, budget, seed)
+
+
+def test_grade_tuples_on_lang_ab3_where_the_corners_fill_the_budget():
+    elements = language_duoid("ab", 3).base.elements
+    assert len(elements) ** 2 == 529
+    quads = _grade_tuples(elements, 4, 300, 2026, corners=True)
+    assert quads == _quadruples(elements, 300, 2026) and len(quads) == 529
+    assert _grade_tuples(elements, 3, 300, 2026) == _triples(elements, 300, 2026)
 
 
 def same_reports(DM, k, **kw):

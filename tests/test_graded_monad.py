@@ -357,6 +357,23 @@ class TestFmapMemo:
                 assert Z.fmap(z, f) == Z.fmap_fn(z, f)
                 assert Z.fmap(z, f) is Z.fmap(z, f)
 
+    @pytest.mark.parametrize("wrong", [
+        # an image out of T^a Y instead of T^a X
+        lambda M, a, f: identity_fn(M.carrier(a, f.cod)),
+        # the right table into a renamed copy of T^a Y
+        lambda M, a, f: FinFn(M.carrier(a, f.dom),
+                              FinSet("W", [t + "!" for t in M.carrier(a, f.cod)]),
+                              {t: M.fmap(a, f)(t) + "!" for t in M.carrier(a, f.dom)}),
+    ], ids=["domain", "codomain"])
+    def test_mistyped_fmap_fn_image_raises_at_first_call(self, wrong):
+        M = multi_error_writer()
+        N = graded_monad.GradedStrongMonad(
+            pomonoid=M.pomonoid, unit=M.unit, mult=M.mult, strength=M.strength,
+            carrier_fn=M.carrier, fmap_fn=lambda a, f: wrong(M, a, f))
+        f = next(iter(all_fns(X2, X3)))
+        with pytest.raises(ComponentMissing, match=r"fmap\(wa\) has wrong type"):
+            N.fmap("wa", f)
+
 
 class TestWriterFactory:
     def test_annotation_mul_escaping_carrier_is_rejected(self):

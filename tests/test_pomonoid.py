@@ -4,6 +4,7 @@ import pytest
 
 from centrekit.pomonoid import (
     AntisymmetryViolation,
+    Pomonoid,
     AssociativityViolation,
     DuplicateElement,
     Duoid,
@@ -32,6 +33,7 @@ from centrekit.pomonoid import (
     trivial_pomonoid,
     validate_pomonoid,
 )
+from centrekit.report import LawRecord, Report
 
 
 class TestValidation:
@@ -199,6 +201,14 @@ class TestBimonoid:
         with pytest.raises(NotTop):
             bimonoid_from_absorbing_top(multi_error_pomonoid(), "e")
 
+    def test_stray_par_key_is_refused(self):
+        P = multi_error_pomonoid(topped=True)
+        B = bimonoid_from_absorbing_top(P, "e")
+        B.par[("zz", "zz")] = "e"
+        for check in (check_bimonoid, check_duoid):
+            with pytest.raises(UnknownElement, match="unknown pair"):
+                check(B)
+
     def test_delta_failure_detected(self):
         P = bool_pomonoid()
         # constant-tt second operation is a fine monoid but sits below *
@@ -228,6 +238,59 @@ class TestDuoid:
         D = Duoid(base=P, par=dict(P.mul), unit2="t")
         rep = check_duoid(D)
         assert "par-commutative" in [r.law for r in rep.failures()]
+
+
+def reference_interchange_record(D):
+    """duoid-interchange as a first-failure ladder over the index tables."""
+    P = D.base
+    els = P.elements
+    n = len(els)
+    idx = {e: i for i, e in enumerate(els)}
+    mul_t = [[idx[P.mul[(a, b)]] for b in els] for a in els]
+    par_t = [[idx[D.par[(a, b)]] for b in els] for a in els]
+    le_t = [[P.le(a, b) for b in els] for a in els]
+    rec = LawRecord(law="duoid-interchange")
+    found = None
+    for ia in range(n):
+        for ib in range(n):
+            for ic in range(n):
+                for idd in range(n):
+                    lhs = mul_t[par_t[ia][ic]][par_t[ib][idd]]
+                    rhs = par_t[mul_t[ia][ib]][mul_t[ic][idd]]
+                    if not le_t[lhs][rhs]:
+                        found = (els[ia], els[ib], els[ic], els[idd])
+                        break
+                if found:
+                    break
+            if found:
+                break
+        if found:
+            break
+    if found:
+        a, b, c, d = found
+        rec.ok = False
+        rec.witness = f"({a},{b},{c},{d})"
+        rec.lhs = P.times(D.par[(a, c)], D.par[(b, d)])
+        rec.rhs = D.par[(P.times(a, b), P.times(c, d))]
+    return rec
+
+
+@st.composite
+def duoid_tables(draw):
+    # any tables over 2-4 elements: the interchange scan reads them as given
+    els = tuple("abcd"[:draw(st.integers(2, 4))])
+    pairs = [(a, b) for a in els for b in els]
+    table = st.fixed_dictionaries({p: st.sampled_from(els) for p in pairs})
+    leq = frozenset(p for p in pairs if p[0] == p[1] or draw(st.booleans()))
+    P = Pomonoid(elements=els, unit=els[0], mul=draw(table), leq=leq)
+    return Duoid(base=P, par=draw(table), unit2=els[0])
+
+
+@given(duoid_tables())
+def test_duoid_interchange_record_matches_the_ladder(D):
+    got = next(r for r in check_duoid(D).records if r.law == "duoid-interchange")
+    assert Report("duoid", [got]).to_json() == \
+        Report("duoid", [reference_interchange_record(D)]).to_json()
 
 
 class TestTextFormat:
