@@ -28,7 +28,7 @@ from .graded_monad import (
     registry,
 )
 from .pomonoid import (
-    FileFormatError,
+    LawViolation,
     PomonoidError,
     centre_of_pomonoid,
     check_duoid,
@@ -94,9 +94,7 @@ def cmd_pomonoid(args) -> int:
     if args.action == "check":
         try:
             P = load_pomonoid(text, name=args.file)
-        except FileFormatError:
-            raise
-        except PomonoidError as exc:
+        except LawViolation as exc:
             # table parsed but a law failed; that is the check's verdict
             if args.json:
                 print(json.dumps({"ok": False, "error": str(exc)}))

@@ -10,12 +10,16 @@ Conventions that everything below depends on:
 * Components are plain callables returning FinFns.  Nothing is natural by
   construction; the law suites check naturality exhaustively over all
   maps between the canonical test sets.
+* Each law suite is a private generator of its law instances in record
+  order; ``report.run_suite`` builds the Report, and ``check_all`` chains
+  the five suites into one.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain, product
 
 from .finkit import (
     Const,
@@ -50,7 +54,7 @@ from .pomonoid import (
     identity_pomonoid_morphism,
     multi_error_pomonoid,
 )
-from .report import LawRecord, Report
+from .report import LawRecord, Report, run_suite
 
 
 class GradedMonadError(ValueError):
@@ -262,275 +266,192 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
 
 
 # --- law suites ----------------------------------------------------------
+# Instances are comparisons (law, grades, sets, lhs, rhs[, note]) or LawRecords.
 
-def check_monad_laws(M: GradedStrongMonad, k: int = 3) -> Report:
-    """Unit and associativity diagrams, exhaustively over canonical sets."""
-    rep = Report(f"monad-laws({M.name})")
+def _monad_laws(M: GradedStrongMonad, k: int):
     P = M.pomonoid
     i = P.unit
     sets = canonical_sets(k)
-    for X in sets:
-        for a in P.elements:
-            TaX = M.carrier(a, X)
-            left = M.unit_fn(TaX).then(M.mult_fn(i, a, X))
-            rep.compare("unit-left", (a,), (X.name,), left, identity_fn(TaX))
-            right = M.fmap(a, M.unit_fn(X)).then(M.mult_fn(a, i, X))
-            rep.compare("unit-right", (a,), (X.name,), right, identity_fn(TaX))
-    for X in sets:
-        for a in P.elements:
-            for b in P.elements:
-                ab = P.times(a, b)
-                for c in P.elements:
-                    TcX = M.carrier(c, X)
-                    outer_first = M.mult_fn(a, b, TcX).then(M.mult_fn(ab, c, X))
-                    inner_first = M.fmap(a, M.mult_fn(b, c, X)).then(
-                        M.mult_fn(a, P.times(b, c), X)
-                    )
-                    rep.compare("assoc", (a, b, c), (X.name,), outer_first, inner_first)
-    return rep
+    for X, a in product(sets, P.elements):
+        TaX = M.carrier(a, X)
+        left = M.unit_fn(TaX).then(M.mult_fn(i, a, X))
+        yield "unit-left", (a,), (X.name,), left, identity_fn(TaX)
+        right = M.fmap(a, M.unit_fn(X)).then(M.mult_fn(a, i, X))
+        yield "unit-right", (a,), (X.name,), right, identity_fn(TaX)
+    for X, a, b, c in product(sets, P.elements, P.elements, P.elements):
+        TcX = M.carrier(c, X)
+        outer_first = M.mult_fn(a, b, TcX).then(M.mult_fn(P.times(a, b), c, X))
+        inner_first = M.fmap(a, M.mult_fn(b, c, X)).then(M.mult_fn(a, P.times(b, c), X))
+        yield "assoc", (a, b, c), (X.name,), outer_first, inner_first
 
 
-def check_order_laws(M: GradedStrongMonad, k: int = 3) -> Report:
-    """Lift functoriality, naturality, and compatibility with mu."""
-    rep = Report(f"order-laws({M.name})")
+def _order_laws(M: GradedStrongMonad, k: int):
     P = M.pomonoid
     sets = canonical_sets(k)
     comparable = P.comparable_pairs()
     if P.is_discrete():
-        rep.add(LawRecord(law="order-vacuous", note="discrete order"))
-        return rep
-
+        yield LawRecord(law="order-vacuous", note="discrete order")
+        return
     for X in sets:
         for a in P.elements:
-            rep.compare("lift-refl", (a, a), (X.name,), M.lift_fn(a, a, X),
-                        identity_fn(M.carrier(a, X)))
-        for (a, b) in comparable:
-            for c in P.elements:
-                if not P.le(b, c):
-                    continue
+            yield "lift-refl", (a, a), (X.name,), M.lift_fn(a, a, X), identity_fn(M.carrier(a, X))
+        for (a, b), c in product(comparable, P.elements):
+            if P.le(b, c):
                 composed = M.lift_fn(a, b, X).then(M.lift_fn(b, c, X))
-                rep.compare("lift-compose", (a, b, c), (X.name,), composed,
-                            M.lift_fn(a, c, X))
+                yield "lift-compose", (a, b, c), (X.name,), composed, M.lift_fn(a, c, X)
+    for X, Y in product(sets, sets):
+        for f, (a, b) in product(all_fns(X, Y), comparable):
+            if a != b:
+                lhs = M.fmap(a, f).then(M.lift_fn(a, b, Y))
+                rhs = M.lift_fn(a, b, X).then(M.fmap(b, f))
+                yield "lift-natural", (a, b), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+    for X, (a, a2), (b, b2) in product(sets, comparable, comparable):
+        if a == a2 and b == b2:
+            continue
+        direct = M.mult_fn(a, b, X).then(M.lift_fn(P.times(a, b), P.times(a2, b2), X))
+        inside = (M.lift_fn(a, a2, M.carrier(b, X)).then(M.fmap(a2, M.lift_fn(b, b2, X)))
+                  .then(M.mult_fn(a2, b2, X)))
+        yield "mult-lift", (a, a2, b, b2), (X.name,), direct, inside
 
-    for X in sets:
-        for Y in sets:
-            for f in all_fns(X, Y):
-                for (a, b) in comparable:
-                    if a == b:
-                        continue
-                    lhs = M.fmap(a, f).then(M.lift_fn(a, b, Y))
-                    rhs = M.lift_fn(a, b, X).then(M.fmap(b, f))
-                    rep.compare("lift-natural", (a, b), (X.name, Y.name), lhs, rhs,
-                                note=f"f={f.mapping}")
 
-    for X in sets:
-        for (a, a2) in comparable:
-            for (b, b2) in comparable:
-                if a == a2 and b == b2:
-                    continue
-                direct = M.mult_fn(a, b, X).then(
-                    M.lift_fn(P.times(a, b), P.times(a2, b2), X))
-                TbX = M.carrier(b, X)
-                inside = (
-                    M.lift_fn(a, a2, TbX)
-                    .then(M.fmap(a2, M.lift_fn(b, b2, X)))
-                    .then(M.mult_fn(a2, b2, X))
-                )
-                rep.compare("mult-lift", (a, a2, b, b2), (X.name,), direct, inside)
-    return rep
+def _strength_laws(M: GradedStrongMonad, k: int):
+    P = M.pomonoid
+    sets = canonical_sets(k)
+    I = unit_set()
+    for Y, a in product(sets, P.elements):
+        TaY = M.carrier(a, Y)
+        lhs = M.strength_fn(a, I, Y).then(M.fmap(a, lam(Y)))
+        yield "strength-unitor", (a,), (Y.name,), lhs, lam(TaY)
+    for X, Y, Z, a in product(sets, sets, sets, P.elements):
+        TaZ = M.carrier(a, Z)
+        via_assoc = (alpha(X, Y, TaZ)
+                     .then(tensor_fn(identity_fn(X), M.strength_fn(a, Y, Z)))
+                     .then(M.strength_fn(a, X, tensor(Y, Z))))
+        direct = M.strength_fn(a, tensor(X, Y), Z).then(M.fmap(a, alpha(X, Y, Z)))
+        yield "strength-assoc", (a,), (X.name, Y.name, Z.name), via_assoc, direct
+    for X, Y in product(sets, sets):
+        XY = tensor(X, Y)
+        lhs = tensor_fn(identity_fn(X), M.unit_fn(Y)).then(M.strength_fn(P.unit, X, Y))
+        yield "strength-unit", (P.unit,), (X.name, Y.name), lhs, M.unit_fn(XY)
+        for a, b in product(P.elements, P.elements):
+            TbY = M.carrier(b, Y)
+            lhs = tensor_fn(identity_fn(X), M.mult_fn(a, b, Y)).then(
+                M.strength_fn(P.times(a, b), X, Y))
+            rhs = (M.strength_fn(a, X, TbY)
+                   .then(M.fmap(a, M.strength_fn(b, X, Y)))
+                   .then(M.mult_fn(a, b, XY)))
+            yield "strength-mult", (a, b), (X.name, Y.name), lhs, rhs
+    for X, X2, Y, a in product(sets, sets, sets, P.elements):
+        TaY = M.carrier(a, Y)
+        for f in all_fns(X, X2):
+            lhs = tensor_fn(f, identity_fn(TaY)).then(M.strength_fn(a, X2, Y))
+            rhs = M.strength_fn(a, X, Y).then(M.fmap(a, tensor_fn(f, identity_fn(Y))))
+            yield ("strength-natural-left", (a,), (X.name, X2.name, Y.name), lhs, rhs,
+                   f"f={f.mapping}")
+    for X, Y, Y2, a in product(sets, sets, sets, P.elements):
+        for g in all_fns(Y, Y2):
+            lhs = tensor_fn(identity_fn(X), M.fmap(a, g)).then(M.strength_fn(a, X, Y2))
+            rhs = M.strength_fn(a, X, Y).then(M.fmap(a, tensor_fn(identity_fn(X), g)))
+            yield ("strength-natural-right", (a,), (X.name, Y.name, Y2.name), lhs, rhs,
+                   f"g={g.mapping}")
+    if not P.is_discrete():
+        for X, Y, (a, b) in product(sets, sets, P.comparable_pairs()):
+            if a != b:
+                lhs = M.strength_fn(a, X, Y).then(M.lift_fn(a, b, tensor(X, Y)))
+                rhs = tensor_fn(identity_fn(X), M.lift_fn(a, b, Y)).then(M.strength_fn(b, X, Y))
+                yield "strength-lift", (a, b), (X.name, Y.name), lhs, rhs
+    # strength/costrength interchange across a sandwiched tensor
+    for W, X, Y, a in product(sets, sets, sets, P.elements):
+        TaX = M.carrier(a, X)
+        WX = tensor(W, X)
+        lhs = tensor_fn(M.strength_fn(a, W, X), identity_fn(Y)).then(M.costrength_fn(a, WX, Y))
+        rhs = (alpha(W, TaX, Y)
+               .then(tensor_fn(identity_fn(W), M.costrength_fn(a, X, Y)))
+               .then(M.strength_fn(a, W, tensor(X, Y)))
+               .then(M.fmap(a, alpha_inv(W, X, Y))))
+        yield "strength-interchange", (a,), (W.name, X.name, Y.name), lhs, rhs
+
+
+def _costrength_coherence(M: GradedStrongMonad, k: int):
+    P = M.pomonoid
+    sets = canonical_sets(k)
+    I = unit_set()
+    for X, a in product(sets, P.elements):
+        TaX = M.carrier(a, X)
+        lhs = M.costrength_fn(a, X, I).then(M.fmap(a, rho(X)))
+        yield "costrength-unitor", (a,), (X.name,), lhs, rho(TaX)
+    for X, Y in product(sets, sets):
+        XY = tensor(X, Y)
+        lhs = tensor_fn(M.unit_fn(X), identity_fn(Y)).then(M.costrength_fn(P.unit, X, Y))
+        yield "costrength-unit", (P.unit,), (X.name, Y.name), lhs, M.unit_fn(XY)
+        for a, b in product(P.elements, P.elements):
+            TbX = M.carrier(b, X)
+            lhs = tensor_fn(M.mult_fn(a, b, X), identity_fn(Y)).then(
+                M.costrength_fn(P.times(a, b), X, Y))
+            rhs = (M.costrength_fn(a, TbX, Y)
+                   .then(M.fmap(a, M.costrength_fn(b, X, Y)))
+                   .then(M.mult_fn(a, b, XY)))
+            yield "costrength-mult", (a, b), (X.name, Y.name), lhs, rhs
+    for X, Y, Z, a in product(sets, sets, sets, P.elements):
+        TaX = M.carrier(a, X)
+        via_assoc = (alpha_inv(TaX, Y, Z)
+                     .then(tensor_fn(M.costrength_fn(a, X, Y), identity_fn(Z)))
+                     .then(M.costrength_fn(a, tensor(X, Y), Z)))
+        direct = M.costrength_fn(a, X, tensor(Y, Z)).then(M.fmap(a, alpha_inv(X, Y, Z)))
+        yield "costrength-assoc", (a,), (X.name, Y.name, Z.name), via_assoc, direct
+    for X, Y, a in product(sets, sets, P.elements):
+        yield ("costrength-involution", (a,), (X.name, Y.name),
+               strength_from_costrength(M, a, X, Y), M.strength_fn(a, X, Y))
+
+
+def _naturality(M: GradedStrongMonad, k: int):
+    P = M.pomonoid
+    sets = canonical_sets(k)
+    for X, a in product(sets, P.elements):
+        yield "fmap-id", (a,), (X.name,), M.fmap(a, identity_fn(X)), identity_fn(M.carrier(a, X))
+    # composition is quadratic in the function count, so cap the sizes
+    small = [S for S in sets if len(S) <= 2]
+    for X, Y, Z in product(small, small, small):
+        for f in all_fns(X, Y):
+            for g, a in product(all_fns(Y, Z), P.elements):
+                yield ("fmap-compose", (a,), (X.name, Y.name, Z.name),
+                       M.fmap(a, f).then(M.fmap(a, g)), M.fmap(a, f.then(g)),
+                       f"f={f.mapping} g={g.mapping}")
+    for X, Y in product(sets, sets):
+        for f in all_fns(X, Y):
+            lhs = f.then(M.unit_fn(Y))
+            rhs = M.unit_fn(X).then(M.fmap(P.unit, f))
+            yield "unit-natural", (P.unit,), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+            for a, b in product(P.elements, P.elements):
+                lhs = M.fmap(a, M.fmap(b, f)).then(M.mult_fn(a, b, Y))
+                rhs = M.mult_fn(a, b, X).then(M.fmap(P.times(a, b), f))
+                yield "mult-natural", (a, b), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+
+
+def check_monad_laws(M: GradedStrongMonad, k: int = 3) -> Report:
+    """Unit and associativity diagrams, exhaustively over canonical sets."""
+    return run_suite(f"monad-laws({M.name})", _monad_laws(M, k))
+
+
+def check_order_laws(M: GradedStrongMonad, k: int = 3) -> Report:
+    """Lift functoriality, naturality, and compatibility with mu."""
+    return run_suite(f"order-laws({M.name})", _order_laws(M, k))
 
 
 def check_strength_laws(M: GradedStrongMonad, k: int = 3) -> Report:
     """The four strength axioms, naturality in both slots, lift and
     strength/costrength interchange compatibility."""
-    rep = Report(f"strength-laws({M.name})")
-    P = M.pomonoid
-    i = P.unit
-    sets = canonical_sets(k)
-    I = unit_set()
-
-    for Y in sets:
-        for a in P.elements:
-            TaY = M.carrier(a, Y)
-            lhs = M.strength_fn(a, I, Y).then(M.fmap(a, lam(Y)))
-            rep.compare("strength-unitor", (a,), (Y.name,), lhs, lam(TaY))
-
-    for X in sets:
-        for Y in sets:
-            for Z in sets:
-                for a in P.elements:
-                    TaZ = M.carrier(a, Z)
-                    via_assoc = (
-                        alpha(X, Y, TaZ)
-                        .then(tensor_fn(identity_fn(X), M.strength_fn(a, Y, Z)))
-                        .then(M.strength_fn(a, X, tensor(Y, Z)))
-                    )
-                    direct = M.strength_fn(a, tensor(X, Y), Z).then(
-                        M.fmap(a, alpha(X, Y, Z)))
-                    rep.compare("strength-assoc", (a,), (X.name, Y.name, Z.name),
-                                via_assoc, direct)
-
-    for X in sets:
-        for Y in sets:
-            XY = tensor(X, Y)
-            lhs = tensor_fn(identity_fn(X), M.unit_fn(Y)).then(M.strength_fn(i, X, Y))
-            rep.compare("strength-unit", (i,), (X.name, Y.name), lhs, M.unit_fn(XY))
-            for a in P.elements:
-                for b in P.elements:
-                    TbY = M.carrier(b, Y)
-                    lhs = tensor_fn(identity_fn(X), M.mult_fn(a, b, Y)).then(
-                        M.strength_fn(P.times(a, b), X, Y))
-                    rhs = (
-                        M.strength_fn(a, X, TbY)
-                        .then(M.fmap(a, M.strength_fn(b, X, Y)))
-                        .then(M.mult_fn(a, b, XY))
-                    )
-                    rep.compare("strength-mult", (a, b), (X.name, Y.name), lhs, rhs)
-
-    for X in sets:
-        for X2 in sets:
-            for Y in sets:
-                for a in P.elements:
-                    TaY = M.carrier(a, Y)
-                    for f in all_fns(X, X2):
-                        lhs = tensor_fn(f, identity_fn(TaY)).then(M.strength_fn(a, X2, Y))
-                        rhs = M.strength_fn(a, X, Y).then(M.fmap(a, tensor_fn(f, identity_fn(Y))))
-                        rep.compare("strength-natural-left", (a,), (X.name, X2.name, Y.name),
-                                    lhs, rhs, note=f"f={f.mapping}")
-    for X in sets:
-        for Y in sets:
-            for Y2 in sets:
-                for a in P.elements:
-                    for g in all_fns(Y, Y2):
-                        lhs = tensor_fn(identity_fn(X), M.fmap(a, g)).then(
-                            M.strength_fn(a, X, Y2))
-                        rhs = M.strength_fn(a, X, Y).then(
-                            M.fmap(a, tensor_fn(identity_fn(X), g)))
-                        rep.compare("strength-natural-right", (a,), (X.name, Y.name, Y2.name),
-                                    lhs, rhs, note=f"g={g.mapping}")
-
-    if not P.is_discrete():
-        for X in sets:
-            for Y in sets:
-                for (a, b) in P.comparable_pairs():
-                    if a == b:
-                        continue
-                    lhs = M.strength_fn(a, X, Y).then(M.lift_fn(a, b, tensor(X, Y)))
-                    rhs = tensor_fn(identity_fn(X), M.lift_fn(a, b, Y)).then(
-                        M.strength_fn(b, X, Y))
-                    rep.compare("strength-lift", (a, b), (X.name, Y.name), lhs, rhs)
-
-    # strength/costrength interchange across a sandwiched tensor
-    for W in sets:
-        for X in sets:
-            for Y in sets:
-                for a in P.elements:
-                    TaX = M.carrier(a, X)
-                    WX = tensor(W, X)
-                    lhs = tensor_fn(M.strength_fn(a, W, X), identity_fn(Y)).then(
-                        M.costrength_fn(a, WX, Y))
-                    rhs = (
-                        alpha(W, TaX, Y)
-                        .then(tensor_fn(identity_fn(W), M.costrength_fn(a, X, Y)))
-                        .then(M.strength_fn(a, W, tensor(X, Y)))
-                        .then(M.fmap(a, alpha_inv(W, X, Y)))
-                    )
-                    rep.compare("strength-interchange", (a,), (W.name, X.name, Y.name),
-                                lhs, rhs)
-    return rep
+    return run_suite(f"strength-laws({M.name})", _strength_laws(M, k))
 
 
 def check_costrength_coherence(M: GradedStrongMonad, k: int = 3) -> Report:
     """Mirror diagrams for the costrength, plus the swap involution."""
-    rep = Report(f"costrength-coherence({M.name})")
-    P = M.pomonoid
-    i = P.unit
-    sets = canonical_sets(k)
-    I = unit_set()
-
-    for X in sets:
-        for a in P.elements:
-            TaX = M.carrier(a, X)
-            lhs = M.costrength_fn(a, X, I).then(M.fmap(a, rho(X)))
-            rep.compare("costrength-unitor", (a,), (X.name,), lhs, rho(TaX))
-
-    for X in sets:
-        for Y in sets:
-            XY = tensor(X, Y)
-            lhs = tensor_fn(M.unit_fn(X), identity_fn(Y)).then(M.costrength_fn(i, X, Y))
-            rep.compare("costrength-unit", (i,), (X.name, Y.name), lhs, M.unit_fn(XY))
-            for a in P.elements:
-                for b in P.elements:
-                    TbX = M.carrier(b, X)
-                    lhs = tensor_fn(M.mult_fn(a, b, X), identity_fn(Y)).then(
-                        M.costrength_fn(P.times(a, b), X, Y))
-                    rhs = (
-                        M.costrength_fn(a, TbX, Y)
-                        .then(M.fmap(a, M.costrength_fn(b, X, Y)))
-                        .then(M.mult_fn(a, b, XY))
-                    )
-                    rep.compare("costrength-mult", (a, b), (X.name, Y.name), lhs, rhs)
-
-    for X in sets:
-        for Y in sets:
-            for Z in sets:
-                for a in P.elements:
-                    TaX = M.carrier(a, X)
-                    via_assoc = (
-                        alpha_inv(TaX, Y, Z)
-                        .then(tensor_fn(M.costrength_fn(a, X, Y), identity_fn(Z)))
-                        .then(M.costrength_fn(a, tensor(X, Y), Z))
-                    )
-                    direct = M.costrength_fn(a, X, tensor(Y, Z)).then(
-                        M.fmap(a, alpha_inv(X, Y, Z)))
-                    rep.compare("costrength-assoc", (a,), (X.name, Y.name, Z.name),
-                                via_assoc, direct)
-
-    for X in sets:
-        for Y in sets:
-            for a in P.elements:
-                rep.compare("costrength-involution", (a,), (X.name, Y.name),
-                            strength_from_costrength(M, a, X, Y),
-                            M.strength_fn(a, X, Y))
-    return rep
+    return run_suite(f"costrength-coherence({M.name})", _costrength_coherence(M, k))
 
 
 def check_naturality(M: GradedStrongMonad, k: int = 3) -> Report:
     """Functoriality of every T^a and naturality of unit and mult."""
-    rep = Report(f"naturality({M.name})")
-    P = M.pomonoid
-    sets = canonical_sets(k)
-    for X in sets:
-        for a in P.elements:
-            rep.compare("fmap-id", (a,), (X.name,),
-                        M.fmap(a, identity_fn(X)), identity_fn(M.carrier(a, X)))
-    # composition is quadratic in the function count, so cap the sizes
-    small = [S for S in sets if len(S) <= 2]
-    for X in small:
-        for Y in small:
-            for Z in small:
-                for f in all_fns(X, Y):
-                    for g in all_fns(Y, Z):
-                        for a in P.elements:
-                            rep.compare("fmap-compose", (a,),
-                                        (X.name, Y.name, Z.name),
-                                        M.fmap(a, f).then(M.fmap(a, g)),
-                                        M.fmap(a, f.then(g)),
-                                        note=f"f={f.mapping} g={g.mapping}")
-    for X in sets:
-        for Y in sets:
-            for f in all_fns(X, Y):
-                lhs = f.then(M.unit_fn(Y))
-                rhs = M.unit_fn(X).then(M.fmap(P.unit, f))
-                rep.compare("unit-natural", (P.unit,), (X.name, Y.name), lhs, rhs,
-                            note=f"f={f.mapping}")
-                for a in P.elements:
-                    for b in P.elements:
-                        lhs = M.fmap(a, M.fmap(b, f)).then(M.mult_fn(a, b, Y))
-                        rhs = M.mult_fn(a, b, X).then(M.fmap(P.times(a, b), f))
-                        rep.compare("mult-natural", (a, b), (X.name, Y.name), lhs, rhs,
-                                    note=f"f={f.mapping}")
-    return rep
+    return run_suite(f"naturality({M.name})", _naturality(M, k))
 
 
 def _commute_record(M: GradedStrongMonad, a: str, b: str, sets) -> LawRecord:
@@ -562,12 +483,9 @@ def check_commutative(M: GradedStrongMonad, k: int = 3) -> Report:
     tokens and the two composites agree pointwise; the record notes which
     of the two comparisons broke.
     """
-    rep = Report(f"commutative({M.name})")
     sets = canonical_sets(k)
-    for a in M.pomonoid.elements:
-        for b in M.pomonoid.elements:
-            rep.add(_commute_record(M, a, b, sets))
-    return rep
+    return run_suite(f"commutative({M.name})", (
+        _commute_record(M, a, b, sets) for a, b in product(M.pomonoid.elements, repeat=2)))
 
 
 def commuting_pair(M: GradedStrongMonad, a: str, b: str, k: int = 3) -> bool:
@@ -576,13 +494,10 @@ def commuting_pair(M: GradedStrongMonad, a: str, b: str, k: int = 3) -> bool:
 
 
 def check_all(M: GradedStrongMonad, k: int = 3) -> Report:
-    rep = Report(f"all-laws({M.name})")
-    rep.extend(check_monad_laws(M, k))
-    rep.extend(check_order_laws(M, k))
-    rep.extend(check_strength_laws(M, k))
-    rep.extend(check_costrength_coherence(M, k))
-    rep.extend(check_naturality(M, k))
-    return rep
+    """The five suites above in one report, in that order."""
+    return run_suite(f"all-laws({M.name})", chain(
+        _monad_laws(M, k), _order_laws(M, k), _strength_laws(M, k),
+        _costrength_coherence(M, k), _naturality(M, k)))
 
 
 # --- morphisms ------------------------------------------------------------
@@ -621,60 +536,47 @@ def identity_graded_morphism(M: GradedStrongMonad) -> GradedMonadMorphism:
     )
 
 
-def check_graded_monad_morphism(m: GradedMonadMorphism, k: int = 3) -> Report:
-    """Unit, mult, strength, lift squares plus naturality of each component."""
-    rep = Report(f"monad-morphism({m.name})")
-    rep.extend(check_pomonoid_morphism(m.phi), prefix="grades.")
-    if not rep.ok:
-        return rep
+def _morphism_laws(m: GradedMonadMorphism, k: int):
+    grades = check_pomonoid_morphism(m.phi)
+    for r in grades.records:
+        yield replace(r, law=f"grades.{r.law}")
+    if not grades.ok:
+        return
     S, T, phi = m.source, m.target, m.phi
     GP, HP = S.pomonoid, T.pomonoid
     sets = canonical_sets(k)
-
     for X in sets:
         lhs = S.unit_fn(X).then(m.component_fn(GP.unit, X))
         rhs = T.unit_fn(X).then(T.lift_fn(HP.unit, phi(GP.unit), X))
-        rep.compare("unit-square", (GP.unit,), (X.name,), lhs, rhs)
-
-    for X in sets:
-        for a in GP.elements:
-            for b in GP.elements:
-                ab = GP.times(a, b)
-                SbX = S.carrier(b, X)
-                lhs = S.mult_fn(a, b, X).then(m.component_fn(ab, X))
-                rhs = (
-                    m.component_fn(a, SbX)
-                    .then(T.fmap(phi(a), m.component_fn(b, X)))
-                    .then(T.mult_fn(phi(a), phi(b), X))
-                    .then(T.lift_fn(HP.times(phi(a), phi(b)), phi(ab), X))
-                )
-                rep.compare("mult-square", (a, b), (X.name,), lhs, rhs)
-
-    for X in sets:
-        for Y in sets:
-            for a in GP.elements:
-                lhs = S.strength_fn(a, X, Y).then(m.component_fn(a, tensor(X, Y)))
-                rhs = tensor_fn(identity_fn(X), m.component_fn(a, Y)).then(
-                    T.strength_fn(phi(a), X, Y))
-                rep.compare("strength-square", (a,), (X.name, Y.name), lhs, rhs)
-
-    for X in sets:
-        for (a, b) in GP.comparable_pairs():
-            if a == b:
-                continue
+        yield "unit-square", (GP.unit,), (X.name,), lhs, rhs
+    for X, a, b in product(sets, GP.elements, GP.elements):
+        ab = GP.times(a, b)
+        SbX = S.carrier(b, X)
+        lhs = S.mult_fn(a, b, X).then(m.component_fn(ab, X))
+        rhs = (m.component_fn(a, SbX)
+               .then(T.fmap(phi(a), m.component_fn(b, X)))
+               .then(T.mult_fn(phi(a), phi(b), X))
+               .then(T.lift_fn(HP.times(phi(a), phi(b)), phi(ab), X)))
+        yield "mult-square", (a, b), (X.name,), lhs, rhs
+    for X, Y, a in product(sets, sets, GP.elements):
+        lhs = S.strength_fn(a, X, Y).then(m.component_fn(a, tensor(X, Y)))
+        rhs = tensor_fn(identity_fn(X), m.component_fn(a, Y)).then(T.strength_fn(phi(a), X, Y))
+        yield "strength-square", (a,), (X.name, Y.name), lhs, rhs
+    for X, (a, b) in product(sets, GP.comparable_pairs()):
+        if a != b:
             lhs = S.lift_fn(a, b, X).then(m.component_fn(b, X))
             rhs = m.component_fn(a, X).then(T.lift_fn(phi(a), phi(b), X))
-            rep.compare("lift-square", (a, b), (X.name,), lhs, rhs)
+            yield "lift-square", (a, b), (X.name,), lhs, rhs
+    for X, Y in product(sets, sets):
+        for f, a in product(all_fns(X, Y), GP.elements):
+            lhs = S.fmap(a, f).then(m.component_fn(a, Y))
+            rhs = m.component_fn(a, X).then(T.fmap(phi(a), f))
+            yield "component-natural", (a,), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
 
-    for X in sets:
-        for Y in sets:
-            for f in all_fns(X, Y):
-                for a in GP.elements:
-                    lhs = S.fmap(a, f).then(m.component_fn(a, Y))
-                    rhs = m.component_fn(a, X).then(T.fmap(phi(a), f))
-                    rep.compare("component-natural", (a,), (X.name, Y.name), lhs, rhs,
-                                note=f"f={f.mapping}")
-    return rep
+
+def check_graded_monad_morphism(m: GradedMonadMorphism, k: int = 3) -> Report:
+    """Unit, mult, strength, lift squares plus naturality of each component."""
+    return run_suite(f"monad-morphism({m.name})", _morphism_laws(m, k))
 
 
 # --- built-in instances ----------------------------------------------------

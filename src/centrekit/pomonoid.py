@@ -29,25 +29,29 @@ class MissingTableEntry(PomonoidError):
     pass
 
 
-class AssociativityViolation(PomonoidError):
+class LawViolation(PomonoidError):
+    """A table that parsed but breaks a pomonoid law: a check's verdict, not bad input."""
+
+
+class AssociativityViolation(LawViolation):
     def __init__(self, a, b, c):
         self.witness = (a, b, c)
         super().__init__(f"(({a}*{b})*{c}) != ({a}*({b}*{c}))")
 
 
-class UnitViolation(PomonoidError):
+class UnitViolation(LawViolation):
     def __init__(self, a):
         self.witness = a
         super().__init__(f"unit law fails at {a}")
 
 
-class AntisymmetryViolation(PomonoidError):
+class AntisymmetryViolation(LawViolation):
     def __init__(self, a, b):
         self.witness = (a, b)
         super().__init__(f"{a} <= {b} and {b} <= {a} with {a} != {b}")
 
 
-class MonotonicityViolation(PomonoidError):
+class MonotonicityViolation(LawViolation):
     def __init__(self, w, x, y, z):
         self.witness = (w, x, y, z)
         super().__init__(f"{w}<={x}, {y}<={z} but not {w}*{y} <= {x}*{z}")
@@ -236,17 +240,18 @@ class Duoid:
 
 def _check_second_op(rep: Report, P: Pomonoid, op: dict, unit2: str, tag: str) -> None:
     members = set(P.elements)
+    # input errors name the op2 directive; the law records keep the caller's tag
     if unit2 not in members:
-        raise UnknownElement(f"{tag} unit {unit2!r} not among elements")
+        raise UnknownElement(f"op2 unit {unit2!r} not among elements")
     for a in P.elements:
         for b in P.elements:
             if (a, b) not in op:
-                raise MissingTableEntry(f"no {tag} entry for ({a},{b})")
+                raise MissingTableEntry(f"no op2 entry for ({a},{b})")
             if op[(a, b)] not in members:
-                raise UnknownElement(f"{a} {tag} {b} lands outside the carrier")
+                raise UnknownElement(f"{a} op2 {b} lands outside the carrier")
     for key in op:
         if key[0] not in members or key[1] not in members:
-            raise UnknownElement(f"{tag} table entry for unknown pair {key}")
+            raise UnknownElement(f"op2 table entry for unknown pair {key}")
 
     els = P.elements
     rep.add(failure_record(f"{tag}-assoc", (

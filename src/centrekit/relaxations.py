@@ -45,7 +45,7 @@ from .graded_monad import (
     writer_monad,
 )
 from .pomonoid import Duoid, structurally_equal, validate_pomonoid
-from .report import LawRecord, Report, first_failure
+from .report import LawRecord, Report, first_failure, run_suite
 
 
 class LanguageError(ValueError):
@@ -160,11 +160,15 @@ def language_duoid(alphabet: str, cap: int, generators=None,
     Default generators are the single-letter singletons.  The result is a
     duoid on the closure (plus {eps}), ordered by language inclusion, with
     concat as the sequential and shuffle as the parallel multiplication.
-    Letters that language literals use as syntax are refused.
+    Letters that language literals use as syntax, and repeated letters, are
+    refused.
     """
     clash = sorted({ch for ch in alphabet if ch in "{},_" or ch.isspace()})
     if clash:
         raise LanguageError(f"language literals use {', '.join(map(repr, clash))} as syntax")
+    repeated = sorted({ch for ch in alphabet if alphabet.count(ch) > 1})
+    if repeated:
+        raise LanguageError(f"alphabet repeats {', '.join(map(repr, repeated))}")
     if generators is None:
         generators = [CappedLanguage(alphabet, cap, frozenset({ch}))
                       for ch in alphabet]
@@ -322,17 +326,17 @@ def _assoc_sides(TX, TY, TZ, m_ab, m_bc, lhs_m, rhs_m, re):
     return lhs, [ri[mr[p]] for u in m_ab.idx for p in at_r[u]]
 
 
-def _grade_tuples(elements, n: int, budget: int, seed: int, corners: bool = False):
+def _grade_tuples(elements, n: int, budget: int, seed: int, corner=None):
     """Every n-tuple of grades if there are at most ``budget``, else a sorted
-    seeded sample of ``budget`` distinct ones.  ``corners`` first puts in every
-    tuple with the first grade at both ends: degenerate corners catch easy bugs."""
+    seeded sample of ``budget`` distinct ones.  Given a ``corner`` grade, the
+    sample first takes every tuple with it at both ends: degenerate corners
+    catch easy bugs."""
     if len(elements) ** n <= budget:
         return list(product(elements, repeat=n))
     rng = random.Random(seed)
     tuples = set()
-    if corners:
-        i = elements[0]
-        tuples.update((i, *mid, i) for mid in product(elements, repeat=n - 2))
+    if corner is not None:
+        tuples.update((corner, *mid, corner) for mid in product(elements, repeat=n - 2))
     while len(tuples) < budget:
         tuples.add(tuple(rng.choice(elements) for _ in range(n)))
     return sorted(tuples)
@@ -346,12 +350,15 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     multiply-then-interchange, transported along the duoid inequality
     (a||c)*(b||d) <= (a*b)||(c*d).  Grade tuples are scanned exhaustively
     when the grading is small and by a seeded deterministic sample above
-    the budget, which must be at least 1.  Both sides of every diagram are
-    composites of index tables (``then``, ``tensor_fn``, the structure
-    maps), compared pointwise by ``first_mismatch``; a grade tuple stops at
-    its first failing instance.  m-assoc instead reads each side off the
-    ``idx`` tables and product grids in one pass (``_assoc_sides``), and
-    builds the domain only where the two sides or their codomains differ.
+    the budget, which must be at least 1; a sampled duoidal-main first takes
+    every corner (i, a, b, i) at the grading's unit i.  ``_duoidal_laws``
+    yields the records and comparisons in order, for ``run_suite``.  Both
+    sides of every diagram are composites of index tables (``then``,
+    ``tensor_fn``, the structure maps), compared pointwise by
+    ``first_mismatch``; a grade tuple stops at its first failing instance.
+    m-assoc instead reads each side off the ``idx`` tables and product grids
+    in one pass (``_assoc_sides``), and builds the domain only where the two
+    sides or their codomains differ.
 
     An instance whose diagram has an empty domain (on the language writer,
     every set tuple holding ``Y0``) is vacuous: no element can fail.
@@ -367,19 +374,24 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     """
     if budget < 1:
         raise ValueError(f"budget {budget} is below 1: the sampled scans would check nothing")
+    M = DM.monad
+    return run_suite(f"duoidal gradation for {DM.name or M.name or 'monad'}",
+                     _duoidal_laws(DM, k, budget, seed))
+
+
+def _grade_record(law: str, grades: tuple, failures) -> LawRecord:
+    """The record of one grade tuple: ``failures`` yields, per instance, None
+    or a failing (witness, note), and the first failure is kept."""
+    failure = first_failure(failures)
+    witness, note = failure or ("", "")
+    return LawRecord(law=law, grades=grades, ok=failure is None, witness=witness, note=note)
+
+
+def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
     M, D = DM.monad, DM.duoid
     P = M.pomonoid
-    rep = Report(title=f"duoidal gradation for {DM.name or M.name or 'monad'}")
     sets = canonical_sets(k)
     products = {(X, Y): tensor(X, Y) for X in sets for Y in sets}
-
-    def add_records(law, grade_tuples, instance_failures):
-        # instance_failures(*grades) yields, per instance, None or a failing (witness, note)
-        for grades in grade_tuples:
-            failure = first_failure(instance_failures(*grades))
-            witness, note = failure or ("", "")
-            rep.add(LawRecord(law=law, grades=grades, ok=failure is None,
-                              witness=witness, note=note))
 
     def main_failure(a, b, c, d, X, Y):
         ac, bd = D.par_of(a, c), D.par_of(b, d)
@@ -403,24 +415,23 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         witness = first_mismatch(par_first, mul_first, DM.elements_equal)
         return None if witness is None else (witness, "")
 
-    add_records("duoidal-main", _grade_tuples(P.elements, 4, budget, seed, corners=True),
-                lambda a, b, c, d: (main_failure(a, b, c, d, X, Y)
-                                    for X in sets for Y in sets))
+    for grades in _grade_tuples(P.elements, 4, budget, seed, P.unit):
+        yield _grade_record("duoidal-main", grades,
+                            (main_failure(*grades, X, Y) for X, Y in product(sets, repeat=2)))
 
     i = P.unit
     g_ii = D.par_of(i, i)
-    for X in sets:
-        for Y in sets:
-            XY = products[X, Y]
-            both_units = tensor_fn(M.unit_fn(X), M.unit_fn(Y)).then(DM.m_fn(i, i, X, Y))
-            unit = M.unit_fn(XY)
-            if g_ii != i:
-                if not P.le(i, g_ii):
-                    rep.add(LawRecord(law="m-unit", grades=(i,), sets=(X.name, Y.name),
-                                      ok=False, note="unit-grade-unrelated"))
-                    continue
-                unit = unit.then(M.lift_fn(i, g_ii, XY))
-            rep.compare("m-unit", (i,), (X.name, Y.name), both_units, unit)
+    for X, Y in product(sets, repeat=2):
+        XY = products[X, Y]
+        both_units = tensor_fn(M.unit_fn(X), M.unit_fn(Y)).then(DM.m_fn(i, i, X, Y))
+        unit = M.unit_fn(XY)
+        if g_ii != i:
+            if not P.le(i, g_ii):
+                yield LawRecord(law="m-unit", grades=(i,), sets=(X.name, Y.name), ok=False,
+                                note="unit-grade-unrelated")
+                continue
+            unit = unit.then(M.lift_fn(i, g_ii, XY))
+        yield "m-unit", (i,), (X.name, Y.name), both_units, unit
 
     # alpha(X,Y,Z) by (X, Y, Z), and T^g of it by (g, X, Y, Z), built once per suite
     alphas = {(X, Y, Z): alpha(X, Y, Z) for X in sets for Y in sets for Z in sets}
@@ -444,30 +455,25 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
                                  FinFn.from_pairs(dom, re.cod, rhs))
         return None if witness is None else (witness, "")
 
-    add_records("m-assoc", _grade_tuples(P.elements, 3, budget, seed),
-                lambda a, b, c: (assoc_failure(a, b, c, X, Y, Z)
-                                 for X in sets for Y in sets for Z in sets))
+    for grades in _grade_tuples(P.elements, 3, budget, seed):
+        yield _grade_record("m-assoc", grades,
+                            (assoc_failure(*grades, *XYZ) for XYZ in product(sets, repeat=3)))
 
     I = unit_set()
-    for a in P.elements:
-        left_grade = D.par_of(i, a)
-        right_grade = D.par_of(a, i)
-        for X in sets:
-            TX = M.carrier(a, X)
-            if left_grade == a:
-                via_m = tensor_fn(M.unit_fn(I), identity_fn(TX)).then(DM.m_fn(i, a, I, X))
-                direct = lam(TX).then(M.fmap(a, lam_inv(X)))
-                rep.compare("m-unitor-left", (a,), (X.name,), via_m, direct)
-            else:
-                rep.add(LawRecord(law="m-unitor-left", grades=(a,), ok=True,
-                                  note="skipped: i||a differs from a"))
-            if right_grade == a:
-                via_m = tensor_fn(identity_fn(TX), M.unit_fn(I)).then(DM.m_fn(a, i, X, I))
-                direct = rho(TX).then(M.fmap(a, rho_inv(X)))
-                rep.compare("m-unitor-right", (a,), (X.name,), via_m, direct)
-            else:
-                rep.add(LawRecord(law="m-unitor-right", grades=(a,), ok=True,
-                                  note="skipped: a||i differs from a"))
+    for a, X in product(P.elements, sets):
+        TX = M.carrier(a, X)
+        if D.par_of(i, a) == a:
+            via_m = tensor_fn(M.unit_fn(I), identity_fn(TX)).then(DM.m_fn(i, a, I, X))
+            yield "m-unitor-left", (a,), (X.name,), via_m, lam(TX).then(M.fmap(a, lam_inv(X)))
+        else:
+            yield LawRecord(law="m-unitor-left", grades=(a,), ok=True,
+                            note="skipped: i||a differs from a")
+        if D.par_of(a, i) == a:
+            via_m = tensor_fn(identity_fn(TX), M.unit_fn(I)).then(DM.m_fn(a, i, X, I))
+            yield "m-unitor-right", (a,), (X.name,), via_m, rho(TX).then(M.fmap(a, rho_inv(X)))
+        else:
+            yield LawRecord(law="m-unitor-right", grades=(a,), ok=True,
+                            note="skipped: a||i differs from a")
 
     def natural_failure(a, b, f, g, fg):
         lhs = tensor_fn(M.fmap(a, f), M.fmap(b, g)).then(DM.m_fn(a, b, f.cod, g.cod))
@@ -485,9 +491,9 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
         rng = random.Random(seed)
         pairs = sorted(set(tuple(rng.choice(P.elements) for _ in range(2))
                            for _ in range(36)))
-    add_records("m-natural", pairs,
-                lambda a, b: (natural_failure(a, b, f, g, fg) for f, g, fg in maps))
-    return rep
+    for grades in pairs:
+        yield _grade_record("m-natural", grades,
+                            (natural_failure(*grades, f, g, fg) for f, g, fg in maps))
 
 
 def derive_monoidal_m(M: GradedStrongMonad, k: int = 2):

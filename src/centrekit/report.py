@@ -1,7 +1,9 @@
 """Uniform result records for law checks.
 
 Every suite emits one record per law instance (law name, grades, sets),
-with a witness and both sides kept when the instance fails.  Reports
+with a witness and both sides kept when the instance fails.  A suite is a
+generator of its instances, finished records or pointwise comparisons, and
+``run_suite`` is the one place that turns them into a Report.  Reports
 render as text or JSON and parse back losslessly.
 """
 
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .finkit import first_mismatch
 
@@ -44,29 +46,12 @@ class LawRecord:
         return "  ".join(bits)
 
     def to_dict(self) -> dict:
-        return {
-            "law": self.law,
-            "grades": list(self.grades),
-            "sets": list(self.sets),
-            "ok": self.ok,
-            "witness": self.witness,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "note": self.note,
-        }
+        return {**asdict(self), "grades": list(self.grades), "sets": list(self.sets)}
 
     @staticmethod
     def from_dict(d: dict) -> "LawRecord":
-        return LawRecord(
-            law=d["law"],
-            grades=tuple(d["grades"]),
-            sets=tuple(d["sets"]),
-            ok=d["ok"],
-            witness=d["witness"],
-            lhs=d["lhs"],
-            rhs=d["rhs"],
-            note=d["note"],
-        )
+        return LawRecord(d["law"], tuple(d["grades"]), tuple(d["sets"]), d["ok"], d["witness"],
+                         d["lhs"], d["rhs"], d["note"])
 
 
 def first_failure(results):
@@ -131,21 +116,6 @@ class Report:
     def failures(self) -> list[LawRecord]:
         return [r for r in self.records if not r.ok]
 
-    def extend(self, other: "Report", prefix: str = "") -> None:
-        for r in other.records:
-            if prefix:
-                r = LawRecord(
-                    law=f"{prefix}{r.law}",
-                    grades=r.grades,
-                    sets=r.sets,
-                    ok=r.ok,
-                    witness=r.witness,
-                    lhs=r.lhs,
-                    rhs=r.rhs,
-                    note=r.note,
-                )
-            self.records.append(r)
-
     def compare(self, law, grades, sets, f, g, note="") -> LawRecord:
         """Record pointwise equality of two maps with a common domain.
 
@@ -200,3 +170,19 @@ class Report:
         for d in data["records"]:
             rep.add(LawRecord.from_dict(d))
         return rep
+
+
+def run_suite(title: str, instances) -> Report:
+    """The Report of a law suite, built from the instances it yields in record order.
+
+    An instance is a finished LawRecord, which is added as it is, or a
+    pointwise comparison ``(law, grades, sets, lhs, rhs[, note])``, which
+    goes through ``Report.compare``.  Suites build no Report of their own.
+    """
+    rep = Report(title)
+    for instance in instances:
+        if isinstance(instance, LawRecord):
+            rep.add(instance)
+        else:
+            rep.compare(*instance)
+    return rep

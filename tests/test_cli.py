@@ -35,6 +35,22 @@ class TestPomonoidCommands:
         assert main(["pomonoid", "check", str(bad)]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("text, message", [
+        ("elements tt ff\nunit tt\nmul tt tt tt\nmul tt ff ff\nmul ff tt ff\n",
+         "no entry for ff*ff"),
+        ("elements tt ff\nunit tt\nmul tt tt tt\nmul tt ff ff\nmul ff tt ff\nmul ff ff zz\n",
+         "ff*ff = 'zz' not among elements"),
+        ("elements tt ff tt\nunit tt\n", "duplicate elements in ('tt', 'ff', 'tt')"),
+    ], ids=["missing", "unknown", "duplicate"])
+    def test_table_input_errors_exit_2(self, tmp_path, capsys, text, message):
+        # a missing, unknown or duplicate entry is bad input, not a failed law
+        bad = tmp_path / "bad.pom"
+        bad.write_text(text)
+        assert main(["pomonoid", "check", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.pom"
         bad.write_text("elements t e\nunit t\nmul t t\n")
@@ -78,7 +94,7 @@ class TestDuoidCommand:
         assert main(["duoid", "check", str(stray)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: par table entry for unknown pair ('c', 'c')\n"
+        assert captured.err == "error: op2 table entry for unknown pair ('c', 'c')\n"
 
 
 class TestMonadCommands:
@@ -228,6 +244,14 @@ class TestDuoidalCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "as syntax" in captured.err
+
+    @pytest.mark.parametrize("alphabet", ["aa", "aba"])
+    def test_repeated_letter_in_alphabet_exits_2(self, alphabet, capsys):
+        code = main(["duoidal", "check", "--monad", "language_writer", "--alphabet", alphabet])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alphabet repeats 'a'\n"
 
     def test_noncommutative_monad_exits_2(self, capsys):
         code = main(["duoidal", "check", "--monad", "multi_error_writer"])

@@ -202,7 +202,7 @@ def test_grade_tuples_draw_as_the_reference_samplers(n):
     elements = tuple(f"g{i:02d}" for i in range(n))
     for budget in (1, 9, 36, 300, 529, 10**9):
         for seed in (2026, 7):
-            assert _grade_tuples(elements, 4, budget, seed, corners=True) == \
+            assert _grade_tuples(elements, 4, budget, seed, elements[0]) == \
                 _quadruples(elements, budget, seed)
             assert _grade_tuples(elements, 3, budget, seed) == _triples(elements, budget, seed)
 
@@ -210,7 +210,7 @@ def test_grade_tuples_draw_as_the_reference_samplers(n):
 def test_grade_tuples_on_lang_ab3_where_the_corners_fill_the_budget():
     elements = language_duoid("ab", 3).base.elements
     assert len(elements) ** 2 == 529
-    quads = _grade_tuples(elements, 4, 300, 2026, corners=True)
+    quads = _grade_tuples(elements, 4, 300, 2026, elements[0])
     assert quads == _quadruples(elements, 300, 2026) and len(quads) == 529
     assert _grade_tuples(elements, 3, 300, 2026) == _triples(elements, 300, 2026)
 

@@ -44,6 +44,65 @@ X2 = canonical_set(2)
 X3 = canonical_set(3)
 
 
+# Planted bugs: each breaks one component but keeps its typing.
+# tests/test_raw_output.py pins the bytes of the reports that catch them.
+
+def constant_lift_writer():
+    """bool_writer_pair whose lifts send everything to the first token."""
+    M = bool_writer_pair()
+    good_lift = M.lift
+
+    def bad_lift(a, b, X):
+        fn = good_lift(a, b, X)
+        if len(fn.cod) == 0:
+            return fn
+        first = fn.cod.elems[0]
+        return FinFn(fn.dom, fn.cod, {t: first for t in fn.dom})
+
+    M.lift = bad_lift
+    return M
+
+
+def cycling_mult_writer():
+    """multi_error_writer whose mult at mixed warnings cycles the values."""
+    M = multi_error_writer()
+    good_mult = M.mult
+    warnings = {"wa", "wb"}
+
+    def bad_mult(a, b, X):
+        fn = good_mult(a, b, X)
+        if a in warnings and b in warnings and a != b:
+            order = fn.cod.elems
+            nxt = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
+            return FinFn(fn.dom, fn.cod, {t: nxt[fn(t)] for t in fn.dom})
+        return fn
+
+    M.mult = bad_mult
+    return M
+
+
+def swapped_costrength_writer():
+    """multi_error_writer whose costrength at the warnings swaps two values."""
+    M = multi_error_writer()
+
+    def bad_costrength(a, X, Y):
+        fn = derive_costrength(M, a, X, Y)
+        if a not in {"wa", "wb"} or len(X) < 2:
+            return fn
+        # swapping the value is applied once along one composite and
+        # twice along the other, so the squares with two costrengths see it
+        swap = {X.elems[0]: X.elems[1], X.elems[1]: X.elems[0]}
+        mapping = {}
+        for t in fn.dom:
+            pair, ann = split_pair(fn(t))
+            x, y = split_pair(pair)
+            mapping[t] = make_pair(make_pair(swap.get(x, x), y), ann)
+        return FinFn(fn.dom, fn.cod, mapping)
+
+    M.costrength = bad_costrength
+    return M
+
+
 class TestMultiErrorWriter:
     M = multi_error_writer()
 
@@ -163,40 +222,14 @@ class TestBoolWriterPair:
         assert not commuting_pair(self.M, "ff", "ff", 2)
 
     def test_broken_lift_detected(self):
-        # constant lift keeps the typing but breaks naturality
-        M = bool_writer_pair()
-        good_lift = M.lift
-
-        def bad_lift(a, b, X):
-            fn = good_lift(a, b, X)
-            if len(fn.cod) == 0:
-                return fn
-            first = fn.cod.elems[0]
-            return FinFn(fn.dom, fn.cod, {t: first for t in fn.dom})
-
-        M.lift = bad_lift
-        rep = check_order_laws(M, 2)
+        rep = check_order_laws(constant_lift_writer(), 2)
         assert not rep.ok
         assert "lift-natural" in {r.law for r in rep.failures()}
 
 
 class TestBrokenInstancesAreCaught:
     def test_value_cycling_mu_fails_associativity(self):
-        M = multi_error_writer()
-        good_mult = M.mult
-        warnings = {"wa", "wb"}
-
-        def bad_mult(a, b, X):
-            fn = good_mult(a, b, X)
-            if a in warnings and b in warnings and a != b:
-                order = fn.cod.elems
-                nxt = {order[i]: order[(i + 1) % len(order)] for i in range(len(order))}
-                return FinFn(fn.dom, fn.cod, {t: nxt[fn(t)] for t in fn.dom})
-            return fn
-
-        M.mult = bad_mult
-        M._memo.clear()
-        rep = check_monad_laws(M, 2)
+        rep = check_monad_laws(cycling_mult_writer(), 2)
         assert not rep.ok
         failed = {r.law for r in rep.failures()}
         assert failed == {"assoc"}
@@ -225,25 +258,7 @@ class TestBrokenInstancesAreCaught:
         assert "strength-unitor" in {r.law for r in rep.failures()}
 
     def test_value_swapping_costrength_fails_mult_diagram(self):
-        M = multi_error_writer()
-
-        def bad_costrength(a, X, Y):
-            fn = derive_costrength(M, a, X, Y)
-            if a not in {"wa", "wb"} or len(X) < 2:
-                return fn
-            # swapping the value is applied once along one composite and
-            # twice along the other, so the squares with two costrengths see it
-            swap = {X.elems[0]: X.elems[1], X.elems[1]: X.elems[0]}
-            mapping = {}
-            for t in fn.dom:
-                pair, ann = split_pair(fn(t))
-                x, y = split_pair(pair)
-                mapping[t] = make_pair(make_pair(swap.get(x, x), y), ann)
-            return FinFn(fn.dom, fn.cod, mapping)
-
-        M.costrength = bad_costrength
-        M._memo.clear()
-        rep = check_costrength_coherence(M, 2)
+        rep = check_costrength_coherence(swapped_costrength_writer(), 2)
         assert not rep.ok
         assert "costrength-mult" in {r.law for r in rep.failures()}
 

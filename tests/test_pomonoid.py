@@ -9,6 +9,7 @@ from centrekit.pomonoid import (
     DuplicateElement,
     Duoid,
     FileFormatError,
+    LawViolation,
     MissingTableEntry,
     MonotonicityViolation,
     NotAbsorbing,
@@ -105,6 +106,15 @@ class TestValidation:
         else:
             with pytest.raises(AssociativityViolation):
                 validate_pomonoid(els, "u", mul)
+
+    def test_law_violations_are_verdicts_and_table_errors_are_input(self):
+        # cli's pomonoid check reports a LawViolation as FAIL and anything else as bad input
+        verdicts = [AssociativityViolation, UnitViolation, AntisymmetryViolation,
+                    MonotonicityViolation]
+        inputs = [MissingTableEntry, UnknownElement, DuplicateElement, FileFormatError]
+        assert all(issubclass(e, LawViolation) for e in verdicts)
+        assert not any(issubclass(e, LawViolation) for e in inputs)
+        assert all(issubclass(e, PomonoidError) for e in verdicts + inputs)
 
 
 class TestBuilders:

@@ -3,8 +3,12 @@
 The perfbench goldens normalise JSON before digesting it, so they cannot
 see a change in how a report is rendered.  These digests are of the exact
 bytes: ``to_json()`` and ``to_text()`` of every built-in's ``check_all`` at
-k=2 and ``check_commutative`` at k=3, and stdout, stderr and exit code of
-the README's CLI commands, in text and (where offered) JSON form.
+k=2, each of its five suites alone at k=2 and ``check_commutative`` at k=3;
+of the morphism suite on ``discrete_to_topped_morphism``, the centrality
+conditions on each writer's centre, ``derive_monoidal_m`` on ``identity``
+and three planted-bug reports from ``test_graded_monad.py``; and stdout,
+stderr and exit code of the README's CLI commands, in text and (where
+offered) JSON form.
 
     PYTHONPATH=src python tests/test_raw_output.py
 
@@ -44,17 +48,49 @@ def sha(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def report_digests() -> dict:
-    from centrekit import check_all, check_commutative
-    from centrekit.graded_monad import registry
+SUITES = ["check_monad_laws", "check_order_laws", "check_strength_laws",
+          "check_costrength_coherence", "check_naturality"]
 
-    out = {}
-    for name, make in registry().items():
+WRITERS = ["multi_error_writer", "multi_error_writer_topped", "bool_writer_pair",
+           "language_writer"]
+
+
+def report_scans():
+    """(key, report) for every pinned report, each built on a fresh monad."""
+    from centrekit import graded_monad as gm
+    from centrekit.centre import build_centre_monad, check_centrality_conditions
+    from centrekit.relaxations import derive_monoidal_m
+    from test_graded_monad import (
+        constant_lift_writer,
+        cycling_mult_writer,
+        swapped_costrength_writer,
+    )
+
+    for name, make in gm.registry().items():
         M = make()
-        for scan, rep in (("check_all(k=2)", check_all(M, 2)),
-                          ("check_commutative(k=3)", check_commutative(M, 3))):
-            out[f"{name} {scan} json"] = sha(rep.to_json())
-            out[f"{name} {scan} text"] = sha(rep.to_text())
+        yield f"{name} check_all(k=2)", gm.check_all(M, 2)
+        yield f"{name} check_commutative(k=3)", gm.check_commutative(M, 3)
+        for suite in SUITES:
+            yield f"{name} {suite}(k=2)", getattr(gm, suite)(make(), 2)
+    yield ("discrete-to-topped check_graded_monad_morphism(k=2)",
+           gm.check_graded_monad_morphism(gm.discrete_to_topped_morphism(), 2))
+    for name in WRITERS:
+        res = build_centre_monad(gm.registry()[name]())
+        yield (f"centre({name}) check_centrality_conditions(k=2)",
+               check_centrality_conditions(res.monad, res.inclusion, 2))
+    yield "identity derive_monoidal_m(k=2)", derive_monoidal_m(gm.registry()["identity"]())[1]
+    # planted bugs: these pin the failing witnesses and both sides
+    yield "cycling-mult check_monad_laws(k=2)", gm.check_monad_laws(cycling_mult_writer(), 2)
+    yield "constant-lift check_order_laws(k=2)", gm.check_order_laws(constant_lift_writer(), 2)
+    yield ("swapped-costrength check_costrength_coherence(k=2)",
+           gm.check_costrength_coherence(swapped_costrength_writer(), 2))
+
+
+def report_digests() -> dict:
+    out = {}
+    for scan, rep in report_scans():
+        out[f"{scan} json"] = sha(rep.to_json())
+        out[f"{scan} text"] = sha(rep.to_text())
     return out
 
 

@@ -36,6 +36,7 @@ from centrekit.pomonoid import (
     bimonoid_from_absorbing_top,
     check_duoid,
     multi_error_pomonoid,
+    validate_pomonoid,
 )
 from centrekit.relaxations import (
     AlphabetMismatch,
@@ -434,6 +435,18 @@ class TestDeriveMonoidalM:
     def test_noncommutative_is_rejected(self):
         with pytest.raises(NotCommutative):
             derive_monoidal_m(multi_error_writer(), 2)
+
+    def test_sampled_main_diagram_takes_its_corners_at_the_unit(self):
+        # five grades under capped addition with the unit listed last: 625
+        # quadruples exceed the budget, so duoidal-main samples, corners first
+        grades = ["1", "2", "3", "4", "0"]
+        mul = {(a, b): str(min(int(a) + int(b), 4)) for a in grades for b in grades}
+        le = [(a, b) for a in grades for b in grades if int(a) <= int(b)]
+        P = validate_pomonoid(grades, "0", mul, le, name="max-plus")
+        DM, rep = derive_monoidal_m(identity_monad(P), 1)
+        main = {r.grades for r in rep.records if r.law == "duoidal-main"}
+        assert rep.ok and len(main) == 300
+        assert {("0", a, b, "0") for a in grades for b in grades} <= main
 
 
 class TestBimonoidalCentre:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 import pytest
 
 from centrekit.finkit import FinFn, FinSet, identity_fn
-from centrekit.report import LawRecord, Report
+from centrekit.report import LawRecord, Report, run_suite
 
 
 X = FinSet("X", ("a", "b"))
@@ -45,12 +45,59 @@ def test_compare_requires_same_domain():
         rep.compare("law", (), (), identity_fn(X), identity_fn(Y))
 
 
-def test_extend_prefixes():
-    inner = Report("inner")
-    inner.add(LawRecord(law="unit", ok=False))
-    outer = Report("outer")
-    outer.extend(inner, prefix="sub.")
-    assert outer.records[0].law == "sub.unit"
+def test_run_suite_adds_records_and_compares_tuples():
+    f = identity_fn(X)
+    g = FinFn(X, X, {"a": "a", "b": "a"})
+    given = LawRecord(law="given", ok=False, note="n")
+    rep = run_suite("demo", iter([
+        given,
+        ("same", ("g",), ("X",), f, f),
+        ("differ", ("g", "h"), ("X",), f, g, "f then g"),
+    ]))
+    assert rep.title == "demo"
+    assert rep.records == [
+        given,
+        LawRecord(law="same", grades=("g",), sets=("X",)),
+        LawRecord(law="differ", grades=("g", "h"), sets=("X",), ok=False,
+                  witness="b", lhs="b", rhs="a", note="f then g"),
+    ]
+
+
+def test_every_suite_record_goes_through_add_or_compare(monkeypatch):
+    # per-law timing outside the package wraps exactly these two methods
+    from centrekit.graded_monad import (
+        check_all,
+        check_commutative,
+        check_graded_monad_morphism,
+        discrete_to_topped_morphism,
+        identity_monad,
+        multi_error_writer,
+    )
+    from centrekit.pomonoid import multi_error_pomonoid
+    from centrekit.relaxations import derive_monoidal_m
+
+    added = []   # (report, record) in call order
+    add, compare = Report.add, Report.compare
+
+    def counted_add(rep, record):
+        added.append((rep, record))
+        return add(rep, record)
+
+    def counted_compare(rep, *args, **kwargs):
+        record = compare(rep, *args, **kwargs)
+        added.append((rep, record))
+        return record
+
+    monkeypatch.setattr(Report, "add", counted_add)
+    monkeypatch.setattr(Report, "compare", counted_compare)
+    for scan in (lambda: check_all(multi_error_writer(), 1),
+                 lambda: check_commutative(multi_error_writer(), 1),
+                 lambda: check_graded_monad_morphism(discrete_to_topped_morphism(), 1),
+                 lambda: derive_monoidal_m(identity_monad(multi_error_pomonoid()), 1)[1]):
+        rep = scan()
+        mine = [record for owner, record in added if owner is rep]
+        assert rep.records and len(mine) == len(rep.records)
+        assert all(a is b for a, b in zip(mine, rep.records))
 
 
 def test_json_round_trip():
