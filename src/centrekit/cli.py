@@ -89,18 +89,19 @@ def _emit(rep, as_json: bool) -> int:
     return PASS if rep.ok else FAIL
 
 
+def _violation(exc: LawViolation, as_json: bool) -> int:
+    # the table parsed but a law failed; that is the check's verdict
+    print(json.dumps({"ok": False, "error": str(exc)}) if as_json else f"FAIL  {exc}")
+    return FAIL
+
+
 def cmd_pomonoid(args) -> int:
     text = _read(args.file)
     if args.action == "check":
         try:
             P = load_pomonoid(text, name=args.file)
         except LawViolation as exc:
-            # table parsed but a law failed; that is the check's verdict
-            if args.json:
-                print(json.dumps({"ok": False, "error": str(exc)}))
-            else:
-                print(f"FAIL  {exc}")
-            return FAIL
+            return _violation(exc, args.json)
         if args.json:
             print(json.dumps({"ok": True, "elements": list(P.elements), "unit": P.unit}))
         else:
@@ -116,7 +117,10 @@ def cmd_pomonoid(args) -> int:
 
 
 def cmd_duoid(args) -> int:
-    D = load_duoid(_read(args.file), name=args.file)
+    try:
+        D = load_duoid(_read(args.file), name=args.file)
+    except LawViolation as exc:
+        return _violation(exc, args.json)
     return _emit(check_duoid(D), args.json)
 
 

@@ -13,6 +13,13 @@ Conventions that everything below depends on:
 * Each law suite is a private generator of its law instances in record
   order; ``report.run_suite`` builds the Report, and ``check_all`` chains
   the five suites into one.
+* The laws quantified over every map f between canonical sets (lift-,
+  strength-, unit-, mult- and component-natural, fmap-compose) call fmap on
+  every f, the component under test, and hoist the rest out of the loop
+  over f: an earlier law of the suite has fetched them, and mult-natural
+  fetches each mult at its first f, so a faulty component raises the same
+  first error.  The strength laws and mult-natural read both sides as
+  index lists over the hoisted tables; each note is joined once per f.
 """
 
 from __future__ import annotations
@@ -268,6 +275,14 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
 # --- law suites ----------------------------------------------------------
 # Instances are comparisons (law, grades, sets, lhs, rhs[, note]) or LawRecords.
 
+def _maps(X: FinSet, Y: FinSet, name: str = "f"):
+    """Every map f: X -> Y in ``all_fns`` order, with its note f"{name}={f.mapping}"
+    joined from one table of ``'x': 'y'`` parts."""
+    parts = [[f"{x!r}: {y!r}" for y in Y.elems] for x in X.elems]
+    for f in all_fns(X, Y):
+        yield f, f"{name}={{" + ", ".join([row[j] for row, j in zip(parts, f.idx)]) + "}"
+
+
 def _monad_laws(M: GradedStrongMonad, k: int):
     P = M.pomonoid
     i = P.unit
@@ -300,11 +315,11 @@ def _order_laws(M: GradedStrongMonad, k: int):
                 composed = M.lift_fn(a, b, X).then(M.lift_fn(b, c, X))
                 yield "lift-compose", (a, b, c), (X.name,), composed, M.lift_fn(a, c, X)
     for X, Y in product(sets, sets):
-        for f, (a, b) in product(all_fns(X, Y), comparable):
-            if a != b:
-                lhs = M.fmap(a, f).then(M.lift_fn(a, b, Y))
-                rhs = M.lift_fn(a, b, X).then(M.fmap(b, f))
-                yield "lift-natural", (a, b), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+        lifts = [(a, b, M.lift_fn(a, b, Y), M.lift_fn(a, b, X)) for a, b in comparable if a != b]
+        for f, note in _maps(X, Y):
+            for a, b, up_Y, up_X in lifts:
+                yield ("lift-natural", (a, b), (X.name, Y.name), M.fmap(a, f).then(up_Y),
+                       up_X.then(M.fmap(b, f)), note)
     for X, (a, a2), (b, b2) in product(sets, comparable, comparable):
         if a == a2 and b == b2:
             continue
@@ -342,18 +357,29 @@ def _strength_laws(M: GradedStrongMonad, k: int):
                    .then(M.mult_fn(a, b, XY)))
             yield "strength-mult", (a, b), (X.name, Y.name), lhs, rhs
     for X, X2, Y, a in product(sets, sets, sets, P.elements):
-        TaY = M.carrier(a, Y)
-        for f in all_fns(X, X2):
-            lhs = tensor_fn(f, identity_fn(TaY)).then(M.strength_fn(a, X2, Y))
-            rhs = M.strength_fn(a, X, Y).then(M.fmap(a, tensor_fn(f, identity_fn(Y))))
-            yield ("strength-natural-left", (a,), (X.name, X2.name, Y.name), lhs, rhs,
-                   f"f={f.mapping}")
+        names, TaY = (X.name, X2.name, Y.name), M.carrier(a, Y)
+        tau2, tau = M.strength_fn(a, X2, Y), M.strength_fn(a, X, Y)
+        rows = [[tau2.idx[p] for p in row] for row in tensor(X2, TaY).pair_grid()]
+        XT, XY, X2Y = tensor(X, TaY), tensor(X, Y), tensor(X2, Y)
+        pairs, xy, at = XT.pair_list(), XY.pair_list(), X2Y.pair_grid()
+        for f, note in _maps(X, X2):
+            fi = f.idx
+            lhs = FinFn._table(XT, tau2.cod, tuple([rows[fi[x]][t] for x, t in pairs]))
+            F = M.fmap(a, FinFn._table(XY, X2Y, tuple([at[fi[x]][y] for x, y in xy])))
+            rhs = FinFn._table(tau.dom, F.cod, tuple(map(F.idx.__getitem__, tau.idx)))
+            yield "strength-natural-left", (a,), names, lhs, rhs, note
     for X, Y, Y2, a in product(sets, sets, sets, P.elements):
-        for g in all_fns(Y, Y2):
-            lhs = tensor_fn(identity_fn(X), M.fmap(a, g)).then(M.strength_fn(a, X, Y2))
-            rhs = M.strength_fn(a, X, Y).then(M.fmap(a, tensor_fn(identity_fn(X), g)))
-            yield ("strength-natural-right", (a,), (X.name, Y.name, Y2.name), lhs, rhs,
-                   f"g={g.mapping}")
+        names, TaY = (X.name, Y.name, Y2.name), M.carrier(a, Y)
+        tau2, tau = M.strength_fn(a, X, Y2), M.strength_fn(a, X, Y)
+        rows = [[tau2.idx[p] for p in row] for row in tensor(X, M.carrier(a, Y2)).pair_grid()]
+        XT, XY, XY2 = tensor(X, TaY), tensor(X, Y), tensor(X, Y2)
+        pairs, xy, at = XT.pair_list(), XY.pair_list(), XY2.pair_grid()
+        for g, note in _maps(Y, Y2, "g"):
+            G, gi = M.fmap(a, g).idx, g.idx
+            lhs = FinFn._table(XT, tau2.cod, tuple([rows[x][G[t]] for x, t in pairs]))
+            F = M.fmap(a, FinFn._table(XY, XY2, tuple([at[x][gi[y]] for x, y in xy])))
+            rhs = FinFn._table(tau.dom, F.cod, tuple(map(F.idx.__getitem__, tau.idx)))
+            yield "strength-natural-right", (a,), names, lhs, rhs, note
     if not P.is_discrete():
         for X, Y, (a, b) in product(sets, sets, P.comparable_pairs()):
             if a != b:
@@ -412,20 +438,25 @@ def _naturality(M: GradedStrongMonad, k: int):
     # composition is quadratic in the function count, so cap the sizes
     small = [S for S in sets if len(S) <= 2]
     for X, Y, Z in product(small, small, small):
-        for f in all_fns(X, Y):
-            for g, a in product(all_fns(Y, Z), P.elements):
+        for f, f_note in _maps(X, Y):
+            for (g, g_note), a in product(_maps(Y, Z, "g"), P.elements):
                 yield ("fmap-compose", (a,), (X.name, Y.name, Z.name),
-                       M.fmap(a, f).then(M.fmap(a, g)), M.fmap(a, f.then(g)),
-                       f"f={f.mapping} g={g.mapping}")
+                       M.fmap(a, f).then(M.fmap(a, g)), M.fmap(a, f.then(g)), f"{f_note} {g_note}")
+    grade_pairs = [(a, b, P.times(a, b)) for a, b in product(P.elements, P.elements)]
     for X, Y in product(sets, sets):
-        for f in all_fns(X, Y):
-            lhs = f.then(M.unit_fn(Y))
-            rhs = M.unit_fn(X).then(M.fmap(P.unit, f))
-            yield "unit-natural", (P.unit,), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
-            for a, b in product(P.elements, P.elements):
-                lhs = M.fmap(a, M.fmap(b, f)).then(M.mult_fn(a, b, Y))
-                rhs = M.mult_fn(a, b, X).then(M.fmap(P.times(a, b), f))
-                yield "mult-natural", (a, b), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+        names, mults = (X.name, Y.name), {}
+        for f, note in _maps(X, Y):
+            yield ("unit-natural", (P.unit,), names, f.then(M.unit_fn(Y)),
+                   M.unit_fn(X).then(M.fmap(P.unit, f)), note)
+            for a, b, ab in grade_pairs:
+                FF = M.fmap(a, M.fmap(b, f))
+                if (a, b) not in mults:
+                    mults[a, b] = M.mult_fn(a, b, Y), M.mult_fn(a, b, X)
+                mu_Y, mu_X = mults[a, b]
+                F = M.fmap(ab, f)
+                lhs = FinFn._table(FF.dom, mu_Y.cod, tuple(map(mu_Y.idx.__getitem__, FF.idx)))
+                rhs = FinFn._table(mu_X.dom, F.cod, tuple(map(F.idx.__getitem__, mu_X.idx)))
+                yield "mult-natural", (a, b), names, lhs, rhs, note
 
 
 def check_monad_laws(M: GradedStrongMonad, k: int = 3) -> Report:
@@ -568,10 +599,11 @@ def _morphism_laws(m: GradedMonadMorphism, k: int):
             rhs = m.component_fn(a, X).then(T.lift_fn(phi(a), phi(b), X))
             yield "lift-square", (a, b), (X.name,), lhs, rhs
     for X, Y in product(sets, sets):
-        for f, a in product(all_fns(X, Y), GP.elements):
-            lhs = S.fmap(a, f).then(m.component_fn(a, Y))
-            rhs = m.component_fn(a, X).then(T.fmap(phi(a), f))
-            yield "component-natural", (a,), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+        comps = [(a, phi(a), m.component_fn(a, Y), m.component_fn(a, X)) for a in GP.elements]
+        for f, note in _maps(X, Y):
+            for a, pa, c_Y, c_X in comps:
+                yield ("component-natural", (a,), (X.name, Y.name), S.fmap(a, f).then(c_Y),
+                       c_X.then(T.fmap(pa, f)), note)
 
 
 def check_graded_monad_morphism(m: GradedMonadMorphism, k: int = 3) -> Report:

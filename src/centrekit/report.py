@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring_ascii
 from dataclasses import asdict, dataclass, field
+from functools import cache
 
 from .finkit import first_mismatch
 
@@ -154,10 +155,12 @@ class Report:
 
         json.dumps with an indent runs the pure-Python encoder; the fixed
         record shape is filled in from a template instead, with the C string
-        encoder for the values.
+        encoder for the values.  Each distinct grades or sets tuple is
+        rendered once per report.
         """
+        listed = cache(_list)
         records = ",\n".join(_RECORD % (
-            _value(r.law), _list(r.grades), _list(r.sets), _value(r.ok), _value(r.witness),
+            _value(r.law), listed(r.grades), listed(r.sets), _value(r.ok), _value(r.witness),
             _value(r.lhs), _value(r.rhs), _value(r.note)) for r in self.records)
         records = f"[\n{records}\n  ]" if records else "[]"
         return (f'{{\n  "title": {_value(self.title)},\n  "ok": {_value(self.ok)},\n'

@@ -86,6 +86,24 @@ class TestDuoidCommand:
         out = capsys.readouterr().out
         assert "FAIL" in out and "witness" in out
 
+    @pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+    def test_base_law_violation_exits_1(self, tmp_path, capsys, as_json):
+        # idle*busy = over breaks the base pomonoid's unit law (idle is the
+        # unit): a failed check, with the verdict ``pomonoid check`` gives
+        bad = tmp_path / "bad.duo"
+        with open(fx("escalation.duo")) as fh:
+            bad.write_text(fh.read().replace("mul idle busy busy", "mul idle busy over"))
+        flag = ["--json"] if as_json else []
+        expected = main(["pomonoid", "check", str(bad)] + flag), capsys.readouterr()
+        assert expected[0] == 1 and expected[1].err == ""
+        assert main(["duoid", "check", str(bad)] + flag) == 1
+        captured = capsys.readouterr()
+        assert captured == expected[1]
+        if as_json:
+            assert json.loads(captured.out) == {"ok": False, "error": "unit law fails at busy"}
+        else:
+            assert captured.out == "FAIL  unit law fails at busy\n"
+
     def test_stray_op2_entry_exits_2(self, tmp_path, capsys):
         # c is not an element; the same line as mul is refused the same way
         stray = tmp_path / "stray.duo"

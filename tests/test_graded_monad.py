@@ -15,6 +15,7 @@ from centrekit.finkit import (
 )
 from centrekit.graded_monad import (
     ComponentMissing,
+    GradedStrongMonad,
     UnknownName,
     bool_writer_pair,
     build,
@@ -101,6 +102,103 @@ def swapped_costrength_writer():
 
     M.costrength = bad_costrength
     return M
+
+
+WARNINGS = {"wa", "wb"}
+
+
+def _retabled(fn, image):
+    """fn followed by image, a token map on fn's codomain."""
+    return FinFn(fn.dom, fn.cod, {t: image(fn(t)) for t in fn.dom})
+
+
+def _strength_forgetting(slot: int):
+    """multi_error_writer whose strength at the warnings sends ((x,y),u) to the
+    same image with the value in ``slot`` (0: x, 1: y) replaced by the first
+    token of its set.  The other slot stays natural."""
+    M = multi_error_writer()
+    good_strength = M.strength
+
+    def bad_strength(a, X, Y):
+        fn = good_strength(a, X, Y)
+        if a not in WARNINGS:
+            return fn
+        S = (X, Y)[slot]
+
+        def image(v):
+            pair, ann = split_pair(v)
+            xy = list(split_pair(pair))
+            xy[slot] = S.elems[0]
+            return make_pair(make_pair(*xy), ann)
+        return _retabled(fn, image)
+
+    M.strength = bad_strength
+    return M
+
+
+def left_unnatural_strength_writer():
+    """A strength that is not natural in its left slot."""
+    return _strength_forgetting(0)
+
+
+def right_unnatural_strength_writer():
+    """A strength that is not natural in its right slot."""
+    return _strength_forgetting(1)
+
+
+def unnatural_mult_writer():
+    """multi_error_writer whose mult at two warnings keeps the annotation but
+    sends every value to the first token of X."""
+    M = multi_error_writer()
+    good_mult = M.mult
+
+    def bad_mult(a, b, X):
+        fn = good_mult(a, b, X)
+        if a not in WARNINGS or b not in WARNINGS:
+            return fn
+        return _retabled(fn, lambda v: make_pair(X.elems[0], split_pair(v)[1]))
+
+    M.mult = bad_mult
+    return M
+
+
+def unnatural_unit_writer():
+    """multi_error_writer whose unit sends every value to the first token."""
+    M = multi_error_writer()
+    M.unit = lambda X: _retabled(identity_fn(X), lambda v: X.elems[0])
+    return M
+
+
+def noncompositional_fmap_monad():
+    """multi_error_writer given by carrier_fn/fmap_fn, whose fmap replaces a
+    map that is not injective by the constant map to the first token: T^a
+    (constant y1) then T^a (swap) is no longer T^a (constant y0)."""
+    M = multi_error_writer()
+
+    def bad_fmap(a, f):
+        if not f.is_injective():
+            f = FinFn(f.dom, f.cod, {t: f.cod.elems[0] for t in f.dom})
+        return M.fmap(a, f)
+
+    return GradedStrongMonad(pomonoid=M.pomonoid, unit=M.unit, mult=M.mult,
+                             strength=M.strength, carrier_fn=M.carrier, fmap_fn=bad_fmap,
+                             name=M.name)
+
+
+def unnatural_component_morphism():
+    """discrete_to_topped_morphism whose components at the warnings send every
+    value to the first token of X."""
+    m = discrete_to_topped_morphism()
+    good_component = m.component
+
+    def bad_component(a, X):
+        fn = good_component(a, X)
+        if a not in WARNINGS:
+            return fn
+        return _retabled(fn, lambda v: make_pair(X.elems[0], split_pair(v)[1]))
+
+    m.component = bad_component
+    return m
 
 
 class TestMultiErrorWriter:
@@ -228,6 +326,19 @@ class TestBoolWriterPair:
 
 
 class TestBrokenInstancesAreCaught:
+    @pytest.mark.parametrize("law, check, make", [
+        ("strength-natural-left", check_strength_laws, left_unnatural_strength_writer),
+        ("strength-natural-right", check_strength_laws, right_unnatural_strength_writer),
+        ("mult-natural", check_naturality, unnatural_mult_writer),
+        ("unit-natural", check_naturality, unnatural_unit_writer),
+        ("fmap-compose", check_naturality, noncompositional_fmap_monad),
+        ("component-natural", check_graded_monad_morphism, unnatural_component_morphism),
+    ])
+    def test_unnatural_component_fails_its_naturality_law(self, law, check, make):
+        failed = [r for r in check(make(), 2).failures() if r.law == law]
+        assert failed
+        assert all(r.witness is not None and r.lhs != r.rhs for r in failed)
+
     def test_value_cycling_mu_fails_associativity(self):
         rep = check_monad_laws(cycling_mult_writer(), 2)
         assert not rep.ok

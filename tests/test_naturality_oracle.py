@@ -1,0 +1,320 @@
+"""The naturality laws against the composite loops they replaced.
+
+lift-natural, strength-natural-left, strength-natural-right, fmap-compose,
+unit-natural, mult-natural and the morphism suite's component-natural
+quantify over every map between the canonical sets.  The suites read each
+side of these laws off index tables hoisted out of the loop over the maps;
+the reference suites below are the ones that came before, which build both
+sides with ``then``/``tensor_fn`` for every map and render each note with
+``f.mapping``.  The other laws of those suites are carried along unchanged,
+so that whole reports compare: both sides must give the same ``to_json()``
+bytes.
+
+The fetch-order test logs the key of every component the monad builds
+(unit, mult, strength, costrength, lift and fmap) in the order it first
+builds it, on check_all and on each suite with a rewritten law alone.  A
+faulty component then raises the same first error as before: the digests
+of those logs were recorded on the composite loops.
+"""
+
+import hashlib
+from dataclasses import replace
+from itertools import chain, product
+
+import pytest
+
+from centrekit import graded_monad as gm
+from centrekit.centre import build_centre_monad
+from centrekit.finkit import (
+    all_fns,
+    alpha,
+    alpha_inv,
+    identity_fn,
+    lam,
+    tensor,
+    tensor_fn,
+    unit_set,
+)
+from centrekit.graded_monad import (
+    bool_writer_pair,
+    canonical_sets,
+    check_all,
+    check_graded_monad_morphism,
+    discrete_to_topped_morphism,
+    multi_error_writer,
+    registry,
+)
+from centrekit.pomonoid import check_pomonoid_morphism
+from centrekit.report import LawRecord, run_suite
+from test_graded_monad import (
+    constant_lift_writer,
+    left_unnatural_strength_writer,
+    noncompositional_fmap_monad,
+    right_unnatural_strength_writer,
+    unnatural_component_morphism,
+    unnatural_mult_writer,
+    unnatural_unit_writer,
+)
+
+
+# --- the composite loops -------------------------------------------------------
+
+def ref_order_laws(M, k):
+    P = M.pomonoid
+    sets = canonical_sets(k)
+    comparable = P.comparable_pairs()
+    if P.is_discrete():
+        yield LawRecord(law="order-vacuous", note="discrete order")
+        return
+    for X in sets:
+        for a in P.elements:
+            yield "lift-refl", (a, a), (X.name,), M.lift_fn(a, a, X), identity_fn(M.carrier(a, X))
+        for (a, b), c in product(comparable, P.elements):
+            if P.le(b, c):
+                composed = M.lift_fn(a, b, X).then(M.lift_fn(b, c, X))
+                yield "lift-compose", (a, b, c), (X.name,), composed, M.lift_fn(a, c, X)
+    for X, Y in product(sets, sets):
+        for f, (a, b) in product(all_fns(X, Y), comparable):
+            if a != b:
+                lhs = M.fmap(a, f).then(M.lift_fn(a, b, Y))
+                rhs = M.lift_fn(a, b, X).then(M.fmap(b, f))
+                yield "lift-natural", (a, b), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+    for X, (a, a2), (b, b2) in product(sets, comparable, comparable):
+        if a == a2 and b == b2:
+            continue
+        direct = M.mult_fn(a, b, X).then(M.lift_fn(P.times(a, b), P.times(a2, b2), X))
+        inside = (M.lift_fn(a, a2, M.carrier(b, X)).then(M.fmap(a2, M.lift_fn(b, b2, X)))
+                  .then(M.mult_fn(a2, b2, X)))
+        yield "mult-lift", (a, a2, b, b2), (X.name,), direct, inside
+
+
+def ref_strength_laws(M, k):
+    P = M.pomonoid
+    sets = canonical_sets(k)
+    I = unit_set()
+    for Y, a in product(sets, P.elements):
+        TaY = M.carrier(a, Y)
+        lhs = M.strength_fn(a, I, Y).then(M.fmap(a, lam(Y)))
+        yield "strength-unitor", (a,), (Y.name,), lhs, lam(TaY)
+    for X, Y, Z, a in product(sets, sets, sets, P.elements):
+        TaZ = M.carrier(a, Z)
+        via_assoc = (alpha(X, Y, TaZ)
+                     .then(tensor_fn(identity_fn(X), M.strength_fn(a, Y, Z)))
+                     .then(M.strength_fn(a, X, tensor(Y, Z))))
+        direct = M.strength_fn(a, tensor(X, Y), Z).then(M.fmap(a, alpha(X, Y, Z)))
+        yield "strength-assoc", (a,), (X.name, Y.name, Z.name), via_assoc, direct
+    for X, Y in product(sets, sets):
+        XY = tensor(X, Y)
+        lhs = tensor_fn(identity_fn(X), M.unit_fn(Y)).then(M.strength_fn(P.unit, X, Y))
+        yield "strength-unit", (P.unit,), (X.name, Y.name), lhs, M.unit_fn(XY)
+        for a, b in product(P.elements, P.elements):
+            TbY = M.carrier(b, Y)
+            lhs = tensor_fn(identity_fn(X), M.mult_fn(a, b, Y)).then(
+                M.strength_fn(P.times(a, b), X, Y))
+            rhs = (M.strength_fn(a, X, TbY)
+                   .then(M.fmap(a, M.strength_fn(b, X, Y)))
+                   .then(M.mult_fn(a, b, XY)))
+            yield "strength-mult", (a, b), (X.name, Y.name), lhs, rhs
+    for X, X2, Y, a in product(sets, sets, sets, P.elements):
+        TaY = M.carrier(a, Y)
+        for f in all_fns(X, X2):
+            lhs = tensor_fn(f, identity_fn(TaY)).then(M.strength_fn(a, X2, Y))
+            rhs = M.strength_fn(a, X, Y).then(M.fmap(a, tensor_fn(f, identity_fn(Y))))
+            yield ("strength-natural-left", (a,), (X.name, X2.name, Y.name), lhs, rhs,
+                   f"f={f.mapping}")
+    for X, Y, Y2, a in product(sets, sets, sets, P.elements):
+        for g in all_fns(Y, Y2):
+            lhs = tensor_fn(identity_fn(X), M.fmap(a, g)).then(M.strength_fn(a, X, Y2))
+            rhs = M.strength_fn(a, X, Y).then(M.fmap(a, tensor_fn(identity_fn(X), g)))
+            yield ("strength-natural-right", (a,), (X.name, Y.name, Y2.name), lhs, rhs,
+                   f"g={g.mapping}")
+    if not P.is_discrete():
+        for X, Y, (a, b) in product(sets, sets, P.comparable_pairs()):
+            if a != b:
+                lhs = M.strength_fn(a, X, Y).then(M.lift_fn(a, b, tensor(X, Y)))
+                rhs = tensor_fn(identity_fn(X), M.lift_fn(a, b, Y)).then(M.strength_fn(b, X, Y))
+                yield "strength-lift", (a, b), (X.name, Y.name), lhs, rhs
+    for W, X, Y, a in product(sets, sets, sets, P.elements):
+        TaX = M.carrier(a, X)
+        WX = tensor(W, X)
+        lhs = tensor_fn(M.strength_fn(a, W, X), identity_fn(Y)).then(M.costrength_fn(a, WX, Y))
+        rhs = (alpha(W, TaX, Y)
+               .then(tensor_fn(identity_fn(W), M.costrength_fn(a, X, Y)))
+               .then(M.strength_fn(a, W, tensor(X, Y)))
+               .then(M.fmap(a, alpha_inv(W, X, Y))))
+        yield "strength-interchange", (a,), (W.name, X.name, Y.name), lhs, rhs
+
+
+def ref_naturality(M, k):
+    P = M.pomonoid
+    sets = canonical_sets(k)
+    for X, a in product(sets, P.elements):
+        yield "fmap-id", (a,), (X.name,), M.fmap(a, identity_fn(X)), identity_fn(M.carrier(a, X))
+    small = [S for S in sets if len(S) <= 2]
+    for X, Y, Z in product(small, small, small):
+        for f in all_fns(X, Y):
+            for g, a in product(all_fns(Y, Z), P.elements):
+                yield ("fmap-compose", (a,), (X.name, Y.name, Z.name),
+                       M.fmap(a, f).then(M.fmap(a, g)), M.fmap(a, f.then(g)),
+                       f"f={f.mapping} g={g.mapping}")
+    for X, Y in product(sets, sets):
+        for f in all_fns(X, Y):
+            lhs = f.then(M.unit_fn(Y))
+            rhs = M.unit_fn(X).then(M.fmap(P.unit, f))
+            yield "unit-natural", (P.unit,), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+            for a, b in product(P.elements, P.elements):
+                lhs = M.fmap(a, M.fmap(b, f)).then(M.mult_fn(a, b, Y))
+                rhs = M.mult_fn(a, b, X).then(M.fmap(P.times(a, b), f))
+                yield "mult-natural", (a, b), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+
+
+def ref_morphism_laws(m, k):
+    grades = check_pomonoid_morphism(m.phi)
+    for r in grades.records:
+        yield replace(r, law=f"grades.{r.law}")
+    if not grades.ok:
+        return
+    S, T, phi = m.source, m.target, m.phi
+    GP, HP = S.pomonoid, T.pomonoid
+    sets = canonical_sets(k)
+    for X in sets:
+        lhs = S.unit_fn(X).then(m.component_fn(GP.unit, X))
+        rhs = T.unit_fn(X).then(T.lift_fn(HP.unit, phi(GP.unit), X))
+        yield "unit-square", (GP.unit,), (X.name,), lhs, rhs
+    for X, a, b in product(sets, GP.elements, GP.elements):
+        ab = GP.times(a, b)
+        SbX = S.carrier(b, X)
+        lhs = S.mult_fn(a, b, X).then(m.component_fn(ab, X))
+        rhs = (m.component_fn(a, SbX)
+               .then(T.fmap(phi(a), m.component_fn(b, X)))
+               .then(T.mult_fn(phi(a), phi(b), X))
+               .then(T.lift_fn(HP.times(phi(a), phi(b)), phi(ab), X)))
+        yield "mult-square", (a, b), (X.name,), lhs, rhs
+    for X, Y, a in product(sets, sets, GP.elements):
+        lhs = S.strength_fn(a, X, Y).then(m.component_fn(a, tensor(X, Y)))
+        rhs = tensor_fn(identity_fn(X), m.component_fn(a, Y)).then(T.strength_fn(phi(a), X, Y))
+        yield "strength-square", (a,), (X.name, Y.name), lhs, rhs
+    for X, (a, b) in product(sets, GP.comparable_pairs()):
+        if a != b:
+            lhs = S.lift_fn(a, b, X).then(m.component_fn(b, X))
+            rhs = m.component_fn(a, X).then(T.lift_fn(phi(a), phi(b), X))
+            yield "lift-square", (a, b), (X.name,), lhs, rhs
+    for X, Y in product(sets, sets):
+        for f, a in product(all_fns(X, Y), GP.elements):
+            lhs = S.fmap(a, f).then(m.component_fn(a, Y))
+            rhs = m.component_fn(a, X).then(T.fmap(phi(a), f))
+            yield "component-natural", (a,), (X.name, Y.name), lhs, rhs, f"f={f.mapping}"
+
+
+def ref_check_all(M, k):
+    return run_suite(f"all-laws({M.name})", chain(
+        gm._monad_laws(M, k), ref_order_laws(M, k), ref_strength_laws(M, k),
+        gm._costrength_coherence(M, k), ref_naturality(M, k)))
+
+
+def ref_check_morphism(m, k):
+    return run_suite(f"monad-morphism({m.name})", ref_morphism_laws(m, k))
+
+
+# --- both sides ----------------------------------------------------------------
+
+def assert_same_report(new, ref):
+    # the record lists first: a failure names the first differing record,
+    # where a diff of two multi-megabyte JSON texts would take minutes
+    assert new.records == ref.records
+    assert new.to_json() == ref.to_json()
+
+
+def assert_same_check_all(make, k):
+    """check_all and the reference on two fresh monads, byte for byte."""
+    new = check_all(make(), k)
+    assert_same_report(new, ref_check_all(make(), k))
+    return new
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", sorted(registry()))
+def test_builtins(name, k):
+    assert_same_check_all(registry()[name], k)
+
+
+def test_multi_error_writer_k4():
+    assert_same_check_all(multi_error_writer, 4)
+
+
+def test_centre_monad_through_fmap_fn():
+    rep = assert_same_check_all(lambda: build_centre_monad(bool_writer_pair()).monad, 2)
+    assert {"strength-natural-left", "mult-natural", "lift-natural"} <= {r.law for r in rep.records}
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_discrete_to_topped_morphism(k):
+    assert_same_report(check_graded_monad_morphism(discrete_to_topped_morphism(), k),
+                       ref_check_morphism(discrete_to_topped_morphism(), k))
+
+
+PLANTED = {
+    "constant-lift": constant_lift_writer,
+    "left-unnatural-strength": left_unnatural_strength_writer,
+    "right-unnatural-strength": right_unnatural_strength_writer,
+    "unnatural-mult": unnatural_mult_writer,
+    "unnatural-unit": unnatural_unit_writer,
+    "noncompositional-fmap": noncompositional_fmap_monad,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_bugs(name):
+    assert not assert_same_check_all(PLANTED[name], 2).ok
+
+
+def test_planted_unnatural_component():
+    new = check_graded_monad_morphism(unnatural_component_morphism(), 2)
+    assert not new.ok
+    assert_same_report(new, ref_check_morphism(unnatural_component_morphism(), 2))
+
+
+# --- first builds --------------------------------------------------------------
+
+class FirstBuilds(dict):
+    """A component memo that logs each key other than a carrier's as it is
+    first built."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def __setitem__(self, key, value):
+        if key[0] != "carrier":
+            self.log.append(key)
+        super().__setitem__(key, value)
+
+
+# (entries, SHA-256 of the log), recorded on the composite loops at k=3
+FETCH_ORDER = {
+    ("check_all", "multi_error_writer_topped"):
+        (4260, "83c59b8453e96a04a7517543e095d961b22d744ce03269066458deffb955d3ae"),
+    ("check_all", "bool_writer_pair"):
+        (1996, "089f0e79b00a8e4225b3a4965089c966a80040546e684f3bc52b9e04a63748f9"),
+    ("check_order_laws", "multi_error_writer_topped"):
+        (384, "4e30f538dd99f9251cebffb19e765d6cc08d4cc914040939d12e7c603171385e"),
+    ("check_order_laws", "bool_writer_pair"):
+        (158, "41410011c0e202ab690c0081a885f77405964b254ef1aa4a8cc049de9b78494a"),
+    ("check_strength_laws", "multi_error_writer_topped"):
+        (2984, "194b68122fe00804ed9100c31842e1b332bb16b29b0b61b65460d1808caaabba"),
+    ("check_strength_laws", "bool_writer_pair"):
+        (1424, "822354f67e5c42292c217adfae9d8e6ac9061832a7761b2e543a2bb40c48b236"),
+    ("check_naturality", "multi_error_writer_topped"):
+        (784, "6c4545285a69049900ee006ad161435edcde3dd40cc583e9284c4190644da381"),
+    ("check_naturality", "bool_writer_pair"):
+        (376, "0bd3527a2bc8ad75881ca98180cb56465167f729393929f8e2b2e1147f9c4249"),
+}
+
+
+@pytest.mark.parametrize("suite, name", sorted(FETCH_ORDER))
+def test_components_are_first_built_in_the_same_order(suite, name):
+    M = registry()[name]()
+    M._memo = FirstBuilds()
+    getattr(gm, suite)(M, 3)
+    log = "\n".join(map(repr, M._memo.log))
+    assert (len(M._memo.log), hashlib.sha256(log.encode()).hexdigest()) == FETCH_ORDER[suite, name]

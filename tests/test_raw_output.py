@@ -6,7 +6,7 @@ bytes: ``to_json()`` and ``to_text()`` of every built-in's ``check_all`` at
 k=2, each of its five suites alone at k=2 and ``check_commutative`` at k=3;
 of the morphism suite on ``discrete_to_topped_morphism``, the centrality
 conditions on each writer's centre, ``derive_monoidal_m`` on ``identity``
-and three planted-bug reports from ``test_graded_monad.py``; and stdout,
+and nine planted-bug reports from ``test_graded_monad.py``; and stdout,
 stderr and exit code of the README's CLI commands, in text and (where
 offered) JSON form.
 
@@ -63,7 +63,13 @@ def report_scans():
     from test_graded_monad import (
         constant_lift_writer,
         cycling_mult_writer,
+        left_unnatural_strength_writer,
+        noncompositional_fmap_monad,
+        right_unnatural_strength_writer,
         swapped_costrength_writer,
+        unnatural_component_morphism,
+        unnatural_mult_writer,
+        unnatural_unit_writer,
     )
 
     for name, make in gm.registry().items():
@@ -84,6 +90,16 @@ def report_scans():
     yield "constant-lift check_order_laws(k=2)", gm.check_order_laws(constant_lift_writer(), 2)
     yield ("swapped-costrength check_costrength_coherence(k=2)",
            gm.check_costrength_coherence(swapped_costrength_writer(), 2))
+    yield ("left-unnatural-strength check_strength_laws(k=2)",
+           gm.check_strength_laws(left_unnatural_strength_writer(), 2))
+    yield ("right-unnatural-strength check_strength_laws(k=2)",
+           gm.check_strength_laws(right_unnatural_strength_writer(), 2))
+    yield "unnatural-mult check_naturality(k=2)", gm.check_naturality(unnatural_mult_writer(), 2)
+    yield "unnatural-unit check_naturality(k=2)", gm.check_naturality(unnatural_unit_writer(), 2)
+    yield ("noncompositional-fmap check_naturality(k=2)",
+           gm.check_naturality(noncompositional_fmap_monad(), 2))
+    yield ("unnatural-component check_graded_monad_morphism(k=2)",
+           gm.check_graded_monad_morphism(unnatural_component_morphism(), 2))
 
 
 def report_digests() -> dict:
