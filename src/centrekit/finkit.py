@@ -14,7 +14,9 @@ set per n, and a set keeps its identity map once built.  Empty products are
 the exception: a product with an empty factor is built afresh on every call
 and not shared through that registry, and every map out of an empty domain
 (``tensor_fn``, ``from_pairs``, the structure maps) is the empty table,
-returned at once.
+returned at once.  Tokens live at the edge: a product holds its factors and
+builds its token list only when something reads it (a witness, ``in``,
+iteration, ``mapping``, the checked ``FinFn`` constructor).
 
 A ``FinFn`` stores its table as ``idx``, a tuple of codomain positions:
 ``idx[i]`` is the place, in the codomain's sorted tokens, of the image of
@@ -25,8 +27,9 @@ these integer tables and never re-check a table they built;
 ``FinFn(dom, cod, mapping)`` checks every table it is given.  A product
 built by ``tensor`` keeps, as tuples worked out on first use, where the
 pair of its factors' i-th and j-th tokens sits among its own sorted tokens
-(``pair_grid``, ``pair_list``): not always row-major when a factor token
-prefixes another (``a`` and ``a*``: ``(a*,b)`` sorts before ``(a,b)``).
+(``pair_grid``, ``pair_list``), read off the factors' tokens: not always
+row-major when a factor token prefixes another (``a`` and ``a*``: ``(a*,b)``
+sorts before ``(a,b)``).
 
 The two sides of a law diagram are built as composites of these tables
 (``then``, ``tensor_fn``, the structure maps and identities) and compared
@@ -108,38 +111,61 @@ def _check_token(tok: str) -> None:
 
 
 class FinSet:
-    """A finite set of distinct tokens, stored sorted.
+    """A finite set of distinct tokens, listed sorted in ``elems``.
 
-    The name is cosmetic: equality and hashing look at the tokens only, so
-    two differently-named sets with the same tokens are the same set.
-    Instances are immutable and may be shared, so the hash is computed once.
-    A product built by ``tensor`` keeps its two factors in ``factors``; its
-    tokens are pairs of the factors' checked tokens and are not checked again.
+    The name is cosmetic: two sets are equal when their tokens are, whatever
+    their names.  Instances are immutable and may be shared, so the hash is
+    computed once.  A product built by ``tensor`` holds only its factors
+    (``factors``), its size and its pair tables; ``elems``, its member set and
+    ``token_index`` are built on first read, from the factors' checked tokens.
+    Hashing and equality read no product's tokens: a non-empty product hashes
+    from its factors, as does a plain set whose tokens are exactly the pairs
+    L x R, and two non-empty products compare by their factors.  Only a plain
+    set and a product compare by tokens.
     """
 
-    __slots__ = ("name", "elems", "factors", "_members", "_hash", "_prefix_free",
+    __slots__ = ("name", "factors", "_elems", "_size", "_set", "_hash", "_prefix_free",
                  "_index", "_pairs", "_grid", "_pair_list", "_identity", "__weakref__")
 
-    def __init__(self, name: str, elems, factors=None):
-        elems = tuple(sorted(elems))
+    def __init__(self, name: str, elems=(), factors=None):
+        self.name = name
+        self.factors = factors
         if factors is None:
+            elems = tuple(sorted(elems))
             for tok in elems:
                 _check_token(tok)
-        members = frozenset(elems)
-        if len(members) != len(elems):
-            raise TokenError(f"duplicate tokens in {name or 'set'}: {elems}")
-        self.name = name
-        self.elems = elems
-        self.factors = factors
-        self._prefix_free = None
-        self._members = members
-        self._hash = hash(elems)
+            self._set = frozenset(elems)
+            if len(self._set) != len(elems):
+                raise TokenError(f"duplicate tokens in {name or 'set'}: {elems}")
+            self._elems, self._size = elems, len(elems)
+            self._hash, self._prefix_free = _token_hash(elems), None
+        else:
+            A, B = factors
+            self._size = len(A) * len(B)
+            self._elems, self._set = None if self._size else (), None
+            self._hash = hash((A._hash, B._hash)) if self._size else hash(())
+            # a pair token ends at the bracket matching its first one, so no
+            # pair token is a proper prefix of another
+            self._prefix_free = True
         self._index = self._grid = self._pair_list = None
         self._pairs = _UNKNOWN
         self._identity = None
 
+    @property
+    def elems(self) -> tuple:
+        """The tokens, sorted (a product's are built on first read)."""
+        if self._elems is None:
+            A, B = self.factors
+            self._elems = tuple(sorted([make_pair(a, b) for a in A.elems for b in B.elems]))
+        return self._elems
+
+    def _members(self) -> frozenset:
+        if self._set is None:
+            self._set = frozenset(self.elems)
+        return self._set
+
     def __contains__(self, tok) -> bool:
-        return tok in self._members
+        return tok in self._members()
 
     def prefix_free(self) -> bool:
         """No token is a proper prefix of another (worked out on first use)."""
@@ -151,7 +177,7 @@ class FinSet:
     def token_index(self) -> dict:
         """Token -> its position in ``elems`` (built on first use)."""
         if self._index is None:
-            self._index = dict(zip(self.elems, range(len(self.elems))))
+            self._index = dict(zip(self.elems, range(self._size)))
         return self._index
 
     def pair_positions(self):
@@ -195,13 +221,17 @@ class FinSet:
         return iter(self.elems)
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return self._size
 
     def __eq__(self, other) -> bool:
         if other is self:
             return True
-        return (isinstance(other, FinSet) and self._hash == other._hash
-                and self.elems == other.elems)
+        if not (isinstance(other, FinSet) and self._hash == other._hash
+                and self._size == other._size):
+            return False
+        if self._size and self.factors and other.factors:
+            return self.factors == other.factors
+        return not self._size or self.elems == other.elems
 
     def __hash__(self) -> int:
         return self._hash
@@ -211,6 +241,20 @@ class FinSet:
 
 
 _UNKNOWN = object()
+
+
+def _token_hash(elems: tuple) -> int:
+    """The hash of the set of these sorted tokens: that of the product L (x) R
+    when they are exactly its pairs, else that of the tuple."""
+    if elems and all(tok[0] == "(" for tok in elems):
+        try:
+            halves = [split_pair(tok) for tok in elems]
+        except TokenError:
+            return hash(elems)
+        left, right = sorted({l for l, _ in halves}), sorted({r for _, r in halves})
+        if len(left) * len(right) == len(elems):
+            return hash((_token_hash(tuple(left)), _token_hash(tuple(right))))
+    return hash(elems)
 
 
 def _inverse(perm) -> list:
@@ -244,9 +288,10 @@ class FinFn:
     def __init__(self, dom: FinSet, cod: FinSet, mapping):
         if not isinstance(mapping, dict):
             mapping = dict(mapping)
-        if mapping.keys() != dom._members:
-            missing = dom._members - set(mapping)
-            extra = set(mapping) - dom._members
+        members = dom._members()
+        if mapping.keys() != members:
+            missing = members - set(mapping)
+            extra = set(mapping) - members
             raise ValueError(f"map not total on {dom.name}: missing={missing} extra={extra}")
         image = list(map(mapping.__getitem__, dom.elems))
         position = cod.token_index()
@@ -274,7 +319,7 @@ class FinFn:
     def from_pairs(cls, dom: FinSet, cod: FinSet, images) -> "FinFn":
         """The map from a product sending the pair of its factors' i-th and
         j-th tokens to cod's images[i*|B| + j]-th token (images unchecked)."""
-        if not dom.elems:
+        if not dom:
             return cls._table(dom, cod, ())
         pairs = dom.pair_positions()
         if pairs is not None:
@@ -468,18 +513,18 @@ def unit_set() -> FinSet:
 def tensor(A: FinSet, B: FinSet) -> FinSet:
     """The product A (x) B, named ``(AxB)``.
 
-    A product in use is shared: equal operands with the same names get the
-    same set back.  A product with an empty factor is built afresh instead,
-    with no token list and no entry in the registry, since every such
-    product is the same empty set.
+    The product keeps the two operands and builds no token until one is
+    read.  A product in use is shared: equal operands with the same names get
+    the same set back.  A product with an empty factor is built afresh
+    instead, with no entry in the registry, since every such product is the
+    same empty set.
     """
-    if not (A.elems and B.elems):
-        return FinSet(f"({A.name}x{B.name})", (), factors=(A, B))
+    if not (A and B):
+        return FinSet(f"({A.name}x{B.name})", factors=(A, B))
     key = (A, B, A.name, B.name)
     product = _PRODUCTS.get(key, _GONE)()
     if product is None:
-        product = FinSet(f"({A.name}x{B.name})", [make_pair(a, b) for a in A for b in B],
-                         factors=(A, B))
+        product = FinSet(f"({A.name}x{B.name})", factors=(A, B))
 
         def forget(ref, key=key):
             if _PRODUCTS.get(key) is ref:
@@ -491,7 +536,7 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     dom = tensor(f.dom, g.dom)
     cod = tensor(f.cod, g.cod)
-    if not dom.elems:
+    if not dom:
         return FinFn._table(dom, cod, ())
     # row-major position in cod of the image of each row-major element of dom
     n = len(g.cod)
@@ -509,7 +554,7 @@ def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
     """Symmetry (x,y) -> (y,x)."""
     dom, cod = tensor(X, Y), tensor(Y, X)
-    if not dom.elems:
+    if not dom:
         return FinFn._table(dom, cod, ())
     at = cod.pair_grid()
     return FinFn.from_pairs(dom, cod, [row[x] for x in range(len(X)) for row in at])
@@ -519,7 +564,7 @@ def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """Associator ((x,y),z) -> (x,(y,z))."""
     XY, YZ = tensor(X, Y), tensor(Y, Z)
     dom, cod = tensor(XY, Z), tensor(X, YZ)
-    if not dom.elems:
+    if not dom:
         return FinFn._table(dom, cod, ())
     yz, at = YZ.pair_grid(), cod.pair_grid()
     return FinFn.from_pairs(dom, cod, [at[x][w] for x, y in XY.pair_list() for w in yz[y]])
@@ -596,8 +641,8 @@ def first_mismatch(lhs: FinFn, rhs: FinFn, eq=None):
         raise ValueError(f"codomains differ: {lhs.cod.name} vs {rhs.cod.name}")
     if lhs.idx == rhs.idx:
         return None
-    values = lhs.cod.elems
-    for t, l, r in zip(lhs.dom.elems, lhs.idx, rhs.idx):
-        if l != r and (eq is None or not eq(values[l], values[r])):
-            return t
+    cod = lhs.cod
+    for i, (l, r) in enumerate(zip(lhs.idx, rhs.idx)):
+        if l != r and (eq is None or not eq(cod.elems[l], cod.elems[r])):
+            return lhs.dom.elems[i]
     return None

@@ -81,6 +81,7 @@ def canonical_sets(k: int) -> list[FinSet]:
     since a scan over no set would pass without checking anything."""
     if k < 0:
         raise SetSizeError(f"largest set size {k} is negative: the scan would check nothing")
+    canonical_set(k)   # an oversized k fails here, so the error names k itself
     return [canonical_set(n) for n in range(k + 1)]
 
 

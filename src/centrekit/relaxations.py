@@ -301,7 +301,7 @@ def build_language_writer(alphabet: str, cap: int, duoid: Duoid) -> DuoidalGrade
         table = shuffles(a, b)
         TaX, TbY, XY = M.carrier(a, X), M.carrier(b, Y), tensor(X, Y)
         cod = M.carrier(duoid.par_of(a, b), XY)
-        if not (TaX.elems and TbY.elems):
+        if not (TaX and TbY):
             return FinFn.from_pairs(tensor(TaX, TbY), cod, ())
         xy, at = XY.pair_grid(), cod.pair_grid()
         right = TbY.pair_list()

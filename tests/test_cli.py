@@ -129,11 +129,13 @@ class TestMonadCommands:
     @pytest.mark.parametrize("argv", [
         ["monad", "laws", "--monad", "multi_error_writer", "--max-set-size", "12"],
         ["monad", "centre", "--monad", "multi_error_writer", "--set-size", "12"],
+        ["analyze", fx("reorder.eff"), "--pomonoid", fx("bool.pom"),
+         "--monad", "bool_writer_pair", "--max-set-size", "12"],
     ])
     def test_oversized_set_exits_2(self, argv, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: canonical set size") and err.count("\n") == 1
+        assert err.startswith("error: canonical set size 12 ") and err.count("\n") == 1
 
     def test_commutative_witness_pair(self, capsys):
         code = main(["monad", "commutative", "--monad", "multi_error_writer",

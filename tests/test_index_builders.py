@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrekit.centre import central_subset
 from centrekit.finkit import (
     FinFn,
     FinSet,
     alpha,
     alpha_inv,
     apply_obj,
+    canonical_set,
     first_mismatch,
     gamma,
     identity_fn,
@@ -33,7 +35,7 @@ from centrekit.finkit import (
     tensor_fn,
     unit_set,
 )
-from centrekit.graded_monad import multi_error_writer, writer_monad
+from centrekit.graded_monad import bool_writer_pair, multi_error_writer, writer_monad
 from centrekit.pomonoid import bool_pomonoid
 from centrekit.relaxations import (
     build_language_writer,
@@ -41,6 +43,7 @@ from centrekit.relaxations import (
     language_shuffle,
     parse_language_literal,
 )
+from test_relaxations import prefix_token_sets
 
 
 # --- reference builders: tables of tokens ---------------------------------------
@@ -199,6 +202,44 @@ class TestStructureMaps:
     def test_unitors(self, A):
         same_table(lam(A), ref_lam(A))
         same_table(rho(A), ref_rho(A))
+
+
+@st.composite
+def factor_sets(draw, depth=2):
+    """A prefix-sharing set (possibly empty) or a product of two such factors."""
+    if depth and draw(st.booleans()):
+        return tensor(draw(factor_sets(depth - 1)), draw(factor_sets(depth - 1)))
+    return draw(prefix_token_sets(draw(st.sampled_from(["A", "B"]))))
+
+
+def same_and_alike(x, y):
+    assert x == y and y == x and hash(x) == hash(y)
+
+
+class TestProductEquality:
+    """A product hashes and compares without its tokens, yet equals, and hashes
+    like, the plain set of the same tokens, whatever the names."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), factor_sets(), factor_sets())
+    def test_a_product_is_the_plain_set_of_its_tokens(self, data, A, B):
+        product, ref = tensor(A, B), ref_tensor(A, B)
+        same_and_alike(product, ref)
+        same_and_alike(product, tensor(FinSet("A2", A.elems), FinSet("B2", B.elems)))
+        extra = make_pair("c", data.draw(st.sampled_from(B.elems or ("c",))))
+        off = [ref.elems + (extra,)]
+        if ref:
+            dropped = data.draw(st.sampled_from(ref.elems))
+            off.append(tuple(t for t in ref.elems if t != dropped))
+        for tokens in off:
+            other = FinSet("R", tokens)
+            assert product != other and other != product
+
+    def test_a_fully_central_subset_is_its_carrier(self):
+        M, X = bool_writer_pair(), canonical_set(2)
+        carrier, sub = M.carrier("tt", X), central_subset(M, "tt", X)
+        assert carrier.factors and sub.factors is None
+        same_and_alike(carrier, sub)
 
 
 @st.composite
