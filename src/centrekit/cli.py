@@ -19,12 +19,14 @@ from .centre import CentralityViolation, CentreError, build_centre_monad, centra
 from .effectlang import EffectLangError, parse_program, reorder_report
 from .finkit import SetSizeError, canonical_set
 from .graded_monad import (
+    REGRADABLE,
     GradedMonadError,
     build,
     check_all,
     check_commutative,
     check_graded_monad_morphism,
     discrete_to_topped_morphism,
+    own_grading,
     registry,
 )
 from .pomonoid import (
@@ -172,6 +174,7 @@ def cmd_monad_morphism(args) -> int:
         morph = res.inclusion
     elif (src, dst) == ("multi_error_writer", "multi_error_writer_topped"):
         morph = discrete_to_topped_morphism()
+        own_grading(dst, morph.target, _load_pomonoid_arg(args))
     else:
         raise InputError(f"no built-in morphism from {src} to {dst}")
     return _emit(check_graded_monad_morphism(morph, k=args.max_set_size), args.json)
@@ -181,6 +184,7 @@ def cmd_duoidal(args) -> int:
     if args.monad == "language_writer":
         D = language_duoid(args.alphabet, args.cap)
         DM = build_language_writer(args.alphabet, args.cap, D)
+        own_grading(args.monad, DM.monad, _load_pomonoid_arg(args))
         rep = check_duoidal_gradation(DM, k=args.max_set_size)
         return _emit(rep, args.json)
     DM, rep = derive_monoidal_m(_build_monad(args), k=args.max_set_size)
@@ -190,9 +194,10 @@ def cmd_duoidal(args) -> int:
 def _monad_for_grading(name, P):
     # zero-config first; the pomonoid hook regrades builders like identity,
     # but for writers it feeds the annotation monoid, so only use it when
-    # the default grading does not already match
+    # the default grading does not already match.  A built-in that takes no
+    # pomonoid is returned as it is, and reorder_report names the mismatch.
     M = build(name)
-    if structurally_equal(M.pomonoid, P):
+    if structurally_equal(M.pomonoid, P) or name not in REGRADABLE:
         return M
     return build(name, P)
 

@@ -635,9 +635,9 @@ def first_mismatch(lhs: FinFn, rhs: FinFn, eq=None):
     differ, in domain order, up to the first failure.  Raises ValueError
     when the two domains, or the two codomains, differ as sets.
     """
-    if lhs.dom != rhs.dom:
+    if lhs.dom is not rhs.dom and lhs.dom != rhs.dom:
         raise ValueError(f"domains differ: {lhs.dom.name} vs {rhs.dom.name}")
-    if lhs.cod != rhs.cod:
+    if lhs.cod is not rhs.cod and lhs.cod != rhs.cod:
         raise ValueError(f"codomains differ: {lhs.cod.name} vs {rhs.cod.name}")
     if lhs.idx == rhs.idx:
         return None

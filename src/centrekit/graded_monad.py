@@ -18,8 +18,15 @@ Conventions that everything below depends on:
   every f, the component under test, and hoist the rest out of the loop
   over f: an earlier law of the suite has fetched them, and mult-natural
   fetches each mult at its first f, so a faulty component raises the same
-  first error.  The strength laws and mult-natural read both sides as
-  index lists over the hoisted tables; each note is joined once per f.
+  first error.  The strength-natural laws and mult-natural read both sides
+  as index lists over the hoisted tables; each note, and each f (x) id
+  handed to fmap, is built once per set tuple.
+* The other laws of the strength and costrength suites read both sides off
+  the components' index tables and the product grids, fetching every
+  component in the composites' order: no then, tensor_fn or associator is
+  built per instance, and the associator that fmap is handed is built once
+  per set triple.  The accessors type-check each component, so these need
+  no check of their own; both sides still meet in Report.compare.
 """
 
 from __future__ import annotations
@@ -60,6 +67,7 @@ from .pomonoid import (
     check_pomonoid_morphism,
     identity_pomonoid_morphism,
     multi_error_pomonoid,
+    structurally_equal,
 )
 from .report import LawRecord, Report, run_suite
 
@@ -330,73 +338,118 @@ def _order_laws(M: GradedStrongMonad, k: int):
         yield "mult-lift", (a, a2, b, b2), (X.name,), direct, inside
 
 
+def _seq(f: FinFn, *maps: FinFn) -> FinFn:
+    """f, then each of maps, as one index table."""
+    idx = f.idx
+    for g in maps:
+        idx = map(g.idx.__getitem__, idx)
+    return FinFn._table(f.dom, maps[-1].cod, tuple(idx))
+
+
+def _rows(g: FinFn, A: FinSet, B: FinSet) -> list:
+    """rows[i][j]: where g sends the pair of A's i-th and B's j-th token, for g
+    with domain A (x) B."""
+    return [list(map(g.idx.__getitem__, row)) for row in tensor(A, B).pair_grid()]
+
+
+def _tensor_then(f: FinFn, g: FinFn, h: FinFn) -> FinFn:
+    """(f (x) g) ; h as one index table: (x,y) goes to h(f(x), g(y))."""
+    rows, gi = _rows(h, f.cod, g.cod), g.idx
+    return FinFn.from_pairs(tensor(f.dom, g.dom), h.cod,
+                            [v for i in f.idx for v in map(rows[i].__getitem__, gi)])
+
+
+def _alpha_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn) -> FinFn:
+    """alpha(X, Y, Z) ; (id_X (x) g) ; h as one index table: ((x,y),z) goes to
+    h(x, g(y,z))."""
+    XY = tensor(X, Y)
+    gyz, hx = _rows(g, Y, Z), _rows(h, X, g.cod)
+    return FinFn.from_pairs(tensor(XY, Z), h.cod, [
+        v for x, y in XY.pair_list() for v in map(hx[x].__getitem__, gyz[y])])
+
+
+def _alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn) -> FinFn:
+    """alpha_inv(X, Y, Z) ; (g (x) id_Z) ; h as one index table: (x,(y,z)) goes
+    to h(g(x,y), z)."""
+    YZ = tensor(Y, Z)
+    gxy, hz = _rows(g, X, Y), _rows(h, g.cod, Z)
+    return FinFn.from_pairs(tensor(X, YZ), h.cod,
+                            [hz[gx[y]][z] for gx in gxy for y, z in YZ.pair_list()])
+
+
 def _strength_laws(M: GradedStrongMonad, k: int):
     P = M.pomonoid
     sets = canonical_sets(k)
     I = unit_set()
+    maps = functools.cache(lambda X, Y, name: list(_maps(X, Y, name)))
     for Y, a in product(sets, P.elements):
         TaY = M.carrier(a, Y)
-        lhs = M.strength_fn(a, I, Y).then(M.fmap(a, lam(Y)))
+        lhs = _seq(M.strength_fn(a, I, Y), M.fmap(a, lam(Y)))
         yield "strength-unitor", (a,), (Y.name,), lhs, lam(TaY)
-    for X, Y, Z, a in product(sets, sets, sets, P.elements):
-        TaZ = M.carrier(a, Z)
-        via_assoc = (alpha(X, Y, TaZ)
-                     .then(tensor_fn(identity_fn(X), M.strength_fn(a, Y, Z)))
-                     .then(M.strength_fn(a, X, tensor(Y, Z))))
-        direct = M.strength_fn(a, tensor(X, Y), Z).then(M.fmap(a, alpha(X, Y, Z)))
-        yield "strength-assoc", (a,), (X.name, Y.name, Z.name), via_assoc, direct
+    for X, Y, Z in product(sets, sets, sets):
+        names, XY, YZ = (X.name, Y.name, Z.name), tensor(X, Y), tensor(Y, Z)
+        assoc = alpha(X, Y, Z)
+        for a in P.elements:
+            via_assoc = _alpha_then(X, Y, M.carrier(a, Z), M.strength_fn(a, Y, Z),
+                                    M.strength_fn(a, X, YZ))
+            direct = _seq(M.strength_fn(a, XY, Z), M.fmap(a, assoc))
+            yield "strength-assoc", (a,), names, via_assoc, direct
     for X, Y in product(sets, sets):
         XY = tensor(X, Y)
-        lhs = tensor_fn(identity_fn(X), M.unit_fn(Y)).then(M.strength_fn(P.unit, X, Y))
+        lhs = _tensor_then(identity_fn(X), M.unit_fn(Y), M.strength_fn(P.unit, X, Y))
         yield "strength-unit", (P.unit,), (X.name, Y.name), lhs, M.unit_fn(XY)
         for a, b in product(P.elements, P.elements):
             TbY = M.carrier(b, Y)
-            lhs = tensor_fn(identity_fn(X), M.mult_fn(a, b, Y)).then(
-                M.strength_fn(P.times(a, b), X, Y))
-            rhs = (M.strength_fn(a, X, TbY)
-                   .then(M.fmap(a, M.strength_fn(b, X, Y)))
-                   .then(M.mult_fn(a, b, XY)))
+            lhs = _tensor_then(identity_fn(X), M.mult_fn(a, b, Y),
+                               M.strength_fn(P.times(a, b), X, Y))
+            rhs = _seq(M.strength_fn(a, X, TbY), M.fmap(a, M.strength_fn(b, X, Y)),
+                       M.mult_fn(a, b, XY))
             yield "strength-mult", (a, b), (X.name, Y.name), lhs, rhs
-    for X, X2, Y, a in product(sets, sets, sets, P.elements):
-        names, TaY = (X.name, X2.name, Y.name), M.carrier(a, Y)
-        tau2, tau = M.strength_fn(a, X2, Y), M.strength_fn(a, X, Y)
-        rows = [[tau2.idx[p] for p in row] for row in tensor(X2, TaY).pair_grid()]
-        XT, XY, X2Y = tensor(X, TaY), tensor(X, Y), tensor(X2, Y)
-        pairs, xy, at = XT.pair_list(), XY.pair_list(), X2Y.pair_grid()
-        for f, note in _maps(X, X2):
-            fi = f.idx
-            lhs = FinFn._table(XT, tau2.cod, tuple([rows[fi[x]][t] for x, t in pairs]))
-            F = M.fmap(a, FinFn._table(XY, X2Y, tuple([at[fi[x]][y] for x, y in xy])))
-            rhs = FinFn._table(tau.dom, F.cod, tuple(map(F.idx.__getitem__, tau.idx)))
-            yield "strength-natural-left", (a,), names, lhs, rhs, note
-    for X, Y, Y2, a in product(sets, sets, sets, P.elements):
-        names, TaY = (X.name, Y.name, Y2.name), M.carrier(a, Y)
-        tau2, tau = M.strength_fn(a, X, Y2), M.strength_fn(a, X, Y)
-        rows = [[tau2.idx[p] for p in row] for row in tensor(X, M.carrier(a, Y2)).pair_grid()]
-        XT, XY, XY2 = tensor(X, TaY), tensor(X, Y), tensor(X, Y2)
-        pairs, xy, at = XT.pair_list(), XY.pair_list(), XY2.pair_grid()
-        for g, note in _maps(Y, Y2, "g"):
-            G, gi = M.fmap(a, g).idx, g.idx
-            lhs = FinFn._table(XT, tau2.cod, tuple([rows[x][G[t]] for x, t in pairs]))
-            F = M.fmap(a, FinFn._table(XY, XY2, tuple([at[x][gi[y]] for x, y in xy])))
-            rhs = FinFn._table(tau.dom, F.cod, tuple(map(F.idx.__getitem__, tau.idx)))
-            yield "strength-natural-right", (a,), names, lhs, rhs, note
+    for X, X2, Y in product(sets, sets, sets):
+        names, XY, X2Y = (X.name, X2.name, Y.name), tensor(X, Y), tensor(X2, Y)
+        xy, at = XY.pair_list(), X2Y.pair_grid()
+        # each f with f (x) id_Y, the map fmap is handed, and its note
+        fs = [(f.idx, FinFn._table(XY, X2Y, tuple([at[f.idx[x]][y] for x, y in xy])), note)
+              for f, note in maps(X, X2, "f")]
+        for a in P.elements:
+            TaY = M.carrier(a, Y)
+            tau2, tau = M.strength_fn(a, X2, Y), M.strength_fn(a, X, Y)
+            rows, XT = _rows(tau2, X2, TaY), tensor(X, TaY)
+            for fi, f_id, note in fs:
+                lhs = [*chain.from_iterable(map(rows.__getitem__, fi))]
+                yield ("strength-natural-left", (a,), names, FinFn.from_pairs(XT, tau2.cod, lhs),
+                       _seq(tau, M.fmap(a, f_id)), note)
+    for X, Y, Y2 in product(sets, sets, sets):
+        names, XY, XY2 = (X.name, Y.name, Y2.name), tensor(X, Y), tensor(X, Y2)
+        xy, at = XY.pair_list(), XY2.pair_grid()
+        # each g with id_X (x) g, the map fmap is handed, and its note
+        gs = [(g, FinFn._table(XY, XY2, tuple([at[x][g.idx[y]] for x, y in xy])), note)
+              for g, note in maps(Y, Y2, "g")]
+        for a in P.elements:
+            TaY = M.carrier(a, Y)
+            tau2, tau = M.strength_fn(a, X, Y2), M.strength_fn(a, X, Y)
+            rows, XT = _rows(tau2, X, M.carrier(a, Y2)), tensor(X, TaY)
+            for g, g_id, note in gs:
+                G = M.fmap(a, g).idx
+                lhs = [v for row in rows for v in map(row.__getitem__, G)]
+                yield ("strength-natural-right", (a,), names, FinFn.from_pairs(XT, tau2.cod, lhs),
+                       _seq(tau, M.fmap(a, g_id)), note)
     if not P.is_discrete():
         for X, Y, (a, b) in product(sets, sets, P.comparable_pairs()):
             if a != b:
-                lhs = M.strength_fn(a, X, Y).then(M.lift_fn(a, b, tensor(X, Y)))
-                rhs = tensor_fn(identity_fn(X), M.lift_fn(a, b, Y)).then(M.strength_fn(b, X, Y))
+                lhs = _seq(M.strength_fn(a, X, Y), M.lift_fn(a, b, tensor(X, Y)))
+                rhs = _tensor_then(identity_fn(X), M.lift_fn(a, b, Y), M.strength_fn(b, X, Y))
                 yield "strength-lift", (a, b), (X.name, Y.name), lhs, rhs
     # strength/costrength interchange across a sandwiched tensor
-    for W, X, Y, a in product(sets, sets, sets, P.elements):
-        TaX = M.carrier(a, X)
-        WX = tensor(W, X)
-        lhs = tensor_fn(M.strength_fn(a, W, X), identity_fn(Y)).then(M.costrength_fn(a, WX, Y))
-        rhs = (alpha(W, TaX, Y)
-               .then(tensor_fn(identity_fn(W), M.costrength_fn(a, X, Y)))
-               .then(M.strength_fn(a, W, tensor(X, Y)))
-               .then(M.fmap(a, alpha_inv(W, X, Y))))
-        yield "strength-interchange", (a,), (W.name, X.name, Y.name), lhs, rhs
+    for W, X, Y in product(sets, sets, sets):
+        names, WX, XY = (W.name, X.name, Y.name), tensor(W, X), tensor(X, Y)
+        unassoc = alpha_inv(W, X, Y)
+        for a in P.elements:
+            TaX = M.carrier(a, X)
+            lhs = _tensor_then(M.strength_fn(a, W, X), identity_fn(Y), M.costrength_fn(a, WX, Y))
+            rhs = _alpha_then(W, TaX, Y, M.costrength_fn(a, X, Y),
+                              _seq(M.strength_fn(a, W, XY), M.fmap(a, unassoc)))
+            yield "strength-interchange", (a,), names, lhs, rhs
 
 
 def _costrength_coherence(M: GradedStrongMonad, k: int):
@@ -405,27 +458,27 @@ def _costrength_coherence(M: GradedStrongMonad, k: int):
     I = unit_set()
     for X, a in product(sets, P.elements):
         TaX = M.carrier(a, X)
-        lhs = M.costrength_fn(a, X, I).then(M.fmap(a, rho(X)))
+        lhs = _seq(M.costrength_fn(a, X, I), M.fmap(a, rho(X)))
         yield "costrength-unitor", (a,), (X.name,), lhs, rho(TaX)
     for X, Y in product(sets, sets):
         XY = tensor(X, Y)
-        lhs = tensor_fn(M.unit_fn(X), identity_fn(Y)).then(M.costrength_fn(P.unit, X, Y))
+        lhs = _tensor_then(M.unit_fn(X), identity_fn(Y), M.costrength_fn(P.unit, X, Y))
         yield "costrength-unit", (P.unit,), (X.name, Y.name), lhs, M.unit_fn(XY)
         for a, b in product(P.elements, P.elements):
             TbX = M.carrier(b, X)
-            lhs = tensor_fn(M.mult_fn(a, b, X), identity_fn(Y)).then(
-                M.costrength_fn(P.times(a, b), X, Y))
-            rhs = (M.costrength_fn(a, TbX, Y)
-                   .then(M.fmap(a, M.costrength_fn(b, X, Y)))
-                   .then(M.mult_fn(a, b, XY)))
+            lhs = _tensor_then(M.mult_fn(a, b, X), identity_fn(Y),
+                               M.costrength_fn(P.times(a, b), X, Y))
+            rhs = _seq(M.costrength_fn(a, TbX, Y), M.fmap(a, M.costrength_fn(b, X, Y)),
+                       M.mult_fn(a, b, XY))
             yield "costrength-mult", (a, b), (X.name, Y.name), lhs, rhs
-    for X, Y, Z, a in product(sets, sets, sets, P.elements):
-        TaX = M.carrier(a, X)
-        via_assoc = (alpha_inv(TaX, Y, Z)
-                     .then(tensor_fn(M.costrength_fn(a, X, Y), identity_fn(Z)))
-                     .then(M.costrength_fn(a, tensor(X, Y), Z)))
-        direct = M.costrength_fn(a, X, tensor(Y, Z)).then(M.fmap(a, alpha_inv(X, Y, Z)))
-        yield "costrength-assoc", (a,), (X.name, Y.name, Z.name), via_assoc, direct
+    for X, Y, Z in product(sets, sets, sets):
+        names, XY, YZ = (X.name, Y.name, Z.name), tensor(X, Y), tensor(Y, Z)
+        unassoc = alpha_inv(X, Y, Z)
+        for a in P.elements:
+            via_assoc = _alpha_inv_then(M.carrier(a, X), Y, Z, M.costrength_fn(a, X, Y),
+                                        M.costrength_fn(a, XY, Z))
+            direct = _seq(M.costrength_fn(a, X, YZ), M.fmap(a, unassoc))
+            yield "costrength-assoc", (a,), names, via_assoc, direct
     for X, Y, a in product(sets, sets, P.elements):
         yield ("costrength-involution", (a,), (X.name, Y.name),
                strength_from_costrength(M, a, X, Y), M.strength_fn(a, X, Y))
@@ -455,9 +508,7 @@ def _naturality(M: GradedStrongMonad, k: int):
                     mults[a, b] = M.mult_fn(a, b, Y), M.mult_fn(a, b, X)
                 mu_Y, mu_X = mults[a, b]
                 F = M.fmap(ab, f)
-                lhs = FinFn._table(FF.dom, mu_Y.cod, tuple(map(mu_Y.idx.__getitem__, FF.idx)))
-                rhs = FinFn._table(mu_X.dom, F.cod, tuple(map(F.idx.__getitem__, mu_X.idx)))
-                yield "mult-natural", (a, b), names, lhs, rhs, note
+                yield "mult-natural", (a, b), names, _seq(FF, mu_Y), _seq(mu_X, F), note
 
 
 def check_monad_laws(M: GradedStrongMonad, k: int = 3) -> Report:
@@ -787,12 +838,25 @@ def registry() -> dict:
     }
 
 
+# the built-ins that take a pomonoid: identity is graded by it, and the bool
+# writer pair takes its annotations from it
+REGRADABLE = {"identity": identity_monad, "bool_writer_pair": bool_writer_pair}
+
+
 def build(name: str, pomonoid: Pomonoid | None = None) -> GradedStrongMonad:
+    """The built-in named ``name``, built with ``pomonoid`` when it takes one;
+    any other built-in keeps its own grading, and refuses a different one."""
     reg = registry()
     if name not in reg:
         raise UnknownName(f"no built-in monad named {name!r}")
-    if name == "identity" and pomonoid is not None:
-        return identity_monad(pomonoid)
-    if name == "bool_writer_pair" and pomonoid is not None:
-        return bool_writer_pair(pomonoid)
-    return reg[name]()
+    if pomonoid is not None and name in REGRADABLE:
+        return REGRADABLE[name](pomonoid)
+    return own_grading(name, reg[name](), pomonoid)
+
+
+def own_grading(name: str, M: GradedStrongMonad, pomonoid: Pomonoid | None) -> GradedStrongMonad:
+    """M, when ``pomonoid`` is None or is M's own grading up to names."""
+    if pomonoid is not None and not structurally_equal(M.pomonoid, pomonoid):
+        raise GradedMonadError(
+            f"{name} is graded by its own pomonoid, not by {pomonoid.name or 'the given one'}")
+    return M

@@ -72,6 +72,7 @@ def failure_record(law: str, results) -> LawRecord:
     return rec
 
 
+# a record but for its note, whose value and the closing brace follow
 _RECORD = """\
     {
       "law": %s,
@@ -81,8 +82,7 @@ _RECORD = """\
       "witness": %s,
       "lhs": %s,
       "rhs": %s,
-      "note": %s
-    }"""
+      "note": """
 
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
@@ -155,13 +155,19 @@ class Report:
 
         json.dumps with an indent runs the pure-Python encoder; the fixed
         record shape is filled in from a template instead, with the C string
-        encoder for the values.  Each distinct grades or sets tuple is
-        rendered once per report.
+        encoder for the values.  A record is rendered but for its note once
+        per distinct (law, grades, sets, ok, witness, lhs, rhs) in a report:
+        the laws quantified over maps repeat all of these and vary the note.
         """
         listed = cache(_list)
-        records = ",\n".join(_RECORD % (
-            _value(r.law), listed(r.grades), listed(r.sets), _value(r.ok), _value(r.witness),
-            _value(r.lhs), _value(r.rhs), _value(r.note)) for r in self.records)
+
+        @cache
+        def start(law, grades, sets, ok, witness, lhs, rhs):
+            return _RECORD % (_value(law), listed(grades), listed(sets), _value(ok),
+                              _value(witness), _value(lhs), _value(rhs))
+
+        records = ",\n".join(start(r.law, r.grades, r.sets, r.ok, r.witness, r.lhs, r.rhs)
+                              + _value(r.note) + "\n    }" for r in self.records)
         records = f"[\n{records}\n  ]" if records else "[]"
         return (f'{{\n  "title": {_value(self.title)},\n  "ok": {_value(self.ok)},\n'
                 f'  "records": {records}\n}}')

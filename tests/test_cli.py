@@ -122,6 +122,23 @@ class TestMonadCommands:
         assert code == 0
         assert "OK" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, monad", [
+        (["monad", "laws", "--monad", "multi_error_writer"], "multi_error_writer"),
+        (["monad", "centre", "--monad", "multi_error_writer"], "multi_error_writer"),
+        (["monad", "morphism", "--from", "centre(multi_error_writer)",
+          "--to", "multi_error_writer"], "multi_error_writer"),
+        (["monad", "commutative", "--monad", "multi_error_writer_topped"],
+         "multi_error_writer_topped"),
+        (["duoidal", "check", "--monad", "language_writer"], "language_writer"),
+    ], ids=["laws", "centre", "morphism", "commutative", "duoidal"])
+    def test_pomonoid_a_monad_cannot_take_exits_2(self, argv, monad, capsys):
+        # these built-ins come with their own grading: a different one is bad input
+        assert main(argv + ["--pomonoid", fx("bool.pom")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert monad in captured.err
+
     def test_laws_unknown_monad_exits_2(self, capsys):
         assert main(["monad", "laws", "--monad", "nope"]) == 2
         assert "nope" in capsys.readouterr().err

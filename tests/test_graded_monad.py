@@ -82,29 +82,59 @@ def cycling_mult_writer():
     return M
 
 
-def swapped_costrength_writer():
-    """multi_error_writer whose costrength at the warnings swaps two values."""
+WARNINGS = {"wa", "wb"}
+
+
+def _swapping(component: str, slot: int):
+    """multi_error_writer whose strength or costrength (``component``) at the
+    warnings swaps the first two values of its left (slot 0) or right (slot 1)
+    set in every image.  Swapping a value is applied once along one composite
+    and twice along the other, so the squares with two (co)strengths see it."""
     M = multi_error_writer()
+    good = M.strength if component == "strength" else (
+        lambda a, X, Y: derive_costrength(M, a, X, Y))
 
-    def bad_costrength(a, X, Y):
-        fn = derive_costrength(M, a, X, Y)
-        if a not in {"wa", "wb"} or len(X) < 2:
+    def bad(a, X, Y):
+        fn = good(a, X, Y)
+        S = (X, Y)[slot]
+        if a not in WARNINGS or len(S) < 2:
             return fn
-        # swapping the value is applied once along one composite and
-        # twice along the other, so the squares with two costrengths see it
-        swap = {X.elems[0]: X.elems[1], X.elems[1]: X.elems[0]}
-        mapping = {}
-        for t in fn.dom:
-            pair, ann = split_pair(fn(t))
-            x, y = split_pair(pair)
-            mapping[t] = make_pair(make_pair(swap.get(x, x), y), ann)
-        return FinFn(fn.dom, fn.cod, mapping)
+        swap = {S.elems[0]: S.elems[1], S.elems[1]: S.elems[0]}
 
-    M.costrength = bad_costrength
+        def image(v):
+            pair, ann = split_pair(v)
+            xy = list(split_pair(pair))
+            xy[slot] = swap.get(xy[slot], xy[slot])
+            return make_pair(make_pair(*xy), ann)
+        return _retabled(fn, image)
+
+    setattr(M, component, bad)
     return M
 
 
-WARNINGS = {"wa", "wb"}
+def swapped_costrength_writer():
+    """A costrength that swaps two values of its left set: costrength-mult,
+    costrength-assoc and strength-interchange fail."""
+    return _swapping("costrength", 0)
+
+
+def right_swapped_costrength_writer():
+    """A costrength that swaps two values of its right set: costrength-mult and
+    costrength-assoc fail, strength-interchange holds."""
+    return _swapping("costrength", 1)
+
+
+def swapped_strength_writer():
+    """A strength that swaps two values of its left set, with the costrength
+    derived from it: strength-assoc, strength-mult and both costrength squares
+    fail, strength-interchange holds."""
+    return _swapping("strength", 0)
+
+
+def right_swapped_strength_writer():
+    """A strength that swaps two values of its right set: all five coherence
+    squares of the strength and costrength fail."""
+    return _swapping("strength", 1)
 
 
 def _retabled(fn, image):
@@ -372,6 +402,23 @@ class TestBrokenInstancesAreCaught:
         rep = check_costrength_coherence(swapped_costrength_writer(), 2)
         assert not rep.ok
         assert "costrength-mult" in {r.law for r in rep.failures()}
+
+    @pytest.mark.parametrize("make, laws", [
+        (swapped_costrength_writer, {"costrength-mult", "costrength-assoc",
+                                     "strength-interchange"}),
+        (right_swapped_costrength_writer, {"costrength-mult", "costrength-assoc"}),
+        (swapped_strength_writer, {"strength-assoc", "strength-mult", "costrength-mult",
+                                   "costrength-assoc"}),
+        (right_swapped_strength_writer, {"strength-assoc", "strength-mult", "costrength-mult",
+                                         "costrength-assoc", "strength-interchange"}),
+    ])
+    def test_value_swapping_strengths_fail_their_coherence_squares(self, make, laws):
+        rep = check_all(make(), 2)
+        squares = {"strength-assoc", "strength-mult", "strength-interchange",
+                   "costrength-mult", "costrength-assoc"}
+        failed = [r for r in rep.failures() if r.law in squares]
+        assert {r.law for r in failed} == laws
+        assert all(r.witness is not None and r.lhs != r.rhs for r in failed)
 
     def test_involution_detects_non_derived_costrength(self):
         M = bool_writer_pair()

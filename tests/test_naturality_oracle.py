@@ -1,11 +1,13 @@
-"""The naturality laws against the composite loops they replaced.
+"""The index-list laws against the composite loops they replaced.
 
 lift-natural, strength-natural-left, strength-natural-right, fmap-compose,
 unit-natural, mult-natural and the morphism suite's component-natural
 quantify over every map between the canonical sets.  The suites read each
-side of these laws off index tables hoisted out of the loop over the maps;
-the reference suites below are the ones that came before, which build both
-sides with ``then``/``tensor_fn`` for every map and render each note with
+side of these laws off index tables hoisted out of the loop over the maps,
+and every law of the strength and costrength suites off the components'
+index tables and the product grids.  The reference suites below are the
+ones that came before, which build both sides with ``then``/``tensor_fn``/
+``alpha`` composites for every instance and render each note with
 ``f.mapping``.  The other laws of those suites are carried along unchanged,
 so that whole reports compare: both sides must give the same ``to_json()``
 bytes.
@@ -17,7 +19,9 @@ faulty component then raises the same first error as before: the digests
 of those logs were recorded on the composite loops.
 """
 
+import collections
 import hashlib
+import sys
 from dataclasses import replace
 from itertools import chain, product
 
@@ -26,11 +30,13 @@ import pytest
 from centrekit import graded_monad as gm
 from centrekit.centre import build_centre_monad
 from centrekit.finkit import (
+    FinFn,
     all_fns,
     alpha,
     alpha_inv,
     identity_fn,
     lam,
+    rho,
     tensor,
     tensor_fn,
     unit_set,
@@ -50,7 +56,11 @@ from test_graded_monad import (
     constant_lift_writer,
     left_unnatural_strength_writer,
     noncompositional_fmap_monad,
+    right_swapped_costrength_writer,
+    right_swapped_strength_writer,
     right_unnatural_strength_writer,
+    swapped_costrength_writer,
+    swapped_strength_writer,
     unnatural_component_morphism,
     unnatural_mult_writer,
     unnatural_unit_writer,
@@ -145,6 +155,38 @@ def ref_strength_laws(M, k):
         yield "strength-interchange", (a,), (W.name, X.name, Y.name), lhs, rhs
 
 
+def ref_costrength_coherence(M, k):
+    P = M.pomonoid
+    sets = canonical_sets(k)
+    I = unit_set()
+    for X, a in product(sets, P.elements):
+        TaX = M.carrier(a, X)
+        lhs = M.costrength_fn(a, X, I).then(M.fmap(a, rho(X)))
+        yield "costrength-unitor", (a,), (X.name,), lhs, rho(TaX)
+    for X, Y in product(sets, sets):
+        XY = tensor(X, Y)
+        lhs = tensor_fn(M.unit_fn(X), identity_fn(Y)).then(M.costrength_fn(P.unit, X, Y))
+        yield "costrength-unit", (P.unit,), (X.name, Y.name), lhs, M.unit_fn(XY)
+        for a, b in product(P.elements, P.elements):
+            TbX = M.carrier(b, X)
+            lhs = tensor_fn(M.mult_fn(a, b, X), identity_fn(Y)).then(
+                M.costrength_fn(P.times(a, b), X, Y))
+            rhs = (M.costrength_fn(a, TbX, Y)
+                   .then(M.fmap(a, M.costrength_fn(b, X, Y)))
+                   .then(M.mult_fn(a, b, XY)))
+            yield "costrength-mult", (a, b), (X.name, Y.name), lhs, rhs
+    for X, Y, Z, a in product(sets, sets, sets, P.elements):
+        TaX = M.carrier(a, X)
+        via_assoc = (alpha_inv(TaX, Y, Z)
+                     .then(tensor_fn(M.costrength_fn(a, X, Y), identity_fn(Z)))
+                     .then(M.costrength_fn(a, tensor(X, Y), Z)))
+        direct = M.costrength_fn(a, X, tensor(Y, Z)).then(M.fmap(a, alpha_inv(X, Y, Z)))
+        yield "costrength-assoc", (a,), (X.name, Y.name, Z.name), via_assoc, direct
+    for X, Y, a in product(sets, sets, P.elements):
+        yield ("costrength-involution", (a,), (X.name, Y.name),
+               gm.strength_from_costrength(M, a, X, Y), M.strength_fn(a, X, Y))
+
+
 def ref_naturality(M, k):
     P = M.pomonoid
     sets = canonical_sets(k)
@@ -209,7 +251,7 @@ def ref_morphism_laws(m, k):
 def ref_check_all(M, k):
     return run_suite(f"all-laws({M.name})", chain(
         gm._monad_laws(M, k), ref_order_laws(M, k), ref_strength_laws(M, k),
-        gm._costrength_coherence(M, k), ref_naturality(M, k)))
+        ref_costrength_coherence(M, k), ref_naturality(M, k)))
 
 
 def ref_check_morphism(m, k):
@@ -260,6 +302,10 @@ PLANTED = {
     "unnatural-mult": unnatural_mult_writer,
     "unnatural-unit": unnatural_unit_writer,
     "noncompositional-fmap": noncompositional_fmap_monad,
+    "swapped-costrength": swapped_costrength_writer,
+    "right-swapped-costrength": right_swapped_costrength_writer,
+    "swapped-strength": swapped_strength_writer,
+    "right-swapped-strength": right_swapped_strength_writer,
 }
 
 
@@ -308,6 +354,10 @@ FETCH_ORDER = {
         (784, "6c4545285a69049900ee006ad161435edcde3dd40cc583e9284c4190644da381"),
     ("check_naturality", "bool_writer_pair"):
         (376, "0bd3527a2bc8ad75881ca98180cb56465167f729393929f8e2b2e1147f9c4249"),
+    ("check_costrength_coherence", "multi_error_writer_topped"):
+        (1769, "1f1840c0f2332d9906f7a54a58ca2a19bc461e0a184631e6256d5ab71af4cab2"),
+    ("check_costrength_coherence", "bool_writer_pair"):
+        (793, "83083347362db0b21d8dbca3d7bd7699143ddd8434f21306fd063faeba136070"),
 }
 
 
@@ -318,3 +368,24 @@ def test_components_are_first_built_in_the_same_order(suite, name):
     getattr(gm, suite)(M, 3)
     log = "\n".join(map(repr, M._memo.log))
     assert (len(M._memo.log), hashlib.sha256(log.encode()).hexdigest()) == FETCH_ORDER[suite, name]
+
+
+def test_no_composite_is_built_by_the_strength_suites(monkeypatch):
+    calls = collections.Counter()   # (calling function, called builder)
+
+    def counted(fn, name):
+        def wrapper(*args):
+            calls[sys._getframe(1).f_code.co_name, name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("tensor_fn", "alpha", "alpha_inv"):
+        monkeypatch.setattr(gm, name, counted(getattr(gm, name), name))
+    monkeypatch.setattr(FinFn, "then", counted(FinFn.then, "then"))
+    assert check_all(multi_error_writer(), 4).ok
+    assert calls["_monad_laws", "then"]   # the counters see the calls
+    mine = {key: n for key, n in calls.items()
+            if key[0] in ("_strength_laws", "_costrength_coherence")}
+    assert not [key for key in mine if key[1] in ("tensor_fn", "then")]
+    # at most one associator per set triple and law: 5**3 at k=4
+    assert mine and all(n <= 125 for n in mine.values())

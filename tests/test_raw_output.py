@@ -6,7 +6,7 @@ bytes: ``to_json()`` and ``to_text()`` of every built-in's ``check_all`` at
 k=2, each of its five suites alone at k=2 and ``check_commutative`` at k=3;
 of the morphism suite on ``discrete_to_topped_morphism``, the centrality
 conditions on each writer's centre, ``derive_monoidal_m`` on ``identity``
-and nine planted-bug reports from ``test_graded_monad.py``; and stdout,
+and thirteen planted-bug reports from ``test_graded_monad.py``; and stdout,
 stderr and exit code of the README's CLI commands, in text and (where
 offered) JSON form.
 
@@ -65,8 +65,11 @@ def report_scans():
         cycling_mult_writer,
         left_unnatural_strength_writer,
         noncompositional_fmap_monad,
+        right_swapped_costrength_writer,
+        right_swapped_strength_writer,
         right_unnatural_strength_writer,
         swapped_costrength_writer,
+        swapped_strength_writer,
         unnatural_component_morphism,
         unnatural_mult_writer,
         unnatural_unit_writer,
@@ -100,6 +103,12 @@ def report_scans():
            gm.check_naturality(noncompositional_fmap_monad(), 2))
     yield ("unnatural-component check_graded_monad_morphism(k=2)",
            gm.check_graded_monad_morphism(unnatural_component_morphism(), 2))
+    # both suites of the strength: each breaks some of its coherence squares
+    for name, make in (("swapped-costrength", swapped_costrength_writer),
+                       ("right-swapped-costrength", right_swapped_costrength_writer),
+                       ("swapped-strength", swapped_strength_writer),
+                       ("right-swapped-strength", right_swapped_strength_writer)):
+        yield f"{name} check_all(k=2)", gm.check_all(make(), 2)
 
 
 def report_digests() -> dict:

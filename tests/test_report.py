@@ -157,3 +157,20 @@ def test_to_json_of_an_empty_report():
     assert rep.to_json() == reference_json(rep)
     rep.add(LawRecord(law="bare"))
     assert rep.to_json() == reference_json(rep)
+
+
+# a few (law, grades, sets) heads, each repeated with varying bodies: the
+# rendering of a repeated head is shared within a report
+heads = st.tuples(texts, st.lists(texts, max_size=2).map(tuple),
+                  st.lists(texts, max_size=2).map(tuple))
+bodies = st.tuples(st.booleans(), optional_texts, optional_texts, optional_texts, texts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(heads, min_size=1, max_size=3), st.lists(st.tuples(st.integers(0, 2), bodies),
+                                                         max_size=8))
+def test_to_json_with_repeated_heads(pool, picks):
+    recs = [LawRecord(*pool[i % len(pool)], *body) for i, body in picks]
+    rep = Report("heads", recs)
+    assert rep.to_json() == reference_json(rep)
+    assert Report.from_json(rep.to_json()).records == rep.records
