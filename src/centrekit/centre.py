@@ -139,7 +139,7 @@ def is_central(M: GradedStrongMonad, z: str, X: FinSet, t: str, bound=None) -> b
 def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSet:
     """The central elements of T^z X, as a subset sharing the same tokens."""
     _require_central_grade(M, z)
-    key = ("central-subset", z, X, bound if not callable(bound) else None)
+    key = ("central-subset", z, X.vid, bound if not callable(bound) else None)
     if callable(bound) or key not in M._memo:
         TzX = M.carrier(z, X)
         rows = _central_rows(M, z, X, range(len(TzX)), bound)
@@ -160,7 +160,7 @@ class CentralCone:
     leg: FinFn
 
     def __post_init__(self):
-        if self.leg.dom != self.apex:
+        if self.leg.dom.vid != self.apex.vid:
             raise CentreError("leg domain is not the apex")
 
 
@@ -180,7 +180,7 @@ def check_central_cone(M: GradedStrongMonad, cone: CentralCone, bound=None,
     """
     _require_central_grade(M, z := cone.grade)
     X = cone.base
-    if cone.leg.cod != M.carrier(z, X):
+    if cone.leg.cod.vid != M.carrier(z, X).vid:
         raise CentreError("leg codomain is not the carrier at the cone's grade")
     rep = Report(title=f"central cone ({z}, {X.name})")
     rows = cone.leg.idx
@@ -222,7 +222,7 @@ def factor_through(cone: CentralCone, centre: CentralCone) -> FinFn:
     Exists iff the cone only hits central elements; unique because the centre
     leg is injective.
     """
-    if cone.grade != centre.grade or cone.base != centre.base:
+    if cone.grade != centre.grade or cone.base.vid != centre.base.vid:
         raise CentreError("cones are not over the same grade and base")
     preimage = {}
     for q in centre.apex:

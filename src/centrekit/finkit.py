@@ -7,10 +7,17 @@ stay bare.  Set membership and all law comparisons are string equality on
 this encoding, which is why it is never allowed to drift.
 
 ``FinSet`` and ``FinFn`` are immutable values: nothing may change a set's
-name or tokens, or a map's table, once built.  Structure is shared on that
-basis: ``tensor`` hands back the product it already built for the same
-operands while that product is still in use, ``canonical_set(n)`` is one
-set per n, and a set keeps its identity map once built.  Empty products are
+name or tokens, or a map's table, once built.  Every set carries ``vid``,
+an exact integer id of its tokens: equal token sets share a vid and no two
+different ones do, so sets hash and compare by it, and memos key on it.  A
+plain set's tokens are interned once (a plain set of exactly the pairs
+L x R gets the vid of that product); a product's vid is an injective
+pairing of its factors' vids, kept apart from the interned ones, so no
+table holds an entry per product; every empty set has vid 0.  Structure is
+shared on that basis: ``tensor`` hands back the product it already built
+for the same operands while that product is still in use (its registry is
+keyed by the operands' vids and names), ``canonical_set(n)`` is one set
+per n, and a set keeps its identity map once built.  Empty products are
 the exception: a product with an empty factor is built afresh on every call
 and not shared through that registry, and every map out of an empty domain
 (``tensor_fn``, ``from_pairs``, the structure maps) is the empty table,
@@ -114,17 +121,17 @@ class FinSet:
     """A finite set of distinct tokens, listed sorted in ``elems``.
 
     The name is cosmetic: two sets are equal when their tokens are, whatever
-    their names.  Instances are immutable and may be shared, so the hash is
-    computed once.  A product built by ``tensor`` holds only its factors
-    (``factors``), its size and its pair tables; ``elems``, its member set and
-    ``token_index`` are built on first read, from the factors' checked tokens.
-    Hashing and equality read no product's tokens: a non-empty product hashes
-    from its factors, as does a plain set whose tokens are exactly the pairs
-    L x R, and two non-empty products compare by their factors.  Only a plain
-    set and a product compare by tokens.
+    their names.  ``vid`` is the integer id of the tokens, fixed at
+    construction: equality and the hash read it and nothing else.  A plain
+    set's tokens are interned; a plain set whose tokens are exactly the pairs
+    L x R gets the vid of the product of L and R.  A product built by
+    ``tensor`` holds only its factors (``factors``), its size and its pair
+    tables; its vid pairs its factors' vids, and ``elems``, its member set
+    and ``token_index`` are built on first read, from the factors' checked
+    tokens.  Every empty set, plain or a product, has vid 0.
     """
 
-    __slots__ = ("name", "factors", "_elems", "_size", "_set", "_hash", "_prefix_free",
+    __slots__ = ("name", "factors", "vid", "_elems", "_size", "_set", "_prefix_free",
                  "_index", "_pairs", "_grid", "_pair_list", "_identity", "__weakref__")
 
     def __init__(self, name: str, elems=(), factors=None):
@@ -138,12 +145,12 @@ class FinSet:
             if len(self._set) != len(elems):
                 raise TokenError(f"duplicate tokens in {name or 'set'}: {elems}")
             self._elems, self._size = elems, len(elems)
-            self._hash, self._prefix_free = _token_hash(elems), None
+            self.vid, self._prefix_free = _token_vid(elems), None
         else:
             A, B = factors
-            self._size = len(A) * len(B)
+            self._size = A._size * B._size
             self._elems, self._set = None if self._size else (), None
-            self._hash = hash((A._hash, B._hash)) if self._size else hash(())
+            self.vid = _pair_vid(A.vid, B.vid) if self._size else 0
             # a pair token ends at the bracket matching its first one, so no
             # pair token is a proper prefix of another
             self._prefix_free = True
@@ -224,17 +231,10 @@ class FinSet:
         return self._size
 
     def __eq__(self, other) -> bool:
-        if other is self:
-            return True
-        if not (isinstance(other, FinSet) and self._hash == other._hash
-                and self._size == other._size):
-            return False
-        if self._size and self.factors and other.factors:
-            return self.factors == other.factors
-        return not self._size or self.elems == other.elems
+        return isinstance(other, FinSet) and self.vid == other.vid
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.vid)
 
     def __repr__(self) -> str:
         return f"FinSet({self.name!r}, {{{', '.join(self.elems)}}})"
@@ -243,18 +243,41 @@ class FinSet:
 _UNKNOWN = object()
 
 
-def _token_hash(elems: tuple) -> int:
-    """The hash of the set of these sorted tokens: that of the product L (x) R
-    when they are exactly its pairs, else that of the tuple."""
-    if elems and all(tok[0] == "(" for tok in elems):
-        try:
-            halves = [split_pair(tok) for tok in elems]
-        except TokenError:
-            return hash(elems)
-        left, right = sorted({l for l, _ in halves}), sorted({r for _, r in halves})
-        if len(left) * len(right) == len(elems):
-            return hash((_token_hash(tuple(left)), _token_hash(tuple(right))))
-    return hash(elems)
+# The vid of every plain token tuple met so far: interned ids are even, from
+# 2 up; a product's vid (_pair_vid) is odd, and the empty set's is 0.
+_VIDS = {(): 0}
+_FRESH = itertools.count(1)
+
+
+def _pair_vid(a: int, b: int) -> int:
+    """The vid of the product of two non-empty sets with vids a and b: twice
+    the Cantor pairing of a and b, plus one."""
+    s = a + b
+    return s * (s + 1) + 2 * b + 1
+
+
+def _token_vid(elems: tuple) -> int:
+    """The vid of the set of these sorted tokens: that of the product L (x) R
+    when they are exactly its pairs, else a fresh interned id."""
+    vid = _VIDS.get(elems)
+    if vid is None:
+        vid = _VIDS[elems] = _product_vid(elems) or 2 * next(_FRESH)
+    return vid
+
+
+def _product_vid(elems: tuple):
+    """The vid of L (x) R when these non-empty tokens are exactly its pairs,
+    else None."""
+    if not all(tok.startswith("(") for tok in elems):
+        return None
+    try:
+        halves = [split_pair(tok) for tok in elems]
+    except TokenError:
+        return None
+    left, right = sorted({l for l, _ in halves}), sorted({r for _, r in halves})
+    if len(left) * len(right) != len(elems):
+        return None
+    return _pair_vid(_token_vid(tuple(left)), _token_vid(tuple(right)))
 
 
 def _inverse(perm) -> list:
@@ -319,7 +342,7 @@ class FinFn:
     def from_pairs(cls, dom: FinSet, cod: FinSet, images) -> "FinFn":
         """The map from a product sending the pair of its factors' i-th and
         j-th tokens to cod's images[i*|B| + j]-th token (images unchecked)."""
-        if not dom:
+        if not dom._size:
             return cls._table(dom, cod, ())
         pairs = dom.pair_positions()
         if pairs is not None:
@@ -338,7 +361,7 @@ class FinFn:
 
     def then(self, other: "FinFn") -> "FinFn":
         """Diagrammatic composite: first self, then other."""
-        if self.cod != other.dom:
+        if self.cod.vid != other.dom.vid:
             raise ValueError(f"cannot compose {self.cod.name} -> {other.dom.name}")
         return FinFn._table(self.dom, other.cod, tuple(map(other.idx.__getitem__, self.idx)))
 
@@ -361,12 +384,12 @@ class FinFn:
         return (
             isinstance(other, FinFn)
             and self.idx == other.idx
-            and self.dom == other.dom
-            and self.cod == other.cod
+            and self.dom.vid == other.dom.vid
+            and self.cod.vid == other.cod.vid
         )
 
     def __hash__(self) -> int:
-        return hash((self.dom, self.cod, self.idx))
+        return hash((self.dom.vid, self.cod.vid, self.idx))
 
     def __repr__(self) -> str:
         return f"FinFn({self.dom.name} -> {self.cod.name})"
@@ -497,10 +520,10 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
 
 _UNIT = FinSet("I", ("*",))
 
-# Products still in use, keyed by both operands and their names so that a
+# Products still in use, keyed by both operands' vids and names so that a
 # shared product carries the names of the operands it was asked for.  The
-# values are weak references: an entry, and the operands its key holds, go
-# away with the last user of the product.
+# values are weak references: an entry goes away with the last user of the
+# product.
 _PRODUCTS = {}
 _GONE = weakref.ref(set())   # a reference whose object is gone: calling it gives None
 _CANONICAL = {}              # canonical_set(n) by n
@@ -519,9 +542,9 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
     instead, with no entry in the registry, since every such product is the
     same empty set.
     """
-    if not (A and B):
+    if not (A._size and B._size):
         return FinSet(f"({A.name}x{B.name})", factors=(A, B))
-    key = (A, B, A.name, B.name)
+    key = (A.vid, B.vid, A.name, B.name)
     product = _PRODUCTS.get(key, _GONE)()
     if product is None:
         product = FinSet(f"({A.name}x{B.name})", factors=(A, B))
@@ -536,7 +559,7 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     dom = tensor(f.dom, g.dom)
     cod = tensor(f.cod, g.cod)
-    if not dom:
+    if not dom._size:
         return FinFn._table(dom, cod, ())
     # row-major position in cod of the image of each row-major element of dom
     n = len(g.cod)
@@ -554,7 +577,7 @@ def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
     """Symmetry (x,y) -> (y,x)."""
     dom, cod = tensor(X, Y), tensor(Y, X)
-    if not dom:
+    if not dom._size:
         return FinFn._table(dom, cod, ())
     at = cod.pair_grid()
     return FinFn.from_pairs(dom, cod, [row[x] for x in range(len(X)) for row in at])
@@ -564,7 +587,7 @@ def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """Associator ((x,y),z) -> (x,(y,z))."""
     XY, YZ = tensor(X, Y), tensor(Y, Z)
     dom, cod = tensor(XY, Z), tensor(X, YZ)
-    if not dom:
+    if not dom._size:
         return FinFn._table(dom, cod, ())
     yz, at = YZ.pair_grid(), cod.pair_grid()
     return FinFn.from_pairs(dom, cod, [at[x][w] for x, y in XY.pair_list() for w in yz[y]])
@@ -635,9 +658,9 @@ def first_mismatch(lhs: FinFn, rhs: FinFn, eq=None):
     differ, in domain order, up to the first failure.  Raises ValueError
     when the two domains, or the two codomains, differ as sets.
     """
-    if lhs.dom is not rhs.dom and lhs.dom != rhs.dom:
+    if lhs.dom.vid != rhs.dom.vid:
         raise ValueError(f"domains differ: {lhs.dom.name} vs {rhs.dom.name}")
-    if lhs.cod is not rhs.cod and lhs.cod != rhs.cod:
+    if lhs.cod.vid != rhs.cod.vid:
         raise ValueError(f"codomains differ: {lhs.cod.name} vs {rhs.cod.name}")
     if lhs.idx == rhs.idx:
         return None

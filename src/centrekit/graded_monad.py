@@ -27,6 +27,9 @@ Conventions that everything below depends on:
   built per instance, and the associator that fmap is handed is built once
   per set triple.  The accessors type-check each component, so these need
   no check of their own; both sides still meet in Report.compare.
+* Memos and the suites' own tables key a set by its ``vid``, and type
+  checks compare vids, so no suite calls the Python-level set hash or
+  equality.
 """
 
 from __future__ import annotations
@@ -125,7 +128,7 @@ class GradedStrongMonad:
         return self.functor(a) if self.functor is not None else None
 
     def carrier(self, a: str, X: FinSet) -> FinSet:
-        key = ("carrier", a, X)
+        key = ("carrier", a, X.vid)
         S = self._memo.get(key)
         if S is None:
             if self.functor is not None:
@@ -138,7 +141,7 @@ class GradedStrongMonad:
     def fmap(self, a: str, f: FinFn) -> FinFn:
         """T^a f, memoised by f's value: equal maps share one image, named after the
         first.  An ``fmap_fn`` image is type-checked once; ``apply_mor`` types its own."""
-        key = ("fmap", a, f.dom, f.cod, f.idx)
+        key = ("fmap", a, f.dom.vid, f.cod.vid, f.idx)
         fn = self._memo.get(key)
         if fn is None:
             if self.functor is not None:
@@ -150,7 +153,7 @@ class GradedStrongMonad:
         return fn
 
     def unit_fn(self, X: FinSet) -> FinFn:
-        key = ("unit", X)
+        key = ("unit", X.vid)
         fn = self._memo.get(key)
         if fn is None:
             fn = self.unit(X)
@@ -159,7 +162,7 @@ class GradedStrongMonad:
         return fn
 
     def mult_fn(self, a: str, b: str, X: FinSet) -> FinFn:
-        key = ("mult", a, b, X)
+        key = ("mult", a, b, X.vid)
         fn = self._memo.get(key)
         if fn is None:
             fn = self.mult(a, b, X)
@@ -176,7 +179,7 @@ class GradedStrongMonad:
             return identity_fn(self.carrier(a, X))
         if self.lift is None:
             raise ComponentMissing(f"lift for {a} <= {b} not provided")
-        key = ("lift", a, b, X)
+        key = ("lift", a, b, X.vid)
         fn = self._memo.get(key)
         if fn is None:
             fn = self.lift(a, b, X)
@@ -185,7 +188,7 @@ class GradedStrongMonad:
         return fn
 
     def strength_fn(self, a: str, X: FinSet, Y: FinSet) -> FinFn:
-        key = ("tau", a, X, Y)
+        key = ("tau", a, X.vid, Y.vid)
         fn = self._memo.get(key)
         if fn is None:
             fn = self.strength(a, X, Y)
@@ -196,7 +199,7 @@ class GradedStrongMonad:
         return fn
 
     def costrength_fn(self, a: str, X: FinSet, Y: FinSet) -> FinFn:
-        key = ("tau'", a, X, Y)
+        key = ("tau'", a, X.vid, Y.vid)
         fn = self._memo.get(key)
         if fn is None:
             if self.costrength is not None:
@@ -211,7 +214,7 @@ class GradedStrongMonad:
 
     @staticmethod
     def _expect(fn: FinFn, dom: FinSet, cod: FinSet, what: str) -> None:
-        if fn.dom != dom or fn.cod != cod:
+        if fn.dom.vid != dom.vid or fn.cod.vid != cod.vid:
             raise ComponentMissing(f"{what} has wrong type")
 
 
@@ -269,7 +272,7 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
         XY = tensor(X, Y)
         left = left.then(M.lift_fn(M.pomonoid.times(a, b), top, XY))
         right = right.then(M.lift_fn(M.pomonoid.times(b, a), top, XY))
-    if left.cod != right.cod:
+    if left.cod.vid != right.cod.vid:
         raise ValueError(f"codomains differ: {left.cod.name} vs {right.cod.name}")
     bad = {}
     lhs, rhs = left.idx, right.idx
@@ -381,7 +384,14 @@ def _strength_laws(M: GradedStrongMonad, k: int):
     P = M.pomonoid
     sets = canonical_sets(k)
     I = unit_set()
-    maps = functools.cache(lambda X, Y, name: list(_maps(X, Y, name)))
+    maps_of = {}   # _maps(X, Y, name) as a list, by (X.vid, Y.vid, name)
+
+    def maps(X, Y, name):
+        key = (X.vid, Y.vid, name)
+        if key not in maps_of:
+            maps_of[key] = list(_maps(X, Y, name))
+        return maps_of[key]
+
     for Y, a in product(sets, P.elements):
         TaY = M.carrier(a, Y)
         lhs = _seq(M.strength_fn(a, I, Y), M.fmap(a, lam(Y)))
@@ -545,7 +555,7 @@ def _commute_record(M: GradedStrongMonad, a: str, b: str, sets) -> LawRecord:
             XY = tensor(X, Y)
             Cab = M.carrier(P.times(a, b), XY)
             Cba = M.carrier(P.times(b, a), XY)
-            if Cab != Cba:
+            if Cab.vid != Cba.vid:
                 only = sorted(set(Cab.elems) ^ set(Cba.elems))
                 rec.ok, rec.note, rec.sets = False, "carrier-mismatch", (X.name, Y.name)
                 rec.witness = only[0] if only else None
@@ -598,14 +608,14 @@ class GradedMonadMorphism:
 
     def component_fn(self, a: str, X: FinSet) -> FinFn:
         """The component at (a, X), built and type-checked once per key."""
-        fn = self._memo.get((a, X))
+        fn = self._memo.get((a, X.vid))
         if fn is None:
             fn = self.component(a, X)
             dom = self.source.carrier(a, X)
             cod = self.target.carrier(self.phi(a), X)
-            if fn.dom != dom or fn.cod != cod:
+            if fn.dom.vid != dom.vid or fn.cod.vid != cod.vid:
                 raise ComponentMissing(f"component({a}) has wrong type")
-            self._memo[a, X] = fn
+            self._memo[a, X.vid] = fn
         return fn
 
 

@@ -39,6 +39,8 @@ from .finkit import (
 )
 from .graded_monad import (
     GradedStrongMonad,
+    _seq,
+    _tensor_then,
     canonical_sets,
     check_commutative,
     commute_maps,
@@ -230,15 +232,16 @@ class DuoidalGradedMonad:
     _memo: dict = field(default_factory=dict, repr=False)
 
     def m_fn(self, a: str, b: str, X: FinSet, Y: FinSet) -> FinFn:
-        fn = self._memo.get((a, b, X, Y))
+        key = (a, b, X.vid, Y.vid)
+        fn = self._memo.get(key)
         if fn is None:
             fn = self.m(a, b, X, Y)
             M = self.monad
             dom = tensor(M.carrier(a, X), M.carrier(b, Y))
             cod = M.carrier(self.duoid.par_of(a, b), tensor(X, Y))
-            if fn.dom != dom or fn.cod != cod:
+            if fn.dom.vid != dom.vid or fn.cod.vid != cod.vid:
                 raise LanguageError(f"m({a},{b}) has wrong type")
-            self._memo[a, b, X, Y] = fn
+            self._memo[key] = fn
         return fn
 
     def elements_equal(self, lhs: str, rhs: str) -> bool:
@@ -353,12 +356,15 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     the budget, which must be at least 1; a sampled duoidal-main first takes
     every corner (i, a, b, i) at the grading's unit i.  ``_duoidal_laws``
     yields the records and comparisons in order, for ``run_suite``.  Both
-    sides of every diagram are composites of index tables (``then``,
-    ``tensor_fn``, the structure maps), compared pointwise by
+    sides of every diagram are index tables, compared pointwise by
     ``first_mismatch``; a grade tuple stops at its first failing instance.
-    m-assoc instead reads each side off the ``idx`` tables and product grids
-    in one pass (``_assoc_sides``), and builds the domain only where the two
-    sides or their codomains differ.
+    duoidal-main reads each side in one pass: the interchange-first side as
+    one chain of table lookups (``_seq``), the multiply-first side as
+    m(mult(x), mult(y)) off the product grid (``_tensor_then``).  m-assoc
+    reads each side off the ``idx`` tables and product grids in one pass
+    (``_assoc_sides``), and builds the domain only where the two sides or
+    their codomains differ.  The other laws compose with ``then``,
+    ``tensor_fn`` and the structure maps.
 
     An instance whose diagram has an empty domain (on the language writer,
     every set tuple holding ``Y0``) is vacuous: no element can fail.
@@ -391,28 +397,28 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
     M, D = DM.monad, DM.duoid
     P = M.pomonoid
     sets = canonical_sets(k)
-    products = {(X, Y): tensor(X, Y) for X in sets for Y in sets}
+    products = {(X.vid, Y.vid): tensor(X, Y) for X in sets for Y in sets}
 
     def main_failure(a, b, c, d, X, Y):
         ac, bd = D.par_of(a, c), D.par_of(b, d)
-        XY = products[X, Y]
+        XY = products[X.vid, Y.vid]
         inner = DM.m_fn(b, d, X, Y)
         outer = DM.m_fn(a, c, M.carrier(b, X), M.carrier(d, Y))
-        par_first = outer.then(M.fmap(ac, inner)).then(M.mult_fn(ac, bd, XY))
+        par_first = [outer, M.fmap(ac, inner), M.mult_fn(ac, bd, XY)]
         mul_ab, mul_cd = M.mult_fn(a, b, X), M.mult_fn(c, d, Y)
         m_ab_cd = DM.m_fn(P.times(a, b), P.times(c, d), X, Y)
-        if outer.dom:
-            mul_first = tensor_fn(mul_ab, mul_cd).then(m_ab_cd)
+        if outer.idx:
+            mul_first = _tensor_then(mul_ab, mul_cd, m_ab_cd)
         else:   # vacuous
             mul_first = FinFn.from_pairs(outer.dom, m_ab_cd.cod, ())
         # move the interchange-first grade to the other one if the order allows
         g_from, g_to = P.times(ac, bd), D.par_of(P.times(a, b), P.times(c, d))
         if g_from != g_to:
             if P.le(g_from, g_to):
-                par_first = par_first.then(M.lift_fn(g_from, g_to, XY))
-            elif M.carrier(g_from, XY) != M.carrier(g_to, XY):
+                par_first.append(M.lift_fn(g_from, g_to, XY))
+            elif M.carrier(g_from, XY).vid != M.carrier(g_to, XY).vid:
                 return "", "delta-unrelated"
-        witness = first_mismatch(par_first, mul_first, DM.elements_equal)
+        witness = first_mismatch(_seq(*par_first), mul_first, DM.elements_equal)
         return None if witness is None else (witness, "")
 
     for grades in _grade_tuples(P.elements, 4, budget, seed, P.unit):
@@ -422,7 +428,7 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
     i = P.unit
     g_ii = D.par_of(i, i)
     for X, Y in product(sets, repeat=2):
-        XY = products[X, Y]
+        XY = products[X.vid, Y.vid]
         both_units = tensor_fn(M.unit_fn(X), M.unit_fn(Y)).then(DM.m_fn(i, i, X, Y))
         unit = M.unit_fn(XY)
         if g_ii != i:
@@ -433,22 +439,24 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
             unit = unit.then(M.lift_fn(i, g_ii, XY))
         yield "m-unit", (i,), (X.name, Y.name), both_units, unit
 
-    # alpha(X,Y,Z) by (X, Y, Z), and T^g of it by (g, X, Y, Z), built once per suite
-    alphas = {(X, Y, Z): alpha(X, Y, Z) for X in sets for Y in sets for Z in sets}
+    # alpha(X,Y,Z) by the vids of (X, Y, Z), and T^g of it by g and those vids,
+    # built once per suite
+    alphas = {(X.vid, Y.vid, Z.vid): alpha(X, Y, Z) for X in sets for Y in sets for Z in sets}
     reassociate = {}
 
     def assoc_failure(a, b, c, X, Y, Z):
         TX, TY, TZ = M.carrier(a, X), M.carrier(b, Y), M.carrier(c, Z)
         m_bc = DM.m_fn(b, c, Y, Z)
-        lhs_m = DM.m_fn(a, D.par_of(b, c), X, products[Y, Z])
+        lhs_m = DM.m_fn(a, D.par_of(b, c), X, products[Y.vid, Z.vid])
         g = D.par_of(D.par_of(a, b), c)
-        if (g, X, Y, Z) not in reassociate:
-            reassociate[g, X, Y, Z] = M.fmap(g, alphas[X, Y, Z])
-        re = reassociate[g, X, Y, Z]
+        key = (g, X.vid, Y.vid, Z.vid)
+        if key not in reassociate:
+            reassociate[key] = M.fmap(g, alphas[key[1:]])
+        re = reassociate[key]
         m_ab = DM.m_fn(a, b, X, Y)
-        rhs_m = DM.m_fn(D.par_of(a, b), c, products[X, Y], Z)
+        rhs_m = DM.m_fn(D.par_of(a, b), c, products[X.vid, Y.vid], Z)
         lhs, rhs = _assoc_sides(TX, TY, TZ, m_ab, m_bc, lhs_m, rhs_m, re)
-        if lhs == rhs and lhs_m.cod == re.cod:
+        if lhs == rhs and lhs_m.cod.vid == re.cod.vid:
             return None
         dom = tensor(tensor(TX, TY), TZ)
         witness = first_mismatch(FinFn.from_pairs(dom, lhs_m.cod, lhs),

@@ -11,6 +11,8 @@ them take a shortcut in the library; the references build them through the
 checked constructors like any other.
 """
 
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,10 +37,17 @@ from centrekit.finkit import (
     tensor_fn,
     unit_set,
 )
-from centrekit.graded_monad import bool_writer_pair, multi_error_writer, writer_monad
+from centrekit.graded_monad import (
+    bool_writer_pair,
+    check_all,
+    check_commutative,
+    multi_error_writer,
+    writer_monad,
+)
 from centrekit.pomonoid import bool_pomonoid
 from centrekit.relaxations import (
     build_language_writer,
+    check_duoidal_gradation,
     language_duoid,
     language_shuffle,
     parse_language_literal,
@@ -240,6 +249,65 @@ class TestProductEquality:
         carrier, sub = M.carrier("tt", X), central_subset(M, "tt", X)
         assert carrier.factors and sub.factors is None
         same_and_alike(carrier, sub)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.one_of(factor_sets(), token_sets()))
+    def test_equal_exactly_when_the_tokens_and_the_vids_are(self, data, A):
+        others = [FinSet("P", A.elems), FinSet("E", ()),
+                  data.draw(st.one_of(factor_sets(), token_sets()))]
+        if A.factors:
+            L, R = A.factors
+            others += [tensor(FinSet("L", L.elems), FinSet("R", R.elems)), tensor(R, L)]
+            # one more pair with a left token or a right one: off by a token,
+            # and sometimes the product of a bigger factor
+            extra = data.draw(st.sampled_from([make_pair("c", r) for r in R.elems]
+                                              + [make_pair(l, "c") for l in L.elems] or ["c"]))
+        else:
+            extra = data.draw(st.sampled_from(["c", "a*", make_pair("a", "c")]))
+        if extra not in A:
+            others.append(FinSet("Q", A.elems + (extra,)))
+        if A:
+            dropped = data.draw(st.sampled_from(A.elems))
+            others.append(FinSet("Q", tuple(t for t in A.elems if t != dropped)))
+        for B in others:
+            for X, Y in ((A, B), (B, A)):
+                assert (X == Y) == (X.elems == Y.elems)
+                assert (X == Y) == (X.vid == Y.vid)
+                if X == Y:
+                    assert hash(X) == hash(Y)
+
+
+class TestSetsCompareByVid:
+    """The law suites key and compare sets by their vids: no scan calls the
+    Python-level ``FinSet.__hash__`` or ``FinSet.__eq__``."""
+
+    SCANS = {
+        "check_all": lambda: check_all(multi_error_writer(), 3),
+        "check_duoidal_gradation": lambda: check_duoidal_gradation(
+            build_language_writer("ab", 2, language_duoid("ab", 2)), k=2, budget=300),
+        "check_commutative": lambda: check_commutative(bool_writer_pair(), 3),
+    }
+
+    @pytest.mark.parametrize("scan", sorted(SCANS))
+    def test_no_set_hash_or_equality_call(self, monkeypatch, scan):
+        calls = collections.Counter()
+
+        def counted(name):
+            method = getattr(FinSet, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+            return wrapper
+
+        for name in ("__hash__", "__eq__"):
+            monkeypatch.setattr(FinSet, name, counted(name))
+        S = FinSet("S", ("s",))
+        assert {S: 0} and S == S
+        assert calls == {"__hash__": 1, "__eq__": 1}   # the counters see the calls
+        calls.clear()
+        assert self.SCANS[scan]().records
+        assert calls == {}
 
 
 @st.composite

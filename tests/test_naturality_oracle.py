@@ -323,8 +323,10 @@ def test_planted_unnatural_component():
 # --- first builds --------------------------------------------------------------
 
 class FirstBuilds(dict):
-    """A component memo that logs each key other than a carrier's as it is
-    first built."""
+    """A component memo that logs each component other than a carrier as it is
+    first built: the key's grades and tables (not the sets it names, which a
+    memo may key by set or by vid) and ``repr`` of the map's domain and
+    codomain."""
 
     def __init__(self):
         super().__init__()
@@ -332,32 +334,33 @@ class FirstBuilds(dict):
 
     def __setitem__(self, key, value):
         if key[0] != "carrier":
-            self.log.append(key)
+            parts = tuple(p for p in key if isinstance(p, (str, tuple)))
+            self.log.append((parts, repr(value.dom), repr(value.cod)))
         super().__setitem__(key, value)
 
 
 # (entries, SHA-256 of the log), recorded on the composite loops at k=3
 FETCH_ORDER = {
     ("check_all", "multi_error_writer_topped"):
-        (4260, "83c59b8453e96a04a7517543e095d961b22d744ce03269066458deffb955d3ae"),
+        (4260, "948f2096183a512af93070133caff047ca0fb959390b201d14adfbb7b1bd6344"),
     ("check_all", "bool_writer_pair"):
-        (1996, "089f0e79b00a8e4225b3a4965089c966a80040546e684f3bc52b9e04a63748f9"),
+        (1996, "d69407c3e3b60d1d1ae2ee98afb88c9aa1edc9416c2a6efd79c012eddc48d520"),
     ("check_order_laws", "multi_error_writer_topped"):
-        (384, "4e30f538dd99f9251cebffb19e765d6cc08d4cc914040939d12e7c603171385e"),
+        (384, "a38accea547c694baed7859927c68b8261e7de1f2dfec8d1913a5504c1e9d0ad"),
     ("check_order_laws", "bool_writer_pair"):
-        (158, "41410011c0e202ab690c0081a885f77405964b254ef1aa4a8cc049de9b78494a"),
+        (158, "b13e5e362eb7ced1548814de541c1ff978c479abfc8ca6edb2b6f9f98df4eeba"),
     ("check_strength_laws", "multi_error_writer_topped"):
-        (2984, "194b68122fe00804ed9100c31842e1b332bb16b29b0b61b65460d1808caaabba"),
+        (2984, "21f1a061ebcd62b5579ec6dfc3d15331dbb0a1b4c30afe27dfbd4ab0c8e1cf94"),
     ("check_strength_laws", "bool_writer_pair"):
-        (1424, "822354f67e5c42292c217adfae9d8e6ac9061832a7761b2e543a2bb40c48b236"),
+        (1424, "ab9573ab9f37d3c3bb50e042d9cabd859a887b6b40a37ba042c760261aad2d7d"),
     ("check_naturality", "multi_error_writer_topped"):
-        (784, "6c4545285a69049900ee006ad161435edcde3dd40cc583e9284c4190644da381"),
+        (784, "ad3bb92cb731783df5e4acdb016f91b5e5655f8f0b707aea31c5c560b3190707"),
     ("check_naturality", "bool_writer_pair"):
-        (376, "0bd3527a2bc8ad75881ca98180cb56465167f729393929f8e2b2e1147f9c4249"),
+        (376, "59d583be7412f87777b07d468d414428c1327291549dfab583716e41ba1bcb69"),
     ("check_costrength_coherence", "multi_error_writer_topped"):
-        (1769, "1f1840c0f2332d9906f7a54a58ca2a19bc461e0a184631e6256d5ab71af4cab2"),
+        (1769, "eca80a6287be267ed8f4b48b0d2bc4750541607c3ef8124a938a242a094a2776"),
     ("check_costrength_coherence", "bool_writer_pair"):
-        (793, "83083347362db0b21d8dbca3d7bd7699143ddd8434f21306fd063faeba136070"),
+        (793, "479d0c2da95b0a6ab5ef82e99345caae9a1b6ed4c8edf843fcb983cd06996f86"),
 }
 
 

@@ -365,8 +365,8 @@ class TestVacuousInstances:
                 return out
             return wrapper
 
-        monkeypatch.setattr(relaxations, "alpha", counted(relaxations.alpha))
-        monkeypatch.setattr(relaxations, "tensor_fn", counted(relaxations.tensor_fn))
+        for name in ("alpha", "tensor_fn", "_tensor_then"):
+            monkeypatch.setattr(relaxations, name, counted(getattr(relaxations, name)))
         assert check_duoidal_gradation(build_language_writer("ab", 2, self.D), 2).ok
         # m-natural builds its vacuous instances in full: its maps are few
         per_instance = [empty for caller, empty in calls
