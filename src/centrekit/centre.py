@@ -9,7 +9,8 @@ The quantifier over all test sets Y collapses to finitely many canonical sets:
 an element of a polynomial T^b Y mentions at most degree(T^b) points of Y, so
 by naturality every instance of the centrality equation factors through an
 injection from a canonical set of that size.  `bound` widens the scan for
-paranoia runs; it never changes the answer for polynomial carriers.
+paranoia runs: at or above the degree it never changes the answer for
+polynomial carriers, and a bound below the degree is refused.
 
 Central subsets, cones and bimonoidal centres share one row filter,
 `failing_rows`, over one scan of the composites' index tables,
@@ -63,22 +64,24 @@ class CentralityViolation(RuntimeError):
 def bound_for(M: GradedStrongMonad, b: str, bound=None) -> int:
     """Test-set size needed to decide centrality against grade b.
 
-    A negative bound raises SetSizeError: it leaves no test set, so every
-    element would pass as central.
+    The default is the degree of T^b.  A negative bound raises SetSizeError,
+    and so does one below the degree of T^b when the monad has a functor
+    expression: either would pass elements that are not central.
     """
+    expr = M.functor_expr(b)
     if callable(bound):
         n = bound(b)
     elif bound is not None:
         n = int(bound)
+    elif expr is None:
+        raise CentreError("monad has no functor expression; pass an explicit bound")
     else:
-        expr = M.functor_expr(b)
-        if expr is None:
-            raise CentreError(
-                "monad has no functor expression; pass an explicit bound")
         n = degree(expr)
     if n < 0:
         raise SetSizeError(
             f"test-set bound {n} is negative: every element would pass as central")
+    if expr is not None and n < degree(expr):
+        raise SetSizeError(f"test-set bound {n} is below the degree {degree(expr)} of grade {b}")
     return n
 
 

@@ -38,12 +38,14 @@ pair of its factors' i-th and j-th tokens sits among its own sorted tokens
 row-major when a factor token prefixes another (``a`` and ``a*``: ``(a*,b)``
 sorts before ``(a,b)``).
 
-The two sides of a law diagram are built as composites of these tables
-(``then``, ``tensor_fn``, the structure maps and identities) and compared
-pointwise by ``first_mismatch``.  It scans the two index tables in domain
-order, applies the comparison only where they differ and stops at the
-first failure: the witness is the least failing token.  Every law
-comparison goes through it.
+Every side of a law diagram is a chain of maps, built as one index table
+by the composite vocabulary: ``seq``, ``tensor_then``, ``alpha_then``,
+``alpha_inv_then`` and ``pair_rows``.  Each link is checked by vid with
+``then``'s ``cannot compose`` error; ``then`` and ``alpha`` are one call
+each into it.  The two sides are compared pointwise by ``first_mismatch``.
+It scans the two index tables in domain order, applies the comparison only
+where they differ and stops at the first failure: the witness is the least
+failing token.  Every law comparison goes through it.
 """
 
 from __future__ import annotations
@@ -73,6 +75,11 @@ __all__ = [
     "unit_set",
     "tensor",
     "tensor_fn",
+    "seq",
+    "tensor_then",
+    "alpha_then",
+    "alpha_inv_then",
+    "pair_rows",
     "gamma",
     "alpha",
     "alpha_inv",
@@ -361,9 +368,7 @@ class FinFn:
 
     def then(self, other: "FinFn") -> "FinFn":
         """Diagrammatic composite: first self, then other."""
-        if self.cod.vid != other.dom.vid:
-            raise ValueError(f"cannot compose {self.cod.name} -> {other.dom.name}")
-        return FinFn._table(self.dom, other.cod, tuple(map(other.idx.__getitem__, self.idx)))
+        return seq(self, other)
 
     def is_injective(self) -> bool:
         return len(set(self.idx)) == len(self.idx)
@@ -571,6 +576,73 @@ def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     return FinFn.from_pairs(dom, cod, images)
 
 
+# --- law sides: chains of maps read as one index table ---------------------
+# Each builder gives the composite of a chain as one table, read off the
+# links' tables and the product grids: no intermediate map, product of maps
+# or associator is built.  Every link is checked by vid, as ``then`` checks
+# one; a tail of maps after h is composed into h's table first.
+
+def _check_links(*links) -> None:
+    """Each (set, map): the map's domain is the set, or it cannot compose."""
+    for cod, g in links:
+        if cod.vid != g.dom.vid:
+            raise ValueError(f"cannot compose {cod.name} -> {g.dom.name}")
+
+
+def seq(f: FinFn, *maps: FinFn) -> FinFn:
+    """f, then each of maps."""
+    idx, cod = f.idx, f.cod
+    for g in maps:
+        if cod.vid != g.dom.vid:   # checked here first: seq is the hottest builder
+            _check_links((cod, g))
+        idx, cod = map(g.idx.__getitem__, idx), g.cod
+    return FinFn._table(f.dom, cod, tuple(idx))
+
+
+def pair_rows(h: FinFn, A: FinSet, B: FinSet) -> list:
+    """rows[i][j]: where h, out of A (x) B, sends the pair of A's i-th and B's
+    j-th tokens."""
+    AB = tensor(A, B)
+    _check_links((AB, h))
+    hi = h.idx
+    return [list(map(hi.__getitem__, row)) for row in AB.pair_grid()]
+
+
+def tensor_then(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
+    """(f (x) g) ; h, then each of maps: (x,y) goes to h(f(x), g(y))."""
+    AB = tensor(f.cod, g.cod)
+    _check_links((AB, h))
+    if maps:
+        h = seq(h, *maps)
+    at, gi, hi = AB.pair_grid(), g.idx, h.idx
+    return FinFn.from_pairs(tensor(f.dom, g.dom), h.cod,
+                            [hi[row[j]] for row in map(at.__getitem__, f.idx) for j in gi])
+
+
+def alpha_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
+    """alpha(X, Y, Z) ; (id_X (x) g) ; h, then each of maps: ((x,y),z) goes to
+    h(x, g(y,z))."""
+    XY, YZ, XG = tensor(X, Y), tensor(Y, Z), tensor(X, g.cod)
+    _check_links((YZ, g), (XG, h))
+    if maps:
+        h = seq(h, *maps)
+    yz, at, gi, hi = YZ.pair_grid(), XG.pair_grid(), g.idx, h.idx
+    return FinFn.from_pairs(tensor(XY, Z), h.cod,
+                            [hi[at[x][gi[w]]] for x, y in XY.pair_list() for w in yz[y]])
+
+
+def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
+    """alpha_inv(X, Y, Z) ; (g (x) id_Z) ; h, then each of maps: (x,(y,z)) goes
+    to h(g(x,y), z)."""
+    XY, YZ, GZ = tensor(X, Y), tensor(Y, Z), tensor(g.cod, Z)
+    _check_links((XY, g), (GZ, h))
+    if maps:
+        h = seq(h, *maps)
+    xy, yz, at, gi, hi = XY.pair_grid(), YZ.pair_list(), GZ.pair_grid(), g.idx, h.idx
+    return FinFn.from_pairs(tensor(X, YZ), h.cod,
+                            [hi[at[gi[row[y]]][z]] for row in xy for y, z in yz])
+
+
 # The structure maps below are index tables computed from the positions of
 # the factors' tokens: no token is built or looked up.
 
@@ -585,12 +657,7 @@ def gamma(X: FinSet, Y: FinSet) -> FinFn:
 
 def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """Associator ((x,y),z) -> (x,(y,z))."""
-    XY, YZ = tensor(X, Y), tensor(Y, Z)
-    dom, cod = tensor(XY, Z), tensor(X, YZ)
-    if not dom._size:
-        return FinFn._table(dom, cod, ())
-    yz, at = YZ.pair_grid(), cod.pair_grid()
-    return FinFn.from_pairs(dom, cod, [at[x][w] for x, y in XY.pair_list() for w in yz[y]])
+    return alpha_then(X, Y, Z, identity_fn(tensor(Y, Z)), identity_fn(tensor(X, tensor(Y, Z))))
 
 
 def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:

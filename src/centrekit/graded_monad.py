@@ -18,15 +18,13 @@ Conventions that everything below depends on:
   every f, the component under test, and hoist the rest out of the loop
   over f: an earlier law of the suite has fetched them, and mult-natural
   fetches each mult at its first f, so a faulty component raises the same
-  first error.  The strength-natural laws and mult-natural read both sides
-  as index lists over the hoisted tables; each note, and each f (x) id
-  handed to fmap, is built once per set tuple.
-* The other laws of the strength and costrength suites read both sides off
-  the components' index tables and the product grids, fetching every
-  component in the composites' order: no then, tensor_fn or associator is
-  built per instance, and the associator that fmap is handed is built once
-  per set triple.  The accessors type-check each component, so these need
-  no check of their own; both sides still meet in Report.compare.
+  first error.  The strength-natural laws read the hoisted strength as rows
+  (``pair_rows``); each note, and each f (x) id handed to fmap, is built
+  once per set tuple.
+* Every law side is a chain built by finkit's composite vocabulary, which
+  checks each link: no then, tensor_fn or associator is built per instance,
+  and the associator that fmap is handed is built once per set triple.
+  Components are fetched in the composites' order.
 * Memos and the suites' own tables key a set by its ``vid``, and type
   checks compare vids, so no suite calls the Python-level set hash or
   equality.
@@ -49,6 +47,8 @@ from .finkit import (
     all_fns,
     alpha,
     alpha_inv,
+    alpha_inv_then,
+    alpha_then,
     apply_mor,
     apply_obj,
     canonical_set,
@@ -57,9 +57,12 @@ from .finkit import (
     identity_fn,
     lam,
     op_table,
+    pair_rows,
     rho,
+    seq,
     tensor,
     tensor_fn,
+    tensor_then,
     unit_set,
 )
 from .pomonoid import (
@@ -220,20 +223,12 @@ class GradedStrongMonad:
 
 def derive_costrength(M: GradedStrongMonad, a: str, X: FinSet, Y: FinSet) -> FinFn:
     """T^a X (x) Y -> T^a (X (x) Y) by swapping, strength, swapping inside."""
-    TaX = M.carrier(a, X)
-    swap_in = gamma(TaX, Y)
-    tau = M.strength_fn(a, Y, X)
-    swap_out = M.fmap(a, gamma(Y, X))
-    return swap_in.then(tau).then(swap_out)
+    return seq(gamma(M.carrier(a, X), Y), M.strength_fn(a, Y, X), M.fmap(a, gamma(Y, X)))
 
 
 def strength_from_costrength(M: GradedStrongMonad, a: str, X: FinSet, Y: FinSet) -> FinFn:
     """The inverse derivation; coincides with the strength when tau' came from tau."""
-    TaY = M.carrier(a, Y)
-    swap_in = gamma(X, TaY)
-    taup = M.costrength_fn(a, Y, X)
-    swap_out = M.fmap(a, gamma(Y, X))
-    return swap_in.then(taup).then(swap_out)
+    return seq(gamma(X, M.carrier(a, Y)), M.costrength_fn(a, Y, X), M.fmap(a, gamma(Y, X)))
 
 
 def commute_maps(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinSet):
@@ -242,19 +237,11 @@ def commute_maps(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinSet):
     Left-first runs the a-computation's strength pass first and lands at
     grade a*b; right-first is the mirror landing at b*a.
     """
-    TbY = M.carrier(b, Y)
-    TaX = M.carrier(a, X)
     XY = tensor(X, Y)
-    left = (
-        M.costrength_fn(a, X, TbY)
-        .then(M.fmap(a, M.strength_fn(b, X, Y)))
-        .then(M.mult_fn(a, b, XY))
-    )
-    right = (
-        M.strength_fn(b, TaX, Y)
-        .then(M.fmap(b, M.costrength_fn(a, X, Y)))
-        .then(M.mult_fn(b, a, XY))
-    )
+    left = seq(M.costrength_fn(a, X, M.carrier(b, Y)), M.fmap(a, M.strength_fn(b, X, Y)),
+               M.mult_fn(a, b, XY))
+    right = seq(M.strength_fn(b, M.carrier(a, X), Y), M.fmap(b, M.costrength_fn(a, X, Y)),
+                M.mult_fn(b, a, XY))
     return left, right
 
 
@@ -270,8 +257,8 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
     left, right = commute_maps(M, a, b, X, Y)
     if top is not None:
         XY = tensor(X, Y)
-        left = left.then(M.lift_fn(M.pomonoid.times(a, b), top, XY))
-        right = right.then(M.lift_fn(M.pomonoid.times(b, a), top, XY))
+        left = seq(left, M.lift_fn(M.pomonoid.times(a, b), top, XY))
+        right = seq(right, M.lift_fn(M.pomonoid.times(b, a), top, XY))
     if left.cod.vid != right.cod.vid:
         raise ValueError(f"codomains differ: {left.cod.name} vs {right.cod.name}")
     bad = {}
@@ -301,14 +288,14 @@ def _monad_laws(M: GradedStrongMonad, k: int):
     sets = canonical_sets(k)
     for X, a in product(sets, P.elements):
         TaX = M.carrier(a, X)
-        left = M.unit_fn(TaX).then(M.mult_fn(i, a, X))
+        left = seq(M.unit_fn(TaX), M.mult_fn(i, a, X))
         yield "unit-left", (a,), (X.name,), left, identity_fn(TaX)
-        right = M.fmap(a, M.unit_fn(X)).then(M.mult_fn(a, i, X))
+        right = seq(M.fmap(a, M.unit_fn(X)), M.mult_fn(a, i, X))
         yield "unit-right", (a,), (X.name,), right, identity_fn(TaX)
     for X, a, b, c in product(sets, P.elements, P.elements, P.elements):
         TcX = M.carrier(c, X)
-        outer_first = M.mult_fn(a, b, TcX).then(M.mult_fn(P.times(a, b), c, X))
-        inner_first = M.fmap(a, M.mult_fn(b, c, X)).then(M.mult_fn(a, P.times(b, c), X))
+        outer_first = seq(M.mult_fn(a, b, TcX), M.mult_fn(P.times(a, b), c, X))
+        inner_first = seq(M.fmap(a, M.mult_fn(b, c, X)), M.mult_fn(a, P.times(b, c), X))
         yield "assoc", (a, b, c), (X.name,), outer_first, inner_first
 
 
@@ -324,60 +311,21 @@ def _order_laws(M: GradedStrongMonad, k: int):
             yield "lift-refl", (a, a), (X.name,), M.lift_fn(a, a, X), identity_fn(M.carrier(a, X))
         for (a, b), c in product(comparable, P.elements):
             if P.le(b, c):
-                composed = M.lift_fn(a, b, X).then(M.lift_fn(b, c, X))
+                composed = seq(M.lift_fn(a, b, X), M.lift_fn(b, c, X))
                 yield "lift-compose", (a, b, c), (X.name,), composed, M.lift_fn(a, c, X)
     for X, Y in product(sets, sets):
         lifts = [(a, b, M.lift_fn(a, b, Y), M.lift_fn(a, b, X)) for a, b in comparable if a != b]
         for f, note in _maps(X, Y):
             for a, b, up_Y, up_X in lifts:
-                yield ("lift-natural", (a, b), (X.name, Y.name), M.fmap(a, f).then(up_Y),
-                       up_X.then(M.fmap(b, f)), note)
+                yield ("lift-natural", (a, b), (X.name, Y.name), seq(M.fmap(a, f), up_Y),
+                       seq(up_X, M.fmap(b, f)), note)
     for X, (a, a2), (b, b2) in product(sets, comparable, comparable):
         if a == a2 and b == b2:
             continue
-        direct = M.mult_fn(a, b, X).then(M.lift_fn(P.times(a, b), P.times(a2, b2), X))
-        inside = (M.lift_fn(a, a2, M.carrier(b, X)).then(M.fmap(a2, M.lift_fn(b, b2, X)))
-                  .then(M.mult_fn(a2, b2, X)))
+        direct = seq(M.mult_fn(a, b, X), M.lift_fn(P.times(a, b), P.times(a2, b2), X))
+        inside = seq(M.lift_fn(a, a2, M.carrier(b, X)), M.fmap(a2, M.lift_fn(b, b2, X)),
+                     M.mult_fn(a2, b2, X))
         yield "mult-lift", (a, a2, b, b2), (X.name,), direct, inside
-
-
-def _seq(f: FinFn, *maps: FinFn) -> FinFn:
-    """f, then each of maps, as one index table."""
-    idx = f.idx
-    for g in maps:
-        idx = map(g.idx.__getitem__, idx)
-    return FinFn._table(f.dom, maps[-1].cod, tuple(idx))
-
-
-def _rows(g: FinFn, A: FinSet, B: FinSet) -> list:
-    """rows[i][j]: where g sends the pair of A's i-th and B's j-th token, for g
-    with domain A (x) B."""
-    return [list(map(g.idx.__getitem__, row)) for row in tensor(A, B).pair_grid()]
-
-
-def _tensor_then(f: FinFn, g: FinFn, h: FinFn) -> FinFn:
-    """(f (x) g) ; h as one index table: (x,y) goes to h(f(x), g(y))."""
-    rows, gi = _rows(h, f.cod, g.cod), g.idx
-    return FinFn.from_pairs(tensor(f.dom, g.dom), h.cod,
-                            [v for i in f.idx for v in map(rows[i].__getitem__, gi)])
-
-
-def _alpha_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn) -> FinFn:
-    """alpha(X, Y, Z) ; (id_X (x) g) ; h as one index table: ((x,y),z) goes to
-    h(x, g(y,z))."""
-    XY = tensor(X, Y)
-    gyz, hx = _rows(g, Y, Z), _rows(h, X, g.cod)
-    return FinFn.from_pairs(tensor(XY, Z), h.cod, [
-        v for x, y in XY.pair_list() for v in map(hx[x].__getitem__, gyz[y])])
-
-
-def _alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn) -> FinFn:
-    """alpha_inv(X, Y, Z) ; (g (x) id_Z) ; h as one index table: (x,(y,z)) goes
-    to h(g(x,y), z)."""
-    YZ = tensor(Y, Z)
-    gxy, hz = _rows(g, X, Y), _rows(h, g.cod, Z)
-    return FinFn.from_pairs(tensor(X, YZ), h.cod,
-                            [hz[gx[y]][z] for gx in gxy for y, z in YZ.pair_list()])
 
 
 def _strength_laws(M: GradedStrongMonad, k: int):
@@ -394,26 +342,26 @@ def _strength_laws(M: GradedStrongMonad, k: int):
 
     for Y, a in product(sets, P.elements):
         TaY = M.carrier(a, Y)
-        lhs = _seq(M.strength_fn(a, I, Y), M.fmap(a, lam(Y)))
+        lhs = seq(M.strength_fn(a, I, Y), M.fmap(a, lam(Y)))
         yield "strength-unitor", (a,), (Y.name,), lhs, lam(TaY)
     for X, Y, Z in product(sets, sets, sets):
         names, XY, YZ = (X.name, Y.name, Z.name), tensor(X, Y), tensor(Y, Z)
         assoc = alpha(X, Y, Z)
         for a in P.elements:
-            via_assoc = _alpha_then(X, Y, M.carrier(a, Z), M.strength_fn(a, Y, Z),
-                                    M.strength_fn(a, X, YZ))
-            direct = _seq(M.strength_fn(a, XY, Z), M.fmap(a, assoc))
+            via_assoc = alpha_then(X, Y, M.carrier(a, Z), M.strength_fn(a, Y, Z),
+                                   M.strength_fn(a, X, YZ))
+            direct = seq(M.strength_fn(a, XY, Z), M.fmap(a, assoc))
             yield "strength-assoc", (a,), names, via_assoc, direct
     for X, Y in product(sets, sets):
         XY = tensor(X, Y)
-        lhs = _tensor_then(identity_fn(X), M.unit_fn(Y), M.strength_fn(P.unit, X, Y))
+        lhs = tensor_then(identity_fn(X), M.unit_fn(Y), M.strength_fn(P.unit, X, Y))
         yield "strength-unit", (P.unit,), (X.name, Y.name), lhs, M.unit_fn(XY)
         for a, b in product(P.elements, P.elements):
             TbY = M.carrier(b, Y)
-            lhs = _tensor_then(identity_fn(X), M.mult_fn(a, b, Y),
-                               M.strength_fn(P.times(a, b), X, Y))
-            rhs = _seq(M.strength_fn(a, X, TbY), M.fmap(a, M.strength_fn(b, X, Y)),
-                       M.mult_fn(a, b, XY))
+            lhs = tensor_then(identity_fn(X), M.mult_fn(a, b, Y),
+                              M.strength_fn(P.times(a, b), X, Y))
+            rhs = seq(M.strength_fn(a, X, TbY), M.fmap(a, M.strength_fn(b, X, Y)),
+                      M.mult_fn(a, b, XY))
             yield "strength-mult", (a, b), (X.name, Y.name), lhs, rhs
     for X, X2, Y in product(sets, sets, sets):
         names, XY, X2Y = (X.name, X2.name, Y.name), tensor(X, Y), tensor(X2, Y)
@@ -424,11 +372,11 @@ def _strength_laws(M: GradedStrongMonad, k: int):
         for a in P.elements:
             TaY = M.carrier(a, Y)
             tau2, tau = M.strength_fn(a, X2, Y), M.strength_fn(a, X, Y)
-            rows, XT = _rows(tau2, X2, TaY), tensor(X, TaY)
+            rows, XT = pair_rows(tau2, X2, TaY), tensor(X, TaY)
             for fi, f_id, note in fs:
                 lhs = [*chain.from_iterable(map(rows.__getitem__, fi))]
                 yield ("strength-natural-left", (a,), names, FinFn.from_pairs(XT, tau2.cod, lhs),
-                       _seq(tau, M.fmap(a, f_id)), note)
+                       seq(tau, M.fmap(a, f_id)), note)
     for X, Y, Y2 in product(sets, sets, sets):
         names, XY, XY2 = (X.name, Y.name, Y2.name), tensor(X, Y), tensor(X, Y2)
         xy, at = XY.pair_list(), XY2.pair_grid()
@@ -438,17 +386,17 @@ def _strength_laws(M: GradedStrongMonad, k: int):
         for a in P.elements:
             TaY = M.carrier(a, Y)
             tau2, tau = M.strength_fn(a, X, Y2), M.strength_fn(a, X, Y)
-            rows, XT = _rows(tau2, X, M.carrier(a, Y2)), tensor(X, TaY)
+            rows, XT = pair_rows(tau2, X, M.carrier(a, Y2)), tensor(X, TaY)
             for g, g_id, note in gs:
                 G = M.fmap(a, g).idx
                 lhs = [v for row in rows for v in map(row.__getitem__, G)]
                 yield ("strength-natural-right", (a,), names, FinFn.from_pairs(XT, tau2.cod, lhs),
-                       _seq(tau, M.fmap(a, g_id)), note)
+                       seq(tau, M.fmap(a, g_id)), note)
     if not P.is_discrete():
         for X, Y, (a, b) in product(sets, sets, P.comparable_pairs()):
             if a != b:
-                lhs = _seq(M.strength_fn(a, X, Y), M.lift_fn(a, b, tensor(X, Y)))
-                rhs = _tensor_then(identity_fn(X), M.lift_fn(a, b, Y), M.strength_fn(b, X, Y))
+                lhs = seq(M.strength_fn(a, X, Y), M.lift_fn(a, b, tensor(X, Y)))
+                rhs = tensor_then(identity_fn(X), M.lift_fn(a, b, Y), M.strength_fn(b, X, Y))
                 yield "strength-lift", (a, b), (X.name, Y.name), lhs, rhs
     # strength/costrength interchange across a sandwiched tensor
     for W, X, Y in product(sets, sets, sets):
@@ -456,9 +404,9 @@ def _strength_laws(M: GradedStrongMonad, k: int):
         unassoc = alpha_inv(W, X, Y)
         for a in P.elements:
             TaX = M.carrier(a, X)
-            lhs = _tensor_then(M.strength_fn(a, W, X), identity_fn(Y), M.costrength_fn(a, WX, Y))
-            rhs = _alpha_then(W, TaX, Y, M.costrength_fn(a, X, Y),
-                              _seq(M.strength_fn(a, W, XY), M.fmap(a, unassoc)))
+            lhs = tensor_then(M.strength_fn(a, W, X), identity_fn(Y), M.costrength_fn(a, WX, Y))
+            rhs = alpha_then(W, TaX, Y, M.costrength_fn(a, X, Y), M.strength_fn(a, W, XY),
+                             M.fmap(a, unassoc))
             yield "strength-interchange", (a,), names, lhs, rhs
 
 
@@ -468,26 +416,26 @@ def _costrength_coherence(M: GradedStrongMonad, k: int):
     I = unit_set()
     for X, a in product(sets, P.elements):
         TaX = M.carrier(a, X)
-        lhs = _seq(M.costrength_fn(a, X, I), M.fmap(a, rho(X)))
+        lhs = seq(M.costrength_fn(a, X, I), M.fmap(a, rho(X)))
         yield "costrength-unitor", (a,), (X.name,), lhs, rho(TaX)
     for X, Y in product(sets, sets):
         XY = tensor(X, Y)
-        lhs = _tensor_then(M.unit_fn(X), identity_fn(Y), M.costrength_fn(P.unit, X, Y))
+        lhs = tensor_then(M.unit_fn(X), identity_fn(Y), M.costrength_fn(P.unit, X, Y))
         yield "costrength-unit", (P.unit,), (X.name, Y.name), lhs, M.unit_fn(XY)
         for a, b in product(P.elements, P.elements):
             TbX = M.carrier(b, X)
-            lhs = _tensor_then(M.mult_fn(a, b, X), identity_fn(Y),
-                               M.costrength_fn(P.times(a, b), X, Y))
-            rhs = _seq(M.costrength_fn(a, TbX, Y), M.fmap(a, M.costrength_fn(b, X, Y)),
-                       M.mult_fn(a, b, XY))
+            lhs = tensor_then(M.mult_fn(a, b, X), identity_fn(Y),
+                              M.costrength_fn(P.times(a, b), X, Y))
+            rhs = seq(M.costrength_fn(a, TbX, Y), M.fmap(a, M.costrength_fn(b, X, Y)),
+                      M.mult_fn(a, b, XY))
             yield "costrength-mult", (a, b), (X.name, Y.name), lhs, rhs
     for X, Y, Z in product(sets, sets, sets):
         names, XY, YZ = (X.name, Y.name, Z.name), tensor(X, Y), tensor(Y, Z)
         unassoc = alpha_inv(X, Y, Z)
         for a in P.elements:
-            via_assoc = _alpha_inv_then(M.carrier(a, X), Y, Z, M.costrength_fn(a, X, Y),
-                                        M.costrength_fn(a, XY, Z))
-            direct = _seq(M.costrength_fn(a, X, YZ), M.fmap(a, unassoc))
+            via_assoc = alpha_inv_then(M.carrier(a, X), Y, Z, M.costrength_fn(a, X, Y),
+                                       M.costrength_fn(a, XY, Z))
+            direct = seq(M.costrength_fn(a, X, YZ), M.fmap(a, unassoc))
             yield "costrength-assoc", (a,), names, via_assoc, direct
     for X, Y, a in product(sets, sets, P.elements):
         yield ("costrength-involution", (a,), (X.name, Y.name),
@@ -505,20 +453,20 @@ def _naturality(M: GradedStrongMonad, k: int):
         for f, f_note in _maps(X, Y):
             for (g, g_note), a in product(_maps(Y, Z, "g"), P.elements):
                 yield ("fmap-compose", (a,), (X.name, Y.name, Z.name),
-                       M.fmap(a, f).then(M.fmap(a, g)), M.fmap(a, f.then(g)), f"{f_note} {g_note}")
+                       seq(M.fmap(a, f), M.fmap(a, g)), M.fmap(a, seq(f, g)), f"{f_note} {g_note}")
     grade_pairs = [(a, b, P.times(a, b)) for a, b in product(P.elements, P.elements)]
     for X, Y in product(sets, sets):
         names, mults = (X.name, Y.name), {}
         for f, note in _maps(X, Y):
-            yield ("unit-natural", (P.unit,), names, f.then(M.unit_fn(Y)),
-                   M.unit_fn(X).then(M.fmap(P.unit, f)), note)
+            yield ("unit-natural", (P.unit,), names, seq(f, M.unit_fn(Y)),
+                   seq(M.unit_fn(X), M.fmap(P.unit, f)), note)
             for a, b, ab in grade_pairs:
                 FF = M.fmap(a, M.fmap(b, f))
                 if (a, b) not in mults:
                     mults[a, b] = M.mult_fn(a, b, Y), M.mult_fn(a, b, X)
                 mu_Y, mu_X = mults[a, b]
                 F = M.fmap(ab, f)
-                yield "mult-natural", (a, b), names, _seq(FF, mu_Y), _seq(mu_X, F), note
+                yield "mult-natural", (a, b), names, seq(FF, mu_Y), seq(mu_X, F), note
 
 
 def check_monad_laws(M: GradedStrongMonad, k: int = 3) -> Report:
@@ -639,33 +587,31 @@ def _morphism_laws(m: GradedMonadMorphism, k: int):
     GP, HP = S.pomonoid, T.pomonoid
     sets = canonical_sets(k)
     for X in sets:
-        lhs = S.unit_fn(X).then(m.component_fn(GP.unit, X))
-        rhs = T.unit_fn(X).then(T.lift_fn(HP.unit, phi(GP.unit), X))
+        lhs = seq(S.unit_fn(X), m.component_fn(GP.unit, X))
+        rhs = seq(T.unit_fn(X), T.lift_fn(HP.unit, phi(GP.unit), X))
         yield "unit-square", (GP.unit,), (X.name,), lhs, rhs
     for X, a, b in product(sets, GP.elements, GP.elements):
         ab = GP.times(a, b)
         SbX = S.carrier(b, X)
-        lhs = S.mult_fn(a, b, X).then(m.component_fn(ab, X))
-        rhs = (m.component_fn(a, SbX)
-               .then(T.fmap(phi(a), m.component_fn(b, X)))
-               .then(T.mult_fn(phi(a), phi(b), X))
-               .then(T.lift_fn(HP.times(phi(a), phi(b)), phi(ab), X)))
+        lhs = seq(S.mult_fn(a, b, X), m.component_fn(ab, X))
+        rhs = seq(m.component_fn(a, SbX), T.fmap(phi(a), m.component_fn(b, X)),
+                  T.mult_fn(phi(a), phi(b), X), T.lift_fn(HP.times(phi(a), phi(b)), phi(ab), X))
         yield "mult-square", (a, b), (X.name,), lhs, rhs
     for X, Y, a in product(sets, sets, GP.elements):
-        lhs = S.strength_fn(a, X, Y).then(m.component_fn(a, tensor(X, Y)))
-        rhs = tensor_fn(identity_fn(X), m.component_fn(a, Y)).then(T.strength_fn(phi(a), X, Y))
+        lhs = seq(S.strength_fn(a, X, Y), m.component_fn(a, tensor(X, Y)))
+        rhs = tensor_then(identity_fn(X), m.component_fn(a, Y), T.strength_fn(phi(a), X, Y))
         yield "strength-square", (a,), (X.name, Y.name), lhs, rhs
     for X, (a, b) in product(sets, GP.comparable_pairs()):
         if a != b:
-            lhs = S.lift_fn(a, b, X).then(m.component_fn(b, X))
-            rhs = m.component_fn(a, X).then(T.lift_fn(phi(a), phi(b), X))
+            lhs = seq(S.lift_fn(a, b, X), m.component_fn(b, X))
+            rhs = seq(m.component_fn(a, X), T.lift_fn(phi(a), phi(b), X))
             yield "lift-square", (a, b), (X.name,), lhs, rhs
     for X, Y in product(sets, sets):
         comps = [(a, phi(a), m.component_fn(a, Y), m.component_fn(a, X)) for a in GP.elements]
         for f, note in _maps(X, Y):
             for a, pa, c_Y, c_X in comps:
-                yield ("component-natural", (a,), (X.name, Y.name), S.fmap(a, f).then(c_Y),
-                       c_X.then(T.fmap(pa, f)), note)
+                yield ("component-natural", (a,), (X.name, Y.name), seq(S.fmap(a, f), c_Y),
+                       seq(c_X, T.fmap(pa, f)), note)
 
 
 def check_graded_monad_morphism(m: GradedMonadMorphism, k: int = 3) -> Report:

@@ -19,7 +19,7 @@ from centrekit.centre import (
     is_central,
     restrict_grades,
 )
-from centrekit.finkit import FinFn, FinSet, canonical_set
+from centrekit.finkit import FinFn, FinSet, SetSizeError, canonical_set
 from centrekit.graded_monad import (
     bool_writer_pair,
     build,
@@ -309,6 +309,14 @@ class TestBoundFor:
         assert bound_for(M, "t") == 1
         assert bound_for(M, "e") == 0
         assert bound_for(M, "wa") == 1
+
+    @pytest.mark.parametrize("bound", [0, lambda b: 0])
+    def test_a_bound_below_the_degree_is_refused(self, bound):
+        M, X = bool_writer_pair(), canonical_set(1)
+        with pytest.raises(SetSizeError, match="below the degree 1 of grade tt"):
+            central_subset(M, "ff", X, bound=bound)
+        # at the degree, grade ff keeps only its central annotations
+        assert len(central_subset(M, "ff", X, bound=1)) < len(M.carrier("ff", X))
 
     def test_no_functor_means_explicit_bound_required(self):
         res = build_centre_monad(multi_error_writer())

@@ -230,6 +230,21 @@ class TestNegativeSizes:
         assert "Traceback" not in captured.err
 
 
+class TestBoundBelowDegree:
+    # a bound below the degree of T^b misses test sets that tell elements
+    # apart: at bound 0 every element of grade ff passed as central
+    @pytest.mark.parametrize("argv", [
+        ["monad", "centre", "--monad", "bool_writer_pair", "--bound", "0"],
+        ["monad", "morphism", "--from", "centre(bool_writer_pair)", "--to", "bool_writer_pair",
+         "--bound", "0"],
+    ])
+    def test_exits_2_with_one_error_line(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: test-set bound 0 is below the degree 1 of grade tt\n"
+
+
 class TestUnreadableFiles:
     # a file that cannot be read as text is bad input: one error line naming
     # it and exit 2, whichever argument names it

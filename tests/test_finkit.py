@@ -20,6 +20,8 @@ from centrekit.finkit import (
     all_fns,
     alpha,
     alpha_inv,
+    alpha_inv_then,
+    alpha_then,
     apply_mor,
     apply_obj,
     canonical_set,
@@ -32,12 +34,15 @@ from centrekit.finkit import (
     make_inl,
     make_inr,
     make_pair,
+    pair_rows,
     rho,
     rho_inv,
+    seq,
     split_pair,
     split_sum,
     tensor,
     tensor_fn,
+    tensor_then,
     unit_set,
 )
 
@@ -742,6 +747,99 @@ class TestIndexTablesMatchReference:
         else:
             with pytest.raises(ValueError, match="not a bijection"):
                 f.inverse()
+
+
+# --- law sides: the chain builders against the composites they stand for -------
+
+@st.composite
+def chain_sets(draw, name="S", min_size=0):
+    # "a," sorts after "a*," and "b)" after "b(c))", so products of these
+    # sets are not in row-major order; an empty set is drawn too
+    tokens = draw(st.lists(st.sampled_from(["a", "a*", "b", "b(c)"]), unique=True,
+                           min_size=min_size, max_size=3))
+    return FinSet(name, tokens)
+
+
+@st.composite
+def chain_maps(draw, dom, name="C"):
+    """A map out of dom into a drawn non-empty set."""
+    cod = draw(chain_sets(name, min_size=1))
+    return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
+
+
+class TestLawSideBuilders:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), chain_sets("A"))
+    def test_seq(self, data, A):
+        f = data.draw(chain_maps(A, "B"))
+        g = data.draw(chain_maps(f.cod, "C"))
+        h = data.draw(chain_maps(g.cod, "D"))
+        same_map(seq(f), f)
+        same_map(seq(f, g), ref_then(f, g))
+        same_map(seq(f, g, h), ref_then(f, g, h))
+        same_map(f.then(g), ref_then(f, g))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), chain_sets("A"), chain_sets("B"))
+    def test_tensor_then(self, data, A, B):
+        f, g = data.draw(chain_maps(A, "A2")), data.draw(chain_maps(B, "B2"))
+        h = data.draw(chain_maps(tensor(f.cod, g.cod), "C"))
+        k = data.draw(chain_maps(h.cod, "D"))
+        same_map(tensor_then(f, g, h), ref_then(ref_par(f, g), h))
+        same_map(tensor_then(f, g, h, k), ref_then(ref_par(f, g), h, k))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), chain_sets("X"), chain_sets("Y"), chain_sets("Z"))
+    def test_alpha_then(self, data, X, Y, Z):
+        g = data.draw(chain_maps(tensor(Y, Z), "G"))
+        h = data.draw(chain_maps(tensor(X, g.cod), "H"))
+        k = data.draw(chain_maps(h.cod, "K"))
+        ref = [ref_alpha(X, Y, Z), ref_par(ref_id(X), g), h]
+        same_map(alpha_then(X, Y, Z, g, h), ref_then(*ref))
+        same_map(alpha_then(X, Y, Z, g, h, k), ref_then(*ref, k))
+        same_map(alpha(X, Y, Z), ref_alpha(X, Y, Z))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), chain_sets("X"), chain_sets("Y"), chain_sets("Z"))
+    def test_alpha_inv_then(self, data, X, Y, Z):
+        g = data.draw(chain_maps(tensor(X, Y), "G"))
+        h = data.draw(chain_maps(tensor(g.cod, Z), "H"))
+        k = data.draw(chain_maps(h.cod, "K"))
+        ref = [ref_alpha(X, Y, Z).inverse(), ref_par(g, ref_id(Z)), h]
+        same_map(alpha_inv_then(X, Y, Z, g, h), ref_then(*ref))
+        same_map(alpha_inv_then(X, Y, Z, g, h, k), ref_then(*ref, k))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), chain_sets("A"), chain_sets("B"))
+    def test_pair_rows(self, data, A, B):
+        h = data.draw(chain_maps(tensor(A, B)))
+        rows = pair_rows(h, A, B)
+        assert [[h.cod.elems[v] for v in row] for row in rows] == \
+            [[h(make_pair(a, b)) for b in B] for a in A]
+
+    @pytest.mark.parametrize("build", [
+        lambda f, W: seq(f, identity_fn(W)),
+        lambda f, W: seq(f, identity_fn(f.cod), identity_fn(W)),
+        lambda f, W: f.then(identity_fn(W)),
+        lambda f, W: pair_rows(identity_fn(tensor(W, W)), f.dom, f.cod),
+        lambda f, W: tensor_then(f, f, identity_fn(tensor(W, f.cod))),
+        lambda f, W: tensor_then(f, f, identity_fn(tensor(f.cod, f.cod)), identity_fn(W)),
+        lambda f, W: alpha_then(W, f.dom, f.dom, tensor_fn(f, f), identity_fn(tensor(W, f.cod))),
+        lambda f, W: alpha_then(W, W, f.dom, tensor_fn(f, f), identity_fn(tensor(W, W))),
+        lambda f, W: alpha_then(f.dom, W, W, identity_fn(tensor(W, W)),
+                                identity_fn(tensor(f.dom, tensor(W, W))), identity_fn(W)),
+        lambda f, W: alpha_inv_then(f.dom, f.dom, W, f, identity_fn(tensor(f.cod, W))),
+        lambda f, W: alpha_inv_then(W, W, W, identity_fn(tensor(W, W)),
+                                    identity_fn(tensor(f.cod, W))),
+        lambda f, W: alpha_inv_then(W, W, W, identity_fn(tensor(W, W)),
+                                    identity_fn(tensor(tensor(W, W), W)), identity_fn(W)),
+    ])
+    def test_a_mistyped_link_cannot_compose(self, build):
+        # f's domain and codomain differ from W, and from each other, as sets
+        f = FinFn(FinSet("A", ("a", "a*")), FinSet("B", ("b", "b(c)", "c")),
+                  {"a": "b", "a*": "b(c)"})
+        with pytest.raises(ValueError, match="cannot compose"):
+            build(f, FinSet("W", ("w",)))
 
 
 # --- product tokens are built from checked tokens and not checked again -------

@@ -28,6 +28,7 @@ from itertools import chain, product
 import pytest
 
 from centrekit import graded_monad as gm
+from centrekit import relaxations
 from centrekit.centre import build_centre_monad
 from centrekit.finkit import (
     FinFn,
@@ -47,10 +48,12 @@ from centrekit.graded_monad import (
     check_all,
     check_graded_monad_morphism,
     discrete_to_topped_morphism,
+    identity_graded_morphism,
     multi_error_writer,
     registry,
 )
 from centrekit.pomonoid import check_pomonoid_morphism
+from centrekit.relaxations import build_language_writer, check_duoidal_gradation, language_duoid
 from centrekit.report import LawRecord, run_suite
 from test_graded_monad import (
     constant_lift_writer,
@@ -373,6 +376,13 @@ def test_components_are_first_built_in_the_same_order(suite, name):
     assert (len(M._memo.log), hashlib.sha256(log.encode()).hexdigest()) == FETCH_ORDER[suite, name]
 
 
+# the suite frames that build law sides; the duoidal suite's are its generator
+# and the functions it checks one instance with
+SIDE_FRAMES = ("_monad_laws", "_order_laws", "_strength_laws", "_costrength_coherence",
+               "_naturality", "_morphism_laws", "_duoidal_laws", "main_failure",
+               "assoc_failure", "natural_failure")
+
+
 def test_no_composite_is_built_by_the_strength_suites(monkeypatch):
     calls = collections.Counter()   # (calling function, called builder)
 
@@ -382,13 +392,23 @@ def test_no_composite_is_built_by_the_strength_suites(monkeypatch):
             return fn(*args)
         return wrapper
 
-    for name in ("tensor_fn", "alpha", "alpha_inv"):
-        monkeypatch.setattr(gm, name, counted(getattr(gm, name), name))
+    for module in (gm, relaxations):
+        for name in ("tensor_fn", "alpha", "alpha_inv"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name), name))
     monkeypatch.setattr(FinFn, "then", counted(FinFn.then, "then"))
     assert check_all(multi_error_writer(), 4).ok
-    assert calls["_monad_laws", "then"]   # the counters see the calls
+    # at most one associator per set triple and law: 5**3 at k=4
     mine = {key: n for key, n in calls.items()
             if key[0] in ("_strength_laws", "_costrength_coherence")}
-    assert not [key for key in mine if key[1] in ("tensor_fn", "then")]
-    # at most one associator per set triple and law: 5**3 at k=4
     assert mine and all(n <= 125 for n in mine.values())
+    # the order laws and the lift-square need a grading that is not discrete
+    assert check_all(bool_writer_pair(), 2).ok
+    assert check_graded_monad_morphism(identity_graded_morphism(bool_writer_pair()), 3).ok
+    DM = build_language_writer("ab", 2, language_duoid("ab", 2))
+    assert check_duoidal_gradation(DM, 2).ok
+    assert calls["_strength_laws", "alpha"]   # the counters see the calls
+    # no law side is built with then or tensor_fn; m-natural's f (x) g maps,
+    # built once per suite in _duoidal_laws, are only handed to fmap
+    assert not [key for key in calls if key[0] in SIDE_FRAMES and (
+        key[1] == "then" or key[1] == "tensor_fn" and key[0] != "_duoidal_laws")]

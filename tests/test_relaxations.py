@@ -12,6 +12,7 @@ from centrekit.finkit import (
     FinFn,
     FinSet,
     alpha,
+    alpha_then,
     canonical_set,
     first_mismatch,
     identity_fn,
@@ -19,6 +20,7 @@ from centrekit.finkit import (
     split_pair,
     tensor,
     tensor_fn,
+    tensor_then,
     unit_set,
 )
 from centrekit.graded_monad import (
@@ -308,7 +310,8 @@ def maps_between(draw, dom, cod):
 
 
 class TestAssocSides:
-    """m-assoc's one-pass sides against the composites they replace."""
+    """m-assoc's sides, built with alpha_then and tensor_then, against the
+    composites they replace."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -323,9 +326,8 @@ class TestAssocSides:
         lhs_ref = alpha(TX, TY, TZ).then(tensor_fn(identity_fn(TX), m_bc)).then(lhs_m)
         rhs_ref = tensor_fn(m_ab, identity_fn(TZ)).then(rhs_m).then(re)
 
-        lhs, rhs = relaxations._assoc_sides(TX, TY, TZ, m_ab, m_bc, lhs_m, rhs_m, re)
-        dom = tensor(tensor(TX, TY), TZ)
-        lhs, rhs = FinFn.from_pairs(dom, L, lhs), FinFn.from_pairs(dom, L, rhs)
+        lhs = alpha_then(TX, TY, TZ, m_bc, lhs_m)
+        rhs = tensor_then(m_ab, identity_fn(TZ), rhs_m, re)
         assert lhs == lhs_ref and rhs == rhs_ref
         assert first_mismatch(lhs, rhs) == first_mismatch(lhs_ref, rhs_ref)
 
@@ -365,7 +367,7 @@ class TestVacuousInstances:
                 return out
             return wrapper
 
-        for name in ("alpha", "tensor_fn", "_tensor_then"):
+        for name in ("alpha", "tensor_fn", "tensor_then", "alpha_then"):
             monkeypatch.setattr(relaxations, name, counted(getattr(relaxations, name)))
         assert check_duoidal_gradation(build_language_writer("ab", 2, self.D), 2).ok
         # m-natural builds its vacuous instances in full: its maps are few
