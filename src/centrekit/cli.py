@@ -237,103 +237,120 @@ def _add_common(ap, json_flag=True, set_size=True):
                         help="largest canonical set fed to the suites")
 
 
-def build_parser(first: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser for a command line starting with first: when that
-    names a command, the other commands get no arguments or nested parsers."""
+def _file_args(fn):
+    def add(ap):
+        ap.add_argument("file")
+        _add_common(ap, set_size=False)
+        ap.set_defaults(fn=fn)
+    return add
+
+
+def _monad_args(fn, pomonoid_help=None):
+    def add(ap):
+        ap.add_argument("--monad", required=True)
+        ap.add_argument("--pomonoid", help=pomonoid_help)
+        _add_common(ap)
+        ap.set_defaults(fn=fn)
+    return add
+
+
+def _monad_centre_args(ap):
+    ap.add_argument("--monad", required=True)
+    ap.add_argument("--pomonoid")
+    ap.add_argument("--grade", help="one grade instead of the whole centre")
+    ap.add_argument("--set-size", type=int, default=2, metavar="N",
+                    help="size of the base set whose centre is printed")
+    ap.add_argument("--bound", type=int, default=None, metavar="N",
+                    help="test-set size cap for the centrality scan")
+    _add_common(ap, set_size=False)
+    ap.set_defaults(fn=cmd_monad_centre)
+
+
+def _monad_morphism_args(ap):
+    ap.add_argument("--from", dest="from_name", required=True)
+    ap.add_argument("--to", dest="to_name", required=True)
+    ap.add_argument("--pomonoid")
+    ap.add_argument("--bound", type=int, default=None)
+    _add_common(ap)
+    ap.set_defaults(fn=cmd_monad_morphism)
+
+
+def _duoidal_check_args(ap):
+    ap.add_argument("--monad", required=True)
+    ap.add_argument("--pomonoid")
+    ap.add_argument("--alphabet", default="ab")
+    ap.add_argument("--cap", type=int, default=2)
+    ap.add_argument("--json", action="store_true")
+    ap.add_argument("--max-set-size", type=int, default=2, metavar="K")
+    ap.set_defaults(fn=cmd_duoidal)
+
+
+def _analyze_args(ap):
+    ap.add_argument("program")
+    ap.add_argument("--pomonoid", required=True)
+    ap.add_argument("--monad", help="refine verdicts with a built-in monad")
+    _add_common(ap)
+    ap.set_defaults(fn=cmd_analyze)
+
+
+# command -> (help, the arguments of each of its actions); analyze has no
+# actions and takes its arguments itself
+_COMMANDS = {
+    "pomonoid": ("validate a structure file or print its centre",
+                 {"check": _file_args(cmd_pomonoid), "centre": _file_args(cmd_pomonoid)}),
+    "duoid": ("check a two-operation structure file", {"check": _file_args(cmd_duoid)}),
+    "monad": ("run suites against a built-in monad",
+              {"laws": _monad_args(cmd_monad_laws, "grading for monads that accept one"),
+               "commutative": _monad_args(cmd_monad_commutative),
+               "centre": _monad_centre_args,
+               "morphism": _monad_morphism_args}),
+    "duoidal": ("check a duoidal gradation", {"check": _duoidal_check_args}),
+    "analyze": ("grade a program and judge each reordering", _analyze_args),
+    "examples": ("list built-ins and fixtures",
+                 {"list": lambda ap: ap.set_defaults(fn=cmd_examples)}),
+}
+
+
+def _subparsers(parser, dest, names, wanted):
+    """Add parser's subcommands, building only the one named wanted when it
+    names one.  A narrowed set is listed under argparse's own {a,b,...}
+    metavar, so usage lines read as with every subcommand built; the full
+    set keeps no metavar, so its errors still name the argument by dest."""
+    narrowed = wanted in names
+    sub = parser.add_subparsers(dest=dest, required=True,
+                                metavar="{" + ",".join(names) + "}" if narrowed else None)
+    return sub, ((wanted,) if narrowed else names)
+
+
+def build_parser(first: str | None = None, second: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser for a command line starting with first, second.
+
+    When first names a command, only that command's parser is built; when
+    it is a nested command and second names one of its actions, only that
+    action's parser is built too.  A name that matches nothing builds the
+    full set at that level, so usage, help and errors read the same either
+    way."""
     parser = argparse.ArgumentParser(
         prog="centrekit",
         description="check graded monads, their centres, and effect reorderings")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, text in (("pomonoid", "validate a structure file or print its centre"),
-                       ("duoid", "check a two-operation structure file"),
-                       ("monad", "run suites against a built-in monad"),
-                       ("duoidal", "check a duoidal gradation"),
-                       ("analyze", "grade a program and judge each reordering"),
-                       ("examples", "list built-ins and fixtures")):
-        sub.add_parser(name, help=text)
-    cmd = sub.choices
-    built = (first,) if first in cmd else cmd
-
-    if "pomonoid" in built:
-        pomsub = cmd["pomonoid"].add_subparsers(dest="action", required=True)
-        for action in ("check", "centre"):
-            ap = pomsub.add_parser(action)
-            ap.add_argument("file")
-            _add_common(ap, set_size=False)
-            ap.set_defaults(fn=cmd_pomonoid, action=action)
-
-    if "duoid" in built:
-        duosub = cmd["duoid"].add_subparsers(dest="action", required=True)
-        ap = duosub.add_parser("check")
-        ap.add_argument("file")
-        _add_common(ap, set_size=False)
-        ap.set_defaults(fn=cmd_duoid)
-
-    if "monad" in built:
-        monsub = cmd["monad"].add_subparsers(dest="action", required=True)
-
-        ap = monsub.add_parser("laws")
-        ap.add_argument("--monad", required=True)
-        ap.add_argument("--pomonoid", help="grading for monads that accept one")
-        _add_common(ap)
-        ap.set_defaults(fn=cmd_monad_laws)
-
-        ap = monsub.add_parser("commutative")
-        ap.add_argument("--monad", required=True)
-        ap.add_argument("--pomonoid")
-        _add_common(ap)
-        ap.set_defaults(fn=cmd_monad_commutative)
-
-        ap = monsub.add_parser("centre")
-        ap.add_argument("--monad", required=True)
-        ap.add_argument("--pomonoid")
-        ap.add_argument("--grade", help="one grade instead of the whole centre")
-        ap.add_argument("--set-size", type=int, default=2, metavar="N",
-                        help="size of the base set whose centre is printed")
-        ap.add_argument("--bound", type=int, default=None, metavar="N",
-                        help="test-set size cap for the centrality scan")
-        _add_common(ap, set_size=False)
-        ap.set_defaults(fn=cmd_monad_centre)
-
-        ap = monsub.add_parser("morphism")
-        ap.add_argument("--from", dest="from_name", required=True)
-        ap.add_argument("--to", dest="to_name", required=True)
-        ap.add_argument("--pomonoid")
-        ap.add_argument("--bound", type=int, default=None)
-        _add_common(ap)
-        ap.set_defaults(fn=cmd_monad_morphism)
-
-    if "duoidal" in built:
-        duUsub = cmd["duoidal"].add_subparsers(dest="action", required=True)
-        ap = duUsub.add_parser("check")
-        ap.add_argument("--monad", required=True)
-        ap.add_argument("--pomonoid")
-        ap.add_argument("--alphabet", default="ab")
-        ap.add_argument("--cap", type=int, default=2)
-        ap.add_argument("--json", action="store_true")
-        ap.add_argument("--max-set-size", type=int, default=2, metavar="K")
-        ap.set_defaults(fn=cmd_duoidal)
-
-    if "analyze" in built:
-        ap = cmd["analyze"]
-        ap.add_argument("program")
-        ap.add_argument("--pomonoid", required=True)
-        ap.add_argument("--monad", help="refine verdicts with a built-in monad")
-        _add_common(ap)
-        ap.set_defaults(fn=cmd_analyze)
-
-    if "examples" in built:
-        exsub = cmd["examples"].add_subparsers(dest="action", required=True)
-        lp = exsub.add_parser("list")
-        lp.set_defaults(fn=cmd_examples)
-
+    sub, commands = _subparsers(parser, "command", tuple(_COMMANDS), first)
+    for command in commands:
+        text, actions = _COMMANDS[command]
+        cp = sub.add_parser(command, help=text)
+        if callable(actions):
+            actions(cp)
+            continue
+        actsub, names = _subparsers(cp, "action", tuple(actions),
+                                    second if command == first else None)
+        for action in names:
+            actions[action](actsub.add_parser(action))
     return parser
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = build_parser(*argv[:2]).parse_args(argv)
     try:
         return args.fn(args)
     except CentralityViolation as exc:

@@ -17,13 +17,13 @@ table holds an entry per product; every empty set has vid 0.  Structure is
 shared on that basis: ``tensor`` hands back the product it already built
 for the same operands while that product is still in use (its registry is
 keyed by the operands' vids and names), ``canonical_set(n)`` is one set
-per n, and a set keeps its identity map once built.  Empty products are
-the exception: a product with an empty factor is built afresh on every call
-and not shared through that registry, and every map out of an empty domain
-(``tensor_fn``, ``from_pairs``, the structure maps) is the empty table,
-returned at once.  Tokens live at the edge: a product holds its factors and
-builds its token list only when something reads it (a witness, ``in``,
-iteration, ``mapping``, the checked ``FinFn`` constructor).
+per n, and a set keeps its identity map once built.  A product with an
+empty factor is shared through that registry like any other, and every map
+out of an empty domain (``tensor_fn``, ``from_pairs``, ``apply_mor``, the
+structure maps) is the empty table, returned at once.  Tokens live at the
+edge: a product holds its factors and builds its token list only when
+something reads it (a witness, ``in``, iteration, ``mapping``, the checked
+``FinFn`` constructor).
 
 A ``FinFn`` stores its table as ``idx``, a tuple of codomain positions:
 ``idx[i]`` is the place, in the codomain's sorted tokens, of the image of
@@ -503,14 +503,15 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     """Functor action on a map: relabel Id leaves by f, fix Const leaves.
 
     Built bottom-up from the index tables of the parts, so no token is
-    parsed or built.
+    parsed or built.  A product's image is the tensor of its factors'
+    images, and a Const factor's identity is not built at all.
     """
     if isinstance(expr, Id):
         return f
     if isinstance(expr, Const):
         return FinFn.identity(expr.value)
     if isinstance(expr, Prod):
-        return tensor_fn(apply_mor(expr.left, f), apply_mor(expr.right, f))
+        return _tensor_parts(_factor_mor(expr.left, f), _factor_mor(expr.right, f))
     if isinstance(expr, Sum):
         l = apply_mor(expr.left, f)
         r = apply_mor(expr.right, f)
@@ -521,17 +522,37 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
+def _factor_mor(expr: FunctorExpr, f: FinFn) -> tuple:
+    """(dom, cod, idx) of the functor's action on f, with idx None for a
+    Const factor, whose action is an identity."""
+    if isinstance(expr, Const):
+        return expr.value, expr.value, None
+    m = apply_mor(expr, f)
+    return m.dom, m.cod, m.idx
+
+
 # --- symmetric monoidal kit on FinSet ----------------------------------
 
 _UNIT = FinSet("I", ("*",))
 
 # Products still in use, keyed by both operands' vids and names so that a
 # shared product carries the names of the operands it was asked for.  The
-# values are weak references: an entry goes away with the last user of the
-# product.
+# values are weak references that carry their key: an entry goes away with
+# the last user of the product.
 _PRODUCTS = {}
 _GONE = weakref.ref(set())   # a reference whose object is gone: calling it gives None
 _CANONICAL = {}              # canonical_set(n) by n
+
+
+class _ProductRef(weakref.ref):
+    # a slot for the key costs less than a callback closure per entry
+    __slots__ = ("key",)
+
+
+def _forget(ref: _ProductRef) -> None:
+    # the product is gone; a newer product may hold its key by now
+    if _PRODUCTS.get(ref.key) is ref:
+        del _PRODUCTS[ref.key]
 
 
 def unit_set() -> FinSet:
@@ -543,33 +564,33 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 
     The product keeps the two operands and builds no token until one is
     read.  A product in use is shared: equal operands with the same names get
-    the same set back.  A product with an empty factor is built afresh
-    instead, with no entry in the registry, since every such product is the
-    same empty set.
+    the same set back, whether or not a factor is empty.
     """
-    if not (A._size and B._size):
-        return FinSet(f"({A.name}x{B.name})", factors=(A, B))
     key = (A.vid, B.vid, A.name, B.name)
     product = _PRODUCTS.get(key, _GONE)()
     if product is None:
         product = FinSet(f"({A.name}x{B.name})", factors=(A, B))
-
-        def forget(ref, key=key):
-            if _PRODUCTS.get(key) is ref:
-                del _PRODUCTS[key]
-        _PRODUCTS[key] = weakref.ref(product, forget)
+        ref = _PRODUCTS[key] = _ProductRef(product, _forget)
+        ref.key = key
     return product
 
 
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
-    dom = tensor(f.dom, g.dom)
-    cod = tensor(f.cod, g.cod)
+    return _tensor_parts((f.dom, f.cod, f.idx), (g.dom, g.cod, g.idx))
+
+
+def _tensor_parts(f: tuple, g: tuple) -> FinFn:
+    """The tensor of two maps given as (dom, cod, idx), idx None for an identity."""
+    (fd, fc, fi), (gd, gc, gi) = f, g
+    dom = tensor(fd, gd)
+    cod = tensor(fc, gc)
     if not dom._size:
         return FinFn._table(dom, cod, ())
     # row-major position in cod of the image of each row-major element of dom
-    n = len(g.cod)
-    gi = g.idx
-    images = [row + j for row in [i * n for i in f.idx] for j in gi]
+    n = len(gc)
+    rows = range(0, len(fc) * n, n) if fi is None else [i * n for i in fi]
+    images = ([p for row in rows for p in range(row, row + n)] if gi is None
+              else [row + j for row in rows for j in gi])
     pairs = cod.pair_positions()
     if pairs is not None:
         images = list(map(pairs[0].__getitem__, images))

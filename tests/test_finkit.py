@@ -334,6 +334,33 @@ class TestSharedProducts:
         assert identity_fn(A) is FinFn.identity(A)
         assert identity_fn(tensor(A, A)) is identity_fn(tensor(A, A))
 
+    def test_a_product_with_an_empty_factor_is_shared(self):
+        W = FinSet("W", ("u0", "u1"))
+        held = tensor(canonical_set(0), W)
+        assert tensor(canonical_set(0), W) is held
+        assert tensor(W, canonical_set(0)) is tensor(W, canonical_set(0))
+
+    def test_a_scan_builds_no_product_while_its_equal_lives(self, monkeypatch):
+        from centrekit.graded_monad import bool_writer_pair, commuting_pair
+
+        last, builds = {}, []
+        init = FinSet.__init__
+
+        def counting_init(self, name, elems=(), factors=None):
+            init(self, name, elems, factors)
+            if factors is not None:
+                A, B = factors
+                key = (A.vid, B.vid, A.name, B.name)
+                builds.append(key)
+                assert last.get(key, lambda: None)() is None, key
+                last[key] = weakref.ref(self)
+
+        monkeypatch.setattr(FinSet, "__init__", counting_init)
+        assert commuting_pair(bool_writer_pair(), "tt", "ff", 3)
+        # a product is built again only once the last one is gone; products
+        # with an empty factor are among those built
+        assert any(0 in key[:2] for key in builds)
+
     def test_product_dies_with_its_last_user(self):
         A = FinSet("A", ("a0", "a1"))
         B = FinSet("B", ("b0",))
