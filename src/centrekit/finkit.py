@@ -19,11 +19,11 @@ for the same operands while that product is still in use (its registry is
 keyed by the operands' vids and names), ``canonical_set(n)`` is one set
 per n, and a set keeps its identity map once built.  A product with an
 empty factor is shared through that registry like any other, and every map
-out of an empty domain (``tensor_fn``, ``from_pairs``, ``apply_mor``, the
-structure maps) is the empty table, returned at once.  Tokens live at the
-edge: a product holds its factors and builds its token list only when
-something reads it (a witness, ``in``, iteration, ``mapping``, the checked
-``FinFn`` constructor).
+out of an empty domain (``tensor_fn``, ``from_pairs``, the structure maps)
+is the empty table, returned at once.  Tokens live at the edge: a product
+holds its factors and builds its token list only when something reads it
+(a witness, ``in``, iteration, ``mapping``, the checked ``FinFn``
+constructor).
 
 A ``FinFn`` stores its table as ``idx``, a tuple of codomain positions:
 ``idx[i]`` is the place, in the codomain's sorted tokens, of the image of
@@ -503,15 +503,14 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     """Functor action on a map: relabel Id leaves by f, fix Const leaves.
 
     Built bottom-up from the index tables of the parts, so no token is
-    parsed or built.  A product's image is the tensor of its factors'
-    images, and a Const factor's identity is not built at all.
+    parsed or built.
     """
     if isinstance(expr, Id):
         return f
     if isinstance(expr, Const):
         return FinFn.identity(expr.value)
     if isinstance(expr, Prod):
-        return _tensor_parts(_factor_mor(expr.left, f), _factor_mor(expr.right, f))
+        return tensor_fn(apply_mor(expr.left, f), apply_mor(expr.right, f))
     if isinstance(expr, Sum):
         l = apply_mor(expr.left, f)
         r = apply_mor(expr.right, f)
@@ -520,15 +519,6 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
         return FinFn._table(_sum_set(l.dom, r.dom), _sum_set(l.cod, r.cod),
                             l.idx + tuple([shift + j for j in r.idx]))
     raise TypeError(f"not a FunctorExpr: {expr!r}")
-
-
-def _factor_mor(expr: FunctorExpr, f: FinFn) -> tuple:
-    """(dom, cod, idx) of the functor's action on f, with idx None for a
-    Const factor, whose action is an identity."""
-    if isinstance(expr, Const):
-        return expr.value, expr.value, None
-    m = apply_mor(expr, f)
-    return m.dom, m.cod, m.idx
 
 
 # --- symmetric monoidal kit on FinSet ----------------------------------
@@ -576,21 +566,14 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 
 
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
-    return _tensor_parts((f.dom, f.cod, f.idx), (g.dom, g.cod, g.idx))
-
-
-def _tensor_parts(f: tuple, g: tuple) -> FinFn:
-    """The tensor of two maps given as (dom, cod, idx), idx None for an identity."""
-    (fd, fc, fi), (gd, gc, gi) = f, g
-    dom = tensor(fd, gd)
-    cod = tensor(fc, gc)
+    dom = tensor(f.dom, g.dom)
+    cod = tensor(f.cod, g.cod)
     if not dom._size:
         return FinFn._table(dom, cod, ())
     # row-major position in cod of the image of each row-major element of dom
-    n = len(gc)
-    rows = range(0, len(fc) * n, n) if fi is None else [i * n for i in fi]
-    images = ([p for row in rows for p in range(row, row + n)] if gi is None
-              else [row + j for row in rows for j in gi])
+    n = len(g.cod)
+    gi = g.idx
+    images = [row + j for row in [i * n for i in f.idx] for j in gi]
     pairs = cod.pair_positions()
     if pairs is not None:
         images = list(map(pairs[0].__getitem__, images))

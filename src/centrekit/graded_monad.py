@@ -690,9 +690,10 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
 
 def _writer_strength(X: FinSet, Y: FinSet, annotations: FinSet) -> FinFn:
     """(x,(y,u)) -> ((x,y),u), from the positions of the factors' tokens."""
-    YA = tensor(Y, annotations)
-    cod = tensor(tensor(X, Y), annotations)
-    xy, at = cod.factors[0].pair_grid(), cod.pair_grid()
+    YA, XY = tensor(Y, annotations), tensor(X, Y)
+    # XY, not cod's first factor: a shared product may hold an equal plain set there
+    cod = tensor(XY, annotations)
+    xy, at = XY.pair_grid(), cod.pair_grid()
     ya = YA.pair_list()
     return FinFn.from_pairs(tensor(X, YA), cod, [at[row[y]][u] for row in xy for y, u in ya])
 

@@ -340,6 +340,16 @@ class TestSharedProducts:
         assert tensor(canonical_set(0), W) is held
         assert tensor(W, canonical_set(0)) is tensor(W, canonical_set(0))
 
+    def test_a_shared_product_may_hold_a_plain_factor(self):
+        # an empty plain set named like a product is equal to it, so the
+        # product over it is the one the writer strength gets back
+        from centrekit.graded_monad import multi_error_writer
+
+        held = tensor(FinSet("(Y0xY2)", ()), FinSet("Wa", ("a",)))
+        s = multi_error_writer().strength("wa", canonical_set(0), canonical_set(2))
+        assert held.factors[0].factors is None
+        assert len(s.dom) == 0 and s.cod == held
+
     def test_a_scan_builds_no_product_while_its_equal_lives(self, monkeypatch):
         from centrekit.graded_monad import bool_writer_pair, commuting_pair
 
