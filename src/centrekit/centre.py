@@ -17,7 +17,7 @@ Central subsets, cones and bimonoidal centres share one row filter,
 `commutation_witness`: rows are elements t, columns test computations s.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .finkit import FinFn, FinSet, SetSizeError, all_fns, canonical_set, degree, tensor
 from .graded_monad import (
@@ -87,10 +87,10 @@ def bound_for(M: GradedStrongMonad, b: str, bound=None) -> int:
 
 def _central_grades(M: GradedStrongMonad) -> frozenset:
     key = ("central-grades",)
-    if key not in M._memo:
+    if (grades := M._memo.get(key)) is None:
         Z, _ = centre_of_pomonoid(M.pomonoid)
-        M._memo[key] = frozenset(Z.elements)
-    return M._memo[key]
+        grades = M._memo[key] = frozenset(Z.elements)
+    return grades
 
 
 def _require_central_grade(M: GradedStrongMonad, z: str) -> None:
@@ -143,14 +143,14 @@ def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSe
     """The central elements of T^z X, as a subset sharing the same tokens."""
     _require_central_grade(M, z)
     key = ("central-subset", z, X.vid, bound if not callable(bound) else None)
-    if callable(bound) or key not in M._memo:
+    sub = None if callable(bound) else M._memo.get(key)
+    if sub is None:
         TzX = M.carrier(z, X)
         rows = _central_rows(M, z, X, range(len(TzX)), bound)
         sub = FinSet(f"Z^{z}({X.name})", tuple(TzX.elems[r] for r in rows))
-        if callable(bound):
-            return sub
-        M._memo[key] = sub
-    return M._memo[key]
+        if not callable(bound):
+            M._memo[key] = sub
+    return sub
 
 
 @dataclass
@@ -344,24 +344,10 @@ def restrict_grades(M: GradedStrongMonad, sub: Pomonoid,
     for z in sub.elements:
         if phi(z) != z:
             raise CentreError("grade restriction must embed elements by name")
-    S = GradedStrongMonad(
-        pomonoid=sub,
-        unit=M.unit,
-        mult=M.mult,
-        strength=M.strength,
-        functor=M.functor,
-        carrier_fn=M.carrier_fn,
-        fmap_fn=M.fmap_fn,
-        lift=M.lift,
-        costrength=M.costrength,
-        name=f"{M.name}|{sub.name}" if M.name else sub.name,
-    )
-    iota = GradedMonadMorphism(
-        phi=phi, source=S, target=M,
-        component=lambda z, X: FinFn(S.carrier(z, X), M.carrier(z, X),
-                                     {t: t for t in S.carrier(z, X)}),
-        name="grade-restriction")
-    return S, iota
+    S = replace(M, pomonoid=sub, name=f"{M.name}|{sub.name}" if M.name else sub.name, _memo={})
+    return S, GradedMonadMorphism(phi=phi, source=S, target=M, name="grade-restriction",
+                                  component=lambda z, X: FinFn(S.carrier(z, X), M.carrier(z, X),
+                                                               {t: t for t in S.carrier(z, X)}))
 
 
 def check_centrality_conditions(S: GradedStrongMonad, iota: GradedMonadMorphism,

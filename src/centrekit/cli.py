@@ -17,7 +17,7 @@ import sys
 
 from .centre import CentralityViolation, CentreError, build_centre_monad, central_subset
 from .effectlang import EffectLangError, parse_program, reorder_report
-from .finkit import SetSizeError, canonical_set
+from .finkit import SetSizeError, TokenError, canonical_set
 from .graded_monad import (
     REGRADABLE,
     GradedMonadError,
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
         return FAIL
     except (InputError, FileNotFoundError, EffectLangError, PomonoidError,
             GradedMonadError, CentreError, LanguageError, NotCommutative,
-            SetSizeError) as exc:
+            SetSizeError, TokenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

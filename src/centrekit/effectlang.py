@@ -132,9 +132,9 @@ def _lex(text: str) -> list:
         elif ch == "#":
             while i < n and text[i] != "\n":
                 i += 1
-        elif ch.isdigit():
+        elif ch.isdecimal():   # not isdigit: int() cannot read a superscript digit
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(_Token("int", text[start:i], line, col))
             col += i - start
@@ -214,7 +214,12 @@ class _Parser:
                        line=tok.line, col=tok.col)
         if tok.kind == "int":
             self.take()
-            return Lit(value=int(tok.text), line=tok.line, col=tok.col)
+            try:
+                value = int(tok.text)
+            except ValueError:   # more digits than the interpreter's int-string limit
+                raise ParseError(tok.line, tok.col, "an integer literal of fewer digits",
+                                 f"{len(tok.text)} digits") from None
+            return Lit(value=value, line=tok.line, col=tok.col)
         if tok.kind == "ident":
             self.take()
             if tok.text == "op":

@@ -28,6 +28,8 @@ Conventions that everything below depends on:
 * Memos and the suites' own tables key a set by its ``vid``, and type
   checks compare vids, so no suite calls the Python-level set hash or
   equality.
+* ``remember`` alone type-checks a component, by vid, and stores it; what it
+  rejects is never stored, so the next call for that key raises again.
 """
 
 from __future__ import annotations
@@ -90,6 +92,16 @@ class UnknownName(GradedMonadError):
     pass
 
 
+def remember(memo: dict, key, fn: FinFn, dom: FinSet, cod: FinSet, what: str,
+             error=ComponentMissing) -> FinFn:
+    """Store ``fn`` at ``key`` in ``memo`` and return it, once its vids show it
+    runs dom -> cod; raise ``error`` naming ``what`` otherwise."""
+    if fn.dom.vid != dom.vid or fn.cod.vid != cod.vid:
+        raise error(f"{what} has wrong type")
+    memo[key] = fn
+    return fn
+
+
 def canonical_sets(k: int) -> list[FinSet]:
     """The canonical sets of sizes 0..k; a negative k raises SetSizeError,
     since a scan over no set would pass without checking anything."""
@@ -132,47 +144,37 @@ class GradedStrongMonad:
 
     def carrier(self, a: str, X: FinSet) -> FinSet:
         key = ("carrier", a, X.vid)
-        S = self._memo.get(key)
-        if S is None:
+        if (S := self._memo.get(key)) is None:
             if self.functor is not None:
-                S = apply_obj(self.functor(a), X)
+                S = self._memo[key] = apply_obj(self.functor(a), X)
             else:
-                S = self.carrier_fn(a, X)
-            self._memo[key] = S
+                S = self._memo[key] = self.carrier_fn(a, X)
         return S
 
     def fmap(self, a: str, f: FinFn) -> FinFn:
         """T^a f, memoised by f's value: equal maps share one image, named after the
         first.  An ``fmap_fn`` image is type-checked once; ``apply_mor`` types its own."""
         key = ("fmap", a, f.dom.vid, f.cod.vid, f.idx)
-        fn = self._memo.get(key)
-        if fn is None:
+        if (fn := self._memo.get(key)) is None:
             if self.functor is not None:
-                fn = apply_mor(self.functor(a), f)
+                fn = self._memo[key] = apply_mor(self.functor(a), f)
             else:
-                fn = self.fmap_fn(a, f)
-                self._expect(fn, self.carrier(a, f.dom), self.carrier(a, f.cod), f"fmap({a})")
-            self._memo[key] = fn
+                fn = remember(self._memo, key, self.fmap_fn(a, f), self.carrier(a, f.dom),
+                              self.carrier(a, f.cod), f"fmap({a})")
         return fn
 
     def unit_fn(self, X: FinSet) -> FinFn:
         key = ("unit", X.vid)
-        fn = self._memo.get(key)
-        if fn is None:
-            fn = self.unit(X)
-            self._expect(fn, X, self.carrier(self.pomonoid.unit, X), "unit")
-            self._memo[key] = fn
+        if (fn := self._memo.get(key)) is None:
+            fn = remember(self._memo, key, self.unit(X), X, self.carrier(self.pomonoid.unit, X),
+                          "unit")
         return fn
 
     def mult_fn(self, a: str, b: str, X: FinSet) -> FinFn:
         key = ("mult", a, b, X.vid)
-        fn = self._memo.get(key)
-        if fn is None:
-            fn = self.mult(a, b, X)
-            dom = self.carrier(a, self.carrier(b, X))
-            cod = self.carrier(self.pomonoid.times(a, b), X)
-            self._expect(fn, dom, cod, f"mult({a},{b})")
-            self._memo[key] = fn
+        if (fn := self._memo.get(key)) is None:
+            fn = remember(self._memo, key, self.mult(a, b, X), self.carrier(a, self.carrier(b, X)),
+                          self.carrier(self.pomonoid.times(a, b), X), f"mult({a},{b})")
         return fn
 
     def lift_fn(self, a: str, b: str, X: FinSet) -> FinFn:
@@ -183,42 +185,28 @@ class GradedStrongMonad:
         if self.lift is None:
             raise ComponentMissing(f"lift for {a} <= {b} not provided")
         key = ("lift", a, b, X.vid)
-        fn = self._memo.get(key)
-        if fn is None:
-            fn = self.lift(a, b, X)
-            self._expect(fn, self.carrier(a, X), self.carrier(b, X), f"lift({a},{b})")
-            self._memo[key] = fn
+        if (fn := self._memo.get(key)) is None:
+            fn = remember(self._memo, key, self.lift(a, b, X), self.carrier(a, X),
+                          self.carrier(b, X), f"lift({a},{b})")
         return fn
 
     def strength_fn(self, a: str, X: FinSet, Y: FinSet) -> FinFn:
         key = ("tau", a, X.vid, Y.vid)
-        fn = self._memo.get(key)
-        if fn is None:
-            fn = self.strength(a, X, Y)
-            dom = tensor(X, self.carrier(a, Y))
-            cod = self.carrier(a, tensor(X, Y))
-            self._expect(fn, dom, cod, f"strength({a})")
-            self._memo[key] = fn
+        if (fn := self._memo.get(key)) is None:
+            fn = remember(self._memo, key, self.strength(a, X, Y), tensor(X, self.carrier(a, Y)),
+                          self.carrier(a, tensor(X, Y)), f"strength({a})")
         return fn
 
     def costrength_fn(self, a: str, X: FinSet, Y: FinSet) -> FinFn:
         key = ("tau'", a, X.vid, Y.vid)
-        fn = self._memo.get(key)
-        if fn is None:
+        if (fn := self._memo.get(key)) is None:
             if self.costrength is not None:
-                fn = self.costrength(a, X, Y)
-                dom = tensor(self.carrier(a, X), Y)
-                cod = self.carrier(a, tensor(X, Y))
-                self._expect(fn, dom, cod, f"costrength({a})")
+                fn = remember(self._memo, key, self.costrength(a, X, Y),
+                              tensor(self.carrier(a, X), Y), self.carrier(a, tensor(X, Y)),
+                              f"costrength({a})")
             else:
-                fn = derive_costrength(self, a, X, Y)
-            self._memo[key] = fn
+                fn = self._memo[key] = derive_costrength(self, a, X, Y)
         return fn
-
-    @staticmethod
-    def _expect(fn: FinFn, dom: FinSet, cod: FinSet, what: str) -> None:
-        if fn.dom.vid != dom.vid or fn.cod.vid != cod.vid:
-            raise ComponentMissing(f"{what} has wrong type")
 
 
 def derive_costrength(M: GradedStrongMonad, a: str, X: FinSet, Y: FinSet) -> FinFn:
@@ -556,14 +544,9 @@ class GradedMonadMorphism:
 
     def component_fn(self, a: str, X: FinSet) -> FinFn:
         """The component at (a, X), built and type-checked once per key."""
-        fn = self._memo.get((a, X.vid))
-        if fn is None:
-            fn = self.component(a, X)
-            dom = self.source.carrier(a, X)
-            cod = self.target.carrier(self.phi(a), X)
-            if fn.dom.vid != dom.vid or fn.cod.vid != cod.vid:
-                raise ComponentMissing(f"component({a}) has wrong type")
-            self._memo[a, X.vid] = fn
+        if (fn := self._memo.get((a, X.vid))) is None:
+            fn = remember(self._memo, (a, X.vid), self.component(a, X), self.source.carrier(a, X),
+                          self.target.carrier(self.phi(a), X), f"component({a})")
         return fn
 
 

@@ -45,6 +45,7 @@ from .graded_monad import (
     canonical_sets,
     check_commutative,
     commute_maps,
+    remember,
     writer_monad,
 )
 from .pomonoid import Duoid, structurally_equal, validate_pomonoid
@@ -234,15 +235,12 @@ class DuoidalGradedMonad:
 
     def m_fn(self, a: str, b: str, X: FinSet, Y: FinSet) -> FinFn:
         key = (a, b, X.vid, Y.vid)
-        fn = self._memo.get(key)
-        if fn is None:
-            fn = self.m(a, b, X, Y)
+        if (fn := self._memo.get(key)) is None:
             M = self.monad
-            dom = tensor(M.carrier(a, X), M.carrier(b, Y))
-            cod = M.carrier(self.duoid.par_of(a, b), tensor(X, Y))
-            if fn.dom.vid != dom.vid or fn.cod.vid != cod.vid:
-                raise LanguageError(f"m({a},{b}) has wrong type")
-            self._memo[key] = fn
+            fn = remember(self._memo, key, self.m(a, b, X, Y),
+                          tensor(M.carrier(a, X), M.carrier(b, Y)),
+                          M.carrier(self.duoid.par_of(a, b), tensor(X, Y)), f"m({a},{b})",
+                          LanguageError)
         return fn
 
     def elements_equal(self, lhs: str, rhs: str) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import pytest
 
@@ -275,6 +276,27 @@ class TestUnreadableFiles:
         assert captured.err.count("\n") == 1
 
 
+class TestTokenUnsafeGrades:
+    # a pomonoid file whose element names the pair encoding cannot splice is
+    # bad input, read by whichever command builds a carrier over it
+    @pytest.mark.parametrize("name", ["(x", "a,b"], ids=["bracket", "comma"])
+    @pytest.mark.parametrize("argv", [
+        ["monad", "laws", "--monad", "bool_writer_pair", "--pomonoid", "{}"],
+        ["monad", "commutative", "--monad", "bool_writer_pair", "--pomonoid", "{}"],
+        ["monad", "centre", "--monad", "bool_writer_pair", "--pomonoid", "{}"],
+        ["analyze", fx("reorder.eff"), "--pomonoid", "{}", "--monad", "bool_writer_pair"],
+    ], ids=["monad-laws", "monad-commutative", "monad-centre", "analyze"])
+    def test_exits_2_with_one_error_line(self, argv, name, tmp_path, capsys):
+        pom = tmp_path / "unsafe.pom"
+        with open(fx("bool.pom")) as f:
+            pom.write_text(f.read().replace("ff", name))
+        assert main([a.format(pom) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert name in captured.err
+
+
 class TestDuoidalCommand:
     def test_language_writer(self, capsys):
         code = main(["duoidal", "check", "--monad", "language_writer"])
@@ -342,6 +364,21 @@ class TestAnalyzeCommand:
         bad.write_text("main = let x = in 1")
         assert main(["analyze", str(bad), "--pomonoid", fx("bool.pom")]) == 2
         assert "expected" in capsys.readouterr().err
+
+    def test_overlong_integer_literal_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "long.eff"
+        bad.write_text(f"prim f ! tt\nmain = f({'9' * 5000})")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = main(["analyze", str(bad), "--pomonoid", fx("bool.pom")])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 2, col 10: expected an integer literal")
+        assert captured.err.count("\n") == 1
 
     def test_unknown_grade_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.eff"

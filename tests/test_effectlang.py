@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from centrekit.effectlang import (
@@ -106,6 +108,26 @@ main = let x = f(1) in op+(g(x), f(2))
         with pytest.raises(ParseError) as exc:
             parse_program("main = [1]")
         assert (exc.value.line, exc.value.col) == (1, 8)
+
+    def test_integer_literal_past_the_int_string_limit(self):
+        # int() refuses more digits than the interpreter's limit, 4,300 by default
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ParseError) as exc:
+                parse_program(f"prim f ! wa\nmain = f({'7' * 5000})")
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (exc.value.line, exc.value.col) == (2, 10)
+        assert str(exc.value) == ("line 2, col 10: expected an integer literal of fewer "
+                                  "digits but found 5000 digits")
+
+    def test_digit_int_cannot_read_is_not_a_token(self):
+        # a superscript two is a digit to str.isdigit, but int() cannot read it
+        with pytest.raises(ParseError) as exc:
+            parse_program("prim f ! wa\nmain = f(1\u00b2)")
+        assert (exc.value.line, exc.value.col) == (2, 11)
+        assert exc.value.expected == "a token"
 
     def test_duplicate_prim(self):
         with pytest.raises(ParseError) as exc:

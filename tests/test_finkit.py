@@ -342,11 +342,16 @@ class TestSharedProducts:
 
     def test_a_shared_product_may_hold_a_plain_factor(self):
         # an empty plain set named like a product is equal to it, so the
-        # product over it is the one the writer strength gets back
-        from centrekit.graded_monad import multi_error_writer
+        # product over it is the one the writer strength gets back.  No other
+        # test names an annotation set Wheld, so no ((Y0xY2)xWheld) product
+        # that an earlier test left alive can answer for this one.
+        from centrekit.graded_monad import writer_monad
+        from centrekit.pomonoid import bool_pomonoid
 
-        held = tensor(FinSet("(Y0xY2)", ()), FinSet("Wa", ("a",)))
-        s = multi_error_writer().strength("wa", canonical_set(0), canonical_set(2))
+        W = FinSet("Wheld", ("a",))
+        held = tensor(FinSet("(Y0xY2)", ()), W)
+        M = writer_monad(bool_pomonoid(), {"tt": W, "ff": W}, lambda u, v: u, "a")
+        s = M.strength("tt", canonical_set(0), canonical_set(2))
         assert held.factors[0].factors is None
         assert len(s.dom) == 0 and s.cod == held
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from centrekit import graded_monad
@@ -39,6 +41,7 @@ from centrekit.graded_monad import (
     writer_monad,
 )
 from centrekit.pomonoid import bool_pomonoid, multi_error_pomonoid, trivial_pomonoid
+from centrekit.relaxations import LanguageError
 
 
 X2 = canonical_set(2)
@@ -546,6 +549,63 @@ class TestFmapMemo:
         f = next(iter(all_fns(X2, X3)))
         with pytest.raises(ComponentMissing, match=r"fmap\(wa\) has wrong type"):
             N.fmap("wa", f)
+
+
+def _mistyped_monad(component, wrong):
+    """The topped writer with one component, or a given costrength, mis-typed."""
+    M = multi_error_writer(topped=True)
+    good = M.costrength_fn if component == "costrength" else getattr(M, component)
+    return replace(M, **{component: lambda *args: wrong(good(*args))}, _memo={})
+
+
+def _mistyped_morphism(wrong):
+    m = discrete_to_topped_morphism()
+    good = m.component
+    return replace(m, component=lambda *args: wrong(good(*args)), _memo={})
+
+
+def _mistyped_interchange(wrong):
+    from centrekit.relaxations import build_language_writer, language_duoid
+
+    DM = build_language_writer("ab", 2, language_duoid("ab", 2))
+    good = DM.m
+    return replace(DM, m=lambda *args: wrong(good(*args)), _memo={})
+
+
+class TestComponentTypeChecks:
+    """Every memoised accessor type-checks what it builds, names the component
+    in its error, and memoises nothing it rejects."""
+
+    W = FinSet("Wrong", ("w",))
+
+    @pytest.mark.parametrize("wrong", [
+        lambda fn: FinFn.identity(TestComponentTypeChecks.W),
+        # the right domain into a foreign codomain
+        lambda fn: FinFn(fn.dom, TestComponentTypeChecks.W, {t: "w" for t in fn.dom}),
+    ], ids=["domain", "codomain"])
+    @pytest.mark.parametrize("build, call, error, message", [
+        (lambda w: _mistyped_monad("unit", w), lambda M: M.unit_fn(X2),
+         ComponentMissing, "unit has wrong type"),
+        (lambda w: _mistyped_monad("mult", w), lambda M: M.mult_fn("wa", "wb", X2),
+         ComponentMissing, "mult(wa,wb) has wrong type"),
+        (lambda w: _mistyped_monad("lift", w), lambda M: M.lift_fn("wa", "e", X2),
+         ComponentMissing, "lift(wa,e) has wrong type"),
+        (lambda w: _mistyped_monad("strength", w), lambda M: M.strength_fn("wa", X2, X3),
+         ComponentMissing, "strength(wa) has wrong type"),
+        (lambda w: _mistyped_monad("costrength", w), lambda M: M.costrength_fn("wb", X3, X2),
+         ComponentMissing, "costrength(wb) has wrong type"),
+        (_mistyped_morphism, lambda m: m.component_fn("wa", X2),
+         ComponentMissing, "component(wa) has wrong type"),
+        (_mistyped_interchange, lambda DM: DM.m_fn("{a}", "{b}", X2, X2),
+         LanguageError, "m({a},{b}) has wrong type"),
+    ], ids=["unit", "mult", "lift", "strength", "costrength", "component", "m"])
+    def test_a_mistyped_component_raises_at_every_call(self, build, call, error, message,
+                                                       wrong):
+        target = build(wrong)
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                call(target)
+            assert type(info.value) is error and str(info.value) == message
 
 
 class TestWriterFactory:
