@@ -38,14 +38,19 @@ pair of its factors' i-th and j-th tokens sits among its own sorted tokens
 row-major when a factor token prefixes another (``a`` and ``a*``: ``(a*,b)``
 sorts before ``(a,b)``).
 
-Every side of a law diagram is a chain of maps, built as one index table
-by the composite vocabulary: ``seq``, ``tensor_then``, ``alpha_then``,
-``alpha_inv_then`` and ``pair_rows``.  Each link is checked by vid with
-``then``'s ``cannot compose`` error; ``then`` and ``alpha`` are one call
-each into it.  The two sides are compared pointwise by ``first_mismatch``.
-It scans the two index tables in domain order, applies the comparison only
-where they differ and stops at the first failure: the witness is the least
-failing token.  Every law comparison goes through it.
+Every side of a law diagram is a chain of maps, read as one index row by
+the composite vocabulary: ``seq_row``, ``tensor_row``, ``alpha_row`` and
+``pair_rows``.  Each link is checked by vid with ``then``'s ``cannot
+compose`` error.  A row out of a product is in pair order
+(``images[i*|B| + j]`` for the factors' i-th and j-th tokens), which
+``in_token_order`` puts in the product's own token order.  The ``FinFn``
+builders ``seq``, ``tensor_then`` and ``alpha_then`` wrap these readers,
+``alpha_inv_then`` builds the one composite no suite reads as a row, and
+``then`` and ``alpha`` are one call each into them.
+Two rows are compared by ``first_difference``: it applies the comparison
+only where they differ, in order, and stops at the first failure.
+``first_mismatch`` compares two maps with it, after checking that their
+domains and codomains agree: the witness is the least failing token.
 """
 
 from __future__ import annotations
@@ -53,10 +58,12 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
+from operator import itemgetter
 
 __all__ = [
     "TokenError",
     "SetSizeError",
+    "check_token",
     "FinSet",
     "FinFn",
     "FunctorExpr",
@@ -75,8 +82,13 @@ __all__ = [
     "unit_set",
     "tensor",
     "tensor_fn",
+    "check_ends",
+    "in_token_order",
+    "seq_row",
     "seq",
+    "tensor_row",
     "tensor_then",
+    "alpha_row",
     "alpha_then",
     "alpha_inv_then",
     "pair_rows",
@@ -91,6 +103,7 @@ __all__ = [
     "identity_fn",
     "op_table",
     "all_fns",
+    "first_difference",
     "first_mismatch",
 ]
 
@@ -103,9 +116,9 @@ class SetSizeError(ValueError):
     """A canonical test set outside the sizes exhaustive scans can afford."""
 
 
-def _check_token(tok: str) -> None:
-    # Tokens must survive being spliced into "(l,r)": brackets balanced,
-    # commas only inside brackets, no whitespace.
+def check_token(tok: str) -> None:
+    """Raise TokenError unless ``tok`` survives being spliced into ``(l,r)``:
+    non-empty, brackets balanced, commas only inside brackets, no whitespace."""
     if not tok:
         raise TokenError("empty token")
     depth = 0
@@ -147,7 +160,7 @@ class FinSet:
         if factors is None:
             elems = tuple(sorted(elems))
             for tok in elems:
-                _check_token(tok)
+                check_token(tok)
             self._set = frozenset(elems)
             if len(self._set) != len(elems):
                 raise TokenError(f"duplicate tokens in {name or 'set'}: {elems}")
@@ -349,12 +362,7 @@ class FinFn:
     def from_pairs(cls, dom: FinSet, cod: FinSet, images) -> "FinFn":
         """The map from a product sending the pair of its factors' i-th and
         j-th tokens to cod's images[i*|B| + j]-th token (images unchecked)."""
-        if not dom._size:
-            return cls._table(dom, cod, ())
-        pairs = dom.pair_positions()
-        if pairs is not None:
-            images = map(images.__getitem__, pairs[1])
-        return cls._table(dom, cod, tuple(images))
+        return cls._table(dom, cod, in_token_order(dom, images))
 
     @property
     def mapping(self) -> dict:
@@ -580,11 +588,12 @@ def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     return FinFn.from_pairs(dom, cod, images)
 
 
-# --- law sides: chains of maps read as one index table ---------------------
-# Each builder gives the composite of a chain as one table, read off the
-# links' tables and the product grids: no intermediate map, product of maps
-# or associator is built.  Every link is checked by vid, as ``then`` checks
-# one; a tail of maps after h is composed into h's table first.
+# --- law sides: chains of maps read as one index row ------------------------
+# Each reader gives the composite of a chain as one row, read off the links'
+# tables and the product grids: no intermediate map, product of maps or
+# associator is built.  Every link is checked by vid, as ``then`` checks one;
+# a tail of maps after h is composed into h's row first.  The FinFn builders
+# wrap the readers.
 
 def _check_links(*links) -> None:
     """Each (set, map): the map's domain is the set, or it cannot compose."""
@@ -593,14 +602,51 @@ def _check_links(*links) -> None:
             raise ValueError(f"cannot compose {cod.name} -> {g.dom.name}")
 
 
-def seq(f: FinFn, *maps: FinFn) -> FinFn:
-    """f, then each of maps."""
+def check_ends(dom: FinSet, cod: FinSet, dom2: FinSet, cod2: FinSet) -> None:
+    """Two sides, dom -> cod and dom2 -> cod2, run between the same sets."""
+    if dom.vid != dom2.vid:
+        raise ValueError(f"domains differ: {dom.name} vs {dom2.name}")
+    if cod.vid != cod2.vid:
+        raise ValueError(f"codomains differ: {cod.name} vs {cod2.name}")
+
+
+def _pick(table, idx) -> tuple:
+    """table[i] for each i in idx: itemgetter reads a tuple's entries in C,
+    where mapping ``table.__getitem__`` calls a slot wrapper per entry."""
+    if len(idx) > 1:
+        return itemgetter(*idx)(table)
+    return (table[idx[0]],) if idx else ()
+
+
+def in_token_order(dom: FinSet, images) -> tuple:
+    """A row out of the product dom given in pair order, images[i*|B| + j]
+    for the pair of its factors' i-th and j-th tokens, in dom's token order."""
+    if not dom._size:
+        return ()
+    pairs = dom.pair_positions()
+    if pairs is None:
+        return tuple(images)
+    return _pick(list(images), pairs[1])
+
+
+def seq_row(f: FinFn, *maps: FinFn) -> tuple:
+    """The row of f, then each of maps, in f.dom's token order."""
     idx, cod = f.idx, f.cod
     for g in maps:
-        if cod.vid != g.dom.vid:   # checked here first: seq is the hottest builder
+        # seq_row is the hottest reader: the link is checked here first, and
+        # _pick is spelt out, which saves a call per link
+        if cod.vid != g.dom.vid:
             _check_links((cod, g))
-        idx, cod = map(g.idx.__getitem__, idx), g.cod
-    return FinFn._table(f.dom, cod, tuple(idx))
+        table = g.idx
+        idx = (itemgetter(*idx)(table) if len(idx) > 1 else
+               (table[idx[0]],) if idx else ())
+        cod = g.cod
+    return idx
+
+
+def seq(f: FinFn, *maps: FinFn) -> FinFn:
+    """f, then each of maps."""
+    return FinFn._table(f.dom, (maps[-1] if maps else f).cod, seq_row(f, *maps))
 
 
 def pair_rows(h: FinFn, A: FinSet, B: FinSet) -> list:
@@ -608,31 +654,35 @@ def pair_rows(h: FinFn, A: FinSet, B: FinSet) -> list:
     j-th tokens."""
     AB = tensor(A, B)
     _check_links((AB, h))
-    hi = h.idx
-    return [list(map(hi.__getitem__, row)) for row in AB.pair_grid()]
+    return [_pick(h.idx, row) for row in AB.pair_grid()]
+
+
+def tensor_row(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> list:
+    """(f (x) g) ; h, then each of maps, in pair order over f.dom and g.dom:
+    (x,y) goes to h(f(x), g(y))."""
+    AB = tensor(f.cod, g.cod)
+    _check_links((AB, h))
+    at, gi, hi = AB.pair_grid(), g.idx, seq_row(h, *maps)
+    return [hi[row[j]] for row in _pick(at, f.idx) for j in gi]
 
 
 def tensor_then(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
-    """(f (x) g) ; h, then each of maps: (x,y) goes to h(f(x), g(y))."""
-    AB = tensor(f.cod, g.cod)
-    _check_links((AB, h))
-    if maps:
-        h = seq(h, *maps)
-    at, gi, hi = AB.pair_grid(), g.idx, h.idx
-    return FinFn.from_pairs(tensor(f.dom, g.dom), h.cod,
-                            [hi[row[j]] for row in map(at.__getitem__, f.idx) for j in gi])
+    return FinFn.from_pairs(tensor(f.dom, g.dom), (maps[-1] if maps else h).cod,
+                            tensor_row(f, g, h, *maps))
+
+
+def alpha_row(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> list:
+    """alpha(X, Y, Z) ; (id_X (x) g) ; h, then each of maps, in pair order over
+    X (x) Y and Z: ((x,y),z) goes to h(x, g(y,z))."""
+    XY, YZ, XG = tensor(X, Y), tensor(Y, Z), tensor(X, g.cod)
+    _check_links((YZ, g), (XG, h))
+    yz, at, gi, hi = YZ.pair_grid(), XG.pair_grid(), g.idx, seq_row(h, *maps)
+    return [hi[at[x][gi[w]]] for x, y in XY.pair_list() for w in yz[y]]
 
 
 def alpha_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
-    """alpha(X, Y, Z) ; (id_X (x) g) ; h, then each of maps: ((x,y),z) goes to
-    h(x, g(y,z))."""
-    XY, YZ, XG = tensor(X, Y), tensor(Y, Z), tensor(X, g.cod)
-    _check_links((YZ, g), (XG, h))
-    if maps:
-        h = seq(h, *maps)
-    yz, at, gi, hi = YZ.pair_grid(), XG.pair_grid(), g.idx, h.idx
-    return FinFn.from_pairs(tensor(XY, Z), h.cod,
-                            [hi[at[x][gi[w]]] for x, y in XY.pair_list() for w in yz[y]])
+    return FinFn.from_pairs(tensor(tensor(X, Y), Z), (maps[-1] if maps else h).cod,
+                            alpha_row(X, Y, Z, g, h, *maps))
 
 
 def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
@@ -640,10 +690,8 @@ def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: F
     to h(g(x,y), z)."""
     XY, YZ, GZ = tensor(X, Y), tensor(Y, Z), tensor(g.cod, Z)
     _check_links((XY, g), (GZ, h))
-    if maps:
-        h = seq(h, *maps)
-    xy, yz, at, gi, hi = XY.pair_grid(), YZ.pair_list(), GZ.pair_grid(), g.idx, h.idx
-    return FinFn.from_pairs(tensor(X, YZ), h.cod,
+    xy, yz, at, gi, hi = XY.pair_grid(), YZ.pair_list(), GZ.pair_grid(), g.idx, seq_row(h, *maps)
+    return FinFn.from_pairs(tensor(X, YZ), (maps[-1] if maps else h).cod,
                             [hi[at[gi[row[y]]][z]] for row in xy for y, z in yz])
 
 
@@ -721,22 +769,27 @@ def all_fns(X: FinSet, Y: FinSet):
 
 # --- pointwise comparison -----------------------------------------------
 
+def first_difference(lhs, rhs, cod: FinSet | None = None, eq=None):
+    """The first position at which two index rows into cod disagree, or None.
+
+    eq(l, r) says whether two of cod's tokens agree and defaults to position
+    equality.  It must be reflexive: it is applied only where the two rows
+    differ, in order, up to the first failure.
+    """
+    if lhs == rhs:
+        return None
+    for i, (l, r) in enumerate(zip(lhs, rhs)):
+        if l != r and (eq is None or not eq(cod.elems[l], cod.elems[r])):
+            return i
+    return None
+
+
 def first_mismatch(lhs: FinFn, rhs: FinFn, eq=None):
     """The least domain token at which two maps disagree, or None.
 
-    eq(l, r) says whether two values agree and defaults to token equality.
-    It must be reflexive: it is applied only where the two index tables
-    differ, in domain order, up to the first failure.  Raises ValueError
-    when the two domains, or the two codomains, differ as sets.
+    Their rows are compared by ``first_difference`` with eq.  Raises
+    ValueError when the two domains, or the two codomains, differ as sets.
     """
-    if lhs.dom.vid != rhs.dom.vid:
-        raise ValueError(f"domains differ: {lhs.dom.name} vs {rhs.dom.name}")
-    if lhs.cod.vid != rhs.cod.vid:
-        raise ValueError(f"codomains differ: {lhs.cod.name} vs {rhs.cod.name}")
-    if lhs.idx == rhs.idx:
-        return None
-    cod = lhs.cod
-    for i, (l, r) in enumerate(zip(lhs.idx, rhs.idx)):
-        if l != r and (eq is None or not eq(cod.elems[l], cod.elems[r])):
-            return lhs.dom.elems[i]
-    return None
+    check_ends(lhs.dom, lhs.cod, rhs.dom, rhs.cod)
+    i = first_difference(lhs.idx, rhs.idx, lhs.cod, eq)
+    return None if i is None else lhs.dom.elems[i]

@@ -12,17 +12,25 @@ Conventions that everything below depends on:
   maps between the canonical test sets.
 * Each law suite is a private generator of its law instances in record
   order; ``report.run_suite`` builds the Report, and ``check_all`` chains
-  the five suites into one.
+  the five suites into one.  Every instance reaches ``Report.compare``, the
+  one comparator, or ``Report.add`` once.
 * The laws quantified over every map f between canonical sets (lift-,
-  strength-, unit-, mult- and component-natural, fmap-compose) call fmap on
-  every f, the component under test, and hoist the rest out of the loop
-  over f: an earlier law of the suite has fetched them, and mult-natural
-  fetches each mult at its first f, so a faulty component raises the same
-  first error.  The strength-natural laws read the hoisted strength as rows
-  (``pair_rows``); each note, and each f (x) id handed to fmap, is built
-  once per set tuple.
-* Every law side is a chain built by finkit's composite vocabulary, which
-  checks each link: no then, tensor_fn or associator is built per instance,
+  strength-, unit-, mult- and component-natural, fmap-compose) yield their
+  two sides as index rows, ``(law, grades, sets, dom, cod, lhs, rhs,
+  note)``: no map is built for an instance, and a passing one costs one row
+  comparison.  A block, a law with its grades and sets, checks its
+  endpoints once with ``report.endpoints``; an fmap image runs between the
+  carriers of f's domain and codomain, so the carriers stand for it.  Each
+  law calls fmap on every f, the component under test, and hoists the rest
+  out of the loop over f: an earlier law of the suite has fetched them, and
+  mult-natural fetches each mult at its first f, so a faulty component
+  raises the same first error.  The strength-natural laws read the hoisted
+  strength as rows (``pair_rows``); each note, and each f (x) id handed to
+  fmap, is built once per set tuple.
+* Every law side is a chain read by finkit's composite vocabulary, which
+  checks each link: the row laws read their sides with ``seq_row`` and the
+  other laws build theirs as maps with ``seq``, ``tensor_then`` and
+  ``alpha_then``.  No then, tensor_fn or associator is built per instance,
   and the associator that fmap is handed is built once per set triple.
   Components are fetched in the composites' order.
 * Memos and the suites' own tables key a set by its ``vid``, and type
@@ -57,11 +65,13 @@ from .finkit import (
     first_mismatch,
     gamma,
     identity_fn,
+    in_token_order,
     lam,
     op_table,
     pair_rows,
     rho,
     seq,
+    seq_row,
     tensor,
     tensor_fn,
     tensor_then,
@@ -77,7 +87,7 @@ from .pomonoid import (
     multi_error_pomonoid,
     structurally_equal,
 )
-from .report import LawRecord, Report, run_suite
+from .report import LawRecord, Report, endpoints, run_suite
 
 
 class GradedMonadError(ValueError):
@@ -260,7 +270,8 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
 
 
 # --- law suites ----------------------------------------------------------
-# Instances are comparisons (law, grades, sets, lhs, rhs[, note]) or LawRecords.
+# Instances are LawRecords or comparisons, of rows (law, grades, sets, dom, cod,
+# lhs, rhs, note) or of maps (law, grades, sets, lhs, rhs[, note]).
 
 def _maps(X: FinSet, Y: FinSet, name: str = "f"):
     """Every map f: X -> Y in ``all_fns`` order, with its note f"{name}={f.mapping}"
@@ -302,11 +313,16 @@ def _order_laws(M: GradedStrongMonad, k: int):
                 composed = seq(M.lift_fn(a, b, X), M.lift_fn(b, c, X))
                 yield "lift-compose", (a, b, c), (X.name,), composed, M.lift_fn(a, c, X)
     for X, Y in product(sets, sets):
+        names = (X.name, Y.name)
         lifts = [(a, b, M.lift_fn(a, b, Y), M.lift_fn(a, b, X)) for a, b in comparable if a != b]
+        lifts = [((a, b), up_Y, up_X, *endpoints("lift-natural", M.carrier(a, X), up_Y.cod,
+                                                 up_X.dom, M.carrier(b, Y)))
+                 for a, b, up_Y, up_X in lifts]
         for f, note in _maps(X, Y):
-            for a, b, up_Y, up_X in lifts:
-                yield ("lift-natural", (a, b), (X.name, Y.name), seq(M.fmap(a, f), up_Y),
-                       seq(up_X, M.fmap(b, f)), note)
+            for grades, up_Y, up_X, dom, cod in lifts:
+                a, b = grades
+                yield ("lift-natural", grades, names, dom, cod, seq_row(M.fmap(a, f), up_Y),
+                       seq_row(up_X, M.fmap(b, f)), note)
     for X, (a, a2), (b, b2) in product(sets, comparable, comparable):
         if a == a2 and b == b2:
             continue
@@ -358,13 +374,15 @@ def _strength_laws(M: GradedStrongMonad, k: int):
         fs = [(f.idx, FinFn._table(XY, X2Y, tuple([at[f.idx[x]][y] for x, y in xy])), note)
               for f, note in maps(X, X2, "f")]
         for a in P.elements:
-            TaY = M.carrier(a, Y)
+            TaY, grades = M.carrier(a, Y), (a,)
             tau2, tau = M.strength_fn(a, X2, Y), M.strength_fn(a, X, Y)
             rows, XT = pair_rows(tau2, X2, TaY), tensor(X, TaY)
+            dom, cod = endpoints("strength-natural-left", XT, tau2.cod, tau.dom,
+                                 M.carrier(a, X2Y))
             for fi, f_id, note in fs:
-                lhs = [*chain.from_iterable(map(rows.__getitem__, fi))]
-                yield ("strength-natural-left", (a,), names, FinFn.from_pairs(XT, tau2.cod, lhs),
-                       seq(tau, M.fmap(a, f_id)), note)
+                lhs = in_token_order(XT, chain.from_iterable(map(rows.__getitem__, fi)))
+                yield ("strength-natural-left", grades, names, dom, cod, lhs,
+                       seq_row(tau, M.fmap(a, f_id)), note)
     for X, Y, Y2 in product(sets, sets, sets):
         names, XY, XY2 = (X.name, Y.name, Y2.name), tensor(X, Y), tensor(X, Y2)
         xy, at = XY.pair_list(), XY2.pair_grid()
@@ -372,14 +390,16 @@ def _strength_laws(M: GradedStrongMonad, k: int):
         gs = [(g, FinFn._table(XY, XY2, tuple([at[x][g.idx[y]] for x, y in xy])), note)
               for g, note in maps(Y, Y2, "g")]
         for a in P.elements:
-            TaY = M.carrier(a, Y)
+            TaY, grades = M.carrier(a, Y), (a,)
             tau2, tau = M.strength_fn(a, X, Y2), M.strength_fn(a, X, Y)
             rows, XT = pair_rows(tau2, X, M.carrier(a, Y2)), tensor(X, TaY)
+            dom, cod = endpoints("strength-natural-right", XT, tau2.cod, tau.dom,
+                                 M.carrier(a, XY2))
             for g, g_id, note in gs:
                 G = M.fmap(a, g).idx
-                lhs = [v for row in rows for v in map(row.__getitem__, G)]
-                yield ("strength-natural-right", (a,), names, FinFn.from_pairs(XT, tau2.cod, lhs),
-                       seq(tau, M.fmap(a, g_id)), note)
+                lhs = in_token_order(XT, [row[j] for row in rows for j in G])
+                yield ("strength-natural-right", grades, names, dom, cod, lhs,
+                       seq_row(tau, M.fmap(a, g_id)), note)
     if not P.is_discrete():
         for X, Y, (a, b) in product(sets, sets, P.comparable_pairs()):
             if a != b:
@@ -438,23 +458,33 @@ def _naturality(M: GradedStrongMonad, k: int):
     # composition is quadratic in the function count, so cap the sizes
     small = [S for S in sets if len(S) <= 2]
     for X, Y, Z in product(small, small, small):
+        names = (X.name, Y.name, Z.name)
+        # both sides run carrier(a, X) -> carrier(a, Z), as every fmap image does
+        ends = {a: (M.carrier(a, X), M.carrier(a, Z)) for a in P.elements}
         for f, f_note in _maps(X, Y):
             for (g, g_note), a in product(_maps(Y, Z, "g"), P.elements):
-                yield ("fmap-compose", (a,), (X.name, Y.name, Z.name),
-                       seq(M.fmap(a, f), M.fmap(a, g)), M.fmap(a, seq(f, g)), f"{f_note} {g_note}")
+                yield ("fmap-compose", (a,), names, *ends[a], seq_row(M.fmap(a, f), M.fmap(a, g)),
+                       M.fmap(a, seq(f, g)).idx, f"{f_note} {g_note}")
+    i = P.unit
     grade_pairs = [(a, b, P.times(a, b)) for a, b in product(P.elements, P.elements)]
     for X, Y in product(sets, sets):
         names, mults = (X.name, Y.name), {}
+        unit_Y, unit_X = M.unit_fn(Y), M.unit_fn(X)
+        dom, cod = endpoints("unit-natural", X, unit_Y.cod, unit_X.dom, M.carrier(i, Y))
         for f, note in _maps(X, Y):
-            yield ("unit-natural", (P.unit,), names, seq(f, M.unit_fn(Y)),
-                   seq(M.unit_fn(X), M.fmap(P.unit, f)), note)
+            yield ("unit-natural", (i,), names, dom, cod, seq_row(f, unit_Y),
+                   seq_row(unit_X, M.fmap(i, f)), note)
             for a, b, ab in grade_pairs:
                 FF = M.fmap(a, M.fmap(b, f))
                 if (a, b) not in mults:
-                    mults[a, b] = M.mult_fn(a, b, Y), M.mult_fn(a, b, X)
-                mu_Y, mu_X = mults[a, b]
+                    mu_Y, mu_X = M.mult_fn(a, b, Y), M.mult_fn(a, b, X)
+                    mults[a, b] = (a, b), mu_Y, mu_X, *endpoints(
+                        "mult-natural", M.carrier(a, M.carrier(b, X)), mu_Y.cod, mu_X.dom,
+                        M.carrier(ab, Y))
+                grades, mu_Y, mu_X, dom_ab, cod_ab = mults[a, b]
                 F = M.fmap(ab, f)
-                yield "mult-natural", (a, b), names, seq(FF, mu_Y), seq(mu_X, F), note
+                yield ("mult-natural", grades, names, dom_ab, cod_ab, seq_row(FF, mu_Y),
+                       seq_row(mu_X, F), note)
 
 
 def check_monad_laws(M: GradedStrongMonad, k: int = 3) -> Report:
@@ -590,11 +620,15 @@ def _morphism_laws(m: GradedMonadMorphism, k: int):
             rhs = seq(m.component_fn(a, X), T.lift_fn(phi(a), phi(b), X))
             yield "lift-square", (a, b), (X.name,), lhs, rhs
     for X, Y in product(sets, sets):
+        names = (X.name, Y.name)
         comps = [(a, phi(a), m.component_fn(a, Y), m.component_fn(a, X)) for a in GP.elements]
+        comps = [((a,), a, pa, c_Y, c_X, *endpoints("component-natural", S.carrier(a, X),
+                                                    c_Y.cod, c_X.dom, T.carrier(pa, Y)))
+                 for a, pa, c_Y, c_X in comps]
         for f, note in _maps(X, Y):
-            for a, pa, c_Y, c_X in comps:
-                yield ("component-natural", (a,), (X.name, Y.name), seq(S.fmap(a, f), c_Y),
-                       seq(c_X, T.fmap(pa, f)), note)
+            for grades, a, pa, c_Y, c_X, dom, cod in comps:
+                yield ("component-natural", grades, names, dom, cod, seq_row(S.fmap(a, f), c_Y),
+                       seq_row(c_X, T.fmap(pa, f)), note)
 
 
 def check_graded_monad_morphism(m: GradedMonadMorphism, k: int = 3) -> Report:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .finkit import TokenError, check_token
 from .report import Report, failure_record
 
 
@@ -415,14 +416,23 @@ def parse_structure_text(text: str) -> dict:
     return out
 
 
-def load_pomonoid(text: str, name: str = "") -> Pomonoid:
-    raw = parse_structure_text(text)
+def _load_base(raw: dict, name: str) -> Pomonoid:
+    # grades name carrier tokens, so each element must survive the pair encoding
+    for a in raw["elements"]:
+        try:
+            check_token(a)
+        except TokenError as exc:
+            raise FileFormatError(f"element {a!r} is not a valid name: {exc}") from None
     return validate_pomonoid(raw["elements"], raw["unit"], raw["mul"], raw["le"], name=name)
+
+
+def load_pomonoid(text: str, name: str = "") -> Pomonoid:
+    return _load_base(parse_structure_text(text), name)
 
 
 def load_duoid(text: str, name: str = "") -> Duoid:
     raw = parse_structure_text(text)
-    base = validate_pomonoid(raw["elements"], raw["unit"], raw["mul"], raw["le"], name=name)
+    base = _load_base(raw, name)
     if not raw["op2"] or raw["unit2"] is None:
         raise FileFormatError("second operation requires op2 lines and a unit2 line")
     for a in base.elements:

@@ -24,10 +24,12 @@ from .finkit import (
     FinSet,
     all_fns,
     alpha,
-    alpha_then,
+    alpha_row,
     canonical_set,
+    first_difference,
     first_mismatch,
     identity_fn,
+    in_token_order,
     lam,
     lam_inv,
     op_table,
@@ -37,6 +39,7 @@ from .finkit import (
     split_pair,
     tensor,
     tensor_fn,
+    tensor_row,
     tensor_then,
     unit_set,
 )
@@ -344,12 +347,15 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     every corner (i, a, b, i) at the grading's unit i.  ``_duoidal_laws``
     yields the records and comparisons in order, for ``run_suite``.  Both
     sides of every diagram are built with finkit's composite vocabulary and
-    compared pointwise by ``first_mismatch``; a grade tuple stops at its
+    compared pointwise by ``first_difference``; a grade tuple stops at its
     first failing instance.  duoidal-main's interchange-first side is one
     ``seq`` chain, its multiply-first side m(mult(x), mult(y)) is a
-    ``tensor_then``; m-assoc's sides are ``alpha_then`` and ``tensor_then``
-    with the reassociator as a tail.  Grade-level values are worked out once
-    per grade tuple.
+    ``tensor_then``, and ``first_mismatch`` compares them.  m-assoc's sides
+    are the rows ``alpha_row`` and ``tensor_row``, the latter with the
+    reassociator as a tail, both in pair order over TX (x) TY and TZ: the
+    domain product (TX (x) TY) (x) TZ is built only to name a failing
+    instance's witness.  Grade-level values are worked out once per grade
+    tuple.
 
     An instance whose diagram has an empty domain (on the language writer,
     every set tuple holding ``Y0``) is vacuous: no element can fail.
@@ -436,14 +442,19 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
             re = M.fmap(g, alphas[X.vid, Y.vid, Z.vid])
             m_ab = DM.m_fn(a, b, X, Y)
             rhs_m = DM.m_fn(ab, c, products[X.vid, Y.vid], Z)
-            if TX and TY and TZ:
-                witness = first_mismatch(alpha_then(TX, TY, TZ, m_bc, lhs_m),
-                                         tensor_then(m_ab, identity_fn(TZ), rhs_m, re))
-                yield None if witness is None else (witness, "")
-            elif lhs_m.cod.vid != re.cod.vid:   # vacuous: build no set, but compare codomains
+            if TX and TY and TZ:   # both sides in pair order over TX (x) TY and TZ
+                lhs = alpha_row(TX, TY, TZ, m_bc, lhs_m)
+                rhs = tensor_row(m_ab, identity_fn(TZ), rhs_m, re)
+            else:                  # vacuous: no element can fail, and no set is built
+                lhs = rhs = ()
+            if lhs_m.cod.vid != re.cod.vid:
                 raise ValueError(f"codomains differ: {lhs_m.cod.name} vs {re.cod.name}")
-            else:
+            if first_difference(lhs, rhs) is None:
                 yield None
+            else:   # the least failing token, read off the domain product built for it
+                dom = tensor(tensor(TX, TY), TZ)
+                i = first_difference(in_token_order(dom, lhs), in_token_order(dom, rhs))
+                yield dom.elems[i], ""
 
     for grades in _grade_tuples(P.elements, 3, budget, seed):
         yield _grade_record("m-assoc", grades, assoc_failure(*grades))

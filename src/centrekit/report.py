@@ -3,7 +3,11 @@
 Every suite emits one record per law instance (law name, grades, sets),
 with a witness and both sides kept when the instance fails.  A suite is a
 generator of its instances, finished records or pointwise comparisons, and
-``run_suite`` is the one place that turns them into a Report.  Reports
+``run_suite`` is the one place that turns them into a Report.  Every
+comparison goes through ``Report.compare``, which compares two index rows
+over a declared domain and codomain: equal rows pass at once, and unequal
+ones give the first differing token in domain order.  Two maps are compared
+as their rows once their domains and codomains are seen to agree.  Reports
 render as text or JSON and parse back losslessly.
 """
 
@@ -14,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
-from .finkit import first_mismatch
+from .finkit import FinFn, check_ends, first_difference
 
 
 @dataclass
@@ -53,6 +57,16 @@ class LawRecord:
     def from_dict(d: dict) -> "LawRecord":
         return LawRecord(d["law"], tuple(d["grades"]), tuple(d["sets"]), d["ok"], d["witness"],
                          d["lhs"], d["rhs"], d["note"])
+
+
+def endpoints(law: str, dom, cod, dom2, cod2) -> tuple:
+    """(dom, cod), once a law's two sides, dom -> cod and dom2 -> cod2, are
+    seen to run between the same sets; raises ValueError naming the law."""
+    try:
+        check_ends(dom, cod, dom2, cod2)
+    except ValueError as exc:
+        raise ValueError(f"{law}: {exc}") from None
+    return dom, cod
 
 
 def first_failure(results):
@@ -117,23 +131,28 @@ class Report:
     def failures(self) -> list[LawRecord]:
         return [r for r in self.records if not r.ok]
 
-    def compare(self, law, grades, sets, f, g, note="") -> LawRecord:
-        """Record pointwise equality of two maps with a common domain.
+    def compare(self, law, grades, sets, dom, cod, lhs=None, rhs=None, note="") -> LawRecord:
+        """Record whether two index rows over dom agree.
 
-        f and g are FinFns, typically composites of index tables; a failing
-        record carries the least token at which they differ and both values
-        there.
+        lhs[i] and rhs[i] are the positions in cod of the two sides' images
+        of dom's i-th token.  Equal rows pass; otherwise the record carries
+        the first token of dom at which they differ and both values there.
+        Two maps f and g are compared as ``compare(law, grades, sets, f, g[,
+        note])``: as the rows f.idx and g.idx over f.dom and f.cod, once
+        ``endpoints`` has seen that their domains and codomains agree.
         """
-        try:
-            tok = first_mismatch(f, g)
-        except ValueError as exc:
-            raise ValueError(f"{law}: {exc}") from None
-        rec = LawRecord(law=law, grades=tuple(grades), sets=tuple(sets), note=note)
-        if tok is not None:
-            rec.ok = False
-            rec.witness = tok
-            rec.lhs = f(tok)
-            rec.rhs = g(tok)
+        if isinstance(dom, FinFn):
+            f, g = dom, cod
+            if lhs is not None:   # the note, passed after the two maps
+                note = lhs
+            dom, cod = endpoints(law, f.dom, f.cod, g.dom, g.cod)
+            lhs, rhs = f.idx, g.idx
+        i = None if lhs == rhs else first_difference(lhs, rhs)
+        if i is None:
+            rec = LawRecord(law, tuple(grades), tuple(sets), True, None, None, None, note)
+        else:
+            rec = LawRecord(law, tuple(grades), tuple(sets), False, dom.elems[i],
+                            cod.elems[lhs[i]], cod.elems[rhs[i]], note)
         self.records.append(rec)
         return rec
 
@@ -185,13 +204,16 @@ def run_suite(title: str, instances) -> Report:
     """The Report of a law suite, built from the instances it yields in record order.
 
     An instance is a finished LawRecord, which is added as it is, or a
-    pointwise comparison ``(law, grades, sets, lhs, rhs[, note])``, which
-    goes through ``Report.compare``.  Suites build no Report of their own.
+    pointwise comparison, which goes through ``Report.compare``: two index
+    rows ``(law, grades, sets, dom, cod, lhs, rhs, note)``, or two maps
+    ``(law, grades, sets, f, g[, note])``.  Suites build no Report of their
+    own.
     """
     rep = Report(title)
+    add, compare = rep.add, rep.compare
     for instance in instances:
         if isinstance(instance, LawRecord):
-            rep.add(instance)
+            add(instance)
         else:
-            rep.compare(*instance)
+            compare(*instance)
     return rep

@@ -297,6 +297,35 @@ class TestTokenUnsafeGrades:
         assert name in captured.err
 
 
+class TestTokenUnsafeElementNames:
+    # every command that loads a pomonoid or duoid file refuses an element
+    # name the pair encoding cannot splice, naming it, whatever it goes on to
+    # build; a name whose commas sit inside braces is a token like any other
+    @pytest.mark.parametrize("name", ["(x", "a,b"], ids=["bracket", "comma"])
+    @pytest.mark.parametrize("fixture, old, argv", [
+        ("bool.pom", "ff", ["pomonoid", "check", "{}"]),
+        ("bool.pom", "ff", ["pomonoid", "centre", "{}"]),
+        ("escalation.duo", "busy", ["duoid", "check", "{}"]),
+        ("bool.pom", "ff", ["monad", "laws", "--monad", "identity", "--pomonoid", "{}"]),
+    ], ids=["pomonoid-check", "pomonoid-centre", "duoid-check", "monad-laws-identity"])
+    def test_exits_2_with_one_error_line(self, fixture, old, argv, name, tmp_path, capsys):
+        path = tmp_path / fixture
+        with open(fx(fixture)) as f:
+            path.write_text(f.read().replace(old, name))
+        assert main([a.format(path) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert repr(name) in captured.err
+
+    def test_commas_inside_braces_stay_valid(self, tmp_path, capsys):
+        path = tmp_path / "braced.pom"
+        with open(fx("bool.pom")) as f:
+            path.write_text(f.read().replace("ff", "{_,a}"))
+        assert main(["pomonoid", "centre", str(path)]) == 0
+        assert capsys.readouterr().out == "{tt,{_,a}}\n"
+
+
 class TestDuoidalCommand:
     def test_language_writer(self, capsys):
         code = main(["duoidal", "check", "--monad", "language_writer"])

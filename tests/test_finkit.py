@@ -16,7 +16,6 @@ from centrekit.finkit import (
     Sum,
     SetSizeError,
     TokenError,
-    _check_token,
     all_fns,
     alpha,
     alpha_inv,
@@ -25,6 +24,7 @@ from centrekit.finkit import (
     apply_mor,
     apply_obj,
     canonical_set,
+    check_token,
     degree,
     first_mismatch,
     gamma,
@@ -900,9 +900,9 @@ class TestProductTokens:
     @settings(deadline=None)
     @given(tokens, tokens)
     def test_pairs_of_valid_tokens_are_valid(self, left, right):
-        _check_token(left)
-        _check_token(right)
-        _check_token(make_pair(left, right))
+        check_token(left)
+        check_token(right)
+        check_token(make_pair(left, right))
 
     @settings(deadline=None)
     @given(token_sets(), token_sets())
@@ -910,7 +910,7 @@ class TestProductTokens:
         AB = tensor(A, B)
         assert set(AB) == {make_pair(a, b) for a in A for b in B}
         for tok in AB:
-            _check_token(tok)
+            check_token(tok)
 
     @settings(deadline=None)
     @given(st.lists(tokens, max_size=2), invalid_tokens)

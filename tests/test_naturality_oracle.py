@@ -1,16 +1,20 @@
-"""The index-list laws against the composite loops they replaced.
+"""The index-row laws against the composite loops they replaced.
 
 lift-natural, strength-natural-left, strength-natural-right, fmap-compose,
 unit-natural, mult-natural and the morphism suite's component-natural
-quantify over every map between the canonical sets.  The suites read each
-side of these laws off index tables hoisted out of the loop over the maps,
-and every law of the strength and costrength suites off the components'
-index tables and the product grids.  The reference suites below are the
+quantify over every map between the canonical sets.  The suites yield the
+two sides of each of their instances as plain index rows over the domain
+and codomain of the instance's block (a law with its grades and sets),
+which ``Report.compare`` compares without building a map; every law of the
+strength and costrength suites is read off the components' index tables
+and the product grids.  The reference suites below are the FinFn-sided
 ones that came before, which build both sides with ``then``/``tensor_fn``/
-``alpha`` composites for every instance and render each note with
-``f.mapping``.  The other laws of those suites are carried along unchanged,
-so that whole reports compare: both sides must give the same ``to_json()``
-bytes.
+``alpha`` composites for every instance, hand the two maps to
+``Report.compare`` and render each note with ``f.mapping``.  The other laws
+of those suites are carried along unchanged, so that whole reports
+compare: both sides must give the same ``to_json()`` bytes, and a planted
+fault the same witness and values.  ``Report.compare`` itself must give two
+rows the record ``first_mismatch`` gives the two maps with those tables.
 
 The fetch-order test logs the key of every component the monad builds
 (unit, mult, strength, costrength, lift and fmap) in the order it first
@@ -26,15 +30,19 @@ from dataclasses import replace
 from itertools import chain, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centrekit import graded_monad as gm
 from centrekit import relaxations
 from centrekit.centre import build_centre_monad
 from centrekit.finkit import (
     FinFn,
+    FinSet,
     all_fns,
     alpha,
     alpha_inv,
+    first_mismatch,
     identity_fn,
     lam,
     rho,
@@ -54,7 +62,7 @@ from centrekit.graded_monad import (
 )
 from centrekit.pomonoid import check_pomonoid_morphism
 from centrekit.relaxations import build_language_writer, check_duoidal_gradation, language_duoid
-from centrekit.report import LawRecord, run_suite
+from centrekit.report import LawRecord, Report, run_suite
 from test_graded_monad import (
     constant_lift_writer,
     left_unnatural_strength_writer,
@@ -321,6 +329,110 @@ def test_planted_unnatural_component():
     new = check_graded_monad_morphism(unnatural_component_morphism(), 2)
     assert not new.ok
     assert_same_report(new, ref_check_morphism(unnatural_component_morphism(), 2))
+
+
+# the laws whose sides the suites yield as rows
+ROW_LAWS = {"lift-natural", "strength-natural-left", "strength-natural-right", "fmap-compose",
+            "unit-natural", "mult-natural", "component-natural"}
+
+
+def row_law_failures(rep):
+    return [(r.law, r.grades, r.sets, r.note, r.witness, r.lhs, r.rhs)
+            for r in rep.failures() if r.law in ROW_LAWS]
+
+
+@pytest.mark.parametrize("name", [
+    "constant-lift", "left-unnatural-strength", "right-unnatural-strength",
+    "noncompositional-fmap", "swapped-strength", "right-swapped-strength", "unnatural-mult",
+    "unnatural-unit"])
+def test_planted_faults_in_the_row_laws(name):
+    """A fault that lands in a row law fails it at the same instances, with the
+    same witness and values, as the maps of the reference do."""
+    new = row_law_failures(check_all(PLANTED[name](), 2))
+    assert new and new == row_law_failures(ref_check_all(PLANTED[name](), 2))
+
+
+def test_planted_component_fault_in_the_row_laws():
+    new = row_law_failures(check_graded_monad_morphism(unnatural_component_morphism(), 2))
+    ref = row_law_failures(ref_check_morphism(unnatural_component_morphism(), 2))
+    assert new and new == ref
+
+
+def test_no_row_law_instance_builds_a_side(monkeypatch):
+    """With every component and fmap image memoised, an instance of a row law
+    builds no map: the map builders are charged, as perfbench charges time,
+    to the instance whose comparison follows them.  fmap-compose builds the
+    one map f;g that it hands to fmap."""
+    M = bool_writer_pair()
+    morphism = identity_graded_morphism(bool_writer_pair())
+    check_all(M, 3)
+    check_graded_monad_morphism(morphism, 3)
+    built = [0]
+
+    def counted(fn):
+        def wrapper(*args):
+            built[0] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("seq", "tensor_then", "alpha_then", "alpha_inv_then"):
+        monkeypatch.setattr(gm, name, counted(getattr(gm, name)))
+    monkeypatch.setattr(FinFn, "from_pairs", counted(FinFn.from_pairs))
+    charged = collections.defaultdict(list)   # law -> maps built per instance
+    add, compare = Report.add, Report.compare
+
+    def charge(law):
+        charged[law].append(built[0])
+        built[0] = 0
+
+    monkeypatch.setattr(Report, "add", lambda rep, rec: (add(rep, rec), charge(rec.law))[0])
+    monkeypatch.setattr(Report, "compare",
+                        lambda rep, law, *args: (compare(rep, law, *args), charge(law))[0])
+    assert check_all(M, 3).ok and check_graded_monad_morphism(morphism, 3).ok
+    assert set(charged) >= ROW_LAWS
+    for law in ROW_LAWS - {"fmap-compose"}:
+        assert set(charged[law]) == {0}, law
+    assert set(charged["fmap-compose"]) == {1}
+    # the laws whose sides are still maps are charged theirs
+    assert min(charged["strength-assoc"]) >= 2 and min(charged["assoc"]) >= 2
+
+
+# --- Report.compare on rows against first_mismatch on maps ------------------------
+
+leaves = st.text(alphabet="ab*", min_size=1, max_size=2)
+plain_sets = st.builds(lambda name, elems: FinSet(name, elems),
+                       st.sampled_from(["A", "B", "Y0"]), st.frozensets(leaves, max_size=3))
+# products with a factor that prefixes another's tokens sort off row-major order
+compare_sets = st.one_of(plain_sets, st.builds(tensor, plain_sets, plain_sets))
+
+
+@st.composite
+def row_pairs(draw):
+    """A domain, a codomain and two rows over them; the second row equals the
+    first but at a few drawn places."""
+    dom, cod = draw(compare_sets), draw(compare_sets)
+    if not cod:
+        dom = draw(st.sampled_from([FinSet("E", ()), tensor(cod, dom)]))
+    row = st.integers(0, len(cod) - 1) if cod else st.nothing()
+    lhs = draw(st.lists(row, min_size=len(dom), max_size=len(dom)))
+    rhs = list(lhs)
+    for i in draw(st.lists(st.integers(0, len(dom) - 1), max_size=3) if dom else st.just([])):
+        rhs[i] = draw(row)
+    return dom, cod, tuple(lhs), tuple(rhs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_pairs(), st.sampled_from(["", "f={}"]))
+def test_compare_on_rows_is_first_mismatch_on_maps(sides, note):
+    dom, cod, lhs, rhs = sides
+    f, g = FinFn._table(dom, cod, lhs), FinFn._table(dom, cod, rhs)
+    tok = first_mismatch(f, g)
+    expected = (LawRecord("law", ("a",), (dom.name,), note=note) if tok is None else
+                LawRecord("law", ("a",), (dom.name,), False, tok, f(tok), g(tok), note))
+    rows, maps = Report("rows"), Report("maps")
+    assert rows.compare("law", ("a",), (dom.name,), dom, cod, lhs, rhs, note) == expected
+    assert maps.compare("law", ("a",), (dom.name,), f, g, note) == expected
+    assert rows.records == maps.records == [expected]
 
 
 # --- first builds --------------------------------------------------------------
