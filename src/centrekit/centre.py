@@ -64,14 +64,13 @@ class CentralityViolation(RuntimeError):
 def bound_for(M: GradedStrongMonad, b: str, bound=None) -> int:
     """Test-set size needed to decide centrality against grade b.
 
-    The default is the degree of T^b.  A negative bound raises SetSizeError,
+    ``bound`` is an int, one size for every grade, or None for the degree of
+    T^b.  A negative bound raises SetSizeError,
     and so does one below the degree of T^b when the monad has a functor
     expression: either would pass elements that are not central.
     """
     expr = M.functor_expr(b)
-    if callable(bound):
-        n = bound(b)
-    elif bound is not None:
+    if bound is not None:
         n = int(bound)
     elif expr is None:
         raise CentreError("monad has no functor expression; pass an explicit bound")
@@ -142,14 +141,11 @@ def is_central(M: GradedStrongMonad, z: str, X: FinSet, t: str, bound=None) -> b
 def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSet:
     """The central elements of T^z X, as a subset sharing the same tokens."""
     _require_central_grade(M, z)
-    key = ("central-subset", z, X.vid, bound if not callable(bound) else None)
-    sub = None if callable(bound) else M._memo.get(key)
-    if sub is None:
+    key = ("central-subset", z, X.vid, bound)
+    if (sub := M._memo.get(key)) is None:
         TzX = M.carrier(z, X)
         rows = _central_rows(M, z, X, range(len(TzX)), bound)
-        sub = FinSet(f"Z^{z}({X.name})", tuple(TzX.elems[r] for r in rows))
-        if not callable(bound):
-            M._memo[key] = sub
+        sub = M._memo[key] = FinSet(f"Z^{z}({X.name})", tuple(TzX.elems[r] for r in rows))
     return sub
 
 
@@ -247,7 +243,7 @@ class CentreResult:
     monad: GradedStrongMonad
     inclusion: GradedMonadMorphism
     source: GradedStrongMonad
-    bound: object = None
+    bound: int | None = None
 
     def subset_at(self, z: str, X: FinSet) -> FinSet:
         return central_subset(self.source, z, X, self.bound)

@@ -19,8 +19,8 @@ for the same operands while that product is still in use (its registry is
 keyed by the operands' vids and names), ``canonical_set(n)`` is one set
 per n, and a set keeps its identity map once built.  A product with an
 empty factor is shared through that registry like any other, and every map
-out of an empty domain (``tensor_fn``, ``from_pairs``, the structure maps)
-is the empty table, returned at once.  Tokens live at the edge: a product
+out of an empty domain is the empty table (``from_pairs`` and ``gamma``
+return it at once).  Tokens live at the edge: a product
 holds its factors and builds its token list only when something reads it
 (a witness, ``in``, iteration, ``mapping``, the checked ``FinFn``
 constructor).
@@ -45,12 +45,13 @@ compose`` error.  A row out of a product is in pair order
 (``images[i*|B| + j]`` for the factors' i-th and j-th tokens), which
 ``in_token_order`` puts in the product's own token order.  The ``FinFn``
 builders ``seq``, ``tensor_then`` and ``alpha_then`` wrap these readers,
-``alpha_inv_then`` builds the one composite no suite reads as a row, and
-``then`` and ``alpha`` are one call each into them.
-Two rows are compared by ``first_difference``: it applies the comparison
-only where they differ, in order, and stops at the first failure.
-``first_mismatch`` compares two maps with it, after checking that their
-domains and codomains agree: the witness is the least failing token.
+``alpha_inv_then`` builds the one composite no suite reads as a row,
+``then`` and ``alpha`` are one call each into them, and ``tensor_fn``
+reads f (x) g with ``tensor_row``'s code.
+Two sides are compared as rows by ``mismatch``, the one comparator: it
+applies the comparison only where the rows differ, in order, and names the
+first failing token of the domain with both sides' values there.
+``check_ends`` is the one check that two sides run between the same sets.
 """
 
 from __future__ import annotations
@@ -103,8 +104,7 @@ __all__ = [
     "identity_fn",
     "op_table",
     "all_fns",
-    "first_difference",
-    "first_mismatch",
+    "mismatch",
 ]
 
 
@@ -574,18 +574,9 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 
 
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
-    dom = tensor(f.dom, g.dom)
+    """f (x) g: (x,y) goes to (f(x), g(y)), read as ``tensor_row`` reads it."""
     cod = tensor(f.cod, g.cod)
-    if not dom._size:
-        return FinFn._table(dom, cod, ())
-    # row-major position in cod of the image of each row-major element of dom
-    n = len(g.cod)
-    gi = g.idx
-    images = [row + j for row in [i * n for i in f.idx] for j in gi]
-    pairs = cod.pair_positions()
-    if pairs is not None:
-        images = list(map(pairs[0].__getitem__, images))
-    return FinFn.from_pairs(dom, cod, images)
+    return FinFn.from_pairs(tensor(f.dom, g.dom), cod, _tensor_positions(f, g, cod))
 
 
 # --- law sides: chains of maps read as one index row ------------------------
@@ -657,13 +648,19 @@ def pair_rows(h: FinFn, A: FinSet, B: FinSet) -> list:
     return [_pick(h.idx, row) for row in AB.pair_grid()]
 
 
-def tensor_row(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> list:
+def tensor_row(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> tuple:
     """(f (x) g) ; h, then each of maps, in pair order over f.dom and g.dom:
     (x,y) goes to h(f(x), g(y))."""
     AB = tensor(f.cod, g.cod)
     _check_links((AB, h))
-    at, gi, hi = AB.pair_grid(), g.idx, seq_row(h, *maps)
-    return [hi[row[j]] for row in _pick(at, f.idx) for j in gi]
+    return _pick(seq_row(h, *maps), _tensor_positions(f, g, AB))
+
+
+def _tensor_positions(f: FinFn, g: FinFn, AB: FinSet) -> list:
+    """The position in AB, the product of f.cod and g.cod, of each
+    (f(x), g(y)), in pair order over f.dom and g.dom."""
+    at, gi = AB.pair_grid(), g.idx
+    return [row[j] for row in _pick(at, f.idx) for j in gi]
 
 
 def tensor_then(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
@@ -671,13 +668,13 @@ def tensor_then(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
                             tensor_row(f, g, h, *maps))
 
 
-def alpha_row(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> list:
+def alpha_row(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> tuple:
     """alpha(X, Y, Z) ; (id_X (x) g) ; h, then each of maps, in pair order over
     X (x) Y and Z: ((x,y),z) goes to h(x, g(y,z))."""
     XY, YZ, XG = tensor(X, Y), tensor(Y, Z), tensor(X, g.cod)
     _check_links((YZ, g), (XG, h))
-    yz, at, gi, hi = YZ.pair_grid(), XG.pair_grid(), g.idx, seq_row(h, *maps)
-    return [hi[at[x][gi[w]]] for x, y in XY.pair_list() for w in yz[y]]
+    yz, at, gi = YZ.pair_grid(), XG.pair_grid(), g.idx
+    return _pick(seq_row(h, *maps), [at[x][gi[w]] for x, y in XY.pair_list() for w in yz[y]])
 
 
 def alpha_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
@@ -769,27 +766,18 @@ def all_fns(X: FinSet, Y: FinSet):
 
 # --- pointwise comparison -----------------------------------------------
 
-def first_difference(lhs, rhs, cod: FinSet | None = None, eq=None):
-    """The first position at which two index rows into cod disagree, or None.
+def mismatch(dom: FinSet, cod: FinSet, lhs, rhs, eq=None):
+    """Where two index rows over dom into cod first disagree: None, or the
+    token of dom there and both sides' tokens of cod.
 
-    eq(l, r) says whether two of cod's tokens agree and defaults to position
-    equality.  It must be reflexive: it is applied only where the two rows
-    differ, in order, up to the first failure.
+    eq(l, r) says whether two of cod's tokens agree and defaults to equality.
+    It must be reflexive: it is applied only where the two rows differ, in
+    order, up to the first failure.
     """
     if lhs == rhs:
         return None
+    elems = cod.elems
     for i, (l, r) in enumerate(zip(lhs, rhs)):
-        if l != r and (eq is None or not eq(cod.elems[l], cod.elems[r])):
-            return i
+        if l != r and (eq is None or not eq(elems[l], elems[r])):
+            return dom.elems[i], elems[l], elems[r]
     return None
-
-
-def first_mismatch(lhs: FinFn, rhs: FinFn, eq=None):
-    """The least domain token at which two maps disagree, or None.
-
-    Their rows are compared by ``first_difference`` with eq.  Raises
-    ValueError when the two domains, or the two codomains, differ as sets.
-    """
-    check_ends(lhs.dom, lhs.cod, rhs.dom, rhs.cod)
-    i = first_difference(lhs.idx, rhs.idx, lhs.cod, eq)
-    return None if i is None else lhs.dom.elems[i]

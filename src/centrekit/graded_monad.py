@@ -12,8 +12,10 @@ Conventions that everything below depends on:
   maps between the canonical test sets.
 * Each law suite is a private generator of its law instances in record
   order; ``report.run_suite`` builds the Report, and ``check_all`` chains
-  the five suites into one.  Every instance reaches ``Report.compare``, the
-  one comparator, or ``Report.add`` once.
+  the five suites into one.  Every instance reaches ``Report.compare`` or
+  ``Report.add`` once.  Two sides are compared by ``finkit.mismatch``, the
+  one comparator: ``Report.compare`` calls it, and so does ``commute``,
+  which gives one record per grade pair, on the two composites' rows.
 * The laws quantified over every map f between canonical sets (lift-,
   strength-, unit-, mult- and component-natural, fmap-compose) yield their
   two sides as index rows, ``(law, grades, sets, dom, cod, lhs, rhs,
@@ -62,11 +64,12 @@ from .finkit import (
     apply_mor,
     apply_obj,
     canonical_set,
-    first_mismatch,
+    check_ends,
     gamma,
     identity_fn,
     in_token_order,
     lam,
+    mismatch,
     op_table,
     pair_rows,
     rho,
@@ -257,8 +260,7 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
         XY = tensor(X, Y)
         left = seq(left, M.lift_fn(M.pomonoid.times(a, b), top, XY))
         right = seq(right, M.lift_fn(M.pomonoid.times(b, a), top, XY))
-    if left.cod.vid != right.cod.vid:
-        raise ValueError(f"codomains differ: {left.cod.name} vs {right.cod.name}")
+    check_ends(left.dom, left.cod, right.dom, right.cod)
     bad = {}
     lhs, rhs = left.idx, right.idx
     if lhs != rhs:
@@ -515,24 +517,19 @@ def check_naturality(M: GradedStrongMonad, k: int = 3) -> Report:
 
 def _commute_record(M: GradedStrongMonad, a: str, b: str, sets) -> LawRecord:
     P = M.pomonoid
-    rec = LawRecord(law="commute", grades=(a, b))
-    for X in sets:
-        for Y in sets:
-            XY = tensor(X, Y)
-            Cab = M.carrier(P.times(a, b), XY)
-            Cba = M.carrier(P.times(b, a), XY)
-            if Cab.vid != Cba.vid:
-                only = sorted(set(Cab.elems) ^ set(Cba.elems))
-                rec.ok, rec.note, rec.sets = False, "carrier-mismatch", (X.name, Y.name)
-                rec.witness = only[0] if only else None
-                return rec
-            left, right, bad = commutation_witness(M, a, b, X, Y)
-            if bad:
-                t = first_mismatch(left, right)
-                rec.ok, rec.note, rec.sets = False, "value-mismatch", (X.name, Y.name)
-                rec.witness, rec.lhs, rec.rhs = t, left(t), right(t)
-                return rec
-    return rec
+    for X, Y in product(sets, sets):
+        XY, names = tensor(X, Y), (X.name, Y.name)
+        Cab, Cba = M.carrier(P.times(a, b), XY), M.carrier(P.times(b, a), XY)
+        if Cab.vid != Cba.vid:
+            only = sorted(set(Cab.elems) ^ set(Cba.elems))
+            return LawRecord("commute", (a, b), names, False, only[0] if only else None,
+                             note="carrier-mismatch")
+        left, right = commute_maps(M, a, b, X, Y)
+        check_ends(left.dom, left.cod, right.dom, right.cod)
+        failure = mismatch(left.dom, left.cod, left.idx, right.idx)
+        if failure is not None:
+            return LawRecord("commute", (a, b), names, False, *failure, "value-mismatch")
+    return LawRecord("commute", (a, b))
 
 
 def check_commutative(M: GradedStrongMonad, k: int = 3) -> Report:

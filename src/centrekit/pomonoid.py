@@ -152,8 +152,11 @@ def validate_pomonoid(elements, unit, mul, le_pairs=(), name="") -> Pomonoid:
         if a not in members or b not in members:
             raise UnknownElement(f"order pair ({a},{b}) mentions unknown element")
     leq = _order_closure(elements, set(le_pairs))
+    # declaration order, as comparable_pairs gives it: a frozenset's order
+    # follows the string hashes, so the witness would move with the hash seed
+    comparable = [(a, b) for a in elements for b in elements if (a, b) in leq]
 
-    for a, b in leq:
+    for a, b in comparable:
         if a != b and (b, a) in leq:
             raise AntisymmetryViolation(a, b)
 
@@ -168,7 +171,6 @@ def validate_pomonoid(elements, unit, mul, le_pairs=(), name="") -> Pomonoid:
                 if mul[(ab, c)] != mul[(a, mul[(b, c)])]:
                     raise AssociativityViolation(a, b, c)
 
-    comparable = [(a, b) for (a, b) in leq]
     for (w, x) in comparable:
         for (y, z) in comparable:
             if (mul[(w, y)], mul[(x, z)]) not in leq:

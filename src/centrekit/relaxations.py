@@ -26,16 +26,17 @@ from .finkit import (
     alpha,
     alpha_row,
     canonical_set,
-    first_difference,
-    first_mismatch,
+    check_ends,
     identity_fn,
     in_token_order,
     lam,
     lam_inv,
+    mismatch,
     op_table,
     rho,
     rho_inv,
     seq,
+    seq_row,
     split_pair,
     tensor,
     tensor_fn,
@@ -52,7 +53,7 @@ from .graded_monad import (
     writer_monad,
 )
 from .pomonoid import Duoid, structurally_equal, validate_pomonoid
-from .report import LawRecord, Report, first_failure, run_suite
+from .report import LawRecord, Report, failure_record, run_suite
 
 
 class LanguageError(ValueError):
@@ -346,16 +347,18 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     the budget, which must be at least 1; a sampled duoidal-main first takes
     every corner (i, a, b, i) at the grading's unit i.  ``_duoidal_laws``
     yields the records and comparisons in order, for ``run_suite``.  Both
-    sides of every diagram are built with finkit's composite vocabulary and
-    compared pointwise by ``first_difference``; a grade tuple stops at its
-    first failing instance.  duoidal-main's interchange-first side is one
-    ``seq`` chain, its multiply-first side m(mult(x), mult(y)) is a
-    ``tensor_then``, and ``first_mismatch`` compares them.  m-assoc's sides
-    are the rows ``alpha_row`` and ``tensor_row``, the latter with the
-    reassociator as a tail, both in pair order over TX (x) TY and TZ: the
-    domain product (TX (x) TY) (x) TZ is built only to name a failing
-    instance's witness.  Grade-level values are worked out once per grade
-    tuple.
+    sides of every diagram are read with finkit's composite vocabulary and
+    compared pointwise by ``mismatch``.  duoidal-main, m-assoc and m-natural
+    give one record per grade tuple, built by ``failure_record``: a grade
+    tuple stops at its first failing instance, and its record keeps that
+    instance's witness.  Their sides are rows, and no map is built per
+    instance: duoidal-main's interchange-first side is one ``seq_row``
+    chain and its multiply-first side m(mult(x), mult(y)) a ``tensor_row``;
+    m-natural's sides are a ``tensor_row`` and a ``seq_row``; m-assoc's are
+    ``alpha_row`` and ``tensor_row``, the latter with the reassociator as a
+    tail, both in pair order over TX (x) TY and TZ: the domain product
+    (TX (x) TY) (x) TZ is built only to name a failing instance's witness.
+    Grade-level values are worked out once per grade tuple.
 
     An instance whose diagram has an empty domain (on the language writer,
     every set tuple holding ``Y0``) is vacuous: no element can fail.
@@ -376,14 +379,6 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
                      _duoidal_laws(DM, k, budget, seed))
 
 
-def _grade_record(law: str, grades: tuple, failures) -> LawRecord:
-    """The record of one grade tuple: ``failures`` yields, per instance, None
-    or a failing (witness, note), and the first failure is kept."""
-    failure = first_failure(failures)
-    witness, note = failure or ("", "")
-    return LawRecord(law=law, grades=grades, ok=failure is None, witness=witness, note=note)
-
-
 def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
     M, D = DM.monad, DM.duoid
     P = M.pomonoid
@@ -402,18 +397,23 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
             par_first = [outer, M.fmap(ac, inner), M.mult_fn(ac, bd, XY)]
             mul_ab, mul_cd = M.mult_fn(a, b, X), M.mult_fn(c, d, Y)
             m_ab_cd = DM.m_fn(ab, cd, X, Y)
-            mul_first = (tensor_then(mul_ab, mul_cd, m_ab_cd) if outer.idx  # else vacuous
-                         else FinFn.from_pairs(outer.dom, m_ab_cd.cod, ()))
             if lifted:
                 par_first.append(M.lift_fn(g_from, g_to, XY))
             elif g_from != g_to and M.carrier(g_from, XY).vid != M.carrier(g_to, XY).vid:
-                yield "", "delta-unrelated"
+                yield "", None, None, "delta-unrelated"
                 continue
-            witness = first_mismatch(seq(*par_first), mul_first, DM.elements_equal)
-            yield None if witness is None else (witness, "")
+            lhs = seq_row(*par_first)
+            if outer.idx:
+                dom = tensor(mul_ab.dom, mul_cd.dom)
+                rhs = in_token_order(dom, tensor_row(mul_ab, mul_cd, m_ab_cd))
+            else:   # vacuous: no element can fail
+                dom, rhs = outer.dom, ()
+            check_ends(outer.dom, par_first[-1].cod, dom, m_ab_cd.cod)
+            failure = mismatch(dom, m_ab_cd.cod, lhs, rhs, DM.elements_equal)
+            yield failure and failure[:1]   # the witness: duoidal records keep no values
 
     for grades in _grade_tuples(P.elements, 4, budget, seed, P.unit):
-        yield _grade_record("duoidal-main", grades, main_failure(*grades))
+        yield failure_record("duoidal-main", main_failure(*grades), grades, "")
 
     i = P.unit
     g_ii = D.par_of(i, i)
@@ -447,17 +447,16 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
                 rhs = tensor_row(m_ab, identity_fn(TZ), rhs_m, re)
             else:                  # vacuous: no element can fail, and no set is built
                 lhs = rhs = ()
-            if lhs_m.cod.vid != re.cod.vid:
-                raise ValueError(f"codomains differ: {lhs_m.cod.name} vs {re.cod.name}")
-            if first_difference(lhs, rhs) is None:
+            # both sides run out of m_ab.dom (x) TZ, so only their codomains can differ
+            check_ends(m_ab.dom, lhs_m.cod, m_ab.dom, re.cod)
+            if lhs == rhs:
                 yield None
             else:   # the least failing token, read off the domain product built for it
                 dom = tensor(tensor(TX, TY), TZ)
-                i = first_difference(in_token_order(dom, lhs), in_token_order(dom, rhs))
-                yield dom.elems[i], ""
+                yield mismatch(dom, re.cod, in_token_order(dom, lhs), in_token_order(dom, rhs))[:1]
 
     for grades in _grade_tuples(P.elements, 3, budget, seed):
-        yield _grade_record("m-assoc", grades, assoc_failure(*grades))
+        yield failure_record("m-assoc", assoc_failure(*grades), grades, "")
 
     I = unit_set()
     for a, X in product(P.elements, sets):
@@ -476,10 +475,13 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
                             note="skipped: a||i differs from a")
 
     def natural_failure(a, b, f, g, fg):
-        lhs = tensor_then(M.fmap(a, f), M.fmap(b, g), DM.m_fn(a, b, f.cod, g.cod))
-        rhs = seq(DM.m_fn(a, b, f.dom, g.dom), M.fmap(D.par_of(a, b), fg))
-        witness = first_mismatch(lhs, rhs)
-        return None if witness is None else (witness, "")
+        Ff, Fg, m_cod = M.fmap(a, f), M.fmap(b, g), DM.m_fn(a, b, f.cod, g.cod)
+        lhs = tensor_row(Ff, Fg, m_cod)   # in pair order over Ff.dom and Fg.dom
+        m_dom, Ffg = DM.m_fn(a, b, f.dom, g.dom), M.fmap(D.par_of(a, b), fg)
+        dom = tensor(Ff.dom, Fg.dom)
+        check_ends(dom, m_cod.cod, m_dom.dom, Ffg.cod)
+        failure = mismatch(dom, m_cod.cod, in_token_order(dom, lhs), seq_row(m_dom, Ffg))
+        return failure and failure[:1]
 
     small = [canonical_set(n) for n in range(min(k, 2) + 1)]
     # every pair of test maps with their product f (x) g, built once per suite
@@ -492,8 +494,8 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
         pairs = sorted(set(tuple(rng.choice(P.elements) for _ in range(2))
                            for _ in range(36)))
     for grades in pairs:
-        yield _grade_record("m-natural", grades,
-                            (natural_failure(*grades, f, g, fg) for f, g, fg in maps))
+        yield failure_record("m-natural", (natural_failure(*grades, f, g, fg)
+                                           for f, g, fg in maps), grades, "")
 
 
 def derive_monoidal_m(M: GradedStrongMonad, k: int = 2):

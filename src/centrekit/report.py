@@ -1,14 +1,17 @@
 """Uniform result records for law checks.
 
 Every suite emits one record per law instance (law name, grades, sets),
-with a witness and both sides kept when the instance fails.  A suite is a
-generator of its instances, finished records or pointwise comparisons, and
-``run_suite`` is the one place that turns them into a Report.  Every
-comparison goes through ``Report.compare``, which compares two index rows
-over a declared domain and codomain: equal rows pass at once, and unequal
-ones give the first differing token in domain order.  Two maps are compared
-as their rows once their domains and codomains are seen to agree.  Reports
-render as text or JSON and parse back losslessly.
+with a witness and both sides kept when the instance fails; a law checked
+over a scan of instances, as the duoidal laws and ``commute`` are per grade
+tuple, emits one record per scan, built by ``failure_record`` from its first
+failure.  A suite is a generator of its instances, finished records or
+pointwise comparisons, and ``run_suite`` is the one place that turns them
+into a Report.  Every comparison goes through ``Report.compare``, which
+compares two index rows over a declared domain and codomain with
+``finkit.mismatch``: equal rows pass at once, and unequal ones give the
+first differing token in domain order.  Two maps are compared as their rows
+once their domains and codomains are seen to agree.  Reports render as text
+or JSON and parse back losslessly.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from dataclasses import asdict, dataclass, field
 from functools import cache
 
-from .finkit import FinFn, check_ends, first_difference
+from .finkit import FinFn, check_ends, mismatch
 
 
 @dataclass
@@ -69,21 +72,17 @@ def endpoints(law: str, dom, cod, dom2, cod2) -> tuple:
     return dom, cod
 
 
-def first_failure(results):
-    """The first failure a lazy scan of law instances reports, or None:
-    ``results`` yields None for each instance that passes."""
-    return next((r for r in results if r is not None), None)
+def failure_record(law: str, results, grades=(), witness=None) -> LawRecord:
+    """The record of a law whose instances a lazy scan checks in order.
 
-
-def failure_record(law: str, results) -> LawRecord:
-    """The record of a law whose instances a lazy scan checks in order;
-    ``results`` yields None or a failing instance's (witness, lhs, rhs)."""
-    rec = LawRecord(law=law)
-    failure = first_failure(results)
-    if failure is not None:
-        rec.ok = False
-        rec.witness, rec.lhs, rec.rhs = failure
-    return rec
+    ``results`` yields None for each passing instance and, for a failing one,
+    the record's fields from its witness on: (witness[, lhs, rhs[, note]]).
+    The first failure is kept; a law that passes carries ``witness``.
+    """
+    failure = next((r for r in results if r is not None), None)
+    if failure is None:
+        return LawRecord(law, grades, witness=witness)
+    return LawRecord(law, grades, (), False, *failure)
 
 
 # a record but for its note, whose value and the closing brace follow
@@ -147,12 +146,12 @@ class Report:
                 note = lhs
             dom, cod = endpoints(law, f.dom, f.cod, g.dom, g.cod)
             lhs, rhs = f.idx, g.idx
-        i = None if lhs == rhs else first_difference(lhs, rhs)
-        if i is None:
+        # most instances pass: equal rows skip the call
+        failure = None if lhs == rhs else mismatch(dom, cod, lhs, rhs)
+        if failure is None:
             rec = LawRecord(law, tuple(grades), tuple(sets), True, None, None, None, note)
         else:
-            rec = LawRecord(law, tuple(grades), tuple(sets), False, dom.elems[i],
-                            cod.elems[lhs[i]], cod.elems[rhs[i]], note)
+            rec = LawRecord(law, tuple(grades), tuple(sets), False, *failure, note)
         self.records.append(rec)
         return rec
 

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
 import sys
 
 import pytest
 
+import centrekit
 from centrekit.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -114,6 +116,37 @@ class TestDuoidCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: op2 table entry for unknown pair ('c', 'c')\n"
+
+
+# Z/2 x Z/2 with e <= a: monotonicity fails at (e<=a, a<=a) first in declaration
+# order, and at three more instances after it
+KLEIN = ("elements e a b c\nunit e\n"
+         + "".join(f"mul {x} {y} {z}\n" for x, row in zip("eabc", ("eabc", "aecb", "bcea", "cbae"))
+                   for y, z in zip("eabc", row))
+         + "le e a\n")
+
+
+class TestWitnessesIgnoreTheHashSeed:
+    """A failed base law names one witness under every string hash seed: the
+    order scans run in declaration order, not in the order of a frozenset."""
+
+    @pytest.mark.parametrize("command, text, expected", [
+        ("pomonoid", "le ff tt\n", "FAIL  tt <= ff and ff <= tt with tt != ff\n"),
+        ("duoid", "le ff tt\nop2 tt tt tt\nop2 tt ff ff\nop2 ff tt ff\nop2 ff ff ff\nunit2 tt\n",
+         "FAIL  tt <= ff and ff <= tt with tt != ff\n"),
+        ("pomonoid", None, "FAIL  e<=a, a<=a but not e*a <= a*a\n"),
+    ], ids=["pomonoid-antisymmetry", "duoid-antisymmetry", "pomonoid-monotonicity"])
+    def test_seeds_0_to_7_print_one_witness(self, tmp_path, command, text, expected):
+        table = tmp_path / "table"
+        with open(fx("bool.pom")) as fh:
+            table.write_text(KLEIN if text is None else fh.read() + text)
+        src = os.path.dirname(os.path.dirname(centrekit.__file__))
+        runs = [subprocess.Popen(
+            [sys.executable, "-m", "centrekit.cli", command, "check", str(table)],
+            env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) for seed in range(8)]
+        outputs = {(*run.communicate(), run.returncode) for run in runs}
+        assert outputs == {(expected, "", 1)}
 
 
 class TestMonadCommands:

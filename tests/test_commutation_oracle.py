@@ -35,7 +35,6 @@ from centrekit.finkit import (
     FinSet,
     all_fns,
     canonical_set,
-    first_mismatch,
     make_pair,
     tensor,
 )
@@ -62,6 +61,13 @@ from centrekit.report import LawRecord, Report
 
 
 # --- the token-level scans -----------------------------------------------------
+
+def first_mismatch(lhs, rhs):
+    """The least domain token at which two maps disagree, or None; their
+    domains and codomains must agree."""
+    assert lhs.dom == rhs.dom and lhs.cod == rhs.cod
+    return next((t for t in lhs.dom if lhs(t) != rhs(t)), None)
+
 
 def ref_check_commutative(M, k=3):
     rep = Report(f"commutative({M.name})")

@@ -3,9 +3,10 @@
 ``reference_check_duoidal_gradation`` is the materialising form of
 ``check_duoidal_gradation``: both sides of every diagram are composed into
 ``FinFn`` tables with ``then``/``tensor_fn``/``alpha`` and scanned in sorted
-domain order.  The suite builds the same composites for most diagrams but
-reads m-assoc's two sides off index tables and product grids in one pass
-each; its reports must be byte for byte the same.  The reference draws its
+domain order.  The suite reads the sides of duoidal-main, m-assoc and
+m-natural off index tables and product grids as rows, building no map per
+instance; its reports must be byte for byte the same, also where a witness
+domain's tokens sort off row-major order.  The reference draws its
 grade tuples with its own samplers, ``_quadruples`` and ``_triples``, which
 ``_grade_tuples`` must reproduce draw for draw.
 """
@@ -16,7 +17,10 @@ import pytest
 
 from centrekit.centre import build_centre_monad
 from centrekit.finkit import (
+    Const,
     FinFn,
+    FinSet,
+    Id,
     alpha,
     all_fns,
     canonical_set,
@@ -31,7 +35,15 @@ from centrekit.finkit import (
     tensor_fn,
     unit_set,
 )
-from centrekit.graded_monad import canonical_sets, check_commutative, registry
+from centrekit.graded_monad import (
+    GradedStrongMonad,
+    bool_writer_pair,
+    canonical_sets,
+    check_all,
+    check_commutative,
+    registry,
+)
+from centrekit.pomonoid import validate_pomonoid
 from centrekit.relaxations import (
     DuoidalGradedMonad,
     _grade_tuples,
@@ -287,3 +299,79 @@ def test_derived_m_on_commutative_builtin(name):
 def test_derived_m_on_centre_of_builtin(name):
     DM, rep = derive_monoidal_m(build_centre_monad(registry()[name]()).monad, 2)
     assert rep.to_json() == reference_check_duoidal_gradation(DM, 2).to_json()
+
+
+def planted_m(good, key, token=None):
+    """good's interchange map, but m(key) sends one element (token, or its
+    first) to another value."""
+    def m(a, b, X, Y):
+        fn = good.m(a, b, X, Y)
+        if (a, b, X.name, Y.name) != key:
+            return fn
+        t = token or fn.dom.elems[0]
+        return FinFn(fn.dom, fn.cod, {**fn.mapping, t: next(v for v in fn.cod if v != fn(t))})
+
+    return DuoidalGradedMonad(monad=good.monad, duoid=good.duoid, m=m, name="planted")
+
+
+def test_planted_m_entry_over_carriers_off_row_major(monkeypatch):
+    """Z/3 with elements u, b and b(c): "b)" sorts after "b(c))", so every
+    carrier X (x) W of the bool writer pair, annotations on the right, is off
+    row-major order, and so are the products and grids built over them."""
+    els = ("u", "b", "b(c)")
+    Z3 = validate_pomonoid(els, "u", {(x, y): els[(els.index(x) + els.index(y)) % 3]
+                                      for x in els for y in els}, name="Z3")
+    good, _ = derive_monoidal_m(bool_writer_pair(Z3), 2)
+    off_row_major = []
+    pair_positions = FinSet.pair_positions
+
+    def logged(S):
+        pairs = pair_positions(S)
+        off_row_major.append(pairs is not None)
+        return pairs
+
+    monkeypatch.setattr(FinSet, "pair_positions", logged)
+    rep = same_reports(planted_m(good, ("tt", "ff", "Y1", "Y2")), 2)
+    assert any(off_row_major)
+    witnessed = {r.law for r in rep.failures() if r.witness}
+    assert witnessed == {"m-assoc", "m-natural", "duoidal-main"}
+
+
+def constant_error_monad():
+    """Grades t and an absorbing e: T^t X = X, and T^e X = W, a constant set
+    whose tokens b and b(c) put W (x) W off row-major order.  mult(e, e)
+    collapses W to b and the strength at e forgets X, so the monad is
+    commutative."""
+    P = validate_pomonoid(("t", "e"), "t", {("t", "t"): "t", ("t", "e"): "e",
+                                            ("e", "t"): "e", ("e", "e"): "e"}, name="TE")
+    W = FinSet("W", ("b", "b(c)"))
+    exprs = {"t": Id(), "e": Const(W)}
+
+    def mult(a, b, X):
+        if a == b == "e":
+            return FinFn(W, W, {w: "b" for w in W})
+        return identity_fn(W if "e" in (a, b) else X)
+
+    def strength(a, X, Y):
+        if a == "t":
+            return identity_fn(tensor(X, Y))
+        XW = tensor(X, W)
+        return FinFn(XW, W, {make_pair(x, w): w for x in X for w in W})
+
+    return GradedStrongMonad(pomonoid=P, functor=exprs.__getitem__, unit=identity_fn,
+                             mult=mult, strength=strength, name="constant_error")
+
+
+def test_planted_m_entry_over_witness_domains_off_row_major():
+    """W (x) W lists (b(c),b(c)) first and (b,b) last, the reverse of pair
+    order.  With m(e, e) on Y1 wrong at (b,b), every element of the
+    duoidal-main instance at (e, e, e, e) fails, and the witness is the first
+    in token order."""
+    M = constant_error_monad()
+    assert check_all(M, 2).ok
+    good, rep = derive_monoidal_m(M, 2)
+    assert rep.ok
+    rep = same_reports(planted_m(good, ("e", "e", "Y1", "Y1"), "(b,b)"), 2)
+    witnesses = {(r.law, r.grades): r.witness for r in rep.failures()}
+    assert witnesses["duoidal-main", ("e", "e", "e", "e")] == "(b(c),b(c))"
+    assert {law for law, _ in witnesses} == {"m-assoc", "m-natural", "duoidal-main"}

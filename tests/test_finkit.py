@@ -24,9 +24,9 @@ from centrekit.finkit import (
     apply_mor,
     apply_obj,
     canonical_set,
+    check_ends,
     check_token,
     degree,
-    first_mismatch,
     gamma,
     identity_fn,
     lam,
@@ -34,6 +34,7 @@ from centrekit.finkit import (
     make_inl,
     make_inr,
     make_pair,
+    mismatch,
     pair_rows,
     rho,
     rho_inv,
@@ -558,7 +559,20 @@ def oracle_maps(draw, dom=None):
     return FinFn(dom, cod, {t: draw(st.sampled_from(cod.elems)) for t in dom})
 
 
-# --- first_mismatch on index-table composites --------------------------------
+# --- the comparator on index-table composites --------------------------------
+
+def witness_of(lhs, rhs, eq=None):
+    """The token ``mismatch`` names for two maps' rows, once ``check_ends`` has
+    seen that they run between the same sets; the values it gives with it
+    must be the two maps' images of that token."""
+    check_ends(lhs.dom, lhs.cod, rhs.dom, rhs.cod)
+    failure = mismatch(lhs.dom, lhs.cod, lhs.idx, rhs.idx, eq)
+    if failure is None:
+        return None
+    t, l, r = failure
+    assert (l, r) == (lhs(t), rhs(t))
+    return t
+
 
 def sorted_scan(lhs, rhs, eq):
     """The witness a sorted scan of two built maps reports."""
@@ -616,8 +630,8 @@ class TestFirstMismatch:
         rhs_ref = ref_then(ref_par(ref_par(f, g), ref_id(C)), ref_alpha(f.cod, g.cod, C), h2)
         assert lhs == lhs_ref and rhs == rhs_ref
         expected = sorted_scan(lhs_ref, rhs_ref, eq)
-        assert first_mismatch(lhs, rhs, eq) == expected
-        assert first_mismatch(lhs, rhs_ref, eq) == expected
+        assert witness_of(lhs, rhs, eq) == expected
+        assert witness_of(lhs, rhs_ref, eq) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.data(), token_sets(), token_sets())
@@ -634,7 +648,7 @@ class TestFirstMismatch:
             h1 = data.draw(maps_into(table.cod))
             h2 = data.draw(with_mismatches(h1))
             assert table.then(h1) == ref_then(ref, h1)
-            assert first_mismatch(table.then(h1), table.then(h2)) == \
+            assert witness_of(table.then(h1), table.then(h2)) == \
                 sorted_scan(ref_then(ref, h1), ref_then(ref, h2), EQS[0])
 
     def test_composites_are_typed_by_then(self):
@@ -651,28 +665,28 @@ class TestFirstMismatch:
         E = canonical_set(0)
         p = tensor_fn(identity_fn(E), identity_fn(X)).then(identity_fn(tensor(E, Y)))
         assert len(p.dom) == 0
-        assert first_mismatch(p, identity_fn(tensor(Y, E))) is None
+        assert witness_of(p, identity_fn(tensor(Y, E))) is None
 
     def test_different_domains_raise(self):
         for eq in (None, lambda l, r: True):
             with pytest.raises(ValueError, match="domains differ"):
-                first_mismatch(identity_fn(X), identity_fn(Y), eq)
+                witness_of(identity_fn(X), identity_fn(Y), eq)
             with pytest.raises(ValueError, match="domains differ"):
-                first_mismatch(tensor_fn(identity_fn(X), identity_fn(Y)),
-                               identity_fn(tensor(Y, X)), eq)
+                witness_of(tensor_fn(identity_fn(X), identity_fn(Y)),
+                           identity_fn(tensor(Y, X)), eq)
 
     def test_different_codomains_raise(self):
         f = FinFn(X, Y, {"x0": "y1", "x1": "y2"})
         with pytest.raises(ValueError, match="codomains differ"):
-            first_mismatch(f, identity_fn(X))
+            witness_of(f, identity_fn(X))
         with pytest.raises(ValueError, match="codomains differ"):
-            first_mismatch(tensor_fn(identity_fn(X), identity_fn(Y)), gamma(X, Y))
+            witness_of(tensor_fn(identity_fn(X), identity_fn(Y)), gamma(X, Y))
         with pytest.raises(ValueError, match="codomains differ"):
-            first_mismatch(f.then(identity_fn(Y)), identity_fn(X), lambda l, r: True)
+            witness_of(f.then(identity_fn(Y)), identity_fn(X), lambda l, r: True)
         # products with an empty factor are one set, whatever the other factor
         E = canonical_set(0)
         into_empty = FinFn(E, tensor(E, X), {})
-        assert first_mismatch(into_empty, FinFn(E, tensor(Y, E), {})) is None
+        assert witness_of(into_empty, FinFn(E, tensor(Y, E), {})) is None
 
     def test_witness_is_least_in_sorted_order(self):
         # "a" sorts before "a*", yet "(a*,b)" sorts before "(a,b)": the scan
@@ -682,7 +696,7 @@ class TestFirstMismatch:
         good = identity_fn(tensor(A, B))
         bad = FinFn(good.dom, good.cod, {"(a,b)": "(a*,b)", "(a*,b)": "(a,b)"})
         assert list(tensor(A, B)) == ["(a*,b)", "(a,b)"]
-        assert first_mismatch(tensor_fn(identity_fn(A), identity_fn(B)), bad) == "(a*,b)"
+        assert witness_of(tensor_fn(identity_fn(A), identity_fn(B)), bad) == "(a*,b)"
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), oracle_maps())
@@ -697,7 +711,7 @@ class TestFirstMismatch:
             calls.append((l, r))
             return (l, r) not in failing
 
-        witness = first_mismatch(f, g, eq)
+        witness = witness_of(f, g, eq)
         stop = next((i for i, t in enumerate(differ) if (f(t), g(t)) in failing), None)
         scanned = differ if stop is None else differ[:stop + 1]
         assert calls == [(f(t), g(t)) for t in scanned]
@@ -779,8 +793,8 @@ class TestIndexTablesMatchReference:
         assert (f == g) == (f.mapping == g.mapping)
         if f == g:
             assert hash(f) == hash(g)
-        assert first_mismatch(f, g) == sorted_scan(f, g, EQS[0])
-        assert first_mismatch(f, g) == first_mismatch(f.then(identity_fn(f.cod)), g)
+        assert witness_of(f, g) == sorted_scan(f, g, EQS[0])
+        assert witness_of(f, g) == witness_of(f.then(identity_fn(f.cod)), g)
         values = set(f.mapping.values())
         assert f.is_injective() == (len(values) == len(f.dom))
         if f.is_injective() and len(f.dom) == len(f.cod):

@@ -25,12 +25,12 @@ from centrekit.finkit import (
     alpha_inv,
     apply_obj,
     canonical_set,
-    first_mismatch,
     gamma,
     identity_fn,
     lam,
     lam_inv,
     make_pair,
+    mismatch,
     rho,
     rho_inv,
     tensor,
@@ -52,6 +52,7 @@ from centrekit.relaxations import (
     language_shuffle,
     parse_language_literal,
 )
+from centrekit.report import Report
 from test_relaxations import prefix_token_sets
 
 
@@ -431,13 +432,15 @@ class TestEmptyDomains:
 
     @settings(max_examples=50, deadline=None)
     @given(with_an_empty_set(2), token_sets().filter(len))
-    def test_first_mismatch_still_checks_empty_maps_codomains(self, factors, cod):
+    def test_comparing_empty_maps_still_checks_their_codomains(self, factors, cod):
         dom = tensor(*factors)
         wrong = FinSet("W", cod.elems + ("w!",))
-        with pytest.raises(ValueError, match="codomains differ"):
-            first_mismatch(FinFn.from_pairs(dom, cod, ()), FinFn.from_pairs(dom, wrong, ()))
-        assert first_mismatch(FinFn.from_pairs(dom, cod, ()),
-                              FinFn.from_pairs(dom, cod, ())) is None
+        with pytest.raises(ValueError, match="law: codomains differ"):
+            Report("maps").compare("law", (), (), FinFn.from_pairs(dom, cod, ()),
+                                   FinFn.from_pairs(dom, wrong, ()))
+        assert Report("maps").compare("law", (), (), FinFn.from_pairs(dom, cod, ()),
+                                      FinFn.from_pairs(dom, cod, ())).ok
+        assert mismatch(dom, cod, (), ()) is None
 
 
 class TestLanguageInterchange:

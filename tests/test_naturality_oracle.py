@@ -14,7 +14,7 @@ ones that came before, which build both sides with ``then``/``tensor_fn``/
 of those suites are carried along unchanged, so that whole reports
 compare: both sides must give the same ``to_json()`` bytes, and a planted
 fault the same witness and values.  ``Report.compare`` itself must give two
-rows the record ``first_mismatch`` gives the two maps with those tables.
+rows the record a token-by-token scan gives the two maps with those tables.
 
 The fetch-order test logs the key of every component the monad builds
 (unit, mult, strength, costrength, lift and fmap) in the order it first
@@ -42,7 +42,6 @@ from centrekit.finkit import (
     all_fns,
     alpha,
     alpha_inv,
-    first_mismatch,
     identity_fn,
     lam,
     rho,
@@ -396,8 +395,23 @@ def test_no_row_law_instance_builds_a_side(monkeypatch):
     # the laws whose sides are still maps are charged theirs
     assert min(charged["strength-assoc"]) >= 2 and min(charged["assoc"]) >= 2
 
+    # duoidal-main and m-natural give one record per grade tuple, and none of
+    # their instances builds a map either
+    DM = build_language_writer("ab", 2, language_duoid("ab", 2))
+    check_duoidal_gradation(DM, 2)
+    for name in ("seq", "tensor_then", "tensor_fn"):
+        monkeypatch.setattr(relaxations, name, counted(getattr(relaxations, name)))
+    charged.clear()
+    built[0] = 0
+    assert check_duoidal_gradation(DM, 2).ok
+    assert charged["duoidal-main"] and set(charged["duoidal-main"]) == {0}
+    # m-natural's first record is charged the f (x) g maps it hands to fmap,
+    # built once per suite before its first grade pair
+    natural = charged["m-natural"]
+    assert natural[0] > 0 and natural[1:] and set(natural[1:]) == {0}
 
-# --- Report.compare on rows against first_mismatch on maps ------------------------
+
+# --- Report.compare on rows against a token scan of maps --------------------------
 
 leaves = st.text(alphabet="ab*", min_size=1, max_size=2)
 plain_sets = st.builds(lambda name, elems: FinSet(name, elems),
@@ -426,7 +440,7 @@ def row_pairs(draw):
 def test_compare_on_rows_is_first_mismatch_on_maps(sides, note):
     dom, cod, lhs, rhs = sides
     f, g = FinFn._table(dom, cod, lhs), FinFn._table(dom, cod, rhs)
-    tok = first_mismatch(f, g)
+    tok = next((t for t in dom if f(t) != g(t)), None)
     expected = (LawRecord("law", ("a",), (dom.name,), note=note) if tok is None else
                 LawRecord("law", ("a",), (dom.name,), False, tok, f(tok), g(tok), note))
     rows, maps = Report("rows"), Report("maps")

@@ -14,9 +14,9 @@ from centrekit.finkit import (
     alpha,
     alpha_then,
     canonical_set,
-    first_mismatch,
     identity_fn,
     make_pair,
+    mismatch,
     split_pair,
     tensor,
     tensor_fn,
@@ -329,7 +329,10 @@ class TestAssocSides:
         lhs = alpha_then(TX, TY, TZ, m_bc, lhs_m)
         rhs = tensor_then(m_ab, identity_fn(TZ), rhs_m, re)
         assert lhs == lhs_ref and rhs == rhs_ref
-        assert first_mismatch(lhs, rhs) == first_mismatch(lhs_ref, rhs_ref)
+        # the comparator names the least failing token, as a scan of the composites does
+        ref = next((t for t in lhs_ref.dom if lhs_ref(t) != rhs_ref(t)), None)
+        failure = mismatch(lhs.dom, lhs.cod, lhs.idx, rhs.idx)
+        assert failure == (None if ref is None else (ref, lhs_ref(ref), rhs_ref(ref)))
 
 
 class TestVacuousInstances:
