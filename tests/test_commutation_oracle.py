@@ -42,6 +42,7 @@ from centrekit.graded_monad import (
     bool_writer_pair,
     canonical_sets,
     check_commutative,
+    commutation_witness,
     commute_maps,
     commuting_pair,
     identity_monad,
@@ -474,6 +475,28 @@ def test_identity_monad_on_prefix_tokens():
     check_commutation(make, 2)
     check_centre(make, [X])
     check_cones(make, [X], sizes=(1,))
+
+
+class TestPrefixTokenWitnesses:
+    """The witnesses of the index-table scan over keep-last on 1, b, b(c),
+    named by tokens: "(y0,b(c))" sorts before "(y0,b)"."""
+
+    def test_cone_witness(self):
+        M = bool_writer_pair(keep_last(("b", "b(c)")))
+        X = canonical_set(1)
+        TX = M.carrier("ff", X)
+        cone = CentralCone(grade="ff", base=X, apex=TX, leg=FinFn(TX, TX, {t: t for t in TX}))
+        assert [r.witness for r in check_central_cone(M, cone).records] == [
+            "", "apex (y0,b(c)) vs (y0,b) in T^ff Y1"]
+
+    def test_column_map(self):
+        M = bool_writer_pair(keep_last(("b", "b(c)")))
+        X, Y = canonical_set(2), canonical_set(1)
+        TX, TY = M.carrier("ff", X), M.carrier("ff", Y)
+        bad = commutation_witness(M, "ff", "ff", X, Y)[2]
+        assert {TX.elems[i]: TY.elems[j] for i, j in bad.items()} == {
+            "(y0,b(c))": "(y0,b)", "(y0,b)": "(y0,b(c))",
+            "(y1,b(c))": "(y0,b)", "(y1,b)": "(y0,b(c))"}
 
 
 # --- drawn writers ----------------------------------------------------------------------

@@ -389,6 +389,37 @@ class TestSharedProducts:
         assert product() is None
 
 
+class TestPlainSetsOfPairs:
+    """A plain set whose tokens are exactly the pairs L x R is equal to
+    tensor(L, R), built before it or after it, and a map carried from one to
+    the other by its index table is the same map.  "(a*," sorts before
+    "(a,", and "b(c))" before "b)"."""
+
+    L = FinSet("L", ("a", "a*"))
+    R = FinSet("R", ("b", "b(c)"))
+    TOKENS = ("(a,b)", "(a,b(c))", "(a*,b)", "(a*,b(c))")
+
+    def carried(self, plain, LR):
+        assert plain == LR and plain.elems == LR.elems
+        for src, dst in ((plain, LR), (LR, plain)):
+            f = FinFn(src, self.R, {"(a,b)": "b(c)", "(a,b(c))": "b", "(a*,b)": "b",
+                                    "(a*,b(c))": "b(c)"})
+            g = FinFn._table(dst, self.R, f.idx)
+            assert g == f and list(g.mapping.items()) == list(f.mapping.items())
+            h = FinFn(src, self.R, {**f.mapping, "(a,b)": "b", "(a*,b(c))": "b"})
+            assert mismatch(dst, self.R, g.idx, h.idx) == ("(a*,b(c))", "b(c)", "b")
+            into = FinFn(self.L, src, {"a": "(a*,b)", "a*": "(a,b(c))"})
+            assert FinFn._table(self.L, dst, into.idx).mapping == into.mapping
+
+    def test_plain_set_built_before_the_product(self):
+        plain = FinSet("P", self.TOKENS)
+        self.carried(plain, tensor(self.L, self.R))
+
+    def test_plain_set_built_after_the_product(self):
+        LR = tensor(self.L, self.R)
+        self.carried(FinSet("P", reversed(self.TOKENS)), LR)
+
+
 # --- reference oracle: the structure maps parsed back out of product tokens ---
 
 def ref_gamma(X, Y):

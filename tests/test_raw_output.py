@@ -6,9 +6,11 @@ bytes: ``to_json()`` and ``to_text()`` of every built-in's ``check_all`` at
 k=2, each of its five suites alone at k=2 and ``check_commutative`` at k=3;
 of the morphism suite on ``discrete_to_topped_morphism``, the centrality
 conditions on each writer's centre, ``derive_monoidal_m`` on ``identity``
-and thirteen planted-bug reports from ``test_graded_monad.py``; and stdout,
+and thirteen planted-bug reports from ``test_graded_monad.py``; stdout,
 stderr and exit code of the README's CLI commands, in text and (where
-offered) JSON form.
+offered) JSON form; and of the bool writer pair's commands over two
+gradings whose element ``b`` is a prefix of ``b(c)``, so that their pair
+tokens sort off the order of their pairs.
 
     PYTHONPATH=src python tests/test_raw_output.py
 
@@ -41,6 +43,28 @@ README_COMMANDS = [
     ["analyze", "fixtures/reorder.eff", "--pomonoid", "fixtures/bool.pom",
      "--monad", "bool_writer_pair"],
     ["examples", "list"],
+]
+
+
+# Two pomonoid files, written afresh into a scratch directory: the keep-last
+# monoid on 1, b, b(c) (x*y is x when y is 1, else y) and Z/3 on u, b, b(c).
+PREFIX_POMONOIDS = {
+    "keep_last.pom": "elements 1 b b(c)\nunit 1\n" + "".join(
+        f"mul {x} {y} {x if y == '1' else y}\n" for x in ("1", "b", "b(c)")
+        for y in ("1", "b", "b(c)")),
+    "z3.pom": "elements u b b(c)\nunit u\n" + "".join(
+        f"mul {x} {y} {('u', 'b', 'b(c)')[(i + j) % 3]}\n"
+        for i, x in enumerate(("u", "b", "b(c)")) for j, y in enumerate(("u", "b", "b(c)"))),
+}
+
+PREFIX_COMMANDS = [
+    ["monad", "commutative"],
+    ["monad", "centre"],
+    ["monad", "centre", "--grade", "tt", "--set-size", "2", "--json"],
+    ["monad", "laws", "--max-set-size", "2", "--json"],
+    ["monad", "morphism", "--from", "centre(bool_writer_pair)", "--to", "bool_writer_pair",
+     "--json"],
+    ["duoidal", "check", "--max-set-size", "2", "--json"],
 ]
 
 
@@ -142,8 +166,37 @@ def cli_digests() -> dict:
         os.chdir(here)
 
 
+def prefix_argv(argv, pom):
+    """argv run over the bool writer pair graded by the pomonoid file pom."""
+    if argv[1] == "morphism":
+        return argv + ["--pomonoid", pom]
+    return argv + ["--monad", "bool_writer_pair", "--pomonoid", pom]
+
+
+def prefix_digests(directory) -> dict:
+    """The digests of PREFIX_COMMANDS over each of PREFIX_POMONOIDS, whose
+    files are written into ``directory`` and run from there."""
+    here = os.getcwd()
+    os.chdir(directory)
+    try:
+        out = {}
+        for pom, text in PREFIX_POMONOIDS.items():
+            with open(pom, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            for argv in PREFIX_COMMANDS:
+                full = prefix_argv(argv, pom)
+                out[" ".join(full)] = cli_run(full)
+        return out
+    finally:
+        os.chdir(here)
+
+
 def collect() -> dict:
-    return {"reports": report_digests(), "cli": cli_digests()}
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as directory:
+        prefix = prefix_digests(directory)
+    return {"reports": report_digests(), "cli": cli_digests(), "prefix-tokens": prefix}
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +212,27 @@ def test_reports_are_byte_identical(golden):
 def test_readme_commands_are_byte_identical(golden, monkeypatch):
     monkeypatch.delenv("CENTREKIT_FIXTURES", raising=False)
     assert cli_digests() == golden["cli"]
+
+
+def test_prefix_token_commands_are_byte_identical(golden, tmp_path, monkeypatch):
+    monkeypatch.delenv("CENTREKIT_FIXTURES", raising=False)
+    assert prefix_digests(tmp_path) == golden["prefix-tokens"]
+
+
+def test_prefix_token_witness_and_members(tmp_path, capsys):
+    # what the digests above pin, spelt out: the keep-last commutativity
+    # witness and the Z/3 centre's members, both in token order
+    from centrekit.cli import main
+
+    for pom, text in PREFIX_POMONOIDS.items():
+        (tmp_path / pom).write_text(text)
+    keep_last, z3 = (str(tmp_path / pom) for pom in PREFIX_POMONOIDS)
+    assert main(prefix_argv(["monad", "commutative", "--json"], keep_last)) == 1
+    record, = json.loads(capsys.readouterr().out)["records"][-1:]
+    assert record["witness"] == "((y0,b(c)),(y0,b))"
+    assert main(prefix_argv(PREFIX_COMMANDS[2], z3)) == 0
+    members = json.loads(capsys.readouterr().out)["members"]
+    assert members == ["(y0,b(c))", "(y0,b)", "(y0,u)", "(y1,b(c))", "(y1,b)", "(y1,u)"]
 
 
 if __name__ == "__main__":
