@@ -182,13 +182,15 @@ def check_central_cone(M: GradedStrongMonad, cone: CentralCone, bound=None,
     if cone.leg.cod.vid != M.carrier(z, X).vid:
         raise CentreError("leg codomain is not the carrier at the cone's grade")
     rep = Report(title=f"central cone ({z}, {X.name})")
-    rows = cone.leg.idx
+    # the leg's images, by the apex's tokens in order: a witness names the least
+    apex = sorted(zip(cone.apex.elems, cone.leg.idx))
+    rows = [r for _, r in apex]
     for b in M.pomonoid.elements:
         failure = next(failing_rows(M, z, b, X, rows, bound), None)
         witness = ""
         if failure is not None:
             r, Y, j = failure
-            p, s = cone.apex.elems[rows.index(r)], M.carrier(b, Y).elems[j]
+            p, s = apex[rows.index(r)][0], M.carrier(b, Y).elems[j]
             witness = f"apex {p} vs {s} in T^{b} {Y.name}"
         rep.add(LawRecord(law="cone-eq", grades=(z, b), sets=(X.name,), ok=failure is None,
                           witness=witness))
@@ -230,7 +232,7 @@ def factor_through(cone: CentralCone, centre: CentralCone) -> FinFn:
             raise CentreError("centre leg is not injective")
         preimage[v] = q
     mapping = {}
-    for p in cone.apex:
+    for p in sorted(cone.apex):
         v = cone.leg(p)
         if v not in preimage:
             raise CentreError(f"cone hits the non-central element {v}")
@@ -257,7 +259,7 @@ class CentreResult:
                 "set": X.name,
                 "carrier_size": len(self.source.carrier(z, X)),
                 "centre_size": len(sub),
-                "members": list(sub),
+                "members": sorted(sub),
             })
         return out
 
@@ -276,12 +278,11 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
         return central_subset(M, z, X, bound)
 
     def restrict(fn: FinFn, dom: FinSet, cod: FinSet, component: str) -> FinFn:
-        mapping = {}
-        for t in dom:
-            v = fn(t)
-            if v not in cod:
-                raise CentralityViolation(component, f"{t} -> {v}")
-            mapping[t] = v
+        mapping = {t: fn(t) for t in dom}
+        escaped = [t for t, v in mapping.items() if v not in cod]
+        if escaped:
+            t = min(escaped)
+            raise CentralityViolation(component, f"{t} -> {mapping[t]}")
         return FinFn(dom, cod, mapping)
 
     def carrier_fn(z, X):
@@ -388,7 +389,7 @@ def check_centrality_conditions(S: GradedStrongMonad, iota: GradedMonadMorphism,
             ok = not missing
             factors = factors and ok
             rep.add(LawRecord(law="condition-2-factorisation", grades=(z,), sets=(X.name,),
-                              ok=ok, witness=missing[0] if missing else ""))
+                              ok=ok, witness=min(missing) if missing else ""))
     commutative = check_commutative(S, k).ok
     rep.add(LawRecord(law="condition-2-commutative", ok=commutative))
     cond2 = factors and commutative

@@ -148,12 +148,12 @@ def cmd_monad_centre(args) -> int:
     M = _build_monad(args)
     X = canonical_set(args.set_size)
     if args.grade is not None:
-        S = central_subset(M, args.grade, X, bound=args.bound)
+        members = sorted(central_subset(M, args.grade, X, bound=args.bound))
         if args.json:
             print(json.dumps({"grade": args.grade, "set": X.name,
-                              "members": list(S.elems)}))
+                              "members": members}))
         else:
-            print(f"Z^{args.grade}({X.name}) = {{{','.join(S.elems)}}}")
+            print(f"Z^{args.grade}({X.name}) = {{{','.join(members)}}}")
         return PASS
     res = build_centre_monad(M, bound=args.bound)
     rows = res.describe(X)

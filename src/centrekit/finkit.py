@@ -19,38 +19,43 @@ for the same operands while that product is still in use (its registry is
 keyed by the operands' vids and names), ``canonical_set(n)`` is one set
 per n, and a set keeps its identity map once built.  A product with an
 empty factor is shared through that registry like any other, and every map
-out of an empty domain is the empty table (``from_pairs`` and ``gamma``
-return it at once).  Tokens live at the edge: a product
-holds its factors and builds its token list only when something reads it
-(a witness, ``in``, iteration, ``mapping``, the checked ``FinFn``
+out of an empty domain is the empty table.  Tokens live at the edge: a
+product holds its factors and builds its token list only when something
+reads it (a witness, ``in``, iteration, ``mapping``, the checked ``FinFn``
 constructor).
 
+One rule fixes every set's positions.  A product is in pair order: the
+pair of A's i-th and B's j-th tokens is the product's token i*|B| + j.  A
+plain set is sorted, unless its tokens are exactly the pairs L x R: then it
+shares that product's vid and is listed in its pair order, so that equal
+sets list their tokens alike.  Pair order is not token order when a factor
+token prefixes another (``a`` and ``a*``: ``(a*,b)`` sorts before
+``(a,b)``), so whatever names or shows an element of a set, a witness or a
+rendered member list, takes the least token in string order, never the
+first position.
+
 A ``FinFn`` stores its table as ``idx``, a tuple of codomain positions:
-``idx[i]`` is the place, in the codomain's sorted tokens, of the image of
-the domain's i-th token.  The token dict ``mapping`` is built from it on
-first use.  Composition, tensor, identities, ``all_fns``, ``apply_mor``,
-equality, the structure maps and the built-in monads' components work on
-these integer tables and never re-check a table they built;
-``FinFn(dom, cod, mapping)`` checks every table it is given.  A product
-built by ``tensor`` keeps, as tuples worked out on first use, where the
-pair of its factors' i-th and j-th tokens sits among its own sorted tokens
-(``pair_grid``, ``pair_list``), read off the factors' tokens: not always
-row-major when a factor token prefixes another (``a`` and ``a*``: ``(a*,b)``
-sorts before ``(a,b)``).
+``idx[i]`` is the position in the codomain of the image of the domain's
+i-th token.  The token dict ``mapping`` is built from it on first use.
+Composition, tensor, identities, ``all_fns``, ``apply_mor``, equality, the
+structure maps and the built-in monads' components work on these integer
+tables and never re-check a table they built; ``FinFn(dom, cod, mapping)``
+checks every table it is given.  ``pair_grid`` and ``pair_list`` give a
+product's positions row by row and as (i, j) pairs, worked out once.
 
 Every side of a law diagram is a chain of maps, read as one index row by
 the composite vocabulary: ``seq_row``, ``tensor_row``, ``alpha_row`` and
 ``pair_rows``.  Each link is checked by vid with ``then``'s ``cannot
-compose`` error.  A row out of a product is in pair order
-(``images[i*|B| + j]`` for the factors' i-th and j-th tokens), which
-``in_token_order`` puts in the product's own token order.  The ``FinFn``
-builders ``seq``, ``tensor_then`` and ``alpha_then`` wrap these readers,
-``alpha_inv_then`` builds the one composite no suite reads as a row,
-``then`` and ``alpha`` are one call each into them, and ``tensor_fn``
-reads f (x) g with ``tensor_row``'s code.
+compose`` error.  A row out of a product is in its pair order, so it is the
+product's table as it stands.  The ``FinFn`` builders ``seq``,
+``tensor_then`` and ``alpha_then`` wrap these readers, ``alpha_inv_then``
+builds the one composite no suite reads as a row, ``then`` and ``alpha``
+are one call each into them, and ``tensor_fn`` reads f (x) g with
+``tensor_row``'s code.
 Two sides are compared as rows by ``mismatch``, the one comparator: it
-applies the comparison only where the rows differ, in order, and names the
-first failing token of the domain with both sides' values there.
+applies the comparison only where the rows differ, in the order of the
+domain's tokens, and names the least failing token of the domain with both
+sides' values there.
 ``check_ends`` is the one check that two sides run between the same sets.
 """
 
@@ -84,7 +89,6 @@ __all__ = [
     "tensor",
     "tensor_fn",
     "check_ends",
-    "in_token_order",
     "seq_row",
     "seq",
     "tensor_row",
@@ -138,21 +142,22 @@ def check_token(tok: str) -> None:
 
 
 class FinSet:
-    """A finite set of distinct tokens, listed sorted in ``elems``.
+    """A finite set of distinct tokens, listed in ``elems``.
 
     The name is cosmetic: two sets are equal when their tokens are, whatever
     their names.  ``vid`` is the integer id of the tokens, fixed at
     construction: equality and the hash read it and nothing else.  A plain
-    set's tokens are interned; a plain set whose tokens are exactly the pairs
-    L x R gets the vid of the product of L and R.  A product built by
-    ``tensor`` holds only its factors (``factors``), its size and its pair
-    tables; its vid pairs its factors' vids, and ``elems``, its member set
-    and ``token_index`` are built on first read, from the factors' checked
+    set's tokens are interned and listed sorted; a plain set whose tokens
+    are exactly the pairs L x R gets the vid of the product of L and R, and
+    is listed in its pair order.  A product built by ``tensor`` holds only
+    its factors (``factors``), its size and its pair tables; its vid pairs
+    its factors' vids, and ``elems`` (in pair order), its member set and
+    ``token_index`` are built on first read, from the factors' checked
     tokens.  Every empty set, plain or a product, has vid 0.
     """
 
-    __slots__ = ("name", "factors", "vid", "_elems", "_size", "_set", "_prefix_free",
-                 "_index", "_pairs", "_grid", "_pair_list", "_identity", "__weakref__")
+    __slots__ = ("name", "factors", "vid", "_elems", "_size", "_set", "_index", "_grid",
+                 "_pair_list", "_identity", "__weakref__")
 
     def __init__(self, name: str, elems=(), factors=None):
         self.name = name
@@ -164,26 +169,22 @@ class FinSet:
             self._set = frozenset(elems)
             if len(self._set) != len(elems):
                 raise TokenError(f"duplicate tokens in {name or 'set'}: {elems}")
-            self._elems, self._size = elems, len(elems)
-            self.vid, self._prefix_free = _token_vid(elems), None
+            self.vid, self._elems = _plain(elems)
+            self._size = len(elems)
         else:
             A, B = factors
             self._size = A._size * B._size
             self._elems, self._set = None if self._size else (), None
             self.vid = _pair_vid(A.vid, B.vid) if self._size else 0
-            # a pair token ends at the bracket matching its first one, so no
-            # pair token is a proper prefix of another
-            self._prefix_free = True
         self._index = self._grid = self._pair_list = None
-        self._pairs = _UNKNOWN
         self._identity = None
 
     @property
     def elems(self) -> tuple:
-        """The tokens, sorted (a product's are built on first read)."""
+        """The tokens, in position order (a product's are built on first read)."""
         if self._elems is None:
             A, B = self.factors
-            self._elems = tuple(sorted([make_pair(a, b) for a in A.elems for b in B.elems]))
+            self._elems = tuple([make_pair(a, b) for a in A.elems for b in B.elems])
         return self._elems
 
     def _members(self) -> frozenset:
@@ -194,54 +195,25 @@ class FinSet:
     def __contains__(self, tok) -> bool:
         return tok in self._members()
 
-    def prefix_free(self) -> bool:
-        """No token is a proper prefix of another (worked out on first use)."""
-        if self._prefix_free is None:
-            e = self.elems
-            self._prefix_free = not any(b.startswith(a) for a, b in zip(e, e[1:]))
-        return self._prefix_free
-
     def token_index(self) -> dict:
         """Token -> its position in ``elems`` (built on first use)."""
         if self._index is None:
             self._index = dict(zip(self.elems, range(self._size)))
         return self._index
 
-    def pair_positions(self):
-        """Where a product's factor pairs sit among its sorted tokens.
-
-        None when the pair of the factors' i-th and j-th tokens is token
-        i*|B| + j (row-major order); otherwise ``(pos, order)``, with pos
-        mapping row-major positions to sorted ones and order its inverse.
-        Worked out on first use, for products built by ``tensor`` only.
-        """
-        if self._pairs is _UNKNOWN:
-            A, B = self.factors
-            ra, rb = _key_ranks(A, ","), _key_ranks(B, ")")
-            if ra is None and rb is None:
-                self._pairs = None
-            else:
-                nb = len(B)
-                pos = [x * nb + y for x in (ra or range(len(A))) for y in (rb or range(nb))]
-                self._pairs = (pos, _inverse(pos))
-        return self._pairs
-
     def pair_grid(self) -> tuple:
-        """grid[i][j]: the position of the pair of a product's factors' i-th
-        and j-th tokens among its own tokens (worked out once)."""
+        """grid[i] = (i*|B|, ..., i*|B| + |B| - 1): a product's positions, row
+        by row of its first factor (worked out once)."""
         if self._grid is None:
-            (A, B), pairs = self.factors, self.pair_positions()
-            flat, nb = tuple(range(len(self)) if pairs is None else pairs[0]), len(B)
+            (A, B), flat = self.factors, tuple(range(self._size))
+            nb = len(B)
             self._grid = tuple([flat[i * nb:i * nb + nb] for i in range(len(A))])
         return self._grid
 
     def pair_list(self) -> tuple:
-        """(i, j) for each of a product's tokens, in order: the token is the
-        pair of its factors' i-th and j-th tokens (worked out once)."""
+        """(i, j) for each of a product's positions, in order (worked out once)."""
         if self._pair_list is None:
-            rows = tuple(itertools.product(*[range(len(F)) for F in self.factors]))
-            pairs = self.pair_positions()
-            self._pair_list = rows if pairs is None else tuple(map(rows.__getitem__, pairs[1]))
+            self._pair_list = tuple(itertools.product(*[range(len(F)) for F in self.factors]))
         return self._pair_list
 
     def __iter__(self):
@@ -257,15 +229,13 @@ class FinSet:
         return hash(self.vid)
 
     def __repr__(self) -> str:
-        return f"FinSet({self.name!r}, {{{', '.join(self.elems)}}})"
+        return f"FinSet({self.name!r}, {{{', '.join(sorted(self.elems))}}})"
 
 
-_UNKNOWN = object()
-
-
-# The vid of every plain token tuple met so far: interned ids are even, from
-# 2 up; a product's vid (_pair_vid) is odd, and the empty set's is 0.
-_VIDS = {(): 0}
+# The vid and listing of every sorted plain token tuple met so far: interned
+# ids are even, from 2 up; a product's vid (_pair_vid) is odd, and the empty
+# set's is 0.
+_VIDS = {(): (0, ())}
 _FRESH = itertools.count(1)
 
 
@@ -276,18 +246,19 @@ def _pair_vid(a: int, b: int) -> int:
     return s * (s + 1) + 2 * b + 1
 
 
-def _token_vid(elems: tuple) -> int:
-    """The vid of the set of these sorted tokens: that of the product L (x) R
-    when they are exactly its pairs, else a fresh interned id."""
-    vid = _VIDS.get(elems)
-    if vid is None:
-        vid = _VIDS[elems] = _product_vid(elems) or 2 * next(_FRESH)
-    return vid
+def _plain(elems: tuple) -> tuple:
+    """(vid, listing) of the set of these sorted tokens: those of the product
+    L (x) R when they are exactly its pairs, else a fresh interned id and
+    the tokens as they are."""
+    known = _VIDS.get(elems)
+    if known is None:
+        known = _VIDS[elems] = _product_listing(elems) or (2 * next(_FRESH), elems)
+    return known
 
 
-def _product_vid(elems: tuple):
-    """The vid of L (x) R when these non-empty tokens are exactly its pairs,
-    else None."""
+def _product_listing(elems: tuple):
+    """(vid, tokens in pair order) of L (x) R when these non-empty tokens are
+    exactly its pairs, else None."""
     if not all(tok.startswith("(") for tok in elems):
         return None
     try:
@@ -297,24 +268,9 @@ def _product_vid(elems: tuple):
     left, right = sorted({l for l, _ in halves}), sorted({r for _, r in halves})
     if len(left) * len(right) != len(elems):
         return None
-    return _pair_vid(_token_vid(tuple(left)), _token_vid(tuple(right)))
-
-
-def _inverse(perm) -> list:
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return inv
-
-
-def _key_ranks(S: FinSet, suffix: str):
-    """rank[i]: the place of S's i-th token when tokens are ordered with
-    suffix appended, or None when that is their own order."""
-    if S.prefix_free():
-        return None
-    e = S.elems
-    order = sorted(range(len(e)), key=lambda i: e[i] + suffix)
-    return None if order == list(range(len(e))) else _inverse(order)
+    (lvid, left), (rvid, right) = _plain(tuple(left)), _plain(tuple(right))
+    token = dict(zip(halves, elems))
+    return _pair_vid(lvid, rvid), tuple([token[l, r] for l in left for r in right])
 
 
 class FinFn:
@@ -341,7 +297,7 @@ class FinFn:
         try:
             idx = tuple(map(position.__getitem__, image))
         except KeyError:
-            bad = next(v for v in image if v not in position)
+            bad = mapping[min(t for t, v in mapping.items() if v not in position)]
             raise ValueError(f"value {bad!r} outside codomain {cod.name}") from None
         self.dom = dom
         self.cod = cod
@@ -357,12 +313,6 @@ class FinFn:
         fn.idx = idx
         fn._mapping = None
         return fn
-
-    @classmethod
-    def from_pairs(cls, dom: FinSet, cod: FinSet, images) -> "FinFn":
-        """The map from a product sending the pair of its factors' i-th and
-        j-th tokens to cod's images[i*|B| + j]-th token (images unchecked)."""
-        return cls._table(dom, cod, in_token_order(dom, images))
 
     @property
     def mapping(self) -> dict:
@@ -384,7 +334,9 @@ class FinFn:
     def inverse(self) -> "FinFn":
         if not self.is_injective() or len(self.dom) != len(self.cod):
             raise ValueError(f"{self!r} is not a bijection")
-        return FinFn._table(self.cod, self.dom, tuple(_inverse(self.idx)))
+        # for a bijection, listing the domain's positions by their images inverts it
+        return FinFn._table(self.cod, self.dom, tuple(sorted(range(len(self.idx)),
+                                                             key=self.idx.__getitem__)))
 
     @staticmethod
     def identity(X: FinSet) -> "FinFn":
@@ -511,7 +463,8 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     """Functor action on a map: relabel Id leaves by f, fix Const leaves.
 
     Built bottom-up from the index tables of the parts, so no token is
-    parsed or built.
+    parsed or built, but for a Sum: a sum set is sorted, which need not keep
+    a summand's order, so its table is read through its tokens.
     """
     if isinstance(expr, Id):
         return f
@@ -522,10 +475,9 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     if isinstance(expr, Sum):
         l = apply_mor(expr.left, f)
         r = apply_mor(expr.right, f)
-        # a sum lists its inl: tokens, in the left set's order, before its inr: ones
-        shift = len(l.cod)
-        return FinFn._table(_sum_set(l.dom, r.dom), _sum_set(l.cod, r.cod),
-                            l.idx + tuple([shift + j for j in r.idx]))
+        mapping = {make_inl(t): make_inl(v) for t, v in l.mapping.items()}
+        mapping.update((make_inr(t), make_inr(v)) for t, v in r.mapping.items())
+        return FinFn(_sum_set(l.dom, r.dom), _sum_set(l.cod, r.cod), mapping)
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
@@ -576,7 +528,7 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
     """f (x) g: (x,y) goes to (f(x), g(y)), read as ``tensor_row`` reads it."""
     cod = tensor(f.cod, g.cod)
-    return FinFn.from_pairs(tensor(f.dom, g.dom), cod, _tensor_positions(f, g, cod))
+    return FinFn._table(tensor(f.dom, g.dom), cod, tuple(_tensor_positions(f, g, cod)))
 
 
 # --- law sides: chains of maps read as one index row ------------------------
@@ -609,19 +561,8 @@ def _pick(table, idx) -> tuple:
     return (table[idx[0]],) if idx else ()
 
 
-def in_token_order(dom: FinSet, images) -> tuple:
-    """A row out of the product dom given in pair order, images[i*|B| + j]
-    for the pair of its factors' i-th and j-th tokens, in dom's token order."""
-    if not dom._size:
-        return ()
-    pairs = dom.pair_positions()
-    if pairs is None:
-        return tuple(images)
-    return _pick(list(images), pairs[1])
-
-
 def seq_row(f: FinFn, *maps: FinFn) -> tuple:
-    """The row of f, then each of maps, in f.dom's token order."""
+    """The row of f, then each of maps, over f.dom."""
     idx, cod = f.idx, f.cod
     for g in maps:
         # seq_row is the hottest reader: the link is checked here first, and
@@ -642,10 +583,11 @@ def seq(f: FinFn, *maps: FinFn) -> FinFn:
 
 def pair_rows(h: FinFn, A: FinSet, B: FinSet) -> list:
     """rows[i][j]: where h, out of A (x) B, sends the pair of A's i-th and B's
-    j-th tokens."""
+    j-th tokens: h's table cut into rows."""
     AB = tensor(A, B)
     _check_links((AB, h))
-    return [_pick(h.idx, row) for row in AB.pair_grid()]
+    idx, nb = h.idx, len(B)
+    return [idx[i * nb:i * nb + nb] for i in range(len(A))]
 
 
 def tensor_row(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> tuple:
@@ -664,8 +606,8 @@ def _tensor_positions(f: FinFn, g: FinFn, AB: FinSet) -> list:
 
 
 def tensor_then(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
-    return FinFn.from_pairs(tensor(f.dom, g.dom), (maps[-1] if maps else h).cod,
-                            tensor_row(f, g, h, *maps))
+    return FinFn._table(tensor(f.dom, g.dom), (maps[-1] if maps else h).cod,
+                        tensor_row(f, g, h, *maps))
 
 
 def alpha_row(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> tuple:
@@ -678,8 +620,8 @@ def alpha_row(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn)
 
 
 def alpha_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
-    return FinFn.from_pairs(tensor(tensor(X, Y), Z), (maps[-1] if maps else h).cod,
-                            alpha_row(X, Y, Z, g, h, *maps))
+    return FinFn._table(tensor(tensor(X, Y), Z), (maps[-1] if maps else h).cod,
+                        alpha_row(X, Y, Z, g, h, *maps))
 
 
 def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
@@ -688,8 +630,8 @@ def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: F
     XY, YZ, GZ = tensor(X, Y), tensor(Y, Z), tensor(g.cod, Z)
     _check_links((XY, g), (GZ, h))
     xy, yz, at, gi, hi = XY.pair_grid(), YZ.pair_list(), GZ.pair_grid(), g.idx, seq_row(h, *maps)
-    return FinFn.from_pairs(tensor(X, YZ), (maps[-1] if maps else h).cod,
-                            [hi[at[gi[row[y]]][z]] for row in xy for y, z in yz])
+    return FinFn._table(tensor(X, YZ), (maps[-1] if maps else h).cod,
+                        tuple([hi[at[gi[row[y]]][z]] for row in xy for y, z in yz]))
 
 
 # The structure maps below are index tables computed from the positions of
@@ -697,11 +639,9 @@ def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: F
 
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
     """Symmetry (x,y) -> (y,x)."""
-    dom, cod = tensor(X, Y), tensor(Y, X)
-    if not dom._size:
-        return FinFn._table(dom, cod, ())
+    cod = tensor(Y, X)
     at = cod.pair_grid()
-    return FinFn.from_pairs(dom, cod, [row[x] for x in range(len(X)) for row in at])
+    return FinFn._table(tensor(X, Y), cod, tuple([row[x] for x in range(len(X)) for row in at]))
 
 
 def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
@@ -715,7 +655,7 @@ def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
 
 def lam(X: FinSet) -> FinFn:
     """Left unitor (*,x) -> x."""
-    return FinFn.from_pairs(tensor(_UNIT, X), X, range(len(X)))
+    return FinFn._table(tensor(_UNIT, X), X, tuple(range(len(X))))
 
 
 def lam_inv(X: FinSet) -> FinFn:
@@ -724,7 +664,7 @@ def lam_inv(X: FinSet) -> FinFn:
 
 def rho(X: FinSet) -> FinFn:
     """Right unitor (x,*) -> x."""
-    return FinFn.from_pairs(tensor(X, _UNIT), X, range(len(X)))
+    return FinFn._table(tensor(X, _UNIT), X, tuple(range(len(X))))
 
 
 def rho_inv(X: FinSet) -> FinFn:
@@ -767,17 +707,19 @@ def all_fns(X: FinSet, Y: FinSet):
 # --- pointwise comparison -----------------------------------------------
 
 def mismatch(dom: FinSet, cod: FinSet, lhs, rhs, eq=None):
-    """Where two index rows over dom into cod first disagree: None, or the
-    token of dom there and both sides' tokens of cod.
+    """Where two index rows over dom into cod disagree: None, or the least
+    token of dom at which they do and both sides' tokens of cod there.
 
     eq(l, r) says whether two of cod's tokens agree and defaults to equality.
     It must be reflexive: it is applied only where the two rows differ, in
-    order, up to the first failure.
+    the order of dom's tokens, up to the first failure.
     """
     if lhs == rhs:
         return None
-    elems = cod.elems
-    for i, (l, r) in enumerate(zip(lhs, rhs)):
-        if l != r and (eq is None or not eq(elems[l], elems[r])):
-            return dom.elems[i], elems[l], elems[r]
+    names, elems = dom.elems, cod.elems
+    differ = [i for i, (l, r) in enumerate(zip(lhs, rhs)) if l != r]
+    for i in sorted(differ, key=names.__getitem__):
+        l, r = elems[lhs[i]], elems[rhs[i]]
+        if eq is None or not eq(l, r):
+            return names[i], l, r
     return None

@@ -67,7 +67,6 @@ from .finkit import (
     check_ends,
     gamma,
     identity_fn,
-    in_token_order,
     lam,
     mismatch,
     op_table,
@@ -252,8 +251,9 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
 
     Returns (left, right, bad): the composites of ``commute_maps``, both
     lifted to grade ``top`` when it is given, and ``bad[i] = j`` for each row
-    i of T^a X at which they disagree somewhere, j being the first column of
-    T^b Y, in token order, where they do.  Reads the two index tables only.
+    i of T^a X at which they disagree somewhere, j being the column, of those
+    where they do, whose token of T^b Y is least.  Reads the two index tables,
+    and T^b Y's tokens when the tables differ.
     """
     left, right = commute_maps(M, a, b, X, Y)
     if top is not None:
@@ -264,8 +264,10 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
     bad = {}
     lhs, rhs = left.idx, right.idx
     if lhs != rhs:
-        for i, row in enumerate(tensor(M.carrier(a, X), M.carrier(b, Y)).pair_grid()):
-            j = next((j for j, p in enumerate(row) if lhs[p] != rhs[p]), None)
+        TbY = M.carrier(b, Y)
+        columns = sorted(range(len(TbY)), key=TbY.elems.__getitem__)
+        for i, row in enumerate(tensor(M.carrier(a, X), TbY).pair_grid()):
+            j = next((j for j in columns if lhs[row[j]] != rhs[row[j]]), None)
             if j is not None:
                 bad[i] = j
     return left, right, bad
@@ -382,7 +384,7 @@ def _strength_laws(M: GradedStrongMonad, k: int):
             dom, cod = endpoints("strength-natural-left", XT, tau2.cod, tau.dom,
                                  M.carrier(a, X2Y))
             for fi, f_id, note in fs:
-                lhs = in_token_order(XT, chain.from_iterable(map(rows.__getitem__, fi)))
+                lhs = tuple(chain.from_iterable(map(rows.__getitem__, fi)))
                 yield ("strength-natural-left", grades, names, dom, cod, lhs,
                        seq_row(tau, M.fmap(a, f_id)), note)
     for X, Y, Y2 in product(sets, sets, sets):
@@ -399,7 +401,7 @@ def _strength_laws(M: GradedStrongMonad, k: int):
                                  M.carrier(a, XY2))
             for g, g_id, note in gs:
                 G = M.fmap(a, g).idx
-                lhs = in_token_order(XT, [row[j] for row in rows for j in G])
+                lhs = tuple([row[j] for row in rows for j in G])
                 yield ("strength-natural-right", grades, names, dom, cod, lhs,
                        seq_row(tau, M.fmap(a, g_id)), note)
     if not P.is_discrete():
@@ -672,8 +674,8 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
         if a in warnings and b in warnings:
             # ((x,v),u) -> (x,v), and the inner carrier is the target one
             cod = apply_obj(exprs[P.times(a, b)], X)
-            return FinFn.from_pairs(dom, cod,
-                                    [p for p in range(len(dom_inner)) for _ in warnings[a]])
+            return FinFn._table(dom, cod,
+                                tuple([p for p in range(len(dom_inner)) for _ in warnings[a]]))
         # remaining cases have a = t or b = t, so the carriers coincide
         return FinFn.identity(dom)
 
@@ -709,7 +711,7 @@ def _writer_strength(X: FinSet, Y: FinSet, annotations: FinSet) -> FinFn:
     cod = tensor(XY, annotations)
     xy, at = XY.pair_grid(), cod.pair_grid()
     ya = YA.pair_list()
-    return FinFn.from_pairs(tensor(X, YA), cod, [at[row[y]][u] for row in xy for y, u in ya])
+    return FinFn._table(tensor(X, YA), cod, tuple([at[row[y]][u] for row in xy for y, u in ya]))
 
 
 def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
@@ -733,8 +735,8 @@ def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
         inner = tensor(X, carriers[b])
         cod = tensor(X, carriers[P.times(a, b)])
         at = cod.pair_grid()
-        return FinFn.from_pairs(tensor(inner, carriers[a]), cod,
-                                [at[x][row[v]] for x, v in inner.pair_list() for row in table])
+        return FinFn._table(tensor(inner, carriers[a]), cod,
+                            tuple([at[x][row[v]] for x, v in inner.pair_list() for row in table]))
 
     def strength(a, X, Y):
         return _writer_strength(X, Y, carriers[a])

@@ -248,6 +248,8 @@ class TestBuildCentreMonad:
         with pytest.raises(CentralityViolation) as exc:
             res.monad.mult_fn("ff", "ff", X2)
         assert exc.value.component == "mult(ff,ff)"
+        # the least escaping token is named
+        assert exc.value.witness == "((y0,e),e) -> (y0,wa)"
 
 
 class TestCentralityConditions:
@@ -292,7 +294,7 @@ class TestCentralityConditions:
         M = bool_writer_pair()
         ZP, phi = centre_of_pomonoid(M.pomonoid)
         S, iota = restrict_grades(M, ZP, phi)
-        squash = {t: M.carrier("tt", X2).elems[0] for t in S.carrier("tt", X2)}
+        squash = {t: min(M.carrier("tt", X2)) for t in S.carrier("tt", X2)}
 
         def collapsing(z, X):
             if z == "tt" and X == X2:

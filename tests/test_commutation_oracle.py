@@ -6,7 +6,10 @@ check_central_cone and bimonoidal_centre_at all read one index-table scan,
 token-level ones that came before: they build the two sequencing composites
 with ``commute_maps`` and apply them to ``make_pair(t, s)`` token by token.
 They are kept as they were, except that the bimonoid is read through the
-``Duoid`` API (``par_of``) and the reference central subset is not memoised.
+``Duoid`` API (``par_of``), the reference central subset is not memoised,
+and the scans that name an element walk its set sorted: they were written
+when a set iterated in token order, and a product now iterates in pair
+order.
 Both sides must give the same reports byte for byte, the same verdicts and
 subsets, and the same exceptions.
 """
@@ -67,7 +70,7 @@ def first_mismatch(lhs, rhs):
     """The least domain token at which two maps disagree, or None; their
     domains and codomains must agree."""
     assert lhs.dom == rhs.dom and lhs.cod == rhs.cod
-    return next((t for t in lhs.dom if lhs(t) != rhs(t)), None)
+    return next((t for t in sorted(lhs.dom) if lhs(t) != rhs(t)), None)
 
 
 def ref_check_commutative(M, k=3):
@@ -162,8 +165,8 @@ def ref_check_central_cone(M, cone, bound=None, closure_lemmas=False):
             if len(TbY) == 0:
                 continue
             left, right = commute_maps(M, z, b, X, Y)
-            for p in cone.apex:
-                for s in TbY:
+            for p in sorted(cone.apex):
+                for s in sorted(TbY):
                     pair = make_pair(cone.leg(p), s)
                     if left(pair) != right(pair):
                         ok, witness = False, f"apex {p} vs {s} in T^{b} {Y.name}"
@@ -370,11 +373,11 @@ def test_cone_errors():
     X = canonical_set(1)
     wrong = CentralCone(grade="tt", base=X, apex=canonical_set(1),
                         leg=FinFn(canonical_set(1), M.carrier("ff", X),
-                                  {"y0": M.carrier("ff", X).elems[0]}))
+                                  {"y0": min(M.carrier("ff", X))}))
     assert agree(bool_writer_pair, check_central_cone, ref_check_central_cone,
                  wrong)[0] == "raised"
     Mm = multi_error_writer()
-    leg = FinFn(canonical_set(1), Mm.carrier("wa", X), {"y0": Mm.carrier("wa", X).elems[0]})
+    leg = FinFn(canonical_set(1), Mm.carrier("wa", X), {"y0": min(Mm.carrier("wa", X))})
     cone = CentralCone(grade="wa", base=X, apex=canonical_set(1), leg=leg)
     assert agree(multi_error_writer, check_central_cone, ref_check_central_cone,
                  cone)[1] == "GradeNotCentral"

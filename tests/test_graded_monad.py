@@ -52,7 +52,7 @@ X3 = canonical_set(3)
 # tests/test_raw_output.py pins the bytes of the reports that catch them.
 
 def constant_lift_writer():
-    """bool_writer_pair whose lifts send everything to the first token."""
+    """bool_writer_pair whose lifts send everything to the least token."""
     M = bool_writer_pair()
     good_lift = M.lift
 
@@ -60,8 +60,8 @@ def constant_lift_writer():
         fn = good_lift(a, b, X)
         if len(fn.cod) == 0:
             return fn
-        first = fn.cod.elems[0]
-        return FinFn(fn.dom, fn.cod, {t: first for t in fn.dom})
+        least = min(fn.cod)
+        return FinFn(fn.dom, fn.cod, {t: least for t in fn.dom})
 
     M.lift = bad_lift
     return M
