@@ -103,7 +103,7 @@ def failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, bound=No
     that fails to commute with some s in T^b Y, at the first such Y.
 
     Y runs over the canonical sets up to ``bound_for(M, b, bound)``, skipping
-    an empty T^b Y; the column is the first failing s.  Failing entries come
+    an empty T^b Y; the column is the least failing s.  Failing entries come
     in the order of ``rows`` and drop out; the scan ends when none is left.
     """
     alive = list(rows)

@@ -9,7 +9,7 @@ pointwise comparisons, and ``run_suite`` is the one place that turns them
 into a Report.  Every comparison goes through ``Report.compare``, which
 compares two index rows over a declared domain and codomain with
 ``finkit.mismatch``: equal rows pass at once, and unequal ones give the
-first differing token in domain order.  Two maps are compared as their rows
+least token of the domain at which they differ.  Two maps are compared as their rows
 once their domains and codomains are seen to agree.  Reports render as text
 or JSON and parse back losslessly.
 """
@@ -135,7 +135,7 @@ class Report:
 
         lhs[i] and rhs[i] are the positions in cod of the two sides' images
         of dom's i-th token.  Equal rows pass; otherwise the record carries
-        the first token of dom at which they differ and both values there.
+        the least token of dom at which they differ and both values there.
         Two maps f and g are compared as ``compare(law, grades, sets, f, g[,
         note])``: as the rows f.idx and g.idx over f.dom and f.cod, once
         ``endpoints`` has seen that their domains and codomains agree.

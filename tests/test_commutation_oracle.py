@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from centrekit.centre import (
     CentralCone,
+    CentralityViolation,
     CentreError,
     ElementNotInCarrier,
     _central_grades,
@@ -30,6 +31,7 @@ from centrekit.centre import (
     build_centre_monad,
     central_subset,
     check_central_cone,
+    factor_through,
     graded_centre_at,
     is_central,
 )
@@ -39,6 +41,7 @@ from centrekit.finkit import (
     all_fns,
     canonical_set,
     make_pair,
+    split_pair,
     tensor,
 )
 from centrekit.graded_monad import (
@@ -480,9 +483,21 @@ def test_identity_monad_on_prefix_tokens():
     check_cones(make, [X], sizes=(1,))
 
 
+def z3_times_keep_last():
+    """Z/3 on u, b, b(c) times keep-last on 1, p, q: its centre is u, b and
+    b(c), and (b, p) is named p1."""
+    def name(z, k):
+        return ("u", "b", "b(c)")[z] if k == "1" else f"{k}{z}"
+    pairs = [(z, k) for z in range(3) for k in ("1", "p", "q")]
+    mul = {(name(*x), name(*y)): name((x[0] + y[0]) % 3, x[1] if y[1] == "1" else y[1])
+           for x in pairs for y in pairs}
+    return validate_pomonoid(tuple(name(*x) for x in pairs), "u", mul, name="ZK")
+
+
 class TestPrefixTokenWitnesses:
-    """The witnesses of the index-table scan over keep-last on 1, b, b(c),
-    named by tokens: "(y0,b(c))" sorts before "(y0,b)"."""
+    """The witnesses of the index-table scan and of the centre monad over
+    gradings with elements b and b(c), named by tokens: "(y0,b(c))" sorts
+    before "(y0,b)", though T^ff Y1 lists (y0,b) first."""
 
     def test_cone_witness(self):
         M = bool_writer_pair(keep_last(("b", "b(c)")))
@@ -491,6 +506,9 @@ class TestPrefixTokenWitnesses:
         cone = CentralCone(grade="ff", base=X, apex=TX, leg=FinFn(TX, TX, {t: t for t in TX}))
         assert [r.witness for r in check_central_cone(M, cone).records] == [
             "", "apex (y0,b(c)) vs (y0,b) in T^ff Y1"]
+        with pytest.raises(CentreError) as exc:
+            factor_through(cone, graded_centre_at(M, "ff", X))
+        assert str(exc.value) == "cone hits the non-central element (y0,b(c))"
 
     def test_column_map(self):
         M = bool_writer_pair(keep_last(("b", "b(c)")))
@@ -500,6 +518,35 @@ class TestPrefixTokenWitnesses:
         assert {TX.elems[i]: TY.elems[j] for i, j in bad.items()} == {
             "(y0,b(c))": "(y0,b)", "(y0,b)": "(y0,b(c))",
             "(y1,b(c))": "(y0,b)", "(y1,b)": "(y0,b(c))"}
+
+    def test_least_of_two_failing_columns(self):
+        # (y0,a) fails against both (y0,b) and (y0,b(c))
+        M = bool_writer_pair(keep_last(("a", "b", "b(c)")))
+        X = canonical_set(1)
+        TX = M.carrier("ff", X)
+        bad = commutation_witness(M, "ff", "ff", X, X)[2]
+        assert {TX.elems[i]: TX.elems[j] for i, j in bad.items()} == {
+            "(y0,a)": "(y0,b(c))", "(y0,b(c))": "(y0,a)", "(y0,b)": "(y0,a)"}
+        cone = CentralCone(grade="ff", base=X, apex=TX, leg=FinFn(TX, TX, {t: t for t in TX}))
+        assert [r.witness for r in check_central_cone(M, cone).records] == [
+            "", "apex (y0,a) vs (y0,b(c)) in T^ff Y1"]
+
+    def test_centre_monad_names_the_least_escaping_token(self):
+        M = bool_writer_pair(z3_times_keep_last())
+        good = M.mult
+
+        def escaping_mult(a, b, X):
+            # only the centre monad's restriction asks for mult over a plain set
+            fn = good(a, b, X)
+            if (a, b) != ("ff", "ff") or X.factors is not None:
+                return fn
+            return FinFn(fn.dom, fn.cod,
+                         {t: make_pair(split_pair(split_pair(t)[0])[0], "p0") for t in fn.dom})
+
+        M.mult = escaping_mult
+        with pytest.raises(CentralityViolation) as exc:
+            build_centre_monad(M).monad.mult_fn("ff", "ff", canonical_set(1))
+        assert exc.value.witness == "((y0,b(c)),b(c)) -> (y0,p0)"
 
 
 # --- drawn writers ----------------------------------------------------------------------

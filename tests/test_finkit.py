@@ -411,6 +411,11 @@ class TestPlainSetsOfPairs:
             into = FinFn(self.L, src, {"a": "(a*,b)", "a*": "(a,b(c))"})
             assert FinFn._table(self.L, dst, into.idx).mapping == into.mapping
 
+    def test_a_value_outside_the_codomain_is_named_at_the_least_token(self):
+        with pytest.raises(ValueError, match="^value 'x' outside codomain R$"):
+            FinFn(tensor(self.L, self.R), self.R,
+                  {"(a,b)": "y", "(a,b(c))": "b", "(a*,b)": "b", "(a*,b(c))": "x"})
+
     def test_plain_set_built_before_the_product(self):
         plain = FinSet("P", self.TOKENS)
         self.carried(plain, tensor(self.L, self.R))
