@@ -12,8 +12,8 @@ injection from a canonical set of that size.  `bound` widens the scan for
 paranoia runs: at or above the degree it never changes the answer for
 polynomial carriers, and a bound below the degree is refused.
 
-Central subsets, cones and bimonoidal centres share one row filter,
-`failing_rows`, over one scan of the composites' index tables,
+Central subsets and bimonoidal centres share one centrality filter,
+`central_rows`, and cones its per-grade scan, over the column map of
 `commutation_witness`: rows are elements t, columns test computations s.
 """
 
@@ -98,34 +98,37 @@ def _require_central_grade(M: GradedStrongMonad, z: str) -> None:
         raise GradeNotCentral(f"{z} is not {what} {M.pomonoid.name or 'the grading'}")
 
 
-def failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, bound=None, top=None):
+def _failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, n: int, top=None):
     """Yield (row, Y, column) for each entry of ``rows`` (positions in T^z X)
     that fails to commute with some s in T^b Y, at the first such Y.
 
-    Y runs over the canonical sets up to ``bound_for(M, b, bound)``, skipping
-    an empty T^b Y; the column is the least failing s.  Failing entries come
-    in the order of ``rows`` and drop out; the scan ends when none is left.
+    Y runs over the canonical sets of sizes 0..n, skipping an empty T^b Y;
+    the column is the least failing s.  Failing entries come in the order of
+    ``rows`` and drop out; the scan ends when none is left.
     """
     alive = list(rows)
-    for n in range(bound_for(M, b, bound) + 1):
+    for size in range(n + 1):
         if not alive:
             return
-        Y = canonical_set(n)
+        Y = canonical_set(size)
         if len(M.carrier(b, Y)) == 0:
             continue
-        bad = commutation_witness(M, z, b, X, Y, top)[2]
+        bad = commutation_witness(M, z, b, X, Y, top)
         if bad:
             yield from ((r, Y, bad[r]) for r in alive if r in bad)
             alive = [r for r in alive if r not in bad]
 
 
-def _central_rows(M: GradedStrongMonad, z: str, X: FinSet, rows, bound=None) -> list:
+def central_rows(M: GradedStrongMonad, z: str, X: FinSet, rows, bound=None, tops=None) -> list:
     """The rows (positions in T^z X) that commute with every test computation,
-    in order; the scan stops as soon as none is left."""
-    for b in M.pomonoid.elements:
+    in order.  Every grade's bound is resolved before anything is scanned, so
+    a bad one is refused whatever the carrier; with ``tops`` both composites
+    against grade b are lifted to grade ``tops[b]``."""
+    sizes = [(b, bound_for(M, b, bound)) for b in M.pomonoid.elements]
+    for b, n in sizes:
         if not rows:
             break
-        failed = {r for r, _, _ in failing_rows(M, z, b, X, rows, bound)}
+        failed = {r for r, _, _ in _failing_rows(M, z, b, X, rows, n, tops and tops[b])}
         rows = [r for r in rows if r not in failed]
     return rows
 
@@ -135,7 +138,7 @@ def is_central(M: GradedStrongMonad, z: str, X: FinSet, t: str, bound=None) -> b
     TzX = M.carrier(z, X)
     if t not in TzX:
         raise ElementNotInCarrier(f"{t} is not in the carrier at ({z}, {X.name})")
-    return bool(_central_rows(M, z, X, [TzX.token_index()[t]], bound))
+    return bool(central_rows(M, z, X, [TzX.token_index()[t]], bound))
 
 
 def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSet:
@@ -144,7 +147,7 @@ def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSe
     key = ("central-subset", z, X.vid, bound)
     if (sub := M._memo.get(key)) is None:
         TzX = M.carrier(z, X)
-        rows = _central_rows(M, z, X, range(len(TzX)), bound)
+        rows = central_rows(M, z, X, range(len(TzX)), bound)
         sub = M._memo[key] = FinSet(f"Z^{z}({X.name})", tuple(TzX.elems[r] for r in rows))
     return sub
 
@@ -186,7 +189,7 @@ def check_central_cone(M: GradedStrongMonad, cone: CentralCone, bound=None,
     apex = sorted(zip(cone.apex.elems, cone.leg.idx))
     rows = [r for _, r in apex]
     for b in M.pomonoid.elements:
-        failure = next(failing_rows(M, z, b, X, rows, bound), None)
+        failure = next(_failing_rows(M, z, b, X, rows, bound_for(M, b, bound)), None)
         witness = ""
         if failure is not None:
             r, Y, j = failure
@@ -285,9 +288,6 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
             raise CentralityViolation(component, f"{t} -> {mapping[t]}")
         return FinFn(dom, cod, mapping)
 
-    def carrier_fn(z, X):
-        return sub(z, X)
-
     def fmap_fn(z, f):
         return restrict(M.fmap(z, f), sub(z, f.dom), sub(z, f.cod), f"fmap({z})")
 
@@ -316,18 +316,14 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
         unit=unit,
         mult=mult,
         strength=strength,
-        carrier_fn=carrier_fn,
+        carrier_fn=sub,
         fmap_fn=fmap_fn,
         lift=lift,
         name=f"Z({M.name})" if M.name else "Z",
     )
 
-    def component(z, X):
-        s = sub(z, X)
-        return FinFn(s, M.carrier(z, X), {t: t for t in s})
-
-    iota = GradedMonadMorphism(phi=phi, source=S, target=M,
-                               component=component, name="centre-inclusion")
+    iota = GradedMonadMorphism(phi=phi, source=S, target=M, name="centre-inclusion",
+                               component=lambda z, X: graded_centre_at(M, z, X, bound).leg)
     return CentreResult(monad=S, inclusion=iota, source=M, bound=bound)
 
 
@@ -343,8 +339,7 @@ def restrict_grades(M: GradedStrongMonad, sub: Pomonoid,
             raise CentreError("grade restriction must embed elements by name")
     S = replace(M, pomonoid=sub, name=f"{M.name}|{sub.name}" if M.name else sub.name, _memo={})
     return S, GradedMonadMorphism(phi=phi, source=S, target=M, name="grade-restriction",
-                                  component=lambda z, X: FinFn(S.carrier(z, X), M.carrier(z, X),
-                                                               {t: t for t in S.carrier(z, X)}))
+                                  component=lambda z, X: FinFn.identity(M.carrier(z, X)))
 
 
 def check_centrality_conditions(S: GradedStrongMonad, iota: GradedMonadMorphism,

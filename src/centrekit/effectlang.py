@@ -20,7 +20,7 @@ two composite evaluations themselves.
 
 from dataclasses import dataclass, field
 
-from .graded_monad import GradedStrongMonad, commuting_pair
+from .graded_monad import GradedStrongMonad, canonical_sets, commuting_pair
 from .pomonoid import Pomonoid, centre_of_pomonoid, structurally_equal
 
 FREE = "FREE"
@@ -341,6 +341,7 @@ def reorder_report(program: EffectProgram, P: Pomonoid,
     if M is not None and not structurally_equal(M.pomonoid, P):
         raise GradingMismatch("the monad is graded by a different pomonoid")
     grades = infer_grades(program, P)
+    canonical_sets(k)   # a bad k is refused with or without a monad to scan
     Z, _ = centre_of_pomonoid(P)
     central_grades = set(Z.elements)
     entries = []

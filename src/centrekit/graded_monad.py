@@ -249,11 +249,11 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
                         top: str | None = None):
     """Where the two sequencing composites of T^a X (x) T^b Y disagree.
 
-    Returns (left, right, bad): the composites of ``commute_maps``, both
-    lifted to grade ``top`` when it is given, and ``bad[i] = j`` for each row
-    i of T^a X at which they disagree somewhere, j being the column, of those
-    where they do, whose token of T^b Y is least.  Reads the two index tables,
-    and T^b Y's tokens when the tables differ.
+    Returns the column map ``bad``: the composites of ``commute_maps`` are
+    compared, both lifted to grade ``top`` when it is given, and ``bad[i] =
+    j`` for each row i of T^a X at which they disagree somewhere, j being the
+    column, of those where they do, whose token of T^b Y is least.  Reads the
+    two index tables, and T^b Y's tokens when the tables differ.
     """
     left, right = commute_maps(M, a, b, X, Y)
     if top is not None:
@@ -270,7 +270,7 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
             j = next((j for j in columns if lhs[row[j]] != rhs[row[j]]), None)
             if j is not None:
                 bad[i] = j
-    return left, right, bad
+    return bad
 
 
 # --- law suites ----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Relative centres and parallel-composition structure on the grading.
 
 Two relaxations live here, both over a `Duoid`: a pomonoid with a second
-multiplication ||.  Bimonoidal centres compare the two sequencing composites
-on the index tables of `commutation_witness`, after lifting both into the
-common over-approximating grade a||b.  Duoidal gradations add an interchange
+multiplication ||.  Bimonoidal centres run the centrality filter
+`central_rows` with both sequencing composites lifted into the common
+over-approximating grade a||b.  Duoidal gradations add an interchange
 map m that runs two computations side by side, graded by ||.
 
 The running example is the duoid of capped languages under concatenation
@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .centre import CentralCone, failing_rows
+from .centre import CentralCone, central_rows
 from .finkit import (
     FinFn,
     FinSet,
@@ -527,15 +527,14 @@ def bimonoidal_centre_at(M: GradedStrongMonad, D: Duoid, a: str, X: FinSet,
     if not structurally_equal(D.base, M.pomonoid):
         raise BimonoidMismatch("bimonoid is not over this monad's grading")
     P = M.pomonoid
-    TaX = M.carrier(a, X)
-    rows = list(range(len(TaX)))
-    for b in P.elements:
-        ab, ba, top = P.times(a, b), P.times(b, a), D.par_of(a, b)
+    tops = {b: D.par_of(a, b) for b in P.elements}
+    for b, top in tops.items():
+        ab, ba = P.times(a, b), P.times(b, a)
         if not (P.le(ab, top) and P.le(ba, top)):
             raise BimonoidMismatch(
                 f"{ab} or {ba} is not below {top}; the relaxed product does not dominate")
-        failed = {r for r, _, _ in failing_rows(M, a, b, X, rows, bound, top)}
-        rows = [r for r in rows if r not in failed]
+    TaX = M.carrier(a, X)
+    rows = central_rows(M, a, X, range(len(TaX)), bound, tops)
     apex = FinSet(f"ZB^{a}({X.name})", tuple(TaX.elems[r] for r in rows))
     leg = FinFn(apex, TaX, {t: t for t in apex})
     return CentralCone(grade=a, base=X, apex=apex, leg=leg)

@@ -30,10 +30,12 @@ from centrekit.graded_monad import (
     multi_error_writer,
     registry,
 )
-from centrekit.pomonoid import centre_of_pomonoid, multi_error_pomonoid
+from centrekit.pomonoid import Duoid, centre_of_pomonoid, multi_error_pomonoid
+from centrekit.relaxations import bimonoidal_centre_at
 
 X2 = canonical_set(2)
 X3 = canonical_set(3)
+SMALL = sorted(name for name in registry() if name != "language_writer")
 
 
 class TestIsCentral:
@@ -95,7 +97,7 @@ class TestCentralSubset:
         for name in sorted(registry()):
             M = build(name)
             Z, _ = centre_of_pomonoid(M.pomonoid)
-            # failing_rows scans Y0..Yn, so every grade is scanned at least
+            # central_rows scans Y0..Yn, so every grade is scanned at least
             # two sizes past its own degree
             wide_bound = max(bound_for(M, b) for b in M.pomonoid.elements) + 2
             for z in Z.elements:
@@ -331,3 +333,28 @@ class TestBoundFor:
         with pytest.raises(CentreError):
             bound_for(res.monad, "t")
         assert bound_for(res.monad, "t", bound=2) == 2
+
+    @pytest.mark.parametrize("name", SMALL)
+    @pytest.mark.parametrize("kind", ["negative", "below-degree"])
+    def test_one_refusal_across_the_entry_points(self, name, kind):
+        # every entry point resolves every grade's bound before it scans, so
+        # a bad bound is refused, with one message, even where T^z Y0 is empty
+        M, Y0 = registry()[name](), canonical_set(0)
+        P = M.pomonoid
+        bound = -1 if kind == "negative" else max(bound_for(M, b) for b in P.elements) - 1
+        D = Duoid(base=P, par={(x, y): P.times(x, y) for x in P.elements for y in P.elements},
+                  unit2=P.unit)
+        empty = [z for z in centre_of_pomonoid(P)[0].elements if not M.carrier(z, Y0).elems]
+        assert empty
+        for z in empty:
+            cone = CentralCone(grade=z, base=Y0, apex=Y0, leg=FinFn(Y0, M.carrier(z, Y0), {}))
+            messages = set()
+            for call in (lambda: central_subset(M, z, Y0, bound),
+                         lambda: graded_centre_at(M, z, Y0, bound),
+                         lambda: check_central_cone(M, cone, bound),
+                         lambda: bimonoidal_centre_at(M, D, z, Y0, bound)):
+                with pytest.raises(SetSizeError) as exc:
+                    call()
+                messages.add(str(exc.value))
+            assert len(messages) == 1
+            assert messages.pop().startswith(f"test-set bound {bound} is ")

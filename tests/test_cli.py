@@ -1,12 +1,17 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import centrekit
 from centrekit.cli import main
+from centrekit.graded_monad import registry
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -255,6 +260,11 @@ class TestNegativeSizes:
         ["monad", "centre", "--monad", "bool_writer_pair", "--grade", "ff", "--bound", "-1"],
         ["duoidal", "check", "--monad", "language_writer", "--max-set-size", "-1"],
         ["duoidal", "check", "--monad", "identity", "--max-set-size", "-1"],
+        # refused whatever the carrier: T^t Y0 is empty
+        ["monad", "centre", "--monad", "multi_error_writer", "--grade", "t", "--set-size", "0",
+         "--bound", "-3"],
+        # refused without a monad to scan
+        ["analyze", fx("reorder.eff"), "--pomonoid", fx("bool.pom"), "--max-set-size", "-1"],
     ])
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
@@ -271,12 +281,57 @@ class TestBoundBelowDegree:
         ["monad", "centre", "--monad", "bool_writer_pair", "--bound", "0"],
         ["monad", "morphism", "--from", "centre(bool_writer_pair)", "--to", "bool_writer_pair",
          "--bound", "0"],
+        # refused whatever the carrier: T^tt Y0 is empty
+        ["monad", "centre", "--monad", "bool_writer_pair", "--grade", "tt", "--set-size", "0",
+         "--bound", "0"],
+        ["monad", "centre", "--monad", "bool_writer_pair", "--set-size", "0", "--bound", "0"],
     ])
     def test_exits_2_with_one_error_line(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: test-set bound 0 is below the degree 1 of grade tt\n"
+
+
+# the small built-ins and their grades; language_writer is left out, so each
+# drawn run stays fast
+CENTRE_GRADES = {name: list(registry()[name]().pomonoid.elements)
+                 for name in ("identity", "multi_error_writer", "multi_error_writer_topped",
+                              "bool_writer_pair")}
+
+
+@st.composite
+def centre_argv(draw):
+    name = draw(st.sampled_from(sorted(CENTRE_GRADES)))
+    argv = ["monad", "centre", "--monad", name, "--set-size", str(draw(st.integers(-2, 10))),
+            "--json"]
+    bound = draw(st.none() | st.integers(-2, 3))
+    if bound is not None:
+        argv += ["--bound", str(bound)]
+    grade = draw(st.none() | st.sampled_from(CENTRE_GRADES[name] + ["zz"]))
+    if grade is not None:
+        argv += ["--grade", grade]
+    return argv
+
+
+class TestDrawnCentreArguments:
+    # any set size, bound and grade either prints JSON or is refused with
+    # one error line
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(centre_argv())
+    def test_exits_0_with_json_or_2_with_one_error_line(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2)
+        assert "Traceback" not in err.getvalue()
+        if "--bound" in argv and int(argv[argv.index("--bound") + 1]) < 0:
+            assert code == 2
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            json.loads(out.getvalue())
 
 
 class TestUnreadableFiles:

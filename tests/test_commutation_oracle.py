@@ -126,10 +126,11 @@ def ref_commuting_pair(M, a, b, k=3):
 
 def ref_commuting(M, z, X, candidates, bound=None):
     survivors = list(candidates)
+    sizes = {b: bound_for(M, b, bound) for b in M.pomonoid.elements}
     for b in M.pomonoid.elements:
         if not survivors:
             break
-        for n in range(bound_for(M, b, bound) + 1):
+        for n in range(sizes[b] + 1):
             if not survivors:
                 break
             Y = canonical_set(n)
@@ -217,6 +218,8 @@ def ref_bimonoidal_centre_at(M, B, a, X, bound=None):
         if not (P.le(ab, top) and P.le(ba, top)):
             raise BimonoidMismatch(
                 f"{ab} or {ba} is not below {top}; the relaxed product does not dominate")
+    for b in P.elements:
+        ab, ba, top = P.times(a, b), P.times(b, a), B.par_of(a, b)
         for n in range(bound_for(M, b, bound) + 1):
             Y = canonical_set(n)
             TbY = M.carrier(b, Y)
@@ -421,6 +424,9 @@ def test_bimonoid_mismatches():
     for a in P.elements:
         assert agree(lambda: multi_error_writer(topped=True), bimonoidal_centre_at,
                      ref_bimonoidal_centre_at, low, a, X)[1] == "BimonoidMismatch"
+        # a bad duoid is refused before a bad bound
+        assert agree(lambda: multi_error_writer(topped=True), bimonoidal_centre_at,
+                     ref_bimonoidal_centre_at, low, a, X, -1)[1] == "BimonoidMismatch"
 
 
 def test_empty_test_computations_are_skipped():
@@ -514,7 +520,7 @@ class TestPrefixTokenWitnesses:
         M = bool_writer_pair(keep_last(("b", "b(c)")))
         X, Y = canonical_set(2), canonical_set(1)
         TX, TY = M.carrier("ff", X), M.carrier("ff", Y)
-        bad = commutation_witness(M, "ff", "ff", X, Y)[2]
+        bad = commutation_witness(M, "ff", "ff", X, Y)
         assert {TX.elems[i]: TY.elems[j] for i, j in bad.items()} == {
             "(y0,b(c))": "(y0,b)", "(y0,b)": "(y0,b(c))",
             "(y1,b(c))": "(y0,b)", "(y1,b)": "(y0,b(c))"}
@@ -524,7 +530,7 @@ class TestPrefixTokenWitnesses:
         M = bool_writer_pair(keep_last(("a", "b", "b(c)")))
         X = canonical_set(1)
         TX = M.carrier("ff", X)
-        bad = commutation_witness(M, "ff", "ff", X, X)[2]
+        bad = commutation_witness(M, "ff", "ff", X, X)
         assert {TX.elems[i]: TX.elems[j] for i, j in bad.items()} == {
             "(y0,a)": "(y0,b(c))", "(y0,b(c))": "(y0,a)", "(y0,b)": "(y0,a)"}
         cone = CentralCone(grade="ff", base=X, apex=TX, leg=FinFn(TX, TX, {t: t for t in TX}))
