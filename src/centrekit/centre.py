@@ -19,7 +19,7 @@ Central subsets and bimonoidal centres share one centrality filter,
 
 from dataclasses import dataclass, replace
 
-from .finkit import FinFn, FinSet, SetSizeError, all_fns, canonical_set, degree, tensor
+from .finkit import FinFn, FinSet, SetSizeError, all_fns, canonical_set, degree, identity_fn, tensor
 from .graded_monad import (
     GradedMonadMorphism,
     GradedStrongMonad,
@@ -168,7 +168,8 @@ class CentralCone:
 
 def graded_centre_at(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> CentralCone:
     sub = central_subset(M, z, X, bound)
-    leg = FinFn(sub, M.carrier(z, X), {t: t for t in sub})
+    TzX = M.carrier(z, X)
+    leg = FinFn._table(sub, TzX, tuple(map(TzX.token_index().__getitem__, sub.elems)))
     return CentralCone(grade=z, base=X, apex=sub, leg=leg)
 
 
@@ -250,13 +251,10 @@ class CentreResult:
     source: GradedStrongMonad
     bound: int | None = None
 
-    def subset_at(self, z: str, X: FinSet) -> FinSet:
-        return central_subset(self.source, z, X, self.bound)
-
     def describe(self, X: FinSet) -> list:
         out = []
         for z in self.monad.pomonoid.elements:
-            sub = self.subset_at(z, X)
+            sub = central_subset(self.source, z, X, self.bound)
             out.append({
                 "grade": z,
                 "set": X.name,
@@ -339,7 +337,7 @@ def restrict_grades(M: GradedStrongMonad, sub: Pomonoid,
             raise CentreError("grade restriction must embed elements by name")
     S = replace(M, pomonoid=sub, name=f"{M.name}|{sub.name}" if M.name else sub.name, _memo={})
     return S, GradedMonadMorphism(phi=phi, source=S, target=M, name="grade-restriction",
-                                  component=lambda z, X: FinFn.identity(M.carrier(z, X)))
+                                  component=lambda z, X: identity_fn(M.carrier(z, X)))
 
 
 def check_centrality_conditions(S: GradedStrongMonad, iota: GradedMonadMorphism,

@@ -228,10 +228,9 @@ def cmd_examples(args) -> int:
     return PASS
 
 
-def _add_common(ap, json_flag=True, set_size=True):
-    if json_flag:
-        ap.add_argument("--json", action="store_true",
-                        help="machine-readable output")
+def _add_common(ap, set_size=True):
+    ap.add_argument("--json", action="store_true",
+                    help="machine-readable output")
     if set_size:
         ap.add_argument("--max-set-size", type=int, default=3, metavar="K",
                         help="largest canonical set fed to the suites")

@@ -61,6 +61,7 @@ sides' values there.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import weakref
 from dataclasses import dataclass
@@ -338,13 +339,6 @@ class FinFn:
         return FinFn._table(self.cod, self.dom, tuple(sorted(range(len(self.idx)),
                                                              key=self.idx.__getitem__)))
 
-    @staticmethod
-    def identity(X: FinSet) -> "FinFn":
-        """X's identity, built once and kept on X."""
-        if X._identity is None:
-            X._identity = FinFn._table(X, X, tuple(range(len(X))))
-        return X._identity
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinFn)
@@ -469,7 +463,7 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     if isinstance(expr, Id):
         return f
     if isinstance(expr, Const):
-        return FinFn.identity(expr.value)
+        return identity_fn(expr.value)
     if isinstance(expr, Prod):
         return tensor_fn(apply_mor(expr.left, f), apply_mor(expr.right, f))
     if isinstance(expr, Sum):
@@ -491,7 +485,6 @@ _UNIT = FinSet("I", ("*",))
 # the last user of the product.
 _PRODUCTS = {}
 _GONE = weakref.ref(set())   # a reference whose object is gone: calling it gives None
-_CANONICAL = {}              # canonical_set(n) by n
 
 
 class _ProductRef(weakref.ref):
@@ -671,20 +664,21 @@ def rho_inv(X: FinSet) -> FinFn:
     return rho(X).inverse()
 
 
+@functools.cache
 def canonical_set(n: int) -> FinSet:
     """The standard n-element test set y0..y{n-1}, one shared set per n."""
     if not 0 <= n <= 9:
         raise SetSizeError(
             f"canonical set size {n} is outside 0..9: canonical sets are meant "
             "for small exhaustive scans")
-    S = _CANONICAL.get(n)
-    if S is None:
-        S = _CANONICAL[n] = FinSet(f"Y{n}", tuple(f"y{i}" for i in range(n)))
-    return S
+    return FinSet(f"Y{n}", tuple(f"y{i}" for i in range(n)))
 
 
 def identity_fn(X: FinSet) -> FinFn:
-    return FinFn.identity(X)
+    """X's identity, built once and kept on X."""
+    if X._identity is None:
+        X._identity = FinFn._table(X, X, tuple(range(len(X))))
+    return X._identity
 
 
 def op_table(op, A: FinSet, B: FinSet, C: FinSet) -> list:

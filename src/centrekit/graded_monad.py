@@ -677,14 +677,14 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
             return FinFn._table(dom, cod,
                                 tuple([p for p in range(len(dom_inner)) for _ in warnings[a]]))
         # remaining cases have a = t or b = t, so the carriers coincide
-        return FinFn.identity(dom)
+        return identity_fn(dom)
 
     def strength(a, X, Y):
         dom = tensor(X, apply_obj(exprs[a], Y))
         if a == "e":
             return to_point(dom)
         if a == "t":
-            return FinFn.identity(dom)
+            return identity_fn(dom)
         return _writer_strength(X, Y, warnings[a])
 
     def lift(a, b, X):

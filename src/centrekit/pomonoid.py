@@ -371,12 +371,19 @@ def multi_error_pomonoid(topped: bool = False) -> Pomonoid:
 
 # --- text format ---------------------------------------------------------
 
+# every directive but ``elements``: its argument count, and that count in words
+_ARITY = {"unit": (1, "one element"), "mul": (3, "three elements"),
+          "le": (2, "two elements"), "op2": (3, "three elements"),
+          "unit2": (1, "one element")}
+
+
 def parse_structure_text(text: str) -> dict:
     """Parse the plain-text table format.
 
-    Lines: ``elements a b c``, ``unit a``, ``mul a b c`` (one per product),
-    ``le a b`` (order generators), and optionally ``op2 a b c`` plus
-    ``unit2 a`` for a second operation.  ``#`` starts a comment.
+    Lines: ``elements a b c`` (any number of elements, once), ``unit a``
+    (one), ``mul a b c`` (three: one line per product), ``le a b`` (two: an
+    order generator), and optionally ``op2 a b c`` (three) plus ``unit2 a``
+    (one) for a second operation.  ``#`` starts a comment.
     """
     out = {"elements": None, "unit": None, "mul": {}, "le": [], "op2": {}, "unit2": None}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -389,28 +396,16 @@ def parse_structure_text(text: str) -> dict:
             if out["elements"] is not None:
                 raise FileFormatError(f"line {lineno}: duplicate elements line")
             out["elements"] = tuple(args)
-        elif key == "unit":
-            if len(args) != 1:
-                raise FileFormatError(f"line {lineno}: unit takes one element")
-            out["unit"] = args[0]
-        elif key == "mul":
-            if len(args) != 3:
-                raise FileFormatError(f"line {lineno}: mul takes three elements")
-            out["mul"][(args[0], args[1])] = args[2]
-        elif key == "le":
-            if len(args) != 2:
-                raise FileFormatError(f"line {lineno}: le takes two elements")
-            out["le"].append((args[0], args[1]))
-        elif key == "op2":
-            if len(args) != 3:
-                raise FileFormatError(f"line {lineno}: op2 takes three elements")
-            out["op2"][(args[0], args[1])] = args[2]
-        elif key == "unit2":
-            if len(args) != 1:
-                raise FileFormatError(f"line {lineno}: unit2 takes one element")
-            out["unit2"] = args[0]
-        else:
+        elif key not in _ARITY:
             raise FileFormatError(f"line {lineno}: unknown directive {key!r}")
+        elif len(args) != _ARITY[key][0]:
+            raise FileFormatError(f"line {lineno}: {key} takes {_ARITY[key][1]}")
+        elif key == "le":
+            out["le"].append((args[0], args[1]))
+        elif key in ("mul", "op2"):
+            out[key][(args[0], args[1])] = args[2]
+        else:
+            out[key] = args[0]
     if out["elements"] is None:
         raise FileFormatError("missing elements line")
     if out["unit"] is None:

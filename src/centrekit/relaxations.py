@@ -536,5 +536,5 @@ def bimonoidal_centre_at(M: GradedStrongMonad, D: Duoid, a: str, X: FinSet,
     TaX = M.carrier(a, X)
     rows = central_rows(M, a, X, range(len(TaX)), bound, tops)
     apex = FinSet(f"ZB^{a}({X.name})", tuple(TaX.elems[r] for r in rows))
-    leg = FinFn(apex, TaX, {t: t for t in apex})
+    leg = FinFn._table(apex, TaX, tuple(map(TaX.token_index().__getitem__, apex.elems)))
     return CentralCone(grade=a, base=X, apex=apex, leg=leg)

@@ -30,7 +30,14 @@ from centrekit.graded_monad import (
     multi_error_writer,
     registry,
 )
-from centrekit.pomonoid import Duoid, centre_of_pomonoid, multi_error_pomonoid
+from centrekit.pomonoid import (
+    Duoid,
+    bimonoid_from_absorbing_top,
+    bool_pomonoid,
+    centre_of_pomonoid,
+    multi_error_pomonoid,
+    validate_pomonoid,
+)
 from centrekit.relaxations import bimonoidal_centre_at
 
 X2 = canonical_set(2)
@@ -159,6 +166,46 @@ class TestCones:
         cone = CentralCone(grade="ff", base=X2, apex=A, leg=leg)
         with pytest.raises(CentreError):
             factor_through(cone, centre)
+
+
+def assert_leg_is_the_inclusion(M, cone):
+    # each apex token goes to the same token of T^z X
+    assert cone.leg.dom is cone.apex
+    assert cone.leg.cod == M.carrier(cone.grade, cone.base)
+    assert [cone.leg(t) for t in cone.apex] == list(cone.apex.elems)
+
+
+def keep_last_on_prefix_tokens():
+    """The monoid on 1, b, b(c) whose product keeps its right factor: T^ff Y1
+    lists (y0,b) before (y0,b(c)), though "(y0,b(c))" sorts first."""
+    els = ("1", "b", "b(c)")
+    mul = {(x, y): x if y == "1" else y for x in els for y in els}
+    return validate_pomonoid(els, "1", mul, name="K")
+
+
+class TestConeLegs:
+    @pytest.mark.parametrize("name", sorted(registry()))
+    def test_graded_centre_leg_is_the_inclusion(self, name):
+        M = registry()[name]()
+        for z in centre_of_pomonoid(M.pomonoid)[0].elements:
+            for n in range(3):
+                assert_leg_is_the_inclusion(M, graded_centre_at(M, z, canonical_set(n)))
+
+    def test_bimonoidal_centre_leg_is_the_inclusion(self):
+        M = multi_error_writer(topped=True)
+        D = bimonoid_from_absorbing_top(M.pomonoid, "e")
+        for a in M.pomonoid.elements:
+            for n in range(3):
+                assert_leg_is_the_inclusion(M, bimonoidal_centre_at(M, D, a, canonical_set(n)))
+
+    def test_legs_over_prefix_tokens(self):
+        M = bool_writer_pair(keep_last_on_prefix_tokens())
+        D = bimonoid_from_absorbing_top(bool_pomonoid(), "ff")
+        for a in M.pomonoid.elements:
+            for n in range(3):
+                X = canonical_set(n)
+                assert_leg_is_the_inclusion(M, graded_centre_at(M, a, X))
+                assert_leg_is_the_inclusion(M, bimonoidal_centre_at(M, D, a, X))
 
 
 class TestBuildCentreMonad:

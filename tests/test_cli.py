@@ -414,6 +414,81 @@ class TestTokenUnsafeElementNames:
         assert capsys.readouterr().out == "{tt,{_,a}}\n"
 
 
+# the structure files the mutation gate starts from, and the commands it runs
+STRUCTURE_FIXTURES = ("bool.pom", "multi_error.pom", "escalation.duo")
+STRUCTURE_COMMANDS = (["pomonoid", "check"], ["pomonoid", "centre", "--json"],
+                      ["duoid", "check", "--json"])
+DIRECTIVES = ("elements", "unit", "mul", "le", "op2", "unit2")
+# stray tokens: names, brackets and commas the pair encoding must refuse, a
+# comment sign, directives and non-ASCII text
+STRAY = st.sampled_from(["zz", "(", ")", "a,b", "x(y)", "{", "}", "{_,a}", "_", "#", "é",
+                         "0", "frob", "--", *DIRECTIVES])
+
+
+@st.composite
+def mutated_structure_file(draw):
+    """The bytes of a structure fixture after one or two mutations: a line
+    dropped, duplicated or retyped, an argument added, removed or changed, an
+    element renamed, or stray tokens, an unknown directive or bytes that are
+    not UTF-8 put in."""
+    with open(fx(draw(st.sampled_from(STRUCTURE_FIXTURES))), encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    elements = next(line.split()[1:] for line in lines if line.startswith("elements"))
+    bad_bytes = []
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["drop", "dup", "retype", "add-arg", "drop-arg", "rename",
+                                     "retarget", "stray", "unknown", "bytes"]))
+        i = draw(st.integers(0, 60)) % max(len(lines), 1)
+        words = lines[i].split() if lines else []
+        if kind == "drop" and lines:
+            del lines[i]
+        elif kind == "dup" and lines:
+            lines.insert(i, lines[i])
+        elif kind == "retype" and words:
+            lines[i] = " ".join([draw(st.sampled_from(DIRECTIVES))] + words[1:])
+        elif kind == "add-arg" and words:
+            lines[i] = " ".join(words + [draw(st.sampled_from(elements) | STRAY)])
+        elif kind == "drop-arg" and len(words) > 1:
+            lines[i] = " ".join(words[:-1])
+        elif kind == "rename":
+            old, new = draw(st.sampled_from(elements)), draw(st.sampled_from(elements) | STRAY)
+            lines = [" ".join(new if w == old else w for w in line.split()) for line in lines]
+        elif kind == "retarget" and len(words) > 1:
+            # the last argument of line i becomes another element: a typo in a table
+            lines[i] = " ".join(words[:-1] + [draw(st.sampled_from(elements))])
+        elif kind == "stray":
+            lines.insert(i, " ".join(draw(st.lists(STRAY, min_size=1, max_size=3))))
+        elif kind == "unknown":
+            lines.insert(i, " ".join(["frob"] + elements[:draw(st.integers(0, 3))]))
+        elif kind == "bytes":
+            bad_bytes.append((i, draw(st.sampled_from([b"\xff", b"\xc3", b"\x80abc"]))))
+    data = [line.encode("utf-8") for line in lines]
+    for i, raw in bad_bytes:
+        data.insert(min(i, len(data)), raw)
+    return b"\n".join(data) + b"\n"
+
+
+class TestMutatedStructureFiles:
+    # a mutated structure file passes, fails a law with a printed verdict, or
+    # is refused with one error line; nothing ends in a traceback
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(mutated_structure_file())
+    def test_exits_0_1_or_2_with_the_contracted_output(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("mutated") / "structure.txt"
+        path.write_bytes(data)
+        for command in STRUCTURE_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(command[:2] + [str(path)] + command[2:])
+            assert code in (0, 1, 2), command
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert out.getvalue() == ""
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            if code == 1:
+                assert "FAIL" in out.getvalue() or '"ok": false' in out.getvalue()
+
+
 class TestDuoidalCommand:
     def test_language_writer(self, capsys):
         code = main(["duoidal", "check", "--monad", "language_writer"])

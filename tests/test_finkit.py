@@ -331,8 +331,7 @@ class TestSharedProducts:
     def test_canonical_sets_and_identities_are_shared(self):
         assert canonical_set(3) is canonical_set(3)
         A = FinSet("A", ("a0", "a1"))
-        assert FinFn.identity(A) is FinFn.identity(A)
-        assert identity_fn(A) is FinFn.identity(A)
+        assert identity_fn(A) is identity_fn(A)
         assert identity_fn(tensor(A, A)) is identity_fn(tensor(A, A))
 
     def test_a_product_with_an_empty_factor_is_shared(self):

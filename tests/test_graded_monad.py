@@ -579,7 +579,7 @@ class TestComponentTypeChecks:
     W = FinSet("Wrong", ("w",))
 
     @pytest.mark.parametrize("wrong", [
-        lambda fn: FinFn.identity(TestComponentTypeChecks.W),
+        lambda fn: identity_fn(TestComponentTypeChecks.W),
         # the right domain into a foreign codomain
         lambda fn: FinFn(fn.dom, TestComponentTypeChecks.W, {t: "w" for t in fn.dom}),
     ], ids=["domain", "codomain"])

@@ -335,6 +335,26 @@ le tt ff
         with pytest.raises(FileFormatError):
             parse_structure_text("elements a\nunit a b\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("unit", "line 3: unit takes one element"),
+        ("unit a a", "line 3: unit takes one element"),
+        ("mul a a", "line 3: mul takes three elements"),
+        ("mul a a a a", "line 3: mul takes three elements"),
+        ("le a", "line 3: le takes two elements"),
+        ("le a a a", "line 3: le takes two elements"),
+        ("op2 a a", "line 3: op2 takes three elements"),
+        ("op2", "line 3: op2 takes three elements"),
+        ("unit2 a a", "line 3: unit2 takes one element"),
+        ("unit2", "line 3: unit2 takes one element"),
+        ("frob a", "line 3: unknown directive 'frob'"),
+        ("elements b", "line 3: duplicate elements line"),
+    ])
+    def test_every_line_error_names_its_line(self, line, message):
+        # the bad line is the third; a blank line and a comment are counted
+        with pytest.raises(FileFormatError) as info:
+            parse_structure_text(f"elements a\n\n{line}  # note\nunit a\nmul a a a\n")
+        assert str(info.value) == message
+
     def test_load_bimonoid_and_duoid(self):
         text = self.BOOL + "op2 tt tt tt\nop2 tt ff ff\nop2 ff tt ff\nop2 ff ff ff\nunit2 tt\n"
         D = load_duoid(text)

@@ -381,7 +381,7 @@ class TestVacuousInstances:
         assert per_instance and not any(per_instance)
 
     @pytest.mark.parametrize("wrong", [
-        lambda re: FinFn.identity(FinSet("W", ("w",))),
+        lambda re: identity_fn(FinSet("W", ("w",))),
         # the same index table into a renamed codomain: only the codomains differ
         lambda re: FinFn(re.dom, FinSet("W", [t + "!" for t in re.cod]),
                          {t: re(t) + "!" for t in re.dom}),
