@@ -91,8 +91,8 @@ def _emit(rep, as_json: bool) -> int:
     return PASS if rep.ok else FAIL
 
 
-def _violation(exc: LawViolation, as_json: bool) -> int:
-    # the table parsed but a law failed; that is the check's verdict
+def _violation(exc: LawViolation | NotCommutative, as_json: bool) -> int:
+    # the input was read but a law failed; that is the check's verdict
     print(json.dumps({"ok": False, "error": str(exc)}) if as_json else f"FAIL  {exc}")
     return FAIL
 
@@ -187,7 +187,11 @@ def cmd_duoidal(args) -> int:
         own_grading(args.monad, DM.monad, _load_pomonoid_arg(args))
         rep = check_duoidal_gradation(DM, k=args.max_set_size)
         return _emit(rep, args.json)
-    DM, rep = derive_monoidal_m(_build_monad(args), k=args.max_set_size)
+    M = _build_monad(args)
+    try:
+        DM, rep = derive_monoidal_m(M, k=args.max_set_size)
+    except NotCommutative as exc:
+        return _violation(exc, args.json)
     return _emit(rep, args.json)
 
 
@@ -356,8 +360,8 @@ def main(argv=None) -> int:
         print(f"FAIL  {exc}", file=sys.stderr)
         return FAIL
     except (InputError, FileNotFoundError, EffectLangError, PomonoidError,
-            GradedMonadError, CentreError, LanguageError, NotCommutative,
-            SetSizeError, TokenError) as exc:
+            GradedMonadError, CentreError, LanguageError, SetSizeError,
+            TokenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -49,9 +49,10 @@ the composite vocabulary: ``seq_row``, ``tensor_row``, ``alpha_row`` and
 compose`` error.  A row out of a product is in its pair order, so it is the
 product's table as it stands.  The ``FinFn`` builders ``seq``,
 ``tensor_then`` and ``alpha_then`` wrap these readers, ``alpha_inv_then``
-builds the one composite no suite reads as a row, ``then`` and ``alpha``
-are one call each into them, and ``tensor_fn`` reads f (x) g with
-``tensor_row``'s code.
+builds the one composite no suite reads as a row, ``then`` is one call
+into ``seq``, and ``tensor_fn`` reads f (x) g with ``tensor_row``'s code.
+The structure maps are read off pair-order positions: both associators
+have the identity's table, and ``gamma`` is a transpose of a grid.
 Two sides are compared as rows by ``mismatch``, the one comparator: it
 applies the comparison only where the rows differ, in the order of the
 domain's tokens, and names the least failing token of the domain with both
@@ -627,23 +628,32 @@ def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: F
                         tuple([hi[at[gi[row[y]]][z]] for row in xy for y, z in yz]))
 
 
-# The structure maps below are index tables computed from the positions of
-# the factors' tokens: no token is built or looked up.
+# The structure maps below are index tables read off pair-order positions: no
+# token is built or looked up.  Both bracketings of x, y, z sit at position
+# (x*|Y| + y)*|Z| + z, so the associators have the identity's table.  It is
+# read off the codomain's grid, whose int objects the other maps into that
+# product share: a fresh range, or the identity kept on the set, gives the
+# table ints of its own above 256, which raised the law suites' peak memory.
 
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
-    """Symmetry (x,y) -> (y,x)."""
+    """Symmetry (x,y) -> (y,x): the transpose of (YxX)'s grid."""
     cod = tensor(Y, X)
-    at = cod.pair_grid()
-    return FinFn._table(tensor(X, Y), cod, tuple([row[x] for x in range(len(X)) for row in at]))
+    return FinFn._table(tensor(X, Y), cod,
+                        tuple(itertools.chain.from_iterable(zip(*cod.pair_grid()))))
 
 
 def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """Associator ((x,y),z) -> (x,(y,z))."""
-    return alpha_then(X, Y, Z, identity_fn(tensor(Y, Z)), identity_fn(tensor(X, tensor(Y, Z))))
+    cod = tensor(X, tensor(Y, Z))
+    return FinFn._table(tensor(tensor(X, Y), Z), cod,
+                        tuple(itertools.chain.from_iterable(cod.pair_grid())))
 
 
 def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
-    return alpha(X, Y, Z).inverse()
+    """(x,(y,z)) -> ((x,y),z), which is also a writer's strength."""
+    cod = tensor(tensor(X, Y), Z)
+    return FinFn._table(tensor(X, tensor(Y, Z)), cod,
+                        tuple(itertools.chain.from_iterable(cod.pair_grid())))
 
 
 def lam(X: FinSet) -> FinFn:

@@ -40,6 +40,10 @@ Conventions that everything below depends on:
   equality.
 * ``remember`` alone type-checks a component, by vid, and stores it; what it
   rejects is never stored, so the next call for that key raises again.
+* The built-ins supply their costrengths as index tables, so no
+  commutation scan over them derives one; ``derive_costrength`` serves a
+  monad that gives none, and ``costrength-involution`` checks a supplied
+  one against the strength.
 """
 
 from __future__ import annotations
@@ -131,8 +135,11 @@ class GradedStrongMonad:
     ``carrier_fn``/``fmap_fn`` must be provided; the latter exists for
     monads whose carriers are not polynomial, like computed centres.
     ``lift`` may be omitted when the grading order is discrete.
-    ``costrength`` may be omitted; it is then derived from the strength
-    by conjugation with the symmetry.
+    ``costrength`` may be omitted, as the centre monad and ``fmap_fn``
+    monads omit it; it is then derived from the strength by conjugation
+    with the symmetry (``derive_costrength``), which costs two symmetries,
+    one more strength and one more fmap image.  The built-ins supply
+    theirs, which ``costrength-involution`` checks against the strength.
     """
 
     pomonoid: Pomonoid
@@ -222,7 +229,8 @@ class GradedStrongMonad:
 
 
 def derive_costrength(M: GradedStrongMonad, a: str, X: FinSet, Y: FinSet) -> FinFn:
-    """T^a X (x) Y -> T^a (X (x) Y) by swapping, strength, swapping inside."""
+    """T^a X (x) Y -> T^a (X (x) Y) by swapping, strength, swapping inside: the
+    costrength of a monad that gives none."""
     return seq(gamma(M.carrier(a, X), Y), M.strength_fn(a, Y, X), M.fmap(a, gamma(Y, X)))
 
 
@@ -645,6 +653,7 @@ def identity_monad(P: Pomonoid) -> GradedStrongMonad:
         unit=identity_fn,
         mult=lambda a, b, X: identity_fn(X),
         strength=lambda a, X, Y: identity_fn(tensor(X, Y)),
+        costrength=lambda a, X, Y: identity_fn(tensor(X, Y)),
         lift=lambda a, b, X: identity_fn(X),
         name=f"identity({P.name or 'G'})",
     )
@@ -685,7 +694,16 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
             return to_point(dom)
         if a == "t":
             return identity_fn(dom)
-        return _writer_strength(X, Y, warnings[a])
+        return alpha_inv(X, Y, warnings[a])
+
+    def costrength(a, X, Y):
+        # the mirror of strength
+        dom = tensor(apply_obj(exprs[a], X), Y)
+        if a == "e":
+            return to_point(dom)
+        if a == "t":
+            return identity_fn(dom)
+        return _writer_costrength(X, Y, warnings[a])
 
     def lift(a, b, X):
         # only grade e sits above others, and its carrier is a point
@@ -699,19 +717,20 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
         unit=identity_fn,
         mult=mult,
         strength=strength,
+        costrength=costrength,
         lift=lift if topped else None,
         name="multi_error_writer_topped" if topped else "multi_error_writer",
     )
 
 
-def _writer_strength(X: FinSet, Y: FinSet, annotations: FinSet) -> FinFn:
-    """(x,(y,u)) -> ((x,y),u), from the positions of the factors' tokens."""
-    YA, XY = tensor(Y, annotations), tensor(X, Y)
-    # XY, not cod's first factor: a shared product may hold an equal plain set there
-    cod = tensor(XY, annotations)
-    xy, at = XY.pair_grid(), cod.pair_grid()
-    ya = YA.pair_list()
-    return FinFn._table(tensor(X, YA), cod, tuple([at[row[y]][u] for row in xy for y, u in ya]))
+def _writer_costrength(X: FinSet, Y: FinSet, annotations: FinSet) -> FinFn:
+    """((x,u),y) -> ((x,y),u): for each x, the block of the codomain's rows
+    x (x) Y read column by column."""
+    ny, cod = len(Y), tensor(tensor(X, Y), annotations)
+    at = cod.pair_grid()
+    blocks = (zip(*at[x * ny:x * ny + ny]) for x in range(len(X)))
+    return FinFn._table(tensor(tensor(X, annotations), Y), cod,
+                        tuple([p for block in blocks for column in block for p in column]))
 
 
 def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
@@ -739,7 +758,11 @@ def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
                             tuple([at[x][row[v]] for x, v in inner.pair_list() for row in table]))
 
     def strength(a, X, Y):
-        return _writer_strength(X, Y, carriers[a])
+        # (x,(y,u)) -> ((x,y),u)
+        return alpha_inv(X, Y, carriers[a])
+
+    def costrength(a, X, Y):
+        return _writer_costrength(X, Y, carriers[a])
 
     def lift(a, b, X):
         # (x,u) -> (x,u); the checked constructor rejects a carrier that shrinks
@@ -758,6 +781,7 @@ def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
         unit=unit,
         mult=mult,
         strength=strength,
+        costrength=costrength,
         lift=lift,
         name=name,
     )

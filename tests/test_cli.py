@@ -519,10 +519,20 @@ class TestDuoidalCommand:
         assert captured.out == ""
         assert captured.err == "error: alphabet repeats 'a'\n"
 
-    def test_noncommutative_monad_exits_2(self, capsys):
+    def test_noncommutative_monad_fails_the_check(self, capsys):
         code = main(["duoidal", "check", "--monad", "multi_error_writer"])
-        assert code == 2
-        assert "not commutative" in capsys.readouterr().err
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == "FAIL  monad is not commutative; no canonical m exists\n"
+        assert captured.err == ""
+
+    def test_noncommutative_monad_fails_the_check_in_json(self, capsys):
+        code = main(["duoidal", "check", "--monad", "multi_error_writer", "--json"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out) == {
+            "ok": False, "error": "monad is not commutative; no canonical m exists"}
+        assert captured.err == ""
 
 
 class TestAnalyzeCommand:

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -21,6 +22,7 @@ from centrekit.graded_monad import (
     UnknownName,
     bool_writer_pair,
     build,
+    canonical_sets,
     check_all,
     check_commutative,
     check_costrength_coherence,
@@ -42,6 +44,7 @@ from centrekit.graded_monad import (
 )
 from centrekit.pomonoid import bool_pomonoid, multi_error_pomonoid, trivial_pomonoid
 from centrekit.relaxations import LanguageError
+from test_centre import keep_last_on_prefix_tokens
 
 
 X2 = canonical_set(2)
@@ -94,8 +97,7 @@ def _swapping(component: str, slot: int):
     set in every image.  Swapping a value is applied once along one composite
     and twice along the other, so the squares with two (co)strengths see it."""
     M = multi_error_writer()
-    good = M.strength if component == "strength" else (
-        lambda a, X, Y: derive_costrength(M, a, X, Y))
+    good = getattr(M, component)
 
     def bad(a, X, Y):
         fn = good(a, X, Y)
@@ -112,6 +114,8 @@ def _swapping(component: str, slot: int):
         return _retabled(fn, image)
 
     setattr(M, component, bad)
+    if component == "strength":
+        M.costrength = None   # so that the costrength is derived from the swapped strength
     return M
 
 
@@ -166,6 +170,7 @@ def _strength_forgetting(slot: int):
         return _retabled(fn, image)
 
     M.strength = bad_strength
+    M.costrength = None   # so that the costrength is derived from the bad strength
     return M
 
 
@@ -466,6 +471,27 @@ class TestStrengthFromCostrength:
         M = multi_error_writer()
         for a in M.pomonoid.elements:
             assert strength_from_costrength(M, a, X2, X2) == M.strength_fn(a, X2, X2)
+
+
+class TestCostrengthKernels:
+    def test_every_kernel_is_the_derived_costrength(self):
+        # every built-in, and the bool writer pair over keep-last on 1, b, b(c),
+        # whose carriers list (y0,b) before (y0,b(c))
+        monads = [registry()[name]() for name in sorted(registry())]
+        cases = 0
+        for M in monads + [bool_writer_pair(keep_last_on_prefix_tokens())]:
+            assert M.costrength is not None, M.name
+            for a, X, Y in product(M.pomonoid.elements, canonical_sets(3), canonical_sets(3)):
+                given, derived = M.costrength_fn(a, X, Y), derive_costrength(M, a, X, Y)
+                assert given.idx == derived.idx, (M.name, a, X.name, Y.name)
+                assert (given.dom.vid, given.cod.vid) == (derived.dom.vid, derived.cod.vid)
+                cases += 1
+        assert cases == 400   # 25 grades over 16 pairs of sets
+
+    @pytest.mark.parametrize("make", [swapped_costrength_writer, right_swapped_costrength_writer])
+    def test_involution_catches_a_kernel_that_swaps_two_values(self, make):
+        rep = check_costrength_coherence(make(), 2)
+        assert "costrength-involution" in {r.law for r in rep.failures()}
 
 
 class TestMorphisms:

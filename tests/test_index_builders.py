@@ -12,6 +12,7 @@ checked constructors like any other.
 """
 
 import collections
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -39,6 +40,7 @@ from centrekit.finkit import (
 )
 from centrekit.graded_monad import (
     bool_writer_pair,
+    canonical_sets,
     check_all,
     check_commutative,
     multi_error_writer,
@@ -53,6 +55,7 @@ from centrekit.relaxations import (
     parse_language_literal,
 )
 from centrekit.report import Report
+from test_centre import keep_last_on_prefix_tokens
 from test_relaxations import prefix_token_sets
 
 
@@ -100,6 +103,13 @@ def ref_writer_strength(X, Y, annotations):
     return FinFn(tensor(X, tensor(Y, annotations)), tensor(tensor(X, Y), annotations), mapping)
 
 
+def ref_writer_costrength(X, Y, annotations):
+    """((x,u),y) -> ((x,y),u)."""
+    mapping = {make_pair(make_pair(x, u), y): make_pair(make_pair(x, y), u)
+               for x in X for y in Y for u in annotations}
+    return FinFn(tensor(tensor(X, annotations), Y), tensor(tensor(X, Y), annotations), mapping)
+
+
 def ref_writer(P, carriers, annotation_mul, unit_ann):
     """The graded writer's components, as writer_monad documents them."""
     def mult(a, b, X):
@@ -117,7 +127,8 @@ def ref_writer(P, carriers, annotation_mul, unit_ann):
         return FinFn(X, tensor(X, carriers[P.unit]), {x: make_pair(x, unit_ann) for x in X})
 
     return {"mult": mult, "lift": lift, "unit": unit,
-            "strength": lambda a, X, Y: ref_writer_strength(X, Y, carriers[a])}
+            "strength": lambda a, X, Y: ref_writer_strength(X, Y, carriers[a]),
+            "costrength": lambda a, X, Y: ref_writer_costrength(X, Y, carriers[a])}
 
 
 def ref_multi_error(M):
@@ -146,11 +157,19 @@ def ref_multi_error(M):
             return FinFn(dom, cod, {t: t for t in dom})
         return ref_writer_strength(X, Y, warnings[a])
 
+    def costrength(a, X, Y):
+        dom, cod = tensor(carrier(a, X), Y), carrier(a, tensor(X, Y))
+        if a == "e":
+            return FinFn(dom, cod, {t: "*" for t in dom})
+        if a == "t":
+            return FinFn(dom, cod, {t: t for t in dom})
+        return ref_writer_costrength(X, Y, warnings[a])
+
     def lift(a, b, X):
         dom = carrier(a, X)
         return FinFn(dom, carrier(b, X), {t: "*" for t in dom})
 
-    return {"mult": mult, "strength": strength, "lift": lift}
+    return {"mult": mult, "strength": strength, "costrength": costrength, "lift": lift}
 
 
 def ref_language_m(DM, a, b, X, Y):
@@ -212,6 +231,35 @@ class TestStructureMaps:
     def test_unitors(self, A):
         same_table(lam(A), ref_lam(A))
         same_table(rho(A), ref_rho(A))
+
+
+class TestPositionTables:
+    """A product's position of (x, y) is x*|Y| + y, so both bracketings of
+    three factors, and a writer's strength, have the identity's table, and
+    the symmetry reads the grid of Y (x) X column by column.  The sets: the
+    canonical ones of sizes 0..3, an empty plain set, and the keep-last
+    monoid on 1, b, b(c) with two of its writer's carriers, which list (y0,b)
+    before (y0,b(c))."""
+
+    M = bool_writer_pair(keep_last_on_prefix_tokens())
+    SETS = canonical_sets(3) + [FinSet("E", ()), annotations(M, "ff"),
+                                M.carrier("ff", canonical_set(1)),
+                                M.carrier("ff", canonical_set(2))]
+
+    def test_gamma_is_the_row_by_row_reading(self):
+        for X, Y in itertools.product(self.SETS, repeat=2):
+            at = tensor(Y, X).pair_grid()
+            assert gamma(X, Y).idx == tuple([row[x] for x in range(len(X)) for row in at])
+
+    def test_associators_and_writer_strength_are_identities(self):
+        for X, Y, Z in itertools.product(self.SETS, repeat=3):
+            for fn in (alpha(X, Y, Z), alpha_inv(X, Y, Z)):
+                assert len(fn.dom) == len(fn.cod)
+                assert fn.idx == identity_fn(fn.cod).idx == tuple(range(len(fn.cod)))
+        for a, X, Y in itertools.product(self.M.pomonoid.elements, self.SETS, self.SETS):
+            tau = self.M.strength(a, X, Y)
+            assert tau.idx == tuple(range(len(tau.cod)))
+            assert tau == alpha_inv(X, Y, annotations(self.M, a))
 
 
 @st.composite
@@ -336,6 +384,7 @@ class TestWriterComponents:
         same_table(M.lift("tt", "ff", X), ref["lift"]("tt", "ff", X))
         for a in M.pomonoid.elements:
             same_table(M.strength(a, X, Y), ref["strength"](a, X, Y))
+            same_table(M.costrength(a, X, Y), ref["costrength"](a, X, Y))
             for b in M.pomonoid.elements:
                 same_table(M.mult(a, b, X), ref["mult"](a, b, X))
 
@@ -349,6 +398,7 @@ class TestMultiErrorComponents:
         P = M.pomonoid
         for a in P.elements:
             same_table(M.strength(a, X, Y), ref["strength"](a, X, Y))
+            same_table(M.costrength(a, X, Y), ref["costrength"](a, X, Y))
             if a != "e":
                 same_table(M.lift(a, "e", X), ref["lift"](a, "e", X))
             for b in P.elements:
