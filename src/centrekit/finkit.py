@@ -41,7 +41,10 @@ Composition, tensor, identities, ``all_fns``, ``apply_mor``, equality, the
 structure maps and the built-in monads' components work on these integer
 tables and never re-check a table they built; ``FinFn(dom, cod, mapping)``
 checks every table it is given.  ``pair_grid`` and ``pair_list`` give a
-product's positions row by row and as (i, j) pairs, worked out once.
+product's positions row by row and as (i, j) pairs.  Positions depend on
+sizes alone, so they are shared by shape: every product of one shape reads
+the same tables, built once, and the identity's table is one tuple per size,
+whose ints a grid's rows share.
 
 Every side of a law diagram is a chain of maps, read as one index row by
 the composite vocabulary: ``seq_row``, ``tensor_row``, ``alpha_row`` and
@@ -51,8 +54,9 @@ product's table as it stands.  The ``FinFn`` builders ``seq``,
 ``tensor_then`` and ``alpha_then`` wrap these readers, ``alpha_inv_then``
 builds the one composite no suite reads as a row, ``then`` is one call
 into ``seq``, and ``tensor_fn`` reads f (x) g with ``tensor_row``'s code.
-The structure maps are read off pair-order positions: both associators
-have the identity's table, and ``gamma`` is a transpose of a grid.
+The structure maps are read off pair-order positions: the associators, the
+unitors and their inverses have the identity's table, and ``gamma`` is a
+transpose of a grid, kept per shape.
 Two sides are compared as rows by ``mismatch``, the one comparator: it
 applies the comparison only where the rows differ, in the order of the
 domain's tokens, and names the least failing token of the domain with both
@@ -152,14 +156,15 @@ class FinSet:
     set's tokens are interned and listed sorted; a plain set whose tokens
     are exactly the pairs L x R gets the vid of the product of L and R, and
     is listed in its pair order.  A product built by ``tensor`` holds only
-    its factors (``factors``), its size and its pair tables; its vid pairs
-    its factors' vids, and ``elems`` (in pair order), its member set and
-    ``token_index`` are built on first read, from the factors' checked
-    tokens.  Every empty set, plain or a product, has vid 0.
+    its factors (``factors``) and its size; its vid pairs its factors'
+    vids, and ``elems`` (in pair order), its member set and ``token_index``
+    are built on first read, from the factors' checked tokens.  Its position
+    tables, ``pair_grid`` and ``pair_list``, are shared by every product of
+    its shape.  Every empty set, plain or a product, has vid 0.
     """
 
-    __slots__ = ("name", "factors", "vid", "_elems", "_size", "_set", "_index", "_grid",
-                 "_pair_list", "_identity", "__weakref__")
+    __slots__ = ("name", "factors", "vid", "_elems", "_size", "_set", "_index", "_identity",
+                 "__weakref__")
 
     def __init__(self, name: str, elems=(), factors=None):
         self.name = name
@@ -178,8 +183,7 @@ class FinSet:
             self._size = A._size * B._size
             self._elems, self._set = None if self._size else (), None
             self.vid = _pair_vid(A.vid, B.vid) if self._size else 0
-        self._index = self._grid = self._pair_list = None
-        self._identity = None
+        self._index = self._identity = None
 
     @property
     def elems(self) -> tuple:
@@ -205,18 +209,15 @@ class FinSet:
 
     def pair_grid(self) -> tuple:
         """grid[i] = (i*|B|, ..., i*|B| + |B| - 1): a product's positions, row
-        by row of its first factor (worked out once)."""
-        if self._grid is None:
-            (A, B), flat = self.factors, tuple(range(self._size))
-            nb = len(B)
-            self._grid = tuple([flat[i * nb:i * nb + nb] for i in range(len(A))])
-        return self._grid
+        by row of its first factor, shared by every product of its shape."""
+        A, B = self.factors
+        return _grid(A._size, B._size)
 
     def pair_list(self) -> tuple:
-        """(i, j) for each of a product's positions, in order (worked out once)."""
-        if self._pair_list is None:
-            self._pair_list = tuple(itertools.product(*[range(len(F)) for F in self.factors]))
-        return self._pair_list
+        """(i, j) for each of a product's positions, in order, shared by every
+        product of its shape."""
+        A, B = self.factors
+        return _pairs(A._size, B._size)
 
     def __iter__(self):
         return iter(self.elems)
@@ -232,6 +233,30 @@ class FinSet:
 
     def __repr__(self) -> str:
         return f"FinSet({self.name!r}, {{{', '.join(sorted(self.elems))}}})"
+
+
+# Position tables depend on sizes alone, so each is built once per shape and
+# shared by every set, product and structure map of that shape.  A grid's rows
+# are slices of ``_positions`` of the product's size, which is also the
+# identity's table: no product holds ints of its own.
+
+@functools.cache
+def _positions(n: int) -> tuple:
+    """(0, ..., n-1): the identity's table on an n-element set."""
+    return tuple(range(n))
+
+
+@functools.cache
+def _grid(na: int, nb: int) -> tuple:
+    """The positions of an na x nb product, row by row of its first factor."""
+    flat = _positions(na * nb)
+    return tuple([flat[i * nb:i * nb + nb] for i in range(na)])
+
+
+@functools.cache
+def _pairs(na: int, nb: int) -> tuple:
+    """(i, j) for each position of an na x nb product, in pair order."""
+    return tuple(itertools.product(_positions(na), _positions(nb)))
 
 
 # The vid and listing of every sorted plain token tuple met so far: interned
@@ -630,48 +655,49 @@ def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: F
 
 # The structure maps below are index tables read off pair-order positions: no
 # token is built or looked up.  Both bracketings of x, y, z sit at position
-# (x*|Y| + y)*|Z| + z, so the associators have the identity's table.  It is
-# read off the codomain's grid, whose int objects the other maps into that
-# product share: a fresh range, or the identity kept on the set, gives the
-# table ints of its own above 256, which raised the law suites' peak memory.
+# (x*|Y| + y)*|Z| + z, so the associators, like the unitors and their inverses,
+# have the identity's table, the one ``_positions`` tuple of their size.
+# ``gamma`` is a transpose of a grid, kept per shape, whose ints are the same.
+
+@functools.cache
+def _transpose(nx: int, ny: int) -> tuple:
+    """gamma's table on an nx x ny product: the columns of the ny x nx grid."""
+    return tuple(itertools.chain.from_iterable(zip(*_grid(ny, nx))))
+
 
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
     """Symmetry (x,y) -> (y,x): the transpose of (YxX)'s grid."""
-    cod = tensor(Y, X)
-    return FinFn._table(tensor(X, Y), cod,
-                        tuple(itertools.chain.from_iterable(zip(*cod.pair_grid()))))
+    return FinFn._table(tensor(X, Y), tensor(Y, X), _transpose(len(X), len(Y)))
 
 
 def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """Associator ((x,y),z) -> (x,(y,z))."""
     cod = tensor(X, tensor(Y, Z))
-    return FinFn._table(tensor(tensor(X, Y), Z), cod,
-                        tuple(itertools.chain.from_iterable(cod.pair_grid())))
+    return FinFn._table(tensor(tensor(X, Y), Z), cod, _positions(cod._size))
 
 
 def alpha_inv(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
     """(x,(y,z)) -> ((x,y),z), which is also a writer's strength."""
     cod = tensor(tensor(X, Y), Z)
-    return FinFn._table(tensor(X, tensor(Y, Z)), cod,
-                        tuple(itertools.chain.from_iterable(cod.pair_grid())))
+    return FinFn._table(tensor(X, tensor(Y, Z)), cod, _positions(cod._size))
 
 
 def lam(X: FinSet) -> FinFn:
     """Left unitor (*,x) -> x."""
-    return FinFn._table(tensor(_UNIT, X), X, tuple(range(len(X))))
+    return FinFn._table(tensor(_UNIT, X), X, _positions(X._size))
 
 
 def lam_inv(X: FinSet) -> FinFn:
-    return lam(X).inverse()
+    return FinFn._table(X, tensor(_UNIT, X), _positions(X._size))
 
 
 def rho(X: FinSet) -> FinFn:
     """Right unitor (x,*) -> x."""
-    return FinFn._table(tensor(X, _UNIT), X, tuple(range(len(X))))
+    return FinFn._table(tensor(X, _UNIT), X, _positions(X._size))
 
 
 def rho_inv(X: FinSet) -> FinFn:
-    return rho(X).inverse()
+    return FinFn._table(X, tensor(X, _UNIT), _positions(X._size))
 
 
 @functools.cache
@@ -685,9 +711,10 @@ def canonical_set(n: int) -> FinSet:
 
 
 def identity_fn(X: FinSet) -> FinFn:
-    """X's identity, built once and kept on X."""
+    """X's identity, built once and kept on X; its table is the one
+    ``_positions`` tuple of X's size."""
     if X._identity is None:
-        X._identity = FinFn._table(X, X, tuple(range(len(X))))
+        X._identity = FinFn._table(X, X, _positions(X._size))
     return X._identity
 
 

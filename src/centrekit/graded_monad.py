@@ -723,14 +723,25 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
     )
 
 
+# _writer_costrength's tables by (|X|, |W|, |Y|): a table depends on the sizes
+# alone, so each shape's is built once and shared, like finkit's grids
+_COSTRENGTH_TABLES = {}
+
+
 def _writer_costrength(X: FinSet, Y: FinSet, annotations: FinSet) -> FinFn:
     """((x,u),y) -> ((x,y),u): for each x, the block of the codomain's rows
-    x (x) Y read column by column."""
+    x (x) Y read column by column.  The table is kept per shape; its ints are
+    the codomain grid's, so every map into a product of that shape shares
+    them."""
     ny, cod = len(Y), tensor(tensor(X, Y), annotations)
-    at = cod.pair_grid()
-    blocks = (zip(*at[x * ny:x * ny + ny]) for x in range(len(X)))
-    return FinFn._table(tensor(tensor(X, annotations), Y), cod,
-                        tuple([p for block in blocks for column in block for p in column]))
+    shape = (len(X), len(annotations), ny)
+    table = _COSTRENGTH_TABLES.get(shape)
+    if table is None:
+        at = cod.pair_grid()
+        blocks = (zip(*at[x * ny:x * ny + ny]) for x in range(len(X)))
+        table = _COSTRENGTH_TABLES[shape] = tuple(
+            [p for block in blocks for column in block for p in column])
+    return FinFn._table(tensor(tensor(X, annotations), Y), cod, table)
 
 
 def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import operator
 import weakref
 from dataclasses import dataclass
 
@@ -333,6 +334,19 @@ class TestSharedProducts:
         A = FinSet("A", ("a0", "a1"))
         assert identity_fn(A) is identity_fn(A)
         assert identity_fn(tensor(A, A)) is identity_fn(tensor(A, A))
+        # the identity's table is one tuple per size, and every structure map
+        # with the identity's table shares it
+        B = FinSet("B", ("b0", "b1", "b2", "b3"))
+        table = identity_fn(B).idx
+        for fn in (identity_fn(tensor(A, A)), lam(B), rho(B), lam_inv(B), rho_inv(B),
+                   alpha(A, A, unit_set()), alpha_inv(A, unit_set(), A)):
+            assert len(fn.idx) == 4 and fn.idx is table
+        # a product's grid holds its identity's int objects, above the
+        # interpreter's small ints too
+        big = FinSet("Big", tuple(f"b{i}" for i in range(20)))
+        P = tensor(big, big)
+        grid = list(itertools.chain.from_iterable(P.pair_grid()))
+        assert len(grid) == 400 and all(map(operator.is_, grid, identity_fn(P).idx))
 
     def test_a_product_with_an_empty_factor_is_shared(self):
         W = FinSet("W", ("u0", "u1"))
@@ -782,6 +796,11 @@ class TestIndexTablesMatchReference:
             assert grid == tuple(tuple(P.elems.index(make_pair(a, b)) for b in B) for a in A)
             assert pairs == tuple((A.elems.index(l), B.elems.index(r))
                                   for l, r in map(split_pair, P.elems))
+        # positions depend on the shape alone: products of one shape share them
+        U, V = FinSet("U", ("u0", "u1")), FinSet("V", ("v0", "v1"))
+        for P in (tensor(L, R), tensor(R, L)):
+            assert P.pair_grid() is tensor(U, V).pair_grid()
+            assert P.pair_list() is tensor(V, U).pair_list()
         assert tensor(L, FinSet("E", ())).pair_grid() == ((), ())
         assert tensor(FinSet("E", ()), L).pair_list() == ()
 
