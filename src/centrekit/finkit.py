@@ -2,9 +2,10 @@
 
 Everything downstream evaluates structure maps pointwise, so carriers are
 kept as plain string tokens.  Structured values use a fixed encoding:
-pairs are ``(l,r)``, sum injections are ``inl:v`` / ``inr:v``, and leaves
-stay bare.  Set membership and all law comparisons are string equality on
-this encoding, which is why it is never allowed to drift.
+pairs are ``(l,r)`` and leaves stay bare.  Set membership and all law
+comparisons are string equality on this encoding, which is why it is never
+allowed to drift.  Functors are Id | Const | Prod, so every fmap image is an
+index table; another shape is given through ``carrier_fn``/``fmap_fn``.
 
 ``FinSet`` and ``FinFn`` are immutable values: nothing may change a set's
 name or tokens, or a map's table, once built.  Every set carries ``vid``,
@@ -22,7 +23,7 @@ empty factor is shared through that registry like any other, and every map
 out of an empty domain is the empty table.  Tokens live at the edge: a
 product holds its factors and builds its token list only when something
 reads it (a witness, ``in``, iteration, ``mapping``, the checked ``FinFn``
-constructor).
+constructor); ``in`` and that constructor read the one ``token_index``.
 
 One rule fixes every set's positions.  A product is in pair order: the
 pair of A's i-th and B's j-th tokens is the product's token i*|B| + j.  A
@@ -55,8 +56,9 @@ product's table as it stands.  The ``FinFn`` builders ``seq``,
 builds the one composite no suite reads as a row, ``then`` is one call
 into ``seq``, and ``tensor_fn`` reads f (x) g with ``tensor_row``'s code.
 The structure maps are read off pair-order positions: the associators, the
-unitors and their inverses have the identity's table, and ``gamma`` is a
-transpose of a grid, kept per shape.
+unitors and their inverses have the identity's table, ``gamma`` is a
+transpose of a grid, and ``twist``, a writer's costrength, reads a grid
+block by block; both tables are kept per shape.
 Two sides are compared as rows by ``mismatch``, the one comparator: it
 applies the comparison only where the rows differ, in the order of the
 domain's tokens, and names the least failing token of the domain with both
@@ -82,15 +84,11 @@ __all__ = [
     "Id",
     "Const",
     "Prod",
-    "Sum",
     "degree",
     "apply_obj",
     "apply_mor",
     "make_pair",
     "split_pair",
-    "make_inl",
-    "make_inr",
-    "split_sum",
     "unit_set",
     "tensor",
     "tensor_fn",
@@ -104,6 +102,7 @@ __all__ = [
     "alpha_inv_then",
     "pair_rows",
     "gamma",
+    "twist",
     "alpha",
     "alpha_inv",
     "lam",
@@ -119,7 +118,7 @@ __all__ = [
 
 
 class TokenError(ValueError):
-    """A token the pair/sum encoding cannot accommodate."""
+    """A token the pair encoding cannot accommodate."""
 
 
 class SetSizeError(ValueError):
@@ -157,13 +156,13 @@ class FinSet:
     are exactly the pairs L x R gets the vid of the product of L and R, and
     is listed in its pair order.  A product built by ``tensor`` holds only
     its factors (``factors``) and its size; its vid pairs its factors'
-    vids, and ``elems`` (in pair order), its member set and ``token_index``
-    are built on first read, from the factors' checked tokens.  Its position
+    vids, and ``elems`` (in pair order) and ``token_index`` are built on
+    first read, from the factors' checked tokens.  Its position
     tables, ``pair_grid`` and ``pair_list``, are shared by every product of
     its shape.  Every empty set, plain or a product, has vid 0.
     """
 
-    __slots__ = ("name", "factors", "vid", "_elems", "_size", "_set", "_index", "_identity",
+    __slots__ = ("name", "factors", "vid", "_elems", "_size", "_index", "_identity",
                  "__weakref__")
 
     def __init__(self, name: str, elems=(), factors=None):
@@ -173,15 +172,14 @@ class FinSet:
             elems = tuple(sorted(elems))
             for tok in elems:
                 check_token(tok)
-            self._set = frozenset(elems)
-            if len(self._set) != len(elems):
+            if len(set(elems)) != len(elems):
                 raise TokenError(f"duplicate tokens in {name or 'set'}: {elems}")
             self.vid, self._elems = _plain(elems)
             self._size = len(elems)
         else:
             A, B = factors
             self._size = A._size * B._size
-            self._elems, self._set = None if self._size else (), None
+            self._elems = None if self._size else ()
             self.vid = _pair_vid(A.vid, B.vid) if self._size else 0
         self._index = self._identity = None
 
@@ -193,13 +191,8 @@ class FinSet:
             self._elems = tuple([make_pair(a, b) for a in A.elems for b in B.elems])
         return self._elems
 
-    def _members(self) -> frozenset:
-        if self._set is None:
-            self._set = frozenset(self.elems)
-        return self._set
-
     def __contains__(self, tok) -> bool:
-        return tok in self._members()
+        return tok in self.token_index()
 
     def token_index(self) -> dict:
         """Token -> its position in ``elems`` (built on first use)."""
@@ -314,10 +307,10 @@ class FinFn:
     def __init__(self, dom: FinSet, cod: FinSet, mapping):
         if not isinstance(mapping, dict):
             mapping = dict(mapping)
-        members = dom._members()
-        if mapping.keys() != members:
-            missing = members - set(mapping)
-            extra = set(mapping) - members
+        index = dom.token_index()
+        if mapping.keys() != index.keys():
+            missing = frozenset(index).difference(mapping)
+            extra = set(mapping).difference(index)
             raise ValueError(f"map not total on {dom.name}: missing={missing} extra={extra}")
         image = list(map(mapping.__getitem__, dom.elems))
         position = cod.token_index()
@@ -400,26 +393,10 @@ def split_pair(tok: str) -> tuple[str, str]:
     raise TokenError(f"not a pair token: {tok!r}")
 
 
-def make_inl(v: str) -> str:
-    return f"inl:{v}"
-
-
-def make_inr(v: str) -> str:
-    return f"inr:{v}"
-
-
-def split_sum(tok: str) -> tuple[str, str]:
-    if tok.startswith("inl:"):
-        return "inl", tok[4:]
-    if tok.startswith("inr:"):
-        return "inr", tok[4:]
-    raise TokenError(f"not a sum token: {tok!r}")
-
-
 # --- polynomial functor expressions -----------------------------------
 
 class FunctorExpr:
-    """Shape of a polynomial endofunctor: Id | Const(S) | Prod(F,G) | Sum(F,G)."""
+    """Shape of a polynomial endofunctor: Id | Const(S) | Prod(F,G)."""
 
     __slots__ = ()
 
@@ -440,30 +417,15 @@ class Prod(FunctorExpr):
     right: FunctorExpr
 
 
-@dataclass(frozen=True)
-class Sum(FunctorExpr):
-    left: FunctorExpr
-    right: FunctorExpr
-
-
 def degree(expr: FunctorExpr) -> int:
-    """Maximum number of Id leaves along any one value of the functor."""
+    """The number of Id leaves: how many elements of X one value holds."""
     if isinstance(expr, Id):
         return 1
     if isinstance(expr, Const):
         return 0
     if isinstance(expr, Prod):
         return degree(expr.left) + degree(expr.right)
-    if isinstance(expr, Sum):
-        return max(degree(expr.left), degree(expr.right))
     raise TypeError(f"not a FunctorExpr: {expr!r}")
-
-
-def _sum_set(l: FinSet, r: FinSet) -> FinSet:
-    return FinSet(
-        f"({l.name}+{r.name})",
-        itertools.chain((make_inl(t) for t in l), (make_inr(t) for t in r)),
-    )
 
 
 def apply_obj(expr: FunctorExpr, X: FinSet) -> FinSet:
@@ -474,17 +436,14 @@ def apply_obj(expr: FunctorExpr, X: FinSet) -> FinSet:
         return expr.value
     if isinstance(expr, Prod):
         return tensor(apply_obj(expr.left, X), apply_obj(expr.right, X))
-    if isinstance(expr, Sum):
-        return _sum_set(apply_obj(expr.left, X), apply_obj(expr.right, X))
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
 def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
     """Functor action on a map: relabel Id leaves by f, fix Const leaves.
 
-    Built bottom-up from the index tables of the parts, so no token is
-    parsed or built, but for a Sum: a sum set is sorted, which need not keep
-    a summand's order, so its table is read through its tokens.
+    Built bottom-up, a Prod's image as the product of its parts' index
+    tables, so no token is parsed or built.
     """
     if isinstance(expr, Id):
         return f
@@ -492,12 +451,6 @@ def apply_mor(expr: FunctorExpr, f: FinFn) -> FinFn:
         return identity_fn(expr.value)
     if isinstance(expr, Prod):
         return tensor_fn(apply_mor(expr.left, f), apply_mor(expr.right, f))
-    if isinstance(expr, Sum):
-        l = apply_mor(expr.left, f)
-        r = apply_mor(expr.right, f)
-        mapping = {make_inl(t): make_inl(v) for t, v in l.mapping.items()}
-        mapping.update((make_inr(t), make_inr(v)) for t, v in r.mapping.items())
-        return FinFn(_sum_set(l.dom, r.dom), _sum_set(l.cod, r.cod), mapping)
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
@@ -657,7 +610,8 @@ def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: F
 # token is built or looked up.  Both bracketings of x, y, z sit at position
 # (x*|Y| + y)*|Z| + z, so the associators, like the unitors and their inverses,
 # have the identity's table, the one ``_positions`` tuple of their size.
-# ``gamma`` is a transpose of a grid, kept per shape, whose ints are the same.
+# ``gamma`` and ``twist`` read a grid's columns, kept per shape, whose ints are
+# the same.
 
 @functools.cache
 def _transpose(nx: int, ny: int) -> tuple:
@@ -668,6 +622,20 @@ def _transpose(nx: int, ny: int) -> tuple:
 def gamma(X: FinSet, Y: FinSet) -> FinFn:
     """Symmetry (x,y) -> (y,x): the transpose of (YxX)'s grid."""
     return FinFn._table(tensor(X, Y), tensor(Y, X), _transpose(len(X), len(Y)))
+
+
+@functools.cache
+def _twist(nx: int, ny: int, nz: int) -> tuple:
+    """For each x, the rows x (x) Z of the (nx*nz) x ny grid, column by column."""
+    at = _grid(nx * nz, ny)
+    blocks = (zip(*at[x * nz:x * nz + nz]) for x in range(nx))
+    return tuple([p for block in blocks for column in block for p in column])
+
+
+def twist(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:
+    """((x,y),z) -> ((x,z),y); a writer's costrength is twist(X, W, Y)."""
+    return FinFn._table(tensor(tensor(X, Y), Z), tensor(tensor(X, Z), Y),
+                        _twist(len(X), len(Y), len(Z)))
 
 
 def alpha(X: FinSet, Y: FinSet, Z: FinSet) -> FinFn:

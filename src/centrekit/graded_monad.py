@@ -40,10 +40,10 @@ Conventions that everything below depends on:
   equality.
 * ``remember`` alone type-checks a component, by vid, and stores it; what it
   rejects is never stored, so the next call for that key raises again.
-* The built-ins supply their costrengths as index tables, so no
-  commutation scan over them derives one; ``derive_costrength`` serves a
-  monad that gives none, and ``costrength-involution`` checks a supplied
-  one against the strength.
+* The built-ins supply their costrengths as index tables, a writer's being
+  ``finkit.twist``, so no commutation scan over them derives one;
+  ``derive_costrength`` serves a monad that gives none, and
+  ``costrength-involution`` checks a supplied one against the strength.
 """
 
 from __future__ import annotations
@@ -81,6 +81,7 @@ from .finkit import (
     tensor,
     tensor_fn,
     tensor_then,
+    twist,
     unit_set,
 )
 from .pomonoid import (
@@ -261,7 +262,7 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
     compared, both lifted to grade ``top`` when it is given, and ``bad[i] =
     j`` for each row i of T^a X at which they disagree somewhere, j being the
     column, of those where they do, whose token of T^b Y is least.  Reads the
-    two index tables, and T^b Y's tokens when the tables differ.
+    two composites' rows (``pair_rows``), and T^b Y's tokens when they differ.
     """
     left, right = commute_maps(M, a, b, X, Y)
     if top is not None:
@@ -270,12 +271,12 @@ def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinS
         right = seq(right, M.lift_fn(M.pomonoid.times(b, a), top, XY))
     check_ends(left.dom, left.cod, right.dom, right.cod)
     bad = {}
-    lhs, rhs = left.idx, right.idx
-    if lhs != rhs:
-        TbY = M.carrier(b, Y)
+    if left.idx != right.idx:
+        TaX, TbY = M.carrier(a, X), M.carrier(b, Y)
         columns = sorted(range(len(TbY)), key=TbY.elems.__getitem__)
-        for i, row in enumerate(tensor(M.carrier(a, X), TbY).pair_grid()):
-            j = next((j for j in columns if lhs[row[j]] != rhs[row[j]]), None)
+        rows = zip(pair_rows(left, TaX, TbY), pair_rows(right, TaX, TbY))
+        for i, (lhs, rhs) in enumerate(rows):
+            j = next((j for j in columns if lhs[j] != rhs[j]), None)
             if j is not None:
                 bad[i] = j
     return bad
@@ -703,7 +704,7 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
             return to_point(dom)
         if a == "t":
             return identity_fn(dom)
-        return _writer_costrength(X, Y, warnings[a])
+        return twist(X, warnings[a], Y)
 
     def lift(a, b, X):
         # only grade e sits above others, and its carrier is a point
@@ -721,27 +722,6 @@ def multi_error_writer(topped: bool = False) -> GradedStrongMonad:
         lift=lift if topped else None,
         name="multi_error_writer_topped" if topped else "multi_error_writer",
     )
-
-
-# _writer_costrength's tables by (|X|, |W|, |Y|): a table depends on the sizes
-# alone, so each shape's is built once and shared, like finkit's grids
-_COSTRENGTH_TABLES = {}
-
-
-def _writer_costrength(X: FinSet, Y: FinSet, annotations: FinSet) -> FinFn:
-    """((x,u),y) -> ((x,y),u): for each x, the block of the codomain's rows
-    x (x) Y read column by column.  The table is kept per shape; its ints are
-    the codomain grid's, so every map into a product of that shape shares
-    them."""
-    ny, cod = len(Y), tensor(tensor(X, Y), annotations)
-    shape = (len(X), len(annotations), ny)
-    table = _COSTRENGTH_TABLES.get(shape)
-    if table is None:
-        at = cod.pair_grid()
-        blocks = (zip(*at[x * ny:x * ny + ny]) for x in range(len(X)))
-        table = _COSTRENGTH_TABLES[shape] = tuple(
-            [p for block in blocks for column in block for p in column])
-    return FinFn._table(tensor(tensor(X, annotations), Y), cod, table)
 
 
 def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
@@ -773,7 +753,8 @@ def writer_monad(P: Pomonoid, carriers: dict[str, FinSet],
         return alpha_inv(X, Y, carriers[a])
 
     def costrength(a, X, Y):
-        return _writer_costrength(X, Y, carriers[a])
+        # ((x,u),y) -> ((x,y),u)
+        return twist(X, carriers[a], Y)
 
     def lift(a, b, X):
         # (x,u) -> (x,u); the checked constructor rejects a carrier that shrinks

@@ -14,7 +14,6 @@ from centrekit.finkit import (
     FinSet,
     Id,
     Prod,
-    Sum,
     SetSizeError,
     TokenError,
     all_fns,
@@ -32,8 +31,6 @@ from centrekit.finkit import (
     identity_fn,
     lam,
     lam_inv,
-    make_inl,
-    make_inr,
     make_pair,
     mismatch,
     pair_rows,
@@ -41,7 +38,6 @@ from centrekit.finkit import (
     rho_inv,
     seq,
     split_pair,
-    split_sum,
     tensor,
     tensor_fn,
     tensor_then,
@@ -60,8 +56,6 @@ def size_at(expr, n: int) -> int:
         return len(expr.value)
     if isinstance(expr, Prod):
         return size_at(expr.left, n) * size_at(expr.right, n)
-    if isinstance(expr, Sum):
-        return size_at(expr.left, n) + size_at(expr.right, n)
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
@@ -72,10 +66,6 @@ def decode(expr, tok: str):
     if isinstance(expr, Prod):
         l, r = split_pair(tok)
         return ("pair", decode(expr.left, l), decode(expr.right, r))
-    if isinstance(expr, Sum):
-        tag, v = split_sum(tok)
-        branch = expr.left if tag == "inl" else expr.right
-        return (tag, decode(branch, v))
     raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
@@ -85,10 +75,6 @@ def encode(tree) -> str:
         return tree[1]
     if tag == "pair":
         return make_pair(encode(tree[1]), encode(tree[2]))
-    if tag == "inl":
-        return make_inl(encode(tree[1]))
-    if tag == "inr":
-        return make_inr(encode(tree[1]))
     raise ValueError(f"bad element tree: {tree!r}")
 
 
@@ -185,7 +171,7 @@ class TestFinFn:
         assert len(list(all_fns(X, empty))) == 0
 
 
-class TestPairsAndSums:
+class TestPairs:
     def test_pair_round_trip(self):
         tok = make_pair("a", "(b,c)")
         assert tok == "(a,(b,c))"
@@ -201,12 +187,6 @@ class TestPairsAndSums:
         with pytest.raises(TokenError):
             split_pair("(abc)")
 
-    def test_sum_round_trip(self):
-        assert split_sum(make_inl("v")) == ("inl", "v")
-        assert split_sum(make_inr("(a,b)")) == ("inr", "(a,b)")
-        with pytest.raises(TokenError):
-            split_sum("plain")
-
     token = st.text(alphabet="abc*", min_size=1, max_size=4)
 
     @given(token, token)
@@ -216,37 +196,27 @@ class TestPairsAndSums:
 
 class TestFunctors:
     W = Prod(Id(), Const(FinSet("Ann", ("p", "q"))))
-    E = Sum(Id(), Const(unit_set()))
 
     def test_degree(self):
         assert degree(Id()) == 1
         assert degree(Const(X)) == 0
         assert degree(self.W) == 1
         assert degree(Prod(Id(), Id())) == 2
-        assert degree(self.E) == 1
 
     def test_size_at(self):
         assert size_at(Id(), 3) == 3
         assert size_at(Const(Y), 5) == 3
         assert size_at(self.W, 2) == 4
-        assert size_at(self.E, 2) == 3
 
     def test_apply_obj_prod(self):
         WX = apply_obj(self.W, X)
         assert set(WX) == {"(x0,p)", "(x0,q)", "(x1,p)", "(x1,q)"}
-
-    def test_apply_obj_sum(self):
-        EX = apply_obj(self.E, X)
-        assert set(EX) == {"inl:x0", "inl:x1", "inr:*"}
 
     def test_apply_mor_structural(self):
         f = FinFn(X, Y, {"x0": "y2", "x1": "y0"})
         Wf = apply_mor(self.W, f)
         assert Wf("(x0,p)") == "(y2,p)"
         assert Wf("(x1,q)") == "(y0,q)"
-        Ef = apply_mor(self.E, f)
-        assert Ef("inl:x0") == "inl:y2"
-        assert Ef("inr:*") == "inr:*"
 
     def test_apply_mor_is_functorial(self):
         f = FinFn(X, Y, {"x0": "y1", "x1": "y2"})
@@ -257,10 +227,10 @@ class TestFunctors:
         assert apply_mor(self.W, identity_fn(X)) == identity_fn(apply_obj(self.W, X))
 
     def test_decode_encode(self):
-        tok = make_pair(make_inl("x0"), "p")
-        expr = Prod(self.E, Const(FinSet("Ann", ("p", "q"))))
+        tok = make_pair(make_pair("x0", "x1"), "p")
+        expr = Prod(Prod(Id(), Id()), Const(FinSet("Ann", ("p", "q"))))
         tree = decode(expr, tok)
-        assert tree == ("pair", ("inl", ("leaf", "x0")), ("leaf", "p"))
+        assert tree == ("pair", ("pair", ("leaf", "x0"), ("leaf", "x1")), ("leaf", "p"))
         assert encode(tree) == tok
 
 
@@ -477,10 +447,7 @@ def ref_map_token(expr, f, tok):
     if isinstance(expr, Prod):
         l, r = split_pair(tok)
         return make_pair(ref_map_token(expr.left, f, l), ref_map_token(expr.right, f, r))
-    tag, v = split_sum(tok)
-    if tag == "inl":
-        return make_inl(ref_map_token(expr.left, f, v))
-    return make_inr(ref_map_token(expr.right, f, v))
+    raise TypeError(f"not a FunctorExpr: {expr!r}")
 
 
 def ref_apply_mor(expr, f):
@@ -494,7 +461,6 @@ tokens = st.recursive(
     leaf_tokens,
     lambda inner: st.one_of(
         st.builds(make_pair, inner, inner),
-        st.builds(make_inl, inner),
         st.lists(leaf_tokens, min_size=1, max_size=2).map(lambda ws: "{" + ",".join(ws) + "}"),
     ),
     max_leaves=3,
@@ -516,7 +482,7 @@ def finite_maps(draw):
 
 exprs = st.recursive(
     st.one_of(st.just(Id()), token_sets(max_size=2).map(Const)),
-    lambda inner: st.one_of(st.builds(Prod, inner, inner), st.builds(Sum, inner, inner)),
+    lambda inner: st.builds(Prod, inner, inner),
     max_leaves=4,
 )
 
@@ -575,13 +541,8 @@ def dict_apply_mor(expr, f):
         return f.dom, f.cod, dict(f.mapping)
     if isinstance(expr, Const):
         return dict_identity(expr.value)
-    if isinstance(expr, Prod):
-        l, r = (FinFn(*dict_apply_mor(e, f)) for e in (expr.left, expr.right))
-        return dict_tensor_fn(l, r)
     l, r = (FinFn(*dict_apply_mor(e, f)) for e in (expr.left, expr.right))
-    mapping = {make_inl(t): make_inl(v) for t, v in l.mapping.items()}
-    mapping.update((make_inr(t), make_inr(v)) for t, v in r.mapping.items())
-    return apply_obj(expr, f.dom), apply_obj(expr, f.cod), mapping
+    return dict_tensor_fn(l, r)
 
 
 def is_table(fn, dom, cod, table):

@@ -36,6 +36,7 @@ from centrekit.finkit import (
     rho_inv,
     tensor,
     tensor_fn,
+    twist,
     unit_set,
 )
 from centrekit.graded_monad import (
@@ -96,6 +97,13 @@ def ref_rho(X):
     return FinFn(tensor(X, unit_set()), X, {make_pair(x, "*"): x for x in X})
 
 
+def ref_twist(X, Y, Z):
+    """((x,y),z) -> ((x,z),y)."""
+    mapping = {make_pair(make_pair(x, y), z): make_pair(make_pair(x, z), y)
+               for x in X for y in Y for z in Z}
+    return FinFn(tensor(tensor(X, Y), Z), tensor(tensor(X, Z), Y), mapping)
+
+
 def ref_writer_strength(X, Y, annotations):
     """(x,(y,u)) -> ((x,y),u)."""
     mapping = {make_pair(x, make_pair(y, u)): make_pair(make_pair(x, y), u)
@@ -105,9 +113,7 @@ def ref_writer_strength(X, Y, annotations):
 
 def ref_writer_costrength(X, Y, annotations):
     """((x,u),y) -> ((x,y),u)."""
-    mapping = {make_pair(make_pair(x, u), y): make_pair(make_pair(x, y), u)
-               for x in X for y in Y for u in annotations}
-    return FinFn(tensor(tensor(X, annotations), Y), tensor(tensor(X, Y), annotations), mapping)
+    return ref_twist(X, annotations, Y)
 
 
 def ref_writer(P, carriers, annotation_mul, unit_ann):
@@ -232,6 +238,24 @@ class TestStructureMaps:
         same_table(lam(A), ref_lam(A))
         same_table(rho(A), ref_rho(A))
 
+    @settings(max_examples=150, deadline=None)
+    @given(token_sets(), token_sets(), token_sets())
+    def test_twist(self, A, B, C):
+        same_table(twist(A, B, C), ref_twist(A, B, C))
+
+    def test_twist_with_empty_factors(self):
+        sets = (FinSet("E", ()), canonical_set(0), FinSet("S", ("b", "b(c)")), canonical_set(2))
+        for A, B, C in itertools.product(sets, repeat=3):
+            same_table(twist(A, B, C), ref_twist(A, B, C))
+
+    def test_twist_tables_are_shared_by_shape(self):
+        # two 2 x 3 x 2 shapes over different tokens read one table object
+        first = twist(FinSet("A", ("a0", "a1")), FinSet("B", ("b", "b(c)", "c")),
+                      canonical_set(2))
+        second = twist(canonical_set(2), canonical_set(3), FinSet("P", ("p", "q")))
+        assert first.dom != second.dom and first.cod != second.cod
+        assert first.idx is second.idx
+
 
 class TestPositionTables:
     """A product's position of (x, y) is x*|Y| + y, so both bracketings of
@@ -260,6 +284,9 @@ class TestPositionTables:
             tau = self.M.strength(a, X, Y)
             assert tau.idx == tuple(range(len(tau.cod)))
             assert tau == alpha_inv(X, Y, annotations(self.M, a))
+            tau2 = self.M.costrength(a, X, Y)
+            assert tau2 == twist(X, annotations(self.M, a), Y)
+            assert tau2.idx is twist(X, annotations(self.M, a), Y).idx
 
 
 @st.composite
