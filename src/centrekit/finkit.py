@@ -351,13 +351,6 @@ class FinFn:
     def is_injective(self) -> bool:
         return len(set(self.idx)) == len(self.idx)
 
-    def inverse(self) -> "FinFn":
-        if not self.is_injective() or len(self.dom) != len(self.cod):
-            raise ValueError(f"{self!r} is not a bijection")
-        # for a bijection, listing the domain's positions by their images inverts it
-        return FinFn._table(self.cod, self.dom, tuple(sorted(range(len(self.idx)),
-                                                             key=self.idx.__getitem__)))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, FinFn)

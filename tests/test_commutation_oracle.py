@@ -15,11 +15,13 @@ subsets, and the same exceptions.
 """
 
 import dataclasses
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from centrekit import graded_monad
 from centrekit.centre import (
     CentralCone,
     CentralityViolation,
@@ -319,7 +321,62 @@ SMALL = [name for name in BUILTINS if name != "language_writer"]
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_commutativity_on_builtins(name):
-    check_commutation(BUILTINS[name], 2 if name == "language_writer" else 3)
+    # the scans stop at the grades' degree, 1 for every built-in, and the
+    # reference scans every set up to k
+    for k in range(3 if name == "language_writer" else 4):
+        check_commutation(BUILTINS[name], k)
+
+
+def scanned_sizes(monkeypatch, scan, M, *args):
+    """The (|X|, |Y|) of every pair of sets whose composites ``scan`` builds
+    over M, leaving out those a centre monad's carriers build over its parent."""
+    seen = []
+
+    def recording(N, a, b, X, Y, orig=graded_monad.commute_maps):
+        if N is M:
+            seen.append((len(X), len(Y)))
+        return orig(N, a, b, X, Y)
+
+    monkeypatch.setattr(graded_monad, "commute_maps", recording)
+    scan(M, *args)
+    monkeypatch.undo()
+    return sorted(set(seen))
+
+
+def test_the_scans_stop_at_the_degree(monkeypatch):
+    # bool_writer_pair commutes at (tt, tt): every pair of sets up to the
+    # degree 1 is scanned, and none larger
+    for k in range(4):
+        full = [(m, n) for m in range(k + 1) for n in range(k + 1)]
+        deg = [(m, n) for m, n in full if m <= 1 and n <= 1]
+        assert scanned_sizes(monkeypatch, commuting_pair, bool_writer_pair(), "tt", "tt", k) == deg
+        assert scanned_sizes(monkeypatch, check_commutative, identity_monad(bool_pomonoid()),
+                             k) == deg
+
+
+def test_a_monad_without_functor_expressions_is_scanned_up_to_k(monkeypatch):
+    # the centre monad gives carrier_fn and fmap_fn, so no degree bounds the
+    # scan: every pair of sets up to k is read, and the reports still agree
+    def make():
+        return build_centre_monad(bool_writer_pair()).monad
+    assert make().functor_expr("tt") is None
+    for k in range(4):
+        full = [(m, n) for m in range(k + 1) for n in range(k + 1)]
+        assert scanned_sizes(monkeypatch, commuting_pair, make(), "tt", "tt", k) == full
+        assert scanned_sizes(monkeypatch, check_commutative, make(), k) == full
+    check_commutation(make, 3)
+
+
+@pytest.mark.parametrize("k, message", [
+    (-1, "largest set size -1 is negative: the scan would check nothing"),
+    (10, "canonical set size 10 is outside 0..9: canonical sets are meant for small "
+         "exhaustive scans")])
+def test_set_sizes_out_of_range_are_refused(k, message):
+    # refused as before, though the degree-sized scan never reaches size k
+    refused = ("raised", "SetSizeError", message)
+    assert agree(bool_writer_pair, check_commutative, ref_check_commutative, k) == refused
+    for a, b in product(("tt", "ff"), repeat=2):
+        assert agree(bool_writer_pair, commuting_pair, ref_commuting_pair, a, b, k) == refused
 
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))

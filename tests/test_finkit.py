@@ -46,7 +46,8 @@ from centrekit.finkit import (
 
 
 # Helpers only the tests use, kept here rather than in the library: the size
-# of a functor's carrier, element trees, and the structure maps as one bundle.
+# of a functor's carrier, element trees, the inverse of a bijection, and the
+# structure maps as one bundle.
 
 def size_at(expr, n: int) -> int:
     """Cardinality of the functor at an n-element set, computed symbolically."""
@@ -76,6 +77,14 @@ def encode(tree) -> str:
     if tag == "pair":
         return make_pair(encode(tree[1]), encode(tree[2]))
     raise ValueError(f"bad element tree: {tree!r}")
+
+
+def inverse(f: FinFn) -> FinFn:
+    """The inverse of a bijection; ValueError for any other map."""
+    if not f.is_injective() or len(f.dom) != len(f.cod):
+        raise ValueError(f"{f!r} is not a bijection")
+    # for a bijection, listing the domain's positions by their images inverts it
+    return FinFn._table(f.cod, f.dom, tuple(sorted(range(len(f.idx)), key=f.idx.__getitem__)))
 
 
 @dataclass
@@ -158,11 +167,11 @@ class TestFinFn:
 
     def test_inverse(self):
         f = FinFn(X, X, {"x0": "x1", "x1": "x0"})
-        assert f.inverse().then(f) == identity_fn(X)
+        assert inverse(f).then(f) == identity_fn(X)
         g = FinFn(X, X, {"x0": "x0", "x1": "x0"})
         assert not g.is_injective()
         with pytest.raises(ValueError):
-            g.inverse()
+            inverse(g)
 
     def test_all_fns_count(self):
         assert len(list(all_fns(X, Y))) == 9
@@ -500,7 +509,7 @@ class TestStructureMapsMatchReference:
     @given(token_sets(), token_sets(), token_sets())
     def test_alpha(self, A, B, C):
         same_map(alpha(A, B, C), ref_alpha(A, B, C))
-        same_map(alpha_inv(A, B, C), ref_alpha(A, B, C).inverse())
+        same_map(alpha_inv(A, B, C), inverse(ref_alpha(A, B, C)))
 
     @given(token_sets())
     def test_unitors(self, A):
@@ -814,11 +823,11 @@ class TestIndexTablesMatchReference:
         values = set(f.mapping.values())
         assert f.is_injective() == (len(values) == len(f.dom))
         if f.is_injective() and len(f.dom) == len(f.cod):
-            is_table(f.inverse(), f.cod, f.dom, {v: k for k, v in f.mapping.items()})
-            assert f.then(f.inverse()) == identity_fn(f.dom)
+            is_table(inverse(f), f.cod, f.dom, {v: k for k, v in f.mapping.items()})
+            assert f.then(inverse(f)) == identity_fn(f.dom)
         else:
             with pytest.raises(ValueError, match="not a bijection"):
-                f.inverse()
+                inverse(f)
 
 
 # --- law sides: the chain builders against the composites they stand for -------
@@ -877,7 +886,7 @@ class TestLawSideBuilders:
         g = data.draw(chain_maps(tensor(X, Y), "G"))
         h = data.draw(chain_maps(tensor(g.cod, Z), "H"))
         k = data.draw(chain_maps(h.cod, "K"))
-        ref = [ref_alpha(X, Y, Z).inverse(), ref_par(g, ref_id(Z)), h]
+        ref = [inverse(ref_alpha(X, Y, Z)), ref_par(g, ref_id(Z)), h]
         same_map(alpha_inv_then(X, Y, Z, g, h), ref_then(*ref))
         same_map(alpha_inv_then(X, Y, Z, g, h, k), ref_then(*ref, k))
 

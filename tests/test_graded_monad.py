@@ -18,6 +18,7 @@ from centrekit.finkit import (
 )
 from centrekit.graded_monad import (
     ComponentMissing,
+    GradedMonadMorphism,
     GradedStrongMonad,
     UnknownName,
     bool_writer_pair,
@@ -35,20 +36,36 @@ from centrekit.graded_monad import (
     commuting_pair,
     derive_costrength,
     discrete_to_topped_morphism,
-    identity_graded_morphism,
     identity_monad,
     multi_error_writer,
     registry,
     strength_from_costrength,
     writer_monad,
 )
-from centrekit.pomonoid import bool_pomonoid, multi_error_pomonoid, trivial_pomonoid
+from centrekit.pomonoid import (
+    bool_pomonoid,
+    identity_pomonoid_morphism,
+    multi_error_pomonoid,
+    trivial_pomonoid,
+)
 from centrekit.relaxations import LanguageError
 from test_centre import keep_last_on_prefix_tokens
 
 
 X2 = canonical_set(2)
 X3 = canonical_set(3)
+
+
+def identity_graded_morphism(M):
+    """The identity morphism of M: identity components over the identity of
+    its grading."""
+    return GradedMonadMorphism(
+        phi=identity_pomonoid_morphism(M.pomonoid),
+        source=M,
+        target=M,
+        component=lambda a, X: identity_fn(M.carrier(a, X)),
+        name=f"id({M.name})",
+    )
 
 
 # Planted bugs: each breaks one component but keeps its typing.

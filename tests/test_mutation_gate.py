@@ -9,6 +9,11 @@ it fails ``check_all(k=2)``, or when it passes that and its
 of the four built-ins are not commutative, so failing alone would prove
 nothing).  Nothing is drawn at random.
 
+``check_commutative`` decides each grade pair at the degree of its grades,
+which is sound only when the strength and costrength are natural.  A second
+test holds the same mutants to that premise: a mutant whose report there
+differs from a full k=2 scan must fail a law suite.
+
 The centre cases pin two faults in the centre computation: a test-set bound
 one below the degree, and cone legs that take the central rows in the order
 they come instead of the apex's.
@@ -20,7 +25,9 @@ import itertools
 from centrekit.centre import central_subset, graded_centre_at
 from centrekit.finkit import FinFn, canonical_set
 from centrekit.graded_monad import (
+    _commute_record,
     bool_writer_pair,
+    canonical_sets,
     check_all,
     check_commutative,
     check_costrength_coherence,
@@ -112,6 +119,29 @@ def test_every_single_entry_mutant_is_caught():
     total = sum(n for n, _ in counts.values())
     print(f"mutation gate: {total} mutants, {total - len(survivors)} caught", counts)
     assert total > 0 and not survivors, survivors[:10]
+
+
+def test_the_degree_sized_scan_changes_no_lawful_mutant():
+    # the premise is a natural strength and costrength, and the costrength
+    # suite, whose involution law also reads the strength, is the cheaper of
+    # the two suites that check them, so it runs first
+    suites = sorted(SUITES, key=lambda suite: suite is not check_costrength_coherence)
+    sets = canonical_sets(2)
+    total, differ, lawful = 0, 0, []
+    for name, build in BUILT_INS.items():
+        M = build()
+        pairs = list(itertools.product(M.pomonoid.elements, repeat=2))
+        for m in mutants(M):
+            mutant = mutated(M, *m)
+            full = [_commute_record(mutant, a, b, sets) for a, b in pairs]
+            total += 1
+            if check_commutative(mutant, 2).records != full:
+                differ += 1
+                if all(suite(mutant, 2).ok for suite in suites):
+                    lawful.append((name, *m))
+    print(f"degree-sized scan: {total} mutants, {differ} differ from the full scan, "
+          f"{len(lawful)} of those pass the laws")
+    assert total > 0 and not lawful, lawful[:10]
 
 
 # --- the two centre blind spots -------------------------------------------------

@@ -58,7 +58,6 @@ from centrekit.graded_monad import (
     check_all,
     check_graded_monad_morphism,
     discrete_to_topped_morphism,
-    identity_graded_morphism,
     multi_error_writer,
     registry,
 )
@@ -67,6 +66,7 @@ from centrekit.relaxations import build_language_writer, check_duoidal_gradation
 from centrekit.report import LawRecord, Report, run_suite
 from test_graded_monad import (
     constant_lift_writer,
+    identity_graded_morphism,
     left_unnatural_strength_writer,
     noncompositional_fmap_monad,
     right_swapped_costrength_writer,
