@@ -8,12 +8,21 @@ missing file, malformed file or program).
 File arguments that do not resolve as given are retried under the
 directory named by the CENTREKIT_FIXTURES environment variable, so CI
 can point at a fixture tree once.
+
+Every command's arguments are declared once, as data, in _COMMANDS.  A
+well-formed command line (exact names, each option once, no --opt=value,
+values that do not start with "-") is read straight from that table by
+read_well_formed, and builds no argparse parser.  Any other line, help
+and errors included, goes to the argparse parser that build_parser adds
+from the same table, which alone prints usage, help and error messages.
 """
 
 import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
+from typing import NamedTuple
 
 from .centre import CentralityViolation, CentreError, build_centre_monad, central_subset
 from .effectlang import EffectLangError, parse_program, reorder_report
@@ -232,85 +241,72 @@ def cmd_examples(args) -> int:
     return PASS
 
 
-def _add_common(ap, set_size=True):
-    ap.add_argument("--json", action="store_true",
-                    help="machine-readable output")
-    if set_size:
-        ap.add_argument("--max-set-size", type=int, default=3, metavar="K",
-                        help="largest canonical set fed to the suites")
+class Arg(NamedTuple):
+    """One command-line argument, as argparse's add_argument declares it.
+
+    name is an option string ("--monad") or a positional's name ("file");
+    dest, when unset, is the one argparse derives from name.  A switch is a
+    store_true option: it takes no value, and is declared with default=False."""
+    name: str
+    dest: str | None = None
+    type: Callable[[str], object] | None = None
+    default: object = None
+    required: bool = False
+    metavar: str | None = None
+    help: str | None = None
+    switch: bool = False
+
+    @property
+    def attr(self) -> str:
+        """The Namespace attribute this argument sets."""
+        return self.dest or self.name.lstrip("-").replace("-", "_")
+
+    def kwargs(self) -> dict:
+        """add_argument's keywords: every field set away from its default."""
+        kw = {field: value for field, value in self._asdict().items()
+              if field not in ("name", "switch") and value is not self._field_defaults[field]}
+        return {"action": "store_true", **kw} if self.switch else kw
 
 
-def _file_args(fn):
-    def add(ap):
-        ap.add_argument("file")
-        _add_common(ap, set_size=False)
-        ap.set_defaults(fn=fn)
-    return add
+_JSON = Arg("--json", default=False, help="machine-readable output", switch=True)
+_K = Arg("--max-set-size", type=int, default=3, metavar="K",
+         help="largest canonical set fed to the suites")
+_MONAD = Arg("--monad", required=True)
+_POMONOID = Arg("--pomonoid")
+_FILE = (Arg("file"), _JSON)
 
-
-def _monad_args(fn, pomonoid_help=None):
-    def add(ap):
-        ap.add_argument("--monad", required=True)
-        ap.add_argument("--pomonoid", help=pomonoid_help)
-        _add_common(ap)
-        ap.set_defaults(fn=fn)
-    return add
-
-
-def _monad_centre_args(ap):
-    ap.add_argument("--monad", required=True)
-    ap.add_argument("--pomonoid")
-    ap.add_argument("--grade", help="one grade instead of the whole centre")
-    ap.add_argument("--set-size", type=int, default=2, metavar="N",
-                    help="size of the base set whose centre is printed")
-    ap.add_argument("--bound", type=int, default=None, metavar="N",
-                    help="test-set size cap for the centrality scan")
-    _add_common(ap, set_size=False)
-    ap.set_defaults(fn=cmd_monad_centre)
-
-
-def _monad_morphism_args(ap):
-    ap.add_argument("--from", dest="from_name", required=True)
-    ap.add_argument("--to", dest="to_name", required=True)
-    ap.add_argument("--pomonoid")
-    ap.add_argument("--bound", type=int, default=None)
-    _add_common(ap)
-    ap.set_defaults(fn=cmd_monad_morphism)
-
-
-def _duoidal_check_args(ap):
-    ap.add_argument("--monad", required=True)
-    ap.add_argument("--pomonoid")
-    ap.add_argument("--alphabet", default="ab")
-    ap.add_argument("--cap", type=int, default=2)
-    ap.add_argument("--json", action="store_true")
-    ap.add_argument("--max-set-size", type=int, default=2, metavar="K")
-    ap.set_defaults(fn=cmd_duoidal)
-
-
-def _analyze_args(ap):
-    ap.add_argument("program")
-    ap.add_argument("--pomonoid", required=True)
-    ap.add_argument("--monad", help="refine verdicts with a built-in monad")
-    _add_common(ap)
-    ap.set_defaults(fn=cmd_analyze)
-
-
-# command -> (help, the arguments of each of its actions); analyze has no
-# actions and takes its arguments itself
+# command -> (help, {action: (handler, arguments)}); analyze has no actions
+# and is (handler, arguments) itself.  Arguments are listed in the order
+# their help lists them.
 _COMMANDS = {
     "pomonoid": ("validate a structure file or print its centre",
-                 {"check": _file_args(cmd_pomonoid), "centre": _file_args(cmd_pomonoid)}),
-    "duoid": ("check a two-operation structure file", {"check": _file_args(cmd_duoid)}),
-    "monad": ("run suites against a built-in monad",
-              {"laws": _monad_args(cmd_monad_laws, "grading for monads that accept one"),
-               "commutative": _monad_args(cmd_monad_commutative),
-               "centre": _monad_centre_args,
-               "morphism": _monad_morphism_args}),
-    "duoidal": ("check a duoidal gradation", {"check": _duoidal_check_args}),
-    "analyze": ("grade a program and judge each reordering", _analyze_args),
-    "examples": ("list built-ins and fixtures",
-                 {"list": lambda ap: ap.set_defaults(fn=cmd_examples)}),
+                 {"check": (cmd_pomonoid, _FILE), "centre": (cmd_pomonoid, _FILE)}),
+    "duoid": ("check a two-operation structure file", {"check": (cmd_duoid, _FILE)}),
+    "monad": ("run suites against a built-in monad", {
+        "laws": (cmd_monad_laws, (
+            _MONAD, Arg("--pomonoid", help="grading for monads that accept one"), _JSON, _K)),
+        "commutative": (cmd_monad_commutative, (_MONAD, _POMONOID, _JSON, _K)),
+        "centre": (cmd_monad_centre, (
+            _MONAD, _POMONOID,
+            Arg("--grade", help="one grade instead of the whole centre"),
+            Arg("--set-size", type=int, default=2, metavar="N",
+                help="size of the base set whose centre is printed"),
+            Arg("--bound", type=int, metavar="N",
+                help="test-set size cap for the centrality scan"),
+            _JSON)),
+        "morphism": (cmd_monad_morphism, (
+            Arg("--from", dest="from_name", required=True),
+            Arg("--to", dest="to_name", required=True),
+            _POMONOID, Arg("--bound", type=int), _JSON, _K)),
+    }),
+    "duoidal": ("check a duoidal gradation", {"check": (cmd_duoidal, (
+        _MONAD, _POMONOID, Arg("--alphabet", default="ab"), Arg("--cap", type=int, default=2),
+        Arg("--json", default=False, switch=True),
+        Arg("--max-set-size", type=int, default=2, metavar="K")))}),
+    "analyze": ("grade a program and judge each reordering", (cmd_analyze, (
+        Arg("program"), Arg("--pomonoid", required=True),
+        Arg("--monad", help="refine verdicts with a built-in monad"), _JSON, _K))),
+    "examples": ("list built-ins and fixtures", {"list": (cmd_examples, ())}),
 }
 
 
@@ -332,7 +328,9 @@ def build_parser(first: str | None = None, second: str | None = None) -> argpars
     it is a nested command and second names one of its actions, only that
     action's parser is built too.  A name that matches nothing builds the
     full set at that level, so usage, help and errors read the same either
-    way."""
+    way.  Arguments are added from the _COMMANDS table that read_well_formed
+    reads; main builds a parser only for a line that reader hands back, so
+    argparse is what prints help and errors."""
     parser = argparse.ArgumentParser(
         prog="centrekit",
         description="check graded monads, their centres, and effect reorderings")
@@ -340,20 +338,76 @@ def build_parser(first: str | None = None, second: str | None = None) -> argpars
     for command in commands:
         text, actions = _COMMANDS[command]
         cp = sub.add_parser(command, help=text)
-        if callable(actions):
-            actions(cp)
+        if not isinstance(actions, dict):
+            _add_arguments(cp, *actions)
             continue
         actsub, names = _subparsers(cp, "action", tuple(actions),
                                     second if command == first else None)
         for action in names:
-            actions[action](actsub.add_parser(action))
+            _add_arguments(actsub.add_parser(action), *actions[action])
     return parser
+
+
+def _add_arguments(ap, fn, args):
+    for arg in args:
+        ap.add_argument(arg.name, **arg.kwargs())
+    ap.set_defaults(fn=fn)
+
+
+def read_well_formed(argv) -> argparse.Namespace | None:
+    """argv read from the table as build_parser's parser reads it, or None.
+
+    Only a strict subset is read: exact command, action and option names;
+    each option at most once and never as --opt=value; option values that
+    do not start with "-", converted by the table's type; exactly the
+    declared positionals; and every required option.  Anything else, -h,
+    -- and a value its type refuses included, gives None, so that argparse
+    alone prints help and errors.  No parser is built here."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    fields = {"command": argv[0]}
+    entry, rest = _COMMANDS[argv[0]][1], argv[1:]
+    if isinstance(entry, dict):
+        if not rest or rest[0] not in entry:
+            return None
+        fields["action"] = rest[0]
+        entry, rest = entry[rest[0]], rest[1:]
+    fn, declared = entry
+    positionals = [arg for arg in declared if not arg.name.startswith("-")]
+    options = {arg.name: arg for arg in declared if arg.name.startswith("-")}
+    tokens = iter(rest)
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positionals:
+                return None
+            arg, value = positionals.pop(0), token
+        else:
+            arg = options.pop(token, None)  # popped, so a repeat reads as unknown
+            if arg is None:
+                return None
+            if arg.switch:
+                fields[arg.attr] = True
+                continue
+            value = next(tokens, "-")  # a missing value reads as "-"
+            if value.startswith("-"):
+                return None
+        try:
+            fields[arg.attr] = value if arg.type is None else arg.type(value)
+        except ValueError:
+            return None
+    if positionals or any(arg.required for arg in options.values()):
+        return None
+    for arg in options.values():
+        fields[arg.attr] = arg.default
+    return argparse.Namespace(fn=fn, **fields)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = build_parser(*argv[:2]).parse_args(argv)
+    args = read_well_formed(argv)
+    if args is None:
+        args = build_parser(*argv[:2]).parse_args(argv)
     try:
         return args.fn(args)
     except CentralityViolation as exc:

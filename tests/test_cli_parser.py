@@ -6,9 +6,12 @@ narrows a nested command the same way: when it names one of the command's
 actions, only that action's parser is built.  These digests of exit code,
 stdout and stderr pin the help texts and the argparse errors on every path
 to what the full parser printed, at a fixed terminal width.  The narrowed
-parsers must also read every README command and every fixed perfbench
-request into the same Namespace as the full parser, and build no more
-parsers than their command line names.
+parsers and the strict reader ``read_well_formed`` must also read every
+README command and every fixed perfbench request into the same Namespace
+as the full parser; the narrowed parsers build no more parsers than their
+command line names, and a well-formed line builds none on ``main``'s path.
+Drawn command lines, hostile tokens among them, are read by the strict
+reader as argparse reads them, or handed to argparse.
 
     COLUMNS=80 PYTHONPATH=src python tests/test_cli_parser.py
 
@@ -25,11 +28,14 @@ import os
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_raw_output import README_COMMANDS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-PERFBENCH = os.path.join(os.path.dirname(HERE), "perfbench")
+ROOT = os.path.dirname(HERE)
+PERFBENCH = os.path.join(ROOT, "perfbench")
 DIGESTS = os.path.join(HERE, "cli_parser_digests.json")
 
 NESTED = {
@@ -62,6 +68,12 @@ ARGVS = (
         ["examples", "list", "extra"],
         ["monad", "laws", "--monad", "identity", "--bogus"],
         ["pomonoid", "check", "f.pom", "--bogus"],
+        # lines the strict reader must hand to argparse
+        ["analyze", "p.eff", "--pomonoid", "b.pom", "-h"],
+        ["analyze", "p.eff", "p2.eff", "--pomonoid", "b.pom"],
+        ["monad", "laws", "--monad", "identity", "--max-set-size"],
+        ["monad", "laws", "--monad", "identity", "--json=1"],
+        ["monad", "laws", "--monad", "identity", "--monad", "identity", "--bogus"],
     ]
 )
 
@@ -102,14 +114,18 @@ def fixed_requests():
     return workloads.fixed_requests()
 
 
+def fields(namespace) -> dict:
+    out = vars(namespace)
+    out["fn"] = out["fn"].__name__
+    return out
+
+
 def parsed(parser, argv) -> dict:
-    fields = vars(parser.parse_args(argv))
-    fields["fn"] = fields["fn"].__name__
-    return fields
+    return fields(parser.parse_args(argv))
 
 
 def test_narrowed_parsers_read_every_request_as_the_full_parser():
-    from centrekit.cli import build_parser
+    from centrekit.cli import build_parser, read_well_formed
 
     full = build_parser()
     requests = (README_COMMANDS + [argv + ["--json"] for argv in README_COMMANDS
@@ -117,18 +133,20 @@ def test_narrowed_parsers_read_every_request_as_the_full_parser():
     assert len(requests) == 32
     for argv in requests:
         assert parsed(build_parser(*argv[:2]), argv) == parsed(full, argv), argv
+        assert fields(read_well_formed(argv)) == parsed(full, argv), argv
 
 
-@pytest.mark.parametrize("argv, parsers", [
-    (["analyze", "fixtures/reorder.eff", "--pomonoid", "fixtures/bool.pom"], 2),
-    (["monad", "laws", "--monad", "multi_error_writer"], 3),
-    (["pomonoid", "check", "fixtures/bool.pom"], 3),
-    (["-h"], 16),
-    (["monad", "-h"], 6),
-    (["frobnicate", "check"], 16),
+@pytest.mark.parametrize("argv, parsers, on_main", [
+    (["analyze", "fixtures/reorder.eff", "--pomonoid", "fixtures/bool.pom"], 2, 0),
+    (["monad", "laws", "--monad", "multi_error_writer"], 3, 0),
+    (["pomonoid", "check", "fixtures/bool.pom"], 3, 0),
+    (["-h"], 16, 16),
+    (["monad", "-h"], 6, 6),
+    (["frobnicate", "check"], 16, 16),
 ])
-def test_a_command_line_builds_only_the_parsers_it_names(monkeypatch, argv, parsers):
-    from centrekit.cli import build_parser
+def test_a_command_line_builds_only_the_parsers_it_names(monkeypatch, capsys, argv,
+                                                         parsers, on_main):
+    from centrekit.cli import build_parser, main
 
     built = []
     init = argparse.ArgumentParser.__init__
@@ -140,6 +158,79 @@ def test_a_command_line_builds_only_the_parsers_it_names(monkeypatch, argv, pars
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     build_parser(*argv[:2])
     assert len(built) == parsers
+    # main reads a well-formed line from the table and builds no parser
+    built.clear()
+    monkeypatch.chdir(ROOT)
+    with contextlib.suppress(SystemExit):
+        main(argv)
+    capsys.readouterr()
+    assert len(built) == on_main
+
+
+def table_words():
+    """The table's command, action and option names, and each action's
+    arguments, in the table's order."""
+    from centrekit.cli import _COMMANDS
+
+    declared = {}
+    for command, (_, entry) in _COMMANDS.items():
+        pairs = entry.items() if isinstance(entry, dict) else [(None, entry)]
+        for action, (_, args) in pairs:
+            declared[command, action] = args
+    actions = dict.fromkeys(action for _, action in declared if action)
+    options = dict.fromkeys(arg.name for args in declared.values() for arg in args
+                            if arg.name.startswith("-"))
+    return list(_COMMANDS), list(actions), list(options), declared
+
+
+COMMANDS, ACTIONS, OPTIONS, DECLARED = table_words()
+HOSTILE = ["-h", "--help", "--", "-1", "", "--mon", "--json=1", "--max-set-size=2",
+           "--bogus"]
+VALUES = {int: ["0", "2", "3", "-1", "many"], None: ["identity", "x.pom", "p.eff", ""]}
+WORDS = COMMANDS + ACTIONS + OPTIONS + HOSTILE + VALUES[int] + VALUES[None] + ["frobnicate"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command and, mostly, one of its actions from the table; then its
+    declared arguments in a drawn order, some left out, each value drawn
+    for its type (one in five from anywhere); then, in two lines of five,
+    one or two tokens from anywhere, inserted anywhere after the command."""
+    command = draw(st.sampled_from(COMMANDS))
+    argv, action = [command], None
+    if (command, None) not in DECLARED:
+        own = [name for c, name in DECLARED if c == command]
+        action = draw(st.sampled_from(own if draw(st.integers(0, 3)) else ACTIONS + ["frob"]))
+        argv.append(action)
+    for arg in draw(st.permutations(DECLARED.get((command, action), ()))):
+        if draw(st.integers(0, 7)) == 0:
+            continue
+        if not arg.name.startswith("-"):
+            argv.append(draw(st.sampled_from(VALUES[None])))
+        elif arg.switch:
+            argv.append(arg.name)
+        else:
+            values = VALUES[arg.type] if draw(st.integers(0, 4)) else WORDS
+            argv += [arg.name, draw(st.sampled_from(values))]
+    for _ in range(draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(WORDS)))
+    return argv
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(command_lines() | st.lists(st.sampled_from(WORDS), max_size=8))
+def test_the_strict_reader_reads_as_argparse_or_hands_the_line_on(argv):
+    from centrekit.cli import build_parser, read_well_formed
+
+    read = read_well_formed(argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            expected = parsed(build_parser(), argv)
+    except SystemExit:
+        assert read is None, argv
+        return
+    assert read is None or fields(read) == expected, argv
 
 
 if __name__ == "__main__":
