@@ -268,7 +268,9 @@ class CentreResult:
 def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
     """Assemble the central subsets into a monad over the grading's centre.
 
-    Every component is the restriction of the corresponding component of M.
+    Every component is the restriction of the corresponding component of M,
+    the costrength included: the centre is a submonad, so a fault in M's
+    costrength shows in the centre's laws as it does in M's.
     Membership of each computed value in the target central subset is checked
     on the spot; an escape raises CentralityViolation rather than producing a
     quietly wrong monad.
@@ -303,6 +305,10 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
         dom = tensor(X, sub(z, Y))
         return restrict(M.strength_fn(z, X, Y), dom, sub(z, tensor(X, Y)), f"strength({z})")
 
+    def costrength(z, X, Y):
+        dom = tensor(sub(z, X), Y)
+        return restrict(M.costrength_fn(z, X, Y), dom, sub(z, tensor(X, Y)), f"costrength({z})")
+
     lift = None
     if M.lift is not None:
         def lift(z1, z2, X):
@@ -314,6 +320,7 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
         unit=unit,
         mult=mult,
         strength=strength,
+        costrength=costrength,
         carrier_fn=sub,
         fmap_fn=fmap_fn,
         lift=lift,

@@ -13,8 +13,9 @@ Every command's arguments are declared once, as data, in _COMMANDS.  A
 well-formed command line (exact names, each option once, no --opt=value,
 values that do not start with "-") is read straight from that table by
 read_well_formed, and builds no argparse parser.  Any other line, help
-and errors included, goes to the argparse parser that build_parser adds
-from the same table, which alone prints usage, help and error messages.
+and errors included, goes to the one argparse parser that build_parser
+adds from the same table, which alone prints usage, help and error
+messages.
 """
 
 import argparse
@@ -310,41 +311,22 @@ _COMMANDS = {
 }
 
 
-def _subparsers(parser, dest, names, wanted):
-    """Add parser's subcommands, building only the one named wanted when it
-    names one.  A narrowed set is listed under argparse's own {a,b,...}
-    metavar, so usage lines read as with every subcommand built; the full
-    set keeps no metavar, so its errors still name the argument by dest."""
-    narrowed = wanted in names
-    sub = parser.add_subparsers(dest=dest, required=True,
-                                metavar="{" + ",".join(names) + "}" if narrowed else None)
-    return sub, ((wanted,) if narrowed else names)
-
-
-def build_parser(first: str | None = None, second: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser for a command line starting with first, second.
-
-    When first names a command, only that command's parser is built; when
-    it is a nested command and second names one of its actions, only that
-    action's parser is built too.  A name that matches nothing builds the
-    full set at that level, so usage, help and errors read the same either
-    way.  Arguments are added from the _COMMANDS table that read_well_formed
-    reads; main builds a parser only for a line that reader hands back, so
-    argparse is what prints help and errors."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every command, added from the _COMMANDS table
+    that read_well_formed reads.  main builds it only for a line that reader
+    hands back, so argparse alone prints help and errors."""
     parser = argparse.ArgumentParser(
         prog="centrekit",
         description="check graded monads, their centres, and effect reorderings")
-    sub, commands = _subparsers(parser, "command", tuple(_COMMANDS), first)
-    for command in commands:
-        text, actions = _COMMANDS[command]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (text, actions) in _COMMANDS.items():
         cp = sub.add_parser(command, help=text)
         if not isinstance(actions, dict):
             _add_arguments(cp, *actions)
             continue
-        actsub, names = _subparsers(cp, "action", tuple(actions),
-                                    second if command == first else None)
-        for action in names:
-            _add_arguments(actsub.add_parser(action), *actions[action])
+        actsub = cp.add_subparsers(dest="action", required=True)
+        for action, entry in actions.items():
+            _add_arguments(actsub.add_parser(action), *entry)
     return parser
 
 
@@ -407,7 +389,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = read_well_formed(argv)
     if args is None:
-        args = build_parser(*argv[:2]).parse_args(argv)
+        args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except CentralityViolation as exc:

@@ -48,13 +48,15 @@ the same tables, built once, and the identity's table is one tuple per size,
 whose ints a grid's rows share.
 
 Every side of a law diagram is a chain of maps, read as one index row by
-the composite vocabulary: ``seq_row``, ``tensor_row``, ``alpha_row`` and
-``pair_rows``.  Each link is checked by vid with ``then``'s ``cannot
-compose`` error.  A row out of a product is in its pair order, so it is the
-product's table as it stands.  The ``FinFn`` builders ``seq``,
-``tensor_then`` and ``alpha_then`` wrap these readers, ``alpha_inv_then``
-builds the one composite no suite reads as a row, ``then`` is one call
-into ``seq``, and ``tensor_fn`` reads f (x) g with ``tensor_row``'s code.
+the composite vocabulary: ``seq_row``, ``tensor_row`` and ``pair_rows``.
+Each link is checked by vid with ``then``'s ``cannot compose`` error.  A
+row out of a product is in its pair order, so it is the product's table as
+it stands.  The ``FinFn`` builders ``seq`` and ``tensor_then`` wrap these
+readers, and so do ``alpha_then`` and ``alpha_inv_then``: both bracketings
+of x, y, z share one position, so a re-bracketing then id (x) g, or g (x)
+id, is that tensor's row read over the other bracketing.  ``then`` is one
+call into ``seq``, and ``tensor_fn`` reads f (x) g with ``tensor_row``'s
+code.
 The structure maps are read off pair-order positions: the associators, the
 unitors and their inverses have the identity's table, ``gamma`` is a
 transpose of a grid, and ``twist``, a writer's costrength, reads a grid
@@ -97,7 +99,6 @@ __all__ = [
     "seq",
     "tensor_row",
     "tensor_then",
-    "alpha_row",
     "alpha_then",
     "alpha_inv_then",
     "pair_rows",
@@ -575,28 +576,21 @@ def tensor_then(f: FinFn, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
                         tensor_row(f, g, h, *maps))
 
 
-def alpha_row(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> tuple:
-    """alpha(X, Y, Z) ; (id_X (x) g) ; h, then each of maps, in pair order over
-    X (x) Y and Z: ((x,y),z) goes to h(x, g(y,z))."""
-    XY, YZ, XG = tensor(X, Y), tensor(Y, Z), tensor(X, g.cod)
-    _check_links((YZ, g), (XG, h))
-    yz, at, gi = YZ.pair_grid(), XG.pair_grid(), g.idx
-    return _pick(seq_row(h, *maps), [at[x][gi[w]] for x, y in XY.pair_list() for w in yz[y]])
-
-
 def alpha_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
+    """alpha(X, Y, Z) ; (id_X (x) g) ; h, then each of maps: ((x,y),z) goes to
+    h(x, g(y,z)).  Both bracketings share one pair-order position, so this is
+    id_X (x) g's row read over (X (x) Y) (x) Z."""
+    _check_links((tensor(Y, Z), g))
     return FinFn._table(tensor(tensor(X, Y), Z), (maps[-1] if maps else h).cod,
-                        alpha_row(X, Y, Z, g, h, *maps))
+                        tensor_row(identity_fn(X), g, h, *maps))
 
 
 def alpha_inv_then(X: FinSet, Y: FinSet, Z: FinSet, g: FinFn, h: FinFn, *maps: FinFn) -> FinFn:
     """alpha_inv(X, Y, Z) ; (g (x) id_Z) ; h, then each of maps: (x,(y,z)) goes
-    to h(g(x,y), z)."""
-    XY, YZ, GZ = tensor(X, Y), tensor(Y, Z), tensor(g.cod, Z)
-    _check_links((XY, g), (GZ, h))
-    xy, yz, at, gi, hi = XY.pair_grid(), YZ.pair_list(), GZ.pair_grid(), g.idx, seq_row(h, *maps)
-    return FinFn._table(tensor(X, YZ), (maps[-1] if maps else h).cod,
-                        tuple([hi[at[gi[row[y]]][z]] for row in xy for y, z in yz]))
+    to h(g(x,y), z), g (x) id_Z's row read over X (x) (Y (x) Z)."""
+    _check_links((tensor(X, Y), g))
+    return FinFn._table(tensor(X, tensor(Y, Z)), (maps[-1] if maps else h).cod,
+                        tensor_row(g, identity_fn(Z), h, *maps))
 
 
 # The structure maps below are index tables read off pair-order positions: no

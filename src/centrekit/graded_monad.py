@@ -41,9 +41,10 @@ Conventions that everything below depends on:
 * ``remember`` alone type-checks a component, by vid, and stores it; what it
   rejects is never stored, so the next call for that key raises again.
 * The built-ins supply their costrengths as index tables, a writer's being
-  ``finkit.twist``, so no commutation scan over them derives one;
-  ``derive_costrength`` serves a monad that gives none, and
-  ``costrength-involution`` checks a supplied one against the strength.
+  ``finkit.twist``, and the centre monad restricts its parent's, so no
+  commutation scan over them derives one; ``derive_costrength`` serves a
+  caller-built monad that gives none, and ``costrength-involution`` checks
+  a supplied one against the strength.
 """
 
 from __future__ import annotations
@@ -136,11 +137,12 @@ class GradedStrongMonad:
     ``carrier_fn``/``fmap_fn`` must be provided; the latter exists for
     monads whose carriers are not polynomial, like computed centres.
     ``lift`` may be omitted when the grading order is discrete.
-    ``costrength`` may be omitted, as the centre monad and ``fmap_fn``
-    monads omit it; it is then derived from the strength by conjugation
-    with the symmetry (``derive_costrength``), which costs two symmetries,
-    one more strength and one more fmap image.  The built-ins supply
-    theirs, which ``costrength-involution`` checks against the strength.
+    ``costrength`` may be omitted, as a caller-built ``fmap_fn`` monad may
+    omit it; it is then derived from the strength by conjugation with the
+    symmetry (``derive_costrength``), which costs two symmetries, one more
+    strength and one more fmap image.  The built-ins supply theirs, and the
+    centre monad restricts its parent's; ``costrength-involution`` checks a
+    supplied one against the strength.
     """
 
     pomonoid: Pomonoid

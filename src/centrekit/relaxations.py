@@ -24,7 +24,6 @@ from .finkit import (
     FinSet,
     all_fns,
     alpha,
-    alpha_row,
     canonical_set,
     check_ends,
     identity_fn,
@@ -352,8 +351,9 @@ def check_duoidal_gradation(DM: DuoidalGradedMonad, k: int = 2,
     instance: duoidal-main's interchange-first side is one ``seq_row``
     chain and its multiply-first side m(mult(x), mult(y)) a ``tensor_row``;
     m-natural's sides are a ``tensor_row`` and a ``seq_row``; m-assoc's are
-    ``alpha_row`` and ``tensor_row``, the latter with the reassociator as a
-    tail, both in pair order over TX (x) TY and TZ: the domain product
+    two ``tensor_row`` readings, id (x) m and m (x) id, the latter with the
+    reassociator as a tail.  Both bracketings of TX, TY, TZ share one
+    pair-order position, so the two rows line up: the domain product
     (TX (x) TY) (x) TZ is built only to name a failing instance's witness.
     Grade-level values are worked out once per grade tuple.
 
@@ -440,7 +440,7 @@ def _duoidal_laws(DM: DuoidalGradedMonad, k: int, budget: int, seed: int):
             m_ab = DM.m_fn(a, b, X, Y)
             rhs_m = DM.m_fn(ab, c, products[X.vid, Y.vid], Z)
             if TX and TY and TZ:   # both sides in pair order over TX (x) TY and TZ
-                lhs = alpha_row(TX, TY, TZ, m_bc, lhs_m)
+                lhs = tensor_row(identity_fn(TX), m_bc, lhs_m)
                 rhs = tensor_row(m_ab, identity_fn(TZ), rhs_m, re)
             else:                  # vacuous: no element can fail, and no set is built
                 lhs = rhs = ()

@@ -1,17 +1,14 @@
 """Raw-byte goldens for the argument parser's own output.
 
-``main`` builds only the parser of the command its first argument names,
-and every parser when the first argument names none.  The second argument
-narrows a nested command the same way: when it names one of the command's
-actions, only that action's parser is built.  These digests of exit code,
-stdout and stderr pin the help texts and the argparse errors on every path
-to what the full parser printed, at a fixed terminal width.  The narrowed
-parsers and the strict reader ``read_well_formed`` must also read every
-README command and every fixed perfbench request into the same Namespace
-as the full parser; the narrowed parsers build no more parsers than their
-command line names, and a well-formed line builds none on ``main``'s path.
-Drawn command lines, hostile tokens among them, are read by the strict
-reader as argparse reads them, or handed to argparse.
+``main`` reads a well-formed command line with the strict reader
+``read_well_formed`` and builds no parser; any other line goes to the one
+argparse parser ``build_parser`` builds, of every command.  These digests
+of exit code, stdout and stderr pin the help texts and the argparse errors
+on every path, at a fixed terminal width.  The strict reader must read
+every README command and every fixed perfbench request into the same
+Namespace as the parser, and a well-formed line builds no parser on
+``main``'s path.  Drawn command lines, hostile tokens among them, are read
+by the strict reader as argparse reads them, or handed to argparse.
 
     COLUMNS=80 PYTHONPATH=src python tests/test_cli_parser.py
 
@@ -124,7 +121,7 @@ def parsed(parser, argv) -> dict:
     return fields(parser.parse_args(argv))
 
 
-def test_narrowed_parsers_read_every_request_as_the_full_parser():
+def test_the_strict_reader_reads_every_request_as_the_parser():
     from centrekit.cli import build_parser, read_well_formed
 
     full = build_parser()
@@ -132,20 +129,18 @@ def test_narrowed_parsers_read_every_request_as_the_full_parser():
                                    if argv[0] != "examples"] + fixed_requests())
     assert len(requests) == 32
     for argv in requests:
-        assert parsed(build_parser(*argv[:2]), argv) == parsed(full, argv), argv
         assert fields(read_well_formed(argv)) == parsed(full, argv), argv
 
 
-@pytest.mark.parametrize("argv, parsers, on_main", [
-    (["analyze", "fixtures/reorder.eff", "--pomonoid", "fixtures/bool.pom"], 2, 0),
-    (["monad", "laws", "--monad", "multi_error_writer"], 3, 0),
-    (["pomonoid", "check", "fixtures/bool.pom"], 3, 0),
-    (["-h"], 16, 16),
-    (["monad", "-h"], 6, 6),
-    (["frobnicate", "check"], 16, 16),
+@pytest.mark.parametrize("argv, on_main", [
+    (["analyze", "fixtures/reorder.eff", "--pomonoid", "fixtures/bool.pom"], 0),
+    (["monad", "laws", "--monad", "multi_error_writer"], 0),
+    (["pomonoid", "check", "fixtures/bool.pom"], 0),
+    (["-h"], 16),
+    (["monad", "-h"], 16),
+    (["frobnicate", "check"], 16),
 ])
-def test_a_command_line_builds_only_the_parsers_it_names(monkeypatch, capsys, argv,
-                                                         parsers, on_main):
+def test_a_command_line_builds_only_the_parsers_it_names(monkeypatch, capsys, argv, on_main):
     from centrekit.cli import build_parser, main
 
     built = []
@@ -156,9 +151,10 @@ def test_a_command_line_builds_only_the_parsers_it_names(monkeypatch, capsys, ar
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    build_parser(*argv[:2])
-    assert len(built) == parsers
-    # main reads a well-formed line from the table and builds no parser
+    build_parser()
+    assert len(built) == 16
+    # main reads a well-formed line from the table and builds no parser;
+    # any other line builds the one full parser
     built.clear()
     monkeypatch.chdir(ROOT)
     with contextlib.suppress(SystemExit):

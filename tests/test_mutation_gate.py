@@ -14,15 +14,17 @@ which is sound only when the strength and costrength are natural.  A second
 test holds the same mutants to that premise: a mutant whose report there
 differs from a full k=2 scan must fail a law suite.
 
-The centre cases pin two faults in the centre computation: a test-set bound
-one below the degree, and cone legs that take the central rows in the order
-they come instead of the apex's.
+The centre cases pin three faults in the centre computation: a test-set
+bound one below the degree, cone legs that take the central rows in the
+order they come instead of the apex's, and a centre monad that derives its
+costrength from the strength instead of restricting its parent's, which
+would pass a parent's faulty costrength as lawful.
 """
 
 import dataclasses
 import itertools
 
-from centrekit.centre import central_subset, graded_centre_at
+from centrekit.centre import build_centre_monad, central_subset, graded_centre_at
 from centrekit.finkit import FinFn, canonical_set
 from centrekit.graded_monad import (
     _commute_record,
@@ -191,3 +193,23 @@ class TestCentreBlindSpots:
         assert_leg_is_the_inclusion(M, cone)
         D = bimonoid_from_absorbing_top(bool_pomonoid(), "ff")
         assert_leg_is_the_inclusion(M, bimonoidal_centre_at(M, D, "ff", X))
+
+    def test_the_centre_restricts_the_costrength_it_is_given(self):
+        # the ff costrength swaps the two values of a size-2 left set: the
+        # first half of its domain, x = y0, with the second, x = y1; the
+        # annotations are untouched, so central elements stay central
+        M = bool_writer_pair()
+        given = M.costrength
+
+        def costrength(a, X, Y):
+            fn = given(a, X, Y)
+            if a != "ff" or len(X) != 2:
+                return fn
+            half = len(fn.idx) // 2
+            return FinFn._table(fn.dom, fn.cod, fn.idx[half:] + fn.idx[:half])
+
+        M = dataclasses.replace(M, costrength=costrength, _memo={})
+        failing = {"costrength-assoc", "costrength-involution", "costrength-mult",
+                   "costrength-unitor", "strength-interchange"}
+        for S in (M, build_centre_monad(M).monad):
+            assert {r.law for r in check_all(S, 2).records if not r.ok} == failing

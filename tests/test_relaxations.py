@@ -372,7 +372,7 @@ class TestVacuousInstances:
                 return out
             return wrapper
 
-        for name in ("alpha", "tensor_fn", "tensor_then", "alpha_row", "tensor_row"):
+        for name in ("alpha", "tensor_fn", "tensor_then", "tensor_row"):
             monkeypatch.setattr(relaxations, name, counted(getattr(relaxations, name)))
         assert check_duoidal_gradation(build_language_writer("ab", 2, self.D), 2).ok
         # m-natural builds its vacuous instances in full: its maps are few
