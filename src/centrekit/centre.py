@@ -102,8 +102,9 @@ def _failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, n: int,
     """Yield (row, Y, column) for each entry of ``rows`` (positions in T^z X)
     that fails to commute with some s in T^b Y, at the first such Y.
 
-    Y runs over the canonical sets of sizes 0..n, skipping an empty T^b Y;
-    the column is the least failing s.  Failing entries come in the order of
+    Y runs over the canonical sets of sizes 0..n, skipping an empty T^b Y,
+    as ``_commute_record`` does: no composite over an empty domain.  The
+    column is the least failing s.  Failing entries come in the order of
     ``rows`` and drop out; the scan ends when none is left.
     """
     alive = list(rows)
@@ -270,7 +271,8 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
 
     Every component is the restriction of the corresponding component of M,
     the costrength included: the centre is a submonad, so a fault in M's
-    costrength shows in the centre's laws as it does in M's.
+    costrength shows in the centre's laws as it does in M's.  A restriction
+    reads M's index table at the central subsets' positions in M's carriers.
     Membership of each computed value in the target central subset is checked
     on the spot; an escape raises CentralityViolation rather than producing a
     quietly wrong monad.
@@ -281,12 +283,15 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
         return central_subset(M, z, X, bound)
 
     def restrict(fn: FinFn, dom: FinSet, cod: FinSet, component: str) -> FinFn:
-        mapping = {t: fn(t) for t in dom}
-        escaped = [t for t, v in mapping.items() if v not in cod]
-        if escaped:
-            t = min(escaped)
-            raise CentralityViolation(component, f"{t} -> {mapping[t]}")
-        return FinFn(dom, cod, mapping)
+        # fn's table read at dom's positions in fn.dom, each image then taken
+        # to its position in cod, if it has one
+        image = [fn.idx[r] for r in map(fn.dom.token_index().__getitem__, dom.elems)]
+        within = dict(zip(map(fn.cod.token_index().__getitem__, cod.elems), range(len(cod))))
+        try:
+            return FinFn._table(dom, cod, tuple(map(within.__getitem__, image)))
+        except KeyError:
+            t, v = min((t, v) for t, v in zip(dom.elems, image) if v not in within)
+            raise CentralityViolation(component, f"{t} -> {fn.cod.elems[v]}") from None
 
     def fmap_fn(z, f):
         return restrict(M.fmap(z, f), sub(z, f.dom), sub(z, f.cod), f"fmap({z})")

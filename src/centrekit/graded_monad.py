@@ -541,6 +541,10 @@ def _commute_sets(M: GradedStrongMonad, a: str, b: str, k: int) -> list[FinSet]:
 
 
 def _commute_record(M: GradedStrongMonad, a: str, b: str, sets) -> LawRecord:
+    """The commute record of grades a, b over every (X, Y) of ``sets``: the
+    target carriers are compared at each pair, and the two composites at each
+    pair whose domain T^a X (x) T^b Y is not empty.  No composite is built
+    over an empty domain, which has no element at which they could differ."""
     P = M.pomonoid
     for X, Y in product(sets, sets):
         XY, names = tensor(X, Y), (X.name, Y.name)
@@ -549,6 +553,8 @@ def _commute_record(M: GradedStrongMonad, a: str, b: str, sets) -> LawRecord:
             only = sorted(set(Cab.elems) ^ set(Cba.elems))
             return LawRecord("commute", (a, b), names, False, only[0] if only else None,
                              note="carrier-mismatch")
+        if len(M.carrier(a, X)) == 0 or len(M.carrier(b, Y)) == 0:
+            continue
         left, right = commute_maps(M, a, b, X, Y)
         check_ends(left.dom, left.cod, right.dom, right.cod)
         failure = mismatch(left.dom, left.cod, left.idx, right.idx)
@@ -562,7 +568,8 @@ def check_commutative(M: GradedStrongMonad, k: int = 3) -> Report:
 
     A pair passes only if the two target carriers are equal as sets of
     tokens and the two composites agree pointwise; the record notes which
-    of the two comparisons broke.  Each pair is decided at the degree d <= k
+    of the two comparisons broke.  No composite is built over an empty
+    domain T^a X (x) T^b Y.  Each pair is decided at the degree d <= k
     of its grades (``_commute_sets``): a claim about every set, sound when
     the strength and costrength are natural.
     """
@@ -573,7 +580,8 @@ def check_commutative(M: GradedStrongMonad, k: int = 3) -> Report:
 
 def commuting_pair(M: GradedStrongMonad, a: str, b: str, k: int = 3) -> bool:
     """The pairwise slice of check_commutative for one grade pair, decided at
-    the same degree d <= k: sound when the strength and costrength are natural."""
+    the same degree d <= k, with no composite over an empty domain: sound
+    when the strength and costrength are natural."""
     return _commute_record(M, a, b, _commute_sets(M, a, b, k)).ok
 
 

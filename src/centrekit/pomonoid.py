@@ -199,10 +199,6 @@ class PomonoidMorphism:
         return self.mapping[a]
 
 
-def identity_pomonoid_morphism(P: Pomonoid) -> PomonoidMorphism:
-    return PomonoidMorphism(source=P, target=P, mapping={a: a for a in P.elements})
-
-
 def check_pomonoid_morphism(m: PomonoidMorphism) -> Report:
     """Lax morphism conditions: unit below image of unit, lax multiplicativity, monotone."""
     P, Q = m.source, m.target

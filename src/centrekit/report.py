@@ -56,11 +56,6 @@ class LawRecord:
     def to_dict(self) -> dict:
         return {**asdict(self), "grades": list(self.grades), "sets": list(self.sets)}
 
-    @staticmethod
-    def from_dict(d: dict) -> "LawRecord":
-        return LawRecord(d["law"], tuple(d["grades"]), tuple(d["sets"]), d["ok"], d["witness"],
-                         d["lhs"], d["rhs"], d["note"])
-
 
 def endpoints(law: str, dom, cod, dom2, cod2) -> tuple:
     """(dom, cod), once a law's two sides, dom -> cod and dom2 -> cod2, are
@@ -189,14 +184,6 @@ class Report:
         records = f"[\n{records}\n  ]" if records else "[]"
         return (f'{{\n  "title": {_value(self.title)},\n  "ok": {_value(self.ok)},\n'
                 f'  "records": {records}\n}}')
-
-    @staticmethod
-    def from_json(text: str) -> "Report":
-        data = json.loads(text)
-        rep = Report(data["title"])
-        for d in data["records"]:
-            rep.add(LawRecord.from_dict(d))
-        return rep
 
 
 def run_suite(title: str, instances) -> Report:

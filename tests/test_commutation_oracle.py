@@ -15,6 +15,8 @@ subsets, and the same exceptions.
 """
 
 import dataclasses
+import hashlib
+import sys
 from itertools import product
 
 import pytest
@@ -328,43 +330,70 @@ def test_commutativity_on_builtins(name):
 
 
 def scanned_sizes(monkeypatch, scan, M, *args):
-    """The (|X|, |Y|) of every pair of sets whose composites ``scan`` builds
-    over M, leaving out those a centre monad's carriers build over its parent."""
-    seen = []
+    """(built, compared): the (|X|, |Y|) of every pair of sets whose composites
+    ``scan`` builds over M, and of every pair whose target carriers
+    ``_commute_record`` compares over M, leaving out those a centre monad's
+    carriers build over its parent."""
+    built, compared = [], []
 
-    def recording(N, a, b, X, Y, orig=graded_monad.commute_maps):
+    def building(N, a, b, X, Y, orig=graded_monad.commute_maps):
         if N is M:
-            seen.append((len(X), len(Y)))
+            built.append((len(X), len(Y)))
         return orig(N, a, b, X, Y)
 
-    monkeypatch.setattr(graded_monad, "commute_maps", recording)
+    def comparing(X, Y, orig=graded_monad.tensor):
+        # _commute_record builds X (x) Y once per pair, for the carriers it compares
+        caller = sys._getframe(1)
+        if caller.f_code is graded_monad._commute_record.__code__ and caller.f_locals["M"] is M:
+            compared.append((len(X), len(Y)))
+        return orig(X, Y)
+
+    monkeypatch.setattr(graded_monad, "commute_maps", building)
+    monkeypatch.setattr(graded_monad, "tensor", comparing)
     scan(M, *args)
     monkeypatch.undo()
-    return sorted(set(seen))
+    return sorted(set(built)), sorted(set(compared))
 
 
 def test_the_scans_stop_at_the_degree(monkeypatch):
-    # bool_writer_pair commutes at (tt, tt): every pair of sets up to the
-    # degree 1 is scanned, and none larger
+    # bool_writer_pair commutes at (tt, tt): the carriers of every pair of
+    # sets up to the degree 1 are compared, and none larger; a composite is
+    # built only where T^a X (x) T^b Y is not empty, at (1, 1)
     for k in range(4):
         full = [(m, n) for m in range(k + 1) for n in range(k + 1)]
         deg = [(m, n) for m, n in full if m <= 1 and n <= 1]
-        assert scanned_sizes(monkeypatch, commuting_pair, bool_writer_pair(), "tt", "tt", k) == deg
+        built = [(1, 1)] if k else []
+        assert scanned_sizes(monkeypatch, commuting_pair, bool_writer_pair(), "tt", "tt",
+                             k) == (built, deg)
         assert scanned_sizes(monkeypatch, check_commutative, identity_monad(bool_pomonoid()),
-                             k) == deg
+                             k) == (built, deg)
 
 
 def test_a_monad_without_functor_expressions_is_scanned_up_to_k(monkeypatch):
     # the centre monad gives carrier_fn and fmap_fn, so no degree bounds the
-    # scan: every pair of sets up to k is read, and the reports still agree
+    # scan: the carriers of every pair of sets up to k are compared, the
+    # composites built wherever both sets are non-empty, and the reports
+    # still agree
     def make():
         return build_centre_monad(bool_writer_pair()).monad
     assert make().functor_expr("tt") is None
     for k in range(4):
         full = [(m, n) for m in range(k + 1) for n in range(k + 1)]
-        assert scanned_sizes(monkeypatch, commuting_pair, make(), "tt", "tt", k) == full
-        assert scanned_sizes(monkeypatch, check_commutative, make(), k) == full
+        built = [(m, n) for m, n in full if m and n]
+        assert scanned_sizes(monkeypatch, commuting_pair, make(), "tt", "tt", k) == (built, full)
+        assert scanned_sizes(monkeypatch, check_commutative, make(), k) == (built, full)
     check_commutation(make, 3)
+
+
+def test_the_scans_skip_an_empty_carrier_not_an_empty_set(monkeypatch):
+    # multi_error_writer's grade e is Const(I): T^e Y0 is a point, so the
+    # composites are built over Y0 at (e, e), of degree 0, and at (e, wa),
+    # where T^wa Y0 is empty and only Y1 has a non-empty carrier
+    M = multi_error_writer()
+    assert len(M.carrier("e", canonical_set(0))) == 1
+    assert scanned_sizes(monkeypatch, commuting_pair, M, "e", "e", 3) == ([(0, 0)], [(0, 0)])
+    assert scanned_sizes(monkeypatch, commuting_pair, M, "e", "wa", 3) == (
+        [(0, 1), (1, 1)], [(0, 0), (0, 1), (1, 0), (1, 1)])
 
 
 @pytest.mark.parametrize("k, message", [
@@ -555,6 +584,73 @@ def z3_times_keep_last():
     mul = {(name(*x), name(*y)): name((x[0] + y[0]) % 3, x[1] if y[1] == "1" else y[1])
            for x in pairs for y in pairs}
     return validate_pomonoid(tuple(name(*x) for x in pairs), "u", mul, name="ZK")
+
+
+# SHA-256 of check_commutative(M, k).to_json() on the built-ins and the
+# prefix-token gradings: one at k=0, and one at every k from 1 to 4 (to 3 on
+# language_writer), since no grade has degree above 1
+COMMUTATIVE_JSON = {
+    "bool_writer_pair":
+        ("a72a9970f640a3c754a49cf50e438dce302668324c5a3bcc362596e3305172b6",
+         "04c21184eb9dfaf2a069e40efdd79b76402e063609055a008ac01b94c1292e03"),
+    "identity":
+        ("8c6290065aecb02c799b5884423c120bba8060641a214e7232cc2a785fe031a0",
+         "8c6290065aecb02c799b5884423c120bba8060641a214e7232cc2a785fe031a0"),
+    "language_writer":
+        ("11821c491714652509f27a49815669915688ba71198249f2724570f2bd2a68df",
+         "a0c0815d5b5ef09e47bb0adb58a03f64e59a314f2ab7bcabb655e72679ec4f01"),
+    "multi_error_writer":
+        ("ce6b2f6e870b1f0baf66869eeb4a2d16808f59ba6a1f762d4df1e12e5caa8420",
+         "13f0b9916d2adc05bf0b0055ba55bf55b0cbe6e313ae2c5fdb301d7142c9d164"),
+    "multi_error_writer_topped":
+        ("90585fe592ce19b0d40546c055870fbf8f065ba26f7f12c020c6519ce2de547a",
+         "e9a1245e32b610fcabc66fb04d27e38aef6442f10e7987314cf2d64833da4bd2"),
+    "bool_writer_pair(keep_last('a', 'a*'))":
+        ("a72a9970f640a3c754a49cf50e438dce302668324c5a3bcc362596e3305172b6",
+         "4ecca1c965d151e207429c726f541823bb5d3bca426b62cd6af815c18075c184"),
+    "bool_writer_pair(keep_last('b', 'b(c)'))":
+        ("a72a9970f640a3c754a49cf50e438dce302668324c5a3bcc362596e3305172b6",
+         "03683e8b7b0d8c2e6e231432992730f14d3d3d03b8ffb437b1f7e3d3c17d4b12"),
+    "bool_writer_pair(keep_last('a', 'a*', 'b', 'b(c)'))":
+        ("a72a9970f640a3c754a49cf50e438dce302668324c5a3bcc362596e3305172b6",
+         "4ecca1c965d151e207429c726f541823bb5d3bca426b62cd6af815c18075c184"),
+    "bool_writer_pair(keep_first('a', 'a*'))":
+        ("a72a9970f640a3c754a49cf50e438dce302668324c5a3bcc362596e3305172b6",
+         "acb47a4a21c798286cc6df0b88889f838d6f3eae20b0b6205bb1b3823aaacac7"),
+    "bool_writer_pair(keep_first('b', 'b(c)'))":
+        ("a72a9970f640a3c754a49cf50e438dce302668324c5a3bcc362596e3305172b6",
+         "5cd17213ea7bc1fca79cfc695515fb12085d53d4901f0f791810ff1b4495332b"),
+    "bool_writer_pair(keep_first('a', 'a*', 'b', 'b(c)'))":
+        ("a72a9970f640a3c754a49cf50e438dce302668324c5a3bcc362596e3305172b6",
+         "acb47a4a21c798286cc6df0b88889f838d6f3eae20b0b6205bb1b3823aaacac7"),
+    "identity_monad(keep_last('b', 'b(c)'))":
+        ("5eb573ab3bc16bf5483a6df1deb3884eb0de2cf16eba91e3ea833a5bf47b2cc3",
+         "5eb573ab3bc16bf5483a6df1deb3884eb0de2cf16eba91e3ea833a5bf47b2cc3"),
+    "bool_writer_pair(z3_times_keep_last())":
+        ("a72a9970f640a3c754a49cf50e438dce302668324c5a3bcc362596e3305172b6",
+         "fe4ec8379bb6747e6f2f52c3045f930d735b4bec9d129c889ba967bf71bf6778"),
+}
+
+
+def commutative_makers():
+    makers = dict(BUILTINS)
+    for monoid, toks in product((keep_last, keep_first), PREFIXED):
+        makers[f"bool_writer_pair({monoid.__name__}{toks})"] = (
+            lambda monoid=monoid, toks=toks: bool_writer_pair(monoid(toks)))
+    makers["identity_monad(keep_last('b', 'b(c)'))"] = (
+        lambda: identity_monad(keep_last(("b", "b(c)"))))
+    makers["bool_writer_pair(z3_times_keep_last())"] = (
+        lambda: bool_writer_pair(z3_times_keep_last()))
+    return makers
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTATIVE_JSON))
+def test_commutation_reports_keep_their_bytes(name):
+    make = commutative_makers()[name]
+    first, rest = COMMUTATIVE_JSON[name]
+    for k in range(4 if name == "language_writer" else 5):
+        digest = hashlib.sha256(check_commutative(make(), k).to_json().encode()).hexdigest()
+        assert digest == (rest if k else first), k
 
 
 class TestPrefixTokenWitnesses:

@@ -53,6 +53,7 @@ from centrekit.relaxations import (
     language_duoid,
 )
 from centrekit.report import LawRecord, Report
+from test_report import report_from_json
 
 
 def _quadruples(elements, budget, seed):
@@ -231,7 +232,7 @@ def same_reports(DM, k, **kw):
     new = check_duoidal_gradation(DM, k, **kw).to_json()
     ref = reference_check_duoidal_gradation(DM, k, **kw).to_json()
     assert new == ref
-    return Report.from_json(new)
+    return report_from_json(new)
 
 
 LANG = language_duoid("ab", 2)

@@ -44,12 +44,12 @@ from centrekit.graded_monad import (
 )
 from centrekit.pomonoid import (
     bool_pomonoid,
-    identity_pomonoid_morphism,
     multi_error_pomonoid,
     trivial_pomonoid,
 )
 from centrekit.relaxations import LanguageError
 from test_centre import keep_last_on_prefix_tokens
+from test_pomonoid import identity_pomonoid_morphism
 
 
 X2 = canonical_set(2)

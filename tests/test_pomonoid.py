@@ -25,7 +25,6 @@ from centrekit.pomonoid import (
     check_bimonoid,
     check_duoid,
     check_pomonoid_morphism,
-    identity_pomonoid_morphism,
     load_duoid,
     load_pomonoid,
     multi_error_pomonoid,
@@ -162,6 +161,11 @@ class TestCentre:
     def test_centre_is_a_pomonoid(self):
         Z, _ = centre_of_pomonoid(multi_error_pomonoid(topped=True))
         validate_pomonoid(Z.elements, Z.unit, Z.mul, Z.leq)
+
+
+def identity_pomonoid_morphism(P):
+    """The identity of P, as a pomonoid morphism."""
+    return PomonoidMorphism(source=P, target=P, mapping={a: a for a in P.elements})
 
 
 class TestMorphism:

@@ -11,6 +11,16 @@ from centrekit.report import LawRecord, Report, run_suite
 X = FinSet("X", ("a", "b"))
 
 
+def report_from_json(text):
+    """The Report that ``Report.to_json`` rendered as text."""
+    data = json.loads(text)
+    rep = Report(data["title"])
+    for d in data["records"]:
+        rep.add(LawRecord(d["law"], tuple(d["grades"]), tuple(d["sets"]), d["ok"], d["witness"],
+                          d["lhs"], d["rhs"], d["note"]))
+    return rep
+
+
 def test_record_line_formats():
     rec = LawRecord(law="assoc", grades=("t", "e"), ok=False, witness="a", lhs="p", rhs="q")
     line = rec.line()
@@ -104,7 +114,7 @@ def test_json_round_trip():
     rep = Report("demo")
     rep.add(LawRecord(law="a", grades=("x",), sets=("S",), ok=False, witness="w", lhs="1", rhs="2", note="n"))
     rep.add(LawRecord(law="b"))
-    back = Report.from_json(rep.to_json())
+    back = report_from_json(rep.to_json())
     assert back.title == rep.title
     assert back.records == rep.records
 
@@ -149,7 +159,7 @@ records = st.builds(
 def test_to_json_matches_json_dumps(title, recs):
     rep = Report(title, recs)
     assert rep.to_json() == reference_json(rep)
-    assert Report.from_json(rep.to_json()).records == rep.records
+    assert report_from_json(rep.to_json()).records == rep.records
 
 
 def test_to_json_of_an_empty_report():
@@ -173,4 +183,4 @@ def test_to_json_with_repeated_heads(pool, picks):
     recs = [LawRecord(*pool[i % len(pool)], *body) for i, body in picks]
     rep = Report("heads", recs)
     assert rep.to_json() == reference_json(rep)
-    assert Report.from_json(rep.to_json()).records == rep.records
+    assert report_from_json(rep.to_json()).records == rep.records
