@@ -10,30 +10,29 @@ an element of a polynomial T^b Y mentions at most degree(T^b) points of Y, so
 by naturality every instance of the centrality equation factors through an
 injection from a canonical set of that size.  `bound` widens the scan for
 paranoia runs: at or above the degree it never changes the answer for
-polynomial carriers, and a bound below the degree is refused.
+polynomial carriers.  `scan_sets` sizes it, as it sizes the commute records.
 
 Central subsets and bimonoidal centres share one centrality filter,
 `central_rows`, and cones its per-grade scan, over the column map of
 `commutation_witness`: rows are elements t, columns test computations s.
+It reads the commute records' kernel, `commute_sides`.
 """
 
 from dataclasses import dataclass, replace
 
-from .finkit import FinFn, FinSet, SetSizeError, all_fns, canonical_set, degree, identity_fn, tensor
+from .finkit import FinFn, FinSet, all_fns, canonical_set, identity_fn, tensor
 from .graded_monad import (
+    CentreError,
     GradedMonadMorphism,
     GradedStrongMonad,
     canonical_sets,
     check_commutative,
     check_graded_monad_morphism,
     commutation_witness,
+    scan_sets,
 )
 from .pomonoid import Pomonoid, PomonoidMorphism, centre_of_pomonoid
 from .report import LawRecord, Report
-
-
-class CentreError(ValueError):
-    pass
 
 
 class GradeNotCentral(CentreError):
@@ -61,29 +60,6 @@ class CentralityViolation(RuntimeError):
         self.witness = witness
 
 
-def bound_for(M: GradedStrongMonad, b: str, bound=None) -> int:
-    """Test-set size needed to decide centrality against grade b.
-
-    ``bound`` is an int, one size for every grade, or None for the degree of
-    T^b.  A negative bound raises SetSizeError,
-    and so does one below the degree of T^b when the monad has a functor
-    expression: either would pass elements that are not central.
-    """
-    expr = M.functor_expr(b)
-    if bound is not None:
-        n = int(bound)
-    elif expr is None:
-        raise CentreError("monad has no functor expression; pass an explicit bound")
-    else:
-        n = degree(expr)
-    if n < 0:
-        raise SetSizeError(
-            f"test-set bound {n} is negative: every element would pass as central")
-    if expr is not None and n < degree(expr):
-        raise SetSizeError(f"test-set bound {n} is below the degree {degree(expr)} of grade {b}")
-    return n
-
-
 def _central_grades(M: GradedStrongMonad) -> frozenset:
     key = ("central-grades",)
     if (grades := M._memo.get(key)) is None:
@@ -98,22 +74,14 @@ def _require_central_grade(M: GradedStrongMonad, z: str) -> None:
         raise GradeNotCentral(f"{z} is not {what} {M.pomonoid.name or 'the grading'}")
 
 
-def _failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, n: int, top=None):
+def _failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, sets, top=None):
     """Yield (row, Y, column) for each entry of ``rows`` (positions in T^z X)
-    that fails to commute with some s in T^b Y, at the first such Y.
-
-    Y runs over the canonical sets of sizes 0..n, skipping an empty T^b Y,
-    as ``_commute_record`` does: no composite over an empty domain.  The
-    column is the least failing s.  Failing entries come in the order of
-    ``rows`` and drop out; the scan ends when none is left.
-    """
+    that fails to commute with some s in T^b Y, at the first such Y of ``sets``,
+    and drop it; the column is the least failing s (``commutation_witness``)."""
     alive = list(rows)
-    for size in range(n + 1):
+    for Y in sets:
         if not alive:
             return
-        Y = canonical_set(size)
-        if len(M.carrier(b, Y)) == 0:
-            continue
         bad = commutation_witness(M, z, b, X, Y, top)
         if bad:
             yield from ((r, Y, bad[r]) for r in alive if r in bad)
@@ -122,14 +90,12 @@ def _failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, n: int,
 
 def central_rows(M: GradedStrongMonad, z: str, X: FinSet, rows, bound=None, tops=None) -> list:
     """The rows (positions in T^z X) that commute with every test computation,
-    in order.  Every grade's bound is resolved before anything is scanned, so
-    a bad one is refused whatever the carrier; with ``tops`` both composites
-    against grade b are lifted to grade ``tops[b]``."""
-    sizes = [(b, bound_for(M, b, bound)) for b in M.pomonoid.elements]
-    for b, n in sizes:
-        if not rows:
-            break
-        failed = {r for r, _, _ in _failing_rows(M, z, b, X, rows, n, tops and tops[b])}
+    in order.  Every grade's test sets are resolved before anything is
+    scanned, so a bad bound is refused whatever the carrier; with ``tops``
+    both composites against grade b are lifted to grade ``tops[b]``."""
+    sizes = [(b, scan_sets(M, b, bound=bound)) for b in M.pomonoid.elements]
+    for b, sets in sizes:
+        failed = {r for r, _, _ in _failing_rows(M, z, b, X, rows, sets, tops and tops[b])}
         rows = [r for r in rows if r not in failed]
     return rows
 
@@ -186,12 +152,13 @@ def check_central_cone(M: GradedStrongMonad, cone: CentralCone, bound=None,
     X = cone.base
     if cone.leg.cod.vid != M.carrier(z, X).vid:
         raise CentreError("leg codomain is not the carrier at the cone's grade")
+    sizes = [(b, scan_sets(M, b, bound=bound)) for b in M.pomonoid.elements]
     rep = Report(title=f"central cone ({z}, {X.name})")
     # the leg's images, by the apex's tokens in order: a witness names the least
     apex = sorted(zip(cone.apex.elems, cone.leg.idx))
     rows = [r for _, r in apex]
-    for b in M.pomonoid.elements:
-        failure = next(_failing_rows(M, z, b, X, rows, bound_for(M, b, bound)), None)
+    for b, sets in sizes:
+        failure = next(_failing_rows(M, z, b, X, rows, sets), None)
         witness = ""
         if failure is not None:
             r, Y, j = failure

@@ -14,8 +14,8 @@ Conventions that everything below depends on:
   order; ``report.run_suite`` builds the Report, and ``check_all`` chains
   the five suites into one.  Every instance reaches ``Report.compare`` or
   ``Report.add`` once.  Two sides are compared by ``finkit.mismatch``, the
-  one comparator: ``Report.compare`` calls it, and so does ``commute``,
-  which gives one record per grade pair, on the two composites' rows.
+  one comparator: ``Report.compare`` calls it, and so does the commute
+  record of each grade pair, on the composites of ``commute_sides``.
 * The laws quantified over every map f between canonical sets (lift-,
   strength-, unit-, mult- and component-natural, fmap-compose) yield their
   two sides as index rows, ``(law, grades, sets, dom, cod, lhs, rhs,
@@ -108,6 +108,15 @@ class ComponentMissing(GradedMonadError):
 
 class UnknownName(GradedMonadError):
     pass
+
+
+class CarrierMismatch(GradedMonadError):
+    """The two sequencing composites land in different carriers; ``args[0]``
+    is the least token in only one of them, or None."""
+
+
+class CentreError(ValueError):
+    """A centre or centrality scan refused its input."""
 
 
 def remember(memo: dict, key, fn: FinFn, dom: FinSet, cod: FinSet, what: str,
@@ -256,32 +265,75 @@ def commute_maps(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinSet):
     return left, right
 
 
+def scan_sets(M: GradedStrongMonad, *grades: str, k: int | None = None,
+              bound=None) -> list[FinSet]:
+    """The canonical sets every commutation scan against ``grades`` reads, up
+    to their largest degree d: the composites are natural in X and Y, so with
+    a natural strength and costrength the first failing (X, Y) lies there.
+
+    A commute record caps d by ``k``, or reads up to k if a grade has no
+    functor expression; a centrality scan reads up to ``bound``, or d if it is
+    None.  SetSizeError, naming it, refuses a negative or oversized k or bound,
+    and a bound below d, which would pass elements that are not central."""
+    exprs = [M.functor_expr(g) for g in grades]
+    d = None if None in exprs else max(map(degree, exprs))
+    if k is not None:
+        sets = canonical_sets(k)
+        return sets if d is None else sets[:d + 1]
+    if bound is None and d is None:
+        raise CentreError("monad has no functor expression; pass an explicit bound")
+    n = d if bound is None else int(bound)
+    if n < 0:
+        raise SetSizeError(
+            f"test-set bound {n} is negative: every element would pass as central")
+    if d is not None and n < d:
+        raise SetSizeError(f"test-set bound {n} is below the degree {d} of grade {grades[0]}")
+    return canonical_sets(n)
+
+
+def commute_sides(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinSet,
+                  top: str | None = None):
+    """The kernel of every commutation scan: the two composites of
+    ``commute_maps`` at one (a, b, X, Y), both lifted to grade ``top`` if given.
+
+    CarrierMismatch if their target carriers differ; None where T^a X (x) T^b Y
+    is empty, since no composite is built over a domain with no element."""
+    P, XY = M.pomonoid, tensor(X, Y)
+    ab, ba = P.times(a, b), P.times(b, a)
+    # both sides land in one carrier when lifted to a top or graded alike
+    if top is None and ab != ba:
+        Cab, Cba = M.carrier(ab, XY), M.carrier(ba, XY)
+        if Cab.vid != Cba.vid:
+            only = sorted(set(Cab.elems) ^ set(Cba.elems))
+            raise CarrierMismatch(only[0] if only else None)
+    if len(M.carrier(a, X)) == 0 or len(M.carrier(b, Y)) == 0:
+        return None
+    left, right = commute_maps(M, a, b, X, Y)
+    if top is not None:
+        left = seq(left, M.lift_fn(ab, top, XY))
+        right = seq(right, M.lift_fn(ba, top, XY))
+    check_ends(left.dom, left.cod, right.dom, right.cod)
+    return left, right
+
+
 def commutation_witness(M: GradedStrongMonad, a: str, b: str, X: FinSet, Y: FinSet,
                         top: str | None = None):
     """Where the two sequencing composites of T^a X (x) T^b Y disagree.
 
-    Returns the column map ``bad``: the composites of ``commute_maps`` are
-    compared, both lifted to grade ``top`` when it is given, and ``bad[i] =
-    j`` for each row i of T^a X at which they disagree somewhere, j being the
-    column, of those where they do, whose token of T^b Y is least.  Reads the
-    two composites' rows (``pair_rows``), and T^b Y's tokens when they differ.
+    Returns the column map ``bad`` of the kernel's composites (``commute_sides``,
+    which ``_commute_record`` reads too): ``bad[i] = j`` for each row i of T^a X
+    at which they disagree somewhere, j being the column, of those where they
+    do, whose token of T^b Y is least.  Reads the composites' rows
+    (``pair_rows``), and T^b Y's tokens when they differ.
     """
-    left, right = commute_maps(M, a, b, X, Y)
-    if top is not None:
-        XY = tensor(X, Y)
-        left = seq(left, M.lift_fn(M.pomonoid.times(a, b), top, XY))
-        right = seq(right, M.lift_fn(M.pomonoid.times(b, a), top, XY))
-    check_ends(left.dom, left.cod, right.dom, right.cod)
-    bad = {}
-    if left.idx != right.idx:
-        TaX, TbY = M.carrier(a, X), M.carrier(b, Y)
-        columns = sorted(range(len(TbY)), key=TbY.elems.__getitem__)
-        rows = zip(pair_rows(left, TaX, TbY), pair_rows(right, TaX, TbY))
-        for i, (lhs, rhs) in enumerate(rows):
-            j = next((j for j in columns if lhs[j] != rhs[j]), None)
-            if j is not None:
-                bad[i] = j
-    return bad
+    sides = commute_sides(M, a, b, X, Y, top)
+    if sides is None or sides[0].idx == sides[1].idx:
+        return {}
+    TaX, TbY = M.carrier(a, X), M.carrier(b, Y)
+    columns = sorted(range(len(TbY)), key=TbY.elems.__getitem__)
+    rows = zip(*(pair_rows(side, TaX, TbY) for side in sides))
+    firsts = (next((j for j in columns if lhs[j] != rhs[j]), None) for lhs, rhs in rows)
+    return {i: j for i, j in enumerate(firsts) if j is not None}
 
 
 # --- law suites ----------------------------------------------------------
@@ -528,38 +580,20 @@ def check_naturality(M: GradedStrongMonad, k: int = 3) -> Report:
     return run_suite(f"naturality({M.name})", _naturality(M, k))
 
 
-def _commute_sets(M: GradedStrongMonad, a: str, b: str, k: int) -> list[FinSet]:
-    """The canonical sets a scan of grades a, b reads: sizes 0..k, cut to the
-    larger degree of T^a and T^b when both have a functor expression.  Both
-    composites are natural in X and Y, so with a natural strength and
-    costrength the first failing (X, Y) lies within it, as in ``bound_for``."""
-    sets = canonical_sets(k)
-    exprs = (M.functor_expr(a), M.functor_expr(b))
-    if None in exprs:
-        return sets
-    return sets[:max(map(degree, exprs)) + 1]
-
-
 def _commute_record(M: GradedStrongMonad, a: str, b: str, sets) -> LawRecord:
-    """The commute record of grades a, b over every (X, Y) of ``sets``: the
-    target carriers are compared at each pair, and the two composites at each
-    pair whose domain T^a X (x) T^b Y is not empty.  No composite is built
-    over an empty domain, which has no element at which they could differ."""
-    P = M.pomonoid
+    """The commute record of grades a, b over every (X, Y) of ``sets``, at the
+    first that fails: ``mismatch`` on the kernel's composites (``commute_sides``),
+    which ``commutation_witness`` reads row by row."""
     for X, Y in product(sets, sets):
-        XY, names = tensor(X, Y), (X.name, Y.name)
-        Cab, Cba = M.carrier(P.times(a, b), XY), M.carrier(P.times(b, a), XY)
-        if Cab.vid != Cba.vid:
-            only = sorted(set(Cab.elems) ^ set(Cba.elems))
-            return LawRecord("commute", (a, b), names, False, only[0] if only else None,
+        try:
+            sides = commute_sides(M, a, b, X, Y)
+        except CarrierMismatch as exc:
+            return LawRecord("commute", (a, b), (X.name, Y.name), False, exc.args[0],
                              note="carrier-mismatch")
-        if len(M.carrier(a, X)) == 0 or len(M.carrier(b, Y)) == 0:
-            continue
-        left, right = commute_maps(M, a, b, X, Y)
-        check_ends(left.dom, left.cod, right.dom, right.cod)
-        failure = mismatch(left.dom, left.cod, left.idx, right.idx)
-        if failure is not None:
-            return LawRecord("commute", (a, b), names, False, *failure, "value-mismatch")
+        failure = sides and mismatch(sides[0].dom, sides[0].cod, sides[0].idx, sides[1].idx)
+        if failure:
+            return LawRecord("commute", (a, b), (X.name, Y.name), False, *failure,
+                             "value-mismatch")
     return LawRecord("commute", (a, b))
 
 
@@ -568,21 +602,18 @@ def check_commutative(M: GradedStrongMonad, k: int = 3) -> Report:
 
     A pair passes only if the two target carriers are equal as sets of
     tokens and the two composites agree pointwise; the record notes which
-    of the two comparisons broke.  No composite is built over an empty
-    domain T^a X (x) T^b Y.  Each pair is decided at the degree d <= k
-    of its grades (``_commute_sets``): a claim about every set, sound when
-    the strength and costrength are natural.
+    of the two comparisons broke.  Each pair is decided on ``scan_sets``: a
+    claim about every set, sound when the strength and costrength are natural.
     """
     return run_suite(f"commutative({M.name})", (
-        _commute_record(M, a, b, _commute_sets(M, a, b, k))
+        _commute_record(M, a, b, scan_sets(M, a, b, k=k))
         for a, b in product(M.pomonoid.elements, repeat=2)))
 
 
 def commuting_pair(M: GradedStrongMonad, a: str, b: str, k: int = 3) -> bool:
-    """The pairwise slice of check_commutative for one grade pair, decided at
-    the same degree d <= k, with no composite over an empty domain: sound
-    when the strength and costrength are natural."""
-    return _commute_record(M, a, b, _commute_sets(M, a, b, k)).ok
+    """The pairwise slice of check_commutative for one grade pair, read on the
+    same sets: sound when the strength and costrength are natural."""
+    return _commute_record(M, a, b, scan_sets(M, a, b, k=k)).ok
 
 
 def check_all(M: GradedStrongMonad, k: int = 3) -> Report:

@@ -58,14 +58,6 @@ class MonotonicityViolation(LawViolation):
         super().__init__(f"{w}<={x}, {y}<={z} but not {w}*{y} <= {x}*{z}")
 
 
-class NotAbsorbing(PomonoidError):
-    pass
-
-
-class NotTop(PomonoidError):
-    pass
-
-
 class UnmappedElement(PomonoidError):
     pass
 
@@ -308,31 +300,7 @@ def check_duoid(D: Duoid) -> Report:
     return rep
 
 
-def bimonoid_from_absorbing_top(P: Pomonoid, top: str) -> Duoid:
-    """Second operation: a*b when either argument is central, the top otherwise.
-
-    Requires the top to be absorbing for * and the maximum of the order.
-    """
-    if top not in set(P.elements):
-        raise UnknownElement(f"top {top!r} not among elements")
-    for a in P.elements:
-        if P.times(top, a) != top or P.times(a, top) != top:
-            raise NotAbsorbing(f"{top} is not absorbing at {a}")
-    for a in P.elements:
-        if not P.le(a, top):
-            raise NotTop(f"{a} is not below {top}")
-    Z, _ = centre_of_pomonoid(P)
-    central = set(Z.elements)
-    par = {(a, b): P.times(a, b) if a in central or b in central else top
-           for a in P.elements for b in P.elements}
-    return Duoid(base=P, par=par, unit2=P.unit)
-
-
 # --- small builders -----------------------------------------------------
-
-def trivial_pomonoid() -> Pomonoid:
-    return validate_pomonoid(("i",), "i", {("i", "i"): "i"}, name="trivial")
-
 
 def bool_pomonoid() -> Pomonoid:
     """Two truth values under conjunction, ordered tt <= ff."""

@@ -8,7 +8,6 @@ API or the CLI, not internals.
 import os
 
 from centrekit.centre import (
-    bound_for,
     build_centre_monad,
     central_subset,
     check_centrality_conditions,
@@ -47,6 +46,7 @@ from centrekit.relaxations import (
     language_shuffle,
     parse_language_literal,
 )
+from test_centre import largest_test_set
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
 
@@ -182,7 +182,7 @@ def test_criterion_08_bound_robustness():
             M = build(name)
             ZP, _ = centre_of_pomonoid(M.pomonoid)
             # every grade is scanned at least two sizes past its own degree
-            wider = max(bound_for(M, b) for b in M.pomonoid.elements) + 2
+            wider = max(largest_test_set(M, b) for b in M.pomonoid.elements) + 2
             for z in ZP.elements:
                 for n in range(3):
                     X = canonical_set(n)

@@ -9,7 +9,6 @@ from centrekit.centre import (
     ElementNotInCarrier,
     GradeNotCentral,
     NotASubmonad,
-    bound_for,
     build_centre_monad,
     central_subset,
     check_central_cone,
@@ -29,20 +28,26 @@ from centrekit.graded_monad import (
     identity_monad,
     multi_error_writer,
     registry,
+    scan_sets,
 )
 from centrekit.pomonoid import (
     Duoid,
-    bimonoid_from_absorbing_top,
     bool_pomonoid,
     centre_of_pomonoid,
     multi_error_pomonoid,
     validate_pomonoid,
 )
 from centrekit.relaxations import bimonoidal_centre_at
+from test_pomonoid import bimonoid_from_absorbing_top
 
 X2 = canonical_set(2)
 X3 = canonical_set(3)
 SMALL = sorted(name for name in registry() if name != "language_writer")
+
+
+def largest_test_set(M, b, bound=None):
+    """The size of the largest test set a centrality scan against grade b reads."""
+    return len(scan_sets(M, b, bound=bound)) - 1
 
 
 class TestIsCentral:
@@ -106,7 +111,7 @@ class TestCentralSubset:
             Z, _ = centre_of_pomonoid(M.pomonoid)
             # central_rows scans Y0..Yn, so every grade is scanned at least
             # two sizes past its own degree
-            wide_bound = max(bound_for(M, b) for b in M.pomonoid.elements) + 2
+            wide_bound = max(largest_test_set(M, b) for b in M.pomonoid.elements) + 2
             for z in Z.elements:
                 base = central_subset(M, z, X2)
                 wide = central_subset(M, z, X2, bound=wide_bound)
@@ -359,9 +364,9 @@ class TestCentralityConditions:
 class TestBoundFor:
     def test_default_comes_from_the_functor_shape(self):
         M = multi_error_writer()
-        assert bound_for(M, "t") == 1
-        assert bound_for(M, "e") == 0
-        assert bound_for(M, "wa") == 1
+        assert largest_test_set(M, "t") == 1
+        assert largest_test_set(M, "e") == 0
+        assert largest_test_set(M, "wa") == 1
 
     def test_a_bound_below_the_degree_is_refused(self):
         M, X = bool_writer_pair(), canonical_set(1)
@@ -378,17 +383,19 @@ class TestBoundFor:
     def test_no_functor_means_explicit_bound_required(self):
         res = build_centre_monad(multi_error_writer())
         with pytest.raises(CentreError):
-            bound_for(res.monad, "t")
-        assert bound_for(res.monad, "t", bound=2) == 2
+            largest_test_set(res.monad, "t")
+        assert largest_test_set(res.monad, "t", bound=2) == 2
 
     @pytest.mark.parametrize("name", SMALL)
-    @pytest.mark.parametrize("kind", ["negative", "below-degree"])
+    @pytest.mark.parametrize("kind", ["negative", "below-degree", "oversized"])
     def test_one_refusal_across_the_entry_points(self, name, kind):
         # every entry point resolves every grade's bound before it scans, so
-        # a bad bound is refused, with one message, even where T^z Y0 is empty
+        # a bad bound is refused, with one message, even where T^z Y0 is empty;
+        # an oversized one is named as canonical_sets names an oversized k
         M, Y0 = registry()[name](), canonical_set(0)
         P = M.pomonoid
-        bound = -1 if kind == "negative" else max(bound_for(M, b) for b in P.elements) - 1
+        bound = {"negative": -1, "oversized": 10}.get(
+            kind, max(largest_test_set(M, b) for b in P.elements) - 1)
         D = Duoid(base=P, par={(x, y): P.times(x, y) for x in P.elements for y in P.elements},
                   unit2=P.unit)
         empty = [z for z in centre_of_pomonoid(P)[0].elements if not M.carrier(z, Y0).elems]
@@ -404,4 +411,5 @@ class TestBoundFor:
                     call()
                 messages.add(str(exc.value))
             assert len(messages) == 1
-            assert messages.pop().startswith(f"test-set bound {bound} is ")
+            what = "canonical set size" if kind == "oversized" else "test-set bound"
+            assert messages.pop().startswith(f"{what} {bound} is ")

@@ -293,6 +293,20 @@ class TestBoundBelowDegree:
         assert captured.err == "error: test-set bound 0 is below the degree 1 of grade tt\n"
 
 
+class TestOversizedBound:
+    # a bound above the largest canonical set is refused before anything is
+    # scanned, and the error names the bound, even where T^tt Y0 is empty
+    @pytest.mark.parametrize("set_size, bound", [("0", "10"), ("1", "12")])
+    def test_exits_2_with_one_error_line_naming_the_bound(self, set_size, bound, capsys):
+        argv = ["monad", "centre", "--monad", "bool_writer_pair", "--grade", "tt",
+                "--set-size", set_size, "--bound", bound]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: canonical set size {bound} is outside 0..9: "
+                                "canonical sets are meant for small exhaustive scans\n")
+
+
 # the small built-ins and their grades; language_writer is left out, so each
 # drawn run stays fast
 CENTRE_GRADES = {name: list(registry()[name]().pomonoid.elements)

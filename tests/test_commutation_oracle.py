@@ -1,13 +1,15 @@
 """The commutation scans against the token-level scans they replaced.
 
 check_commutative, commuting_pair, central_subset/is_central,
-check_central_cone and bimonoidal_centre_at all read one index-table scan,
-``graded_monad.commutation_witness``.  The reference scans below are the
+check_central_cone and bimonoidal_centre_at all read the composites of one
+kernel, ``graded_monad.commute_sides``, on the sets of one sizing rule,
+``graded_monad.scan_sets``.  The reference scans below are the
 token-level ones that came before: they build the two sequencing composites
 with ``commute_maps`` and apply them to ``make_pair(t, s)`` token by token.
 They are kept as they were, except that the bimonoid is read through the
 ``Duoid`` API (``par_of``), the reference central subset is not memoised,
-and the scans that name an element walk its set sorted: they were written
+the centre's scans take their test sets from ``scan_sets``, and the scans
+that name an element walk its set sorted: they were written
 when a set iterated in token order, and a product now iterates in pair
 order.
 Both sides must give the same reports byte for byte, the same verdicts and
@@ -31,7 +33,6 @@ from centrekit.centre import (
     ElementNotInCarrier,
     _central_grades,
     _require_central_grade,
-    bound_for,
     build_centre_monad,
     central_subset,
     check_central_cone,
@@ -44,6 +45,7 @@ from centrekit.finkit import (
     FinSet,
     all_fns,
     canonical_set,
+    degree,
     make_pair,
     split_pair,
     tensor,
@@ -58,10 +60,10 @@ from centrekit.graded_monad import (
     identity_monad,
     multi_error_writer,
     registry,
+    scan_sets,
 )
 from centrekit.pomonoid import (
     Duoid,
-    bimonoid_from_absorbing_top,
     bool_pomonoid,
     multi_error_pomonoid,
     structurally_equal,
@@ -69,6 +71,7 @@ from centrekit.pomonoid import (
 )
 from centrekit.relaxations import BimonoidMismatch, bimonoidal_centre_at
 from centrekit.report import LawRecord, Report
+from test_pomonoid import bimonoid_from_absorbing_top
 
 
 # --- the token-level scans -----------------------------------------------------
@@ -130,14 +133,13 @@ def ref_commuting_pair(M, a, b, k=3):
 
 def ref_commuting(M, z, X, candidates, bound=None):
     survivors = list(candidates)
-    sizes = {b: bound_for(M, b, bound) for b in M.pomonoid.elements}
+    sizes = {b: scan_sets(M, b, bound=bound) for b in M.pomonoid.elements}
     for b in M.pomonoid.elements:
         if not survivors:
             break
-        for n in range(sizes[b] + 1):
+        for Y in sizes[b]:
             if not survivors:
                 break
-            Y = canonical_set(n)
             TbY = M.carrier(b, Y)
             if len(TbY) == 0:
                 continue
@@ -167,8 +169,7 @@ def ref_check_central_cone(M, cone, bound=None, closure_lemmas=False):
     rep = Report(title=f"central cone ({z}, {X.name})")
     for b in M.pomonoid.elements:
         ok, witness = True, ""
-        for n in range(bound_for(M, b, bound) + 1):
-            Y = canonical_set(n)
+        for Y in scan_sets(M, b, bound=bound):
             TbY = M.carrier(b, Y)
             if len(TbY) == 0:
                 continue
@@ -224,8 +225,7 @@ def ref_bimonoidal_centre_at(M, B, a, X, bound=None):
                 f"{ab} or {ba} is not below {top}; the relaxed product does not dominate")
     for b in P.elements:
         ab, ba, top = P.times(a, b), P.times(b, a), B.par_of(a, b)
-        for n in range(bound_for(M, b, bound) + 1):
-            Y = canonical_set(n)
+        for Y in scan_sets(M, b, bound=bound):
             TbY = M.carrier(b, Y)
             if len(TbY) == 0:
                 continue
@@ -331,9 +331,9 @@ def test_commutativity_on_builtins(name):
 
 def scanned_sizes(monkeypatch, scan, M, *args):
     """(built, compared): the (|X|, |Y|) of every pair of sets whose composites
-    ``scan`` builds over M, and of every pair whose target carriers
-    ``_commute_record`` compares over M, leaving out those a centre monad's
-    carriers build over its parent."""
+    ``scan`` builds over M, and of every pair at which it runs the commutation
+    kernel ``commute_sides`` over M, where the target carriers are compared,
+    leaving out those a centre monad's carriers build over its parent."""
     built, compared = [], []
 
     def building(N, a, b, X, Y, orig=graded_monad.commute_maps):
@@ -342,9 +342,9 @@ def scanned_sizes(monkeypatch, scan, M, *args):
         return orig(N, a, b, X, Y)
 
     def comparing(X, Y, orig=graded_monad.tensor):
-        # _commute_record builds X (x) Y once per pair, for the carriers it compares
+        # the kernel builds X (x) Y once per pair, before it compares carriers
         caller = sys._getframe(1)
-        if caller.f_code is graded_monad._commute_record.__code__ and caller.f_locals["M"] is M:
+        if caller.f_code is graded_monad.commute_sides.__code__ and caller.f_locals["M"] is M:
             compared.append((len(X), len(Y)))
         return orig(X, Y)
 
@@ -651,6 +651,95 @@ def test_commutation_reports_keep_their_bytes(name):
     for k in range(4 if name == "language_writer" else 5):
         digest = hashlib.sha256(check_commutative(make(), k).to_json().encode()).hexdigest()
         assert digest == (rest if k else first), k
+
+
+# SHA-256 of the centre side's outputs on the same monads, over X of sizes 0..2
+# (0..1 on language_writer): the central subsets' members at every central
+# grade, with the default bound and with the degree + 1; the identity cones'
+# reports in full; the bimonoidal centres' apexes at every grade, with the
+# grade product as the parallel one, or the refusal where it does not dominate
+CENTRE_OUTPUTS = {
+    "bool_writer_pair":
+        ("1113323e33324dac7b2dbe2a1a1a8f1ddc708f7f43c46c3a2619870c5a8f56d7",
+         "9ef76524f098f23cec2efdda92adb6fea16d6fe5146773c28e648d062a38ca14",
+         "7f4357a7aceb1d442db0bb59cb0e7b114b77fa08f6f48e54f40c82a6a0eb04de"),
+    "bool_writer_pair(keep_first('a', 'a*'))":
+        ("9886e984e76c1f2b591373918cd74900ec063ec21cff3ccc3be8887cb931229c",
+         "57e4844b545430739f7e41c9c8f1b48986eee356d95e3198d769efd7fa355479",
+         "32da71e757ce0df36630c2056ba96fddf4bc60c1fdebfe7e1ec2c23934af1bcb"),
+    "bool_writer_pair(keep_first('a', 'a*', 'b', 'b(c)'))":
+        ("9886e984e76c1f2b591373918cd74900ec063ec21cff3ccc3be8887cb931229c",
+         "57e4844b545430739f7e41c9c8f1b48986eee356d95e3198d769efd7fa355479",
+         "32da71e757ce0df36630c2056ba96fddf4bc60c1fdebfe7e1ec2c23934af1bcb"),
+    "bool_writer_pair(keep_first('b', 'b(c)'))":
+        ("9886e984e76c1f2b591373918cd74900ec063ec21cff3ccc3be8887cb931229c",
+         "a7098748c42c09db1e00e86f93081ce662e69ce56649346d0ca006fd6652d298",
+         "32da71e757ce0df36630c2056ba96fddf4bc60c1fdebfe7e1ec2c23934af1bcb"),
+    "bool_writer_pair(keep_last('a', 'a*'))":
+        ("9886e984e76c1f2b591373918cd74900ec063ec21cff3ccc3be8887cb931229c",
+         "57e4844b545430739f7e41c9c8f1b48986eee356d95e3198d769efd7fa355479",
+         "32da71e757ce0df36630c2056ba96fddf4bc60c1fdebfe7e1ec2c23934af1bcb"),
+    "bool_writer_pair(keep_last('a', 'a*', 'b', 'b(c)'))":
+        ("9886e984e76c1f2b591373918cd74900ec063ec21cff3ccc3be8887cb931229c",
+         "57e4844b545430739f7e41c9c8f1b48986eee356d95e3198d769efd7fa355479",
+         "32da71e757ce0df36630c2056ba96fddf4bc60c1fdebfe7e1ec2c23934af1bcb"),
+    "bool_writer_pair(keep_last('b', 'b(c)'))":
+        ("9886e984e76c1f2b591373918cd74900ec063ec21cff3ccc3be8887cb931229c",
+         "a7098748c42c09db1e00e86f93081ce662e69ce56649346d0ca006fd6652d298",
+         "32da71e757ce0df36630c2056ba96fddf4bc60c1fdebfe7e1ec2c23934af1bcb"),
+    "bool_writer_pair(z3_times_keep_last())":
+        ("14f6762d61939ad81e8dc8c53a2bbcc53564e71b7ca18684d6bdfd60bef66ba5",
+         "0b8293fd8b73f32b300059867428e85a6709ba012f2040fb6818cffbfbc9dcb5",
+         "bf900d60780213b4af61b1b94d511c1528352b99fdc365c882fec26c717b5cf7"),
+    "identity":
+        ("d9768c1edd592941fa8e304231b3da9639bea8a764f2748c6e3268c69a774b3f",
+         "9072987d661cad0e5a6907ca5516c11f97a1efce9f42bfa07448ff154539443b",
+         "00efe2cbc2945d34a6fbd06c47de7a324262980dddb309ffe69e17f43b6ff386"),
+    "identity_monad(keep_last('b', 'b(c)'))":
+        ("397bc5cfc10ccd0d6d46cf455854d9d27e680c9cc88f3c29157264a8d4982954",
+         "476f38399dc3adf163a57ef848b0775c9864456d34c45471ab0fbd6255d4cde4",
+         "2d883e041fe569f3ab2297855db3b6392162907e61d665c4b74042facf2a8c20"),
+    "language_writer":
+        ("3ad3990412c346ddeb28eabf0ad342a72304b9da8d148ec2d479ba7ac52d7209",
+         "30043a41043fd02b52c82a6ee385fc5720d4a712ba8a2f8136a4aad3e49d28cb",
+         "9543ec56dd20a6e54b97c97991ab37434abcdd6b6cc6ac7feda2e4938e22b43f"),
+    "multi_error_writer":
+        ("44f337deb9dea6d7a1860755214c539da0b4f429d4133d5487b411da9c59b80d",
+         "9072987d661cad0e5a6907ca5516c11f97a1efce9f42bfa07448ff154539443b",
+         "08c7fecc17593a8f84d2b0d92eb5df21164778ef3321f6f6a4e35940a75578e1"),
+    "multi_error_writer_topped":
+        ("44f337deb9dea6d7a1860755214c539da0b4f429d4133d5487b411da9c59b80d",
+         "9072987d661cad0e5a6907ca5516c11f97a1efce9f42bfa07448ff154539443b",
+         "08c7fecc17593a8f84d2b0d92eb5df21164778ef3321f6f6a4e35940a75578e1"),
+}
+
+
+def centre_outputs(make, name):
+    """The three texts that CENTRE_OUTPUTS digests, on a fresh monad from make()."""
+    M = make()
+    P = M.pomonoid
+    wide = max(degree(M.functor_expr(b)) for b in P.elements) + 1
+    sets = canonical_sets(1 if name == "language_writer" else 2)
+    subsets, cones, apexes = [], [], []
+    for z, X in product(sorted(_central_grades(M)), sets):
+        for bound in (None, wide):
+            subsets.append(f"{z} {X.name} {bound} {central_subset(M, z, X, bound).elems}")
+        TzX = M.carrier(z, X)
+        cone = CentralCone(grade=z, base=X, apex=TzX, leg=FinFn(TzX, TzX, {t: t for t in TzX}))
+        cones.append(check_central_cone(M, cone).to_text(False))
+    for a, X in product(P.elements, sets):
+        try:
+            apex = bimonoidal_centre_at(M, times_as_par(P), a, X).apex.elems
+        except BimonoidMismatch as exc:   # a grade that is not central may be refused
+            apex = str(exc)
+        apexes.append(f"{a} {X.name} {apex}")
+    return ["\n".join(text) for text in (subsets, cones, apexes)]
+
+
+@pytest.mark.parametrize("name", sorted(COMMUTATIVE_JSON))
+def test_centre_outputs_keep_their_bytes(name):
+    texts = centre_outputs(commutative_makers()[name], name)
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == CENTRE_OUTPUTS[name]
 
 
 class TestPrefixTokenWitnesses:

@@ -45,11 +45,10 @@ from centrekit.graded_monad import (
 from centrekit.pomonoid import (
     bool_pomonoid,
     multi_error_pomonoid,
-    trivial_pomonoid,
 )
 from centrekit.relaxations import LanguageError
 from test_centre import keep_last_on_prefix_tokens
-from test_pomonoid import identity_pomonoid_morphism
+from test_pomonoid import identity_pomonoid_morphism, trivial_pomonoid
 
 
 X2 = canonical_set(2)

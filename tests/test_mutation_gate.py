@@ -41,13 +41,13 @@ from centrekit.graded_monad import (
     multi_error_writer,
 )
 from centrekit.pomonoid import (
-    bimonoid_from_absorbing_top,
     bool_pomonoid,
     multi_error_pomonoid,
     validate_pomonoid,
 )
 from centrekit.relaxations import bimonoidal_centre_at
 from test_centre import assert_leg_is_the_inclusion
+from test_pomonoid import bimonoid_from_absorbing_top
 
 BUILT_INS = {
     "bool_writer_pair": bool_writer_pair,

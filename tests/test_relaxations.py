@@ -35,7 +35,6 @@ from centrekit.graded_monad import (
 )
 from centrekit.pomonoid import (
     Duoid,
-    bimonoid_from_absorbing_top,
     check_duoid,
     multi_error_pomonoid,
     validate_pomonoid,
@@ -60,6 +59,7 @@ from centrekit.relaxations import (
     language_shuffle,
     parse_language_literal,
 )
+from test_pomonoid import bimonoid_from_absorbing_top
 
 
 def lang(words, alphabet="ab", cap=3):
