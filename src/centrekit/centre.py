@@ -16,11 +16,19 @@ Central subsets and bimonoidal centres share one centrality filter,
 `central_rows`, and cones its per-grade scan, over the column map of
 `commutation_witness`: rows are elements t, columns test computations s.
 It reads the commute records' kernel, `commute_sides`.
+
+A central subset is kept as its inclusion into the carrier, an index table
+built from the surviving rows by `subset_inclusion`, once per (z, X, bound).
+Whatever must land in the centre is factored through that inclusion by one
+function, `_factor`: the centre monad's components, `factor_through` and
+condition 2.  Tokens appear only at the edge: `is_central`'s input, member
+lists and witnesses.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
-from .finkit import FinFn, FinSet, all_fns, canonical_set, identity_fn, tensor
+from .finkit import FinFn, FinSet, all_fns, canonical_set, identity_fn, seq, tensor, tensor_then
 from .graded_monad import (
     CentreError,
     GradedMonadMorphism,
@@ -108,15 +116,41 @@ def is_central(M: GradedStrongMonad, z: str, X: FinSet, t: str, bound=None) -> b
     return bool(central_rows(M, z, X, [TzX.token_index()[t]], bound))
 
 
-def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSet:
-    """The central elements of T^z X, as a subset sharing the same tokens."""
+def subset_inclusion(name: str, T: FinSet, rows) -> FinFn:
+    """The subset of T at the positions ``rows``, sharing T's tokens, as its
+    inclusion into T: the subset is the map's domain."""
+    at = {T.elems[r]: r for r in rows}
+    sub = FinSet(name, at)
+    return FinFn._table(sub, T, tuple(map(at.__getitem__, sub.elems)))
+
+
+def central_inclusion(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinFn:
+    """The inclusion Z^z X -> T^z X of the central elements, kept once per
+    (z, X, bound)."""
     _require_central_grade(M, z)
-    key = ("central-subset", z, X.vid, bound)
-    if (sub := M._memo.get(key)) is None:
+    key = ("central-inclusion", z, X.vid, bound)
+    if (leg := M._memo.get(key)) is None:
         TzX = M.carrier(z, X)
         rows = central_rows(M, z, X, range(len(TzX)), bound)
-        sub = M._memo[key] = FinSet(f"Z^{z}({X.name})", tuple(TzX.elems[r] for r in rows))
-    return sub
+        leg = M._memo[key] = subset_inclusion(f"Z^{z}({X.name})", TzX, rows)
+    return leg
+
+
+def central_subset(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> FinSet:
+    """The central elements of T^z X, as a subset sharing the same tokens."""
+    return central_inclusion(M, z, X, bound).dom
+
+
+def _factor(f: FinFn, incl: FinFn) -> tuple:
+    """(g, None) for the g with g ; incl = f, given an injective ``incl`` into
+    f's codomain; else (None, (t, v)) for the least token t of f's domain that
+    f sends outside incl's image, and its image v."""
+    at = dict(zip(incl.idx, range(len(incl.idx))))
+    try:
+        return FinFn._table(f.dom, incl.dom, tuple(map(at.__getitem__, f.idx))), None
+    except KeyError:
+        t, v = min((t, v) for t, v in zip(f.dom.elems, f.idx) if v not in at)
+        return None, (t, f.cod.elems[v])
 
 
 @dataclass
@@ -134,10 +168,8 @@ class CentralCone:
 
 
 def graded_centre_at(M: GradedStrongMonad, z: str, X: FinSet, bound=None) -> CentralCone:
-    sub = central_subset(M, z, X, bound)
-    TzX = M.carrier(z, X)
-    leg = FinFn._table(sub, TzX, tuple(map(TzX.token_index().__getitem__, sub.elems)))
-    return CentralCone(grade=z, base=X, apex=sub, leg=leg)
+    leg = central_inclusion(M, z, X, bound)
+    return CentralCone(grade=z, base=X, apex=leg.dom, leg=leg)
 
 
 def check_central_cone(M: GradedStrongMonad, cone: CentralCone, bound=None,
@@ -192,24 +224,19 @@ def check_central_cone(M: GradedStrongMonad, cone: CentralCone, bound=None,
 def factor_through(cone: CentralCone, centre: CentralCone) -> FinFn:
     """The unique map apex -> centre apex with centre.leg after it = cone.leg.
 
-    Exists iff the cone only hits central elements; unique because the centre
-    leg is injective.
+    Exists iff the cone's leg lands in the centre's carrier and hits only
+    central elements; unique because the centre leg is injective.
     """
     if cone.grade != centre.grade or cone.base.vid != centre.base.vid:
         raise CentreError("cones are not over the same grade and base")
-    preimage = {}
-    for q in centre.apex:
-        v = centre.leg(q)
-        if v in preimage:
-            raise CentreError("centre leg is not injective")
-        preimage[v] = q
-    mapping = {}
-    for p in sorted(cone.apex):
-        v = cone.leg(p)
-        if v not in preimage:
-            raise CentreError(f"cone hits the non-central element {v}")
-        mapping[p] = preimage[v]
-    return FinFn(cone.apex, centre.apex, mapping)
+    if cone.leg.cod.vid != centre.leg.cod.vid:
+        raise CentreError("leg codomain is not the carrier at the cone's grade")
+    if not centre.leg.is_injective():
+        raise CentreError("centre leg is not injective")
+    h, escape = _factor(cone.leg, centre.leg)
+    if escape:
+        raise CentreError(f"cone hits the non-central element {escape[1]}")
+    return h
 
 
 @dataclass
@@ -239,52 +266,47 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
     Every component is the restriction of the corresponding component of M,
     the costrength included: the centre is a submonad, so a fault in M's
     costrength shows in the centre's laws as it does in M's.  A restriction
-    reads M's index table at the central subsets' positions in M's carriers.
-    Membership of each computed value in the target central subset is checked
-    on the spot; an escape raises CentralityViolation rather than producing a
-    quietly wrong monad.
+    is M's component after the inclusion of its domain, factored through the
+    inclusion of its target: the domain's inclusion is the central one for
+    fmap and lift, the identity for unit, id (x) inclusion for the strength
+    and inclusion (x) id for the costrength, and for mult the outer
+    inclusion then T^z1 of the inner one.  A value outside the target
+    central subset raises CentralityViolation, naming the least escaping
+    token, rather than producing a quietly wrong monad.
     """
     ZP, phi = centre_of_pomonoid(M.pomonoid)
 
-    def sub(z: str, X: FinSet) -> FinSet:
-        return central_subset(M, z, X, bound)
+    incl = partial(central_inclusion, M, bound=bound)
 
-    def restrict(fn: FinFn, dom: FinSet, cod: FinSet, component: str) -> FinFn:
-        # fn's table read at dom's positions in fn.dom, each image then taken
-        # to its position in cod, if it has one
-        image = [fn.idx[r] for r in map(fn.dom.token_index().__getitem__, dom.elems)]
-        within = dict(zip(map(fn.cod.token_index().__getitem__, cod.elems), range(len(cod))))
-        try:
-            return FinFn._table(dom, cod, tuple(map(within.__getitem__, image)))
-        except KeyError:
-            t, v = min((t, v) for t, v in zip(dom.elems, image) if v not in within)
-            raise CentralityViolation(component, f"{t} -> {fn.cod.elems[v]}") from None
+    def restrict(into: FinFn, z: str, X: FinSet, component: str) -> FinFn:
+        # into ; M's component, factored through Z^z X's inclusion
+        g, escape = _factor(into, incl(z, X))
+        if escape:
+            raise CentralityViolation(component, f"{escape[0]} -> {escape[1]}")
+        return g
 
     def fmap_fn(z, f):
-        return restrict(M.fmap(z, f), sub(z, f.dom), sub(z, f.cod), f"fmap({z})")
+        return restrict(seq(incl(z, f.dom), M.fmap(z, f)), z, f.cod, f"fmap({z})")
 
     def unit(X):
-        return restrict(M.unit_fn(X), X, sub(ZP.unit, X), "unit")
+        return restrict(M.unit_fn(X), ZP.unit, X, "unit")
 
     def mult(z1, z2, X):
-        # tokens of Z^z1(Z^z2 X) are tokens of T^z1(T^z2 X), so the big
-        # multiplication applies directly
-        dom = sub(z1, sub(z2, X))
-        return restrict(M.mult_fn(z1, z2, X), dom, sub(ZP.times(z1, z2), X),
-                        f"mult({z1},{z2})")
+        into = seq(incl(z1, S.carrier(z2, X)), M.fmap(z1, incl(z2, X)), M.mult_fn(z1, z2, X))
+        return restrict(into, ZP.times(z1, z2), X, f"mult({z1},{z2})")
 
     def strength(z, X, Y):
-        dom = tensor(X, sub(z, Y))
-        return restrict(M.strength_fn(z, X, Y), dom, sub(z, tensor(X, Y)), f"strength({z})")
+        return restrict(tensor_then(identity_fn(X), incl(z, Y), M.strength_fn(z, X, Y)),
+                        z, tensor(X, Y), f"strength({z})")
 
     def costrength(z, X, Y):
-        dom = tensor(sub(z, X), Y)
-        return restrict(M.costrength_fn(z, X, Y), dom, sub(z, tensor(X, Y)), f"costrength({z})")
+        return restrict(tensor_then(incl(z, X), identity_fn(Y), M.costrength_fn(z, X, Y)),
+                        z, tensor(X, Y), f"costrength({z})")
 
     lift = None
     if M.lift is not None:
         def lift(z1, z2, X):
-            return restrict(M.lift_fn(z1, z2, X), sub(z1, X), sub(z2, X),
+            return restrict(seq(incl(z1, X), M.lift_fn(z1, z2, X)), z2, X,
                             f"lift({z1},{z2})")
 
     S = GradedStrongMonad(
@@ -293,14 +315,14 @@ def build_centre_monad(M: GradedStrongMonad, bound=None) -> CentreResult:
         mult=mult,
         strength=strength,
         costrength=costrength,
-        carrier_fn=sub,
+        carrier_fn=partial(central_subset, M, bound=bound),
         fmap_fn=fmap_fn,
         lift=lift,
         name=f"Z({M.name})" if M.name else "Z",
     )
 
     iota = GradedMonadMorphism(phi=phi, source=S, target=M, name="centre-inclusion",
-                               component=lambda z, X: graded_centre_at(M, z, X, bound).leg)
+                               component=incl)
     return CentreResult(monad=S, inclusion=iota, source=M, bound=bound)
 
 
@@ -324,7 +346,8 @@ def check_centrality_conditions(S: GradedStrongMonad, iota: GradedMonadMorphism,
     """Test the two equivalent descriptions of a central graded submonad.
 
     Condition (1): every component of iota is a central cone.  Condition (2):
-    iota factors through the centre inclusion and S is commutative.  The two
+    iota factors through the centre inclusion, read by the one factorisation
+    the centre monad uses, and S is commutative.  The two
     verdicts must agree; a mismatch is reported, not raised, since it means
     the equivalence itself failed on this instance.
     """
@@ -355,13 +378,11 @@ def check_centrality_conditions(S: GradedStrongMonad, iota: GradedMonadMorphism,
     factors = True
     for z in S.pomonoid.elements:
         for X in canonical_sets(k):
-            target = central_subset(M, iota.phi(z), X, bound)
-            comp = iota.component_fn(z, X)
-            missing = [t for t in comp.dom if comp(t) not in target]
-            ok = not missing
-            factors = factors and ok
+            _, escape = _factor(iota.component_fn(z, X),
+                                central_inclusion(M, iota.phi(z), X, bound))
+            factors = factors and not escape
             rep.add(LawRecord(law="condition-2-factorisation", grades=(z,), sets=(X.name,),
-                              ok=ok, witness=min(missing) if missing else ""))
+                              ok=not escape, witness=escape[0] if escape else ""))
     commutative = check_commutative(S, k).ok
     rep.add(LawRecord(law="condition-2-commutative", ok=commutative))
     cond2 = factors and commutative

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .centre import CentralCone, central_rows
+from .centre import CentralCone, central_rows, subset_inclusion
 from .finkit import (
     FinFn,
     FinSet,
@@ -535,6 +535,5 @@ def bimonoidal_centre_at(M: GradedStrongMonad, D: Duoid, a: str, X: FinSet,
                 f"{ab} or {ba} is not below {top}; the relaxed product does not dominate")
     TaX = M.carrier(a, X)
     rows = central_rows(M, a, X, range(len(TaX)), bound, tops)
-    apex = FinSet(f"ZB^{a}({X.name})", tuple(TaX.elems[r] for r in rows))
-    leg = FinFn._table(apex, TaX, tuple(map(TaX.token_index().__getitem__, apex.elems)))
-    return CentralCone(grade=a, base=X, apex=apex, leg=leg)
+    leg = subset_inclusion(f"ZB^{a}({X.name})", TaX, rows)
+    return CentralCone(grade=a, base=X, apex=leg.dom, leg=leg)

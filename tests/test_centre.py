@@ -1,7 +1,9 @@
+import hashlib
 from collections import Counter
 
 import pytest
 
+from centrekit import finkit
 from centrekit.centre import (
     CentralCone,
     CentralityViolation,
@@ -18,7 +20,7 @@ from centrekit.centre import (
     is_central,
     restrict_grades,
 )
-from centrekit.finkit import FinFn, FinSet, SetSizeError, canonical_set
+from centrekit.finkit import FinFn, FinSet, SetSizeError, canonical_set, unit_set
 from centrekit.graded_monad import (
     bool_writer_pair,
     build,
@@ -172,6 +174,17 @@ class TestCones:
         with pytest.raises(CentreError):
             factor_through(cone, centre)
 
+    def test_factorisation_refuses_a_leg_outside_the_carrier(self):
+        # C holds a central token of T^ff X2 but is not T^ff X2, so no h has
+        # h ; centre.leg = leg, whose codomain is C
+        M = bool_writer_pair()
+        centre = graded_centre_at(M, "ff", X2)
+        A, C = FinSet("A", ("p",)), FinSet("C", ("(y0,e)",))
+        cone = CentralCone(grade="ff", base=X2, apex=A, leg=FinFn(A, C, {"p": "(y0,e)"}))
+        with pytest.raises(CentreError) as exc:
+            factor_through(cone, centre)
+        assert str(exc.value) == "leg codomain is not the carrier at the cone's grade"
+
 
 def assert_leg_is_the_inclusion(M, cone):
     # each apex token goes to the same token of T^z X
@@ -304,6 +317,83 @@ class TestBuildCentreMonad:
         assert exc.value.component == "mult(ff,ff)"
         # the least escaping token is named
         assert exc.value.witness == "((y0,e),e) -> (y0,wa)"
+
+    def test_the_centre_leaves_no_token_dict_on_its_parent(self):
+        # shared sets (canonical sets, products still in use) may hold a token
+        # dict that another test built: start them without one
+        shared = [canonical_set(n) for n in range(10)] + [unit_set()]
+        for s in shared + [ref() for ref in list(finkit._PRODUCTS.values())]:
+            if s is not None:
+                s._index = None
+        M = bool_writer_pair()
+        assert check_all(build_centre_monad(M).monad, 2).ok
+        sets = []
+        for value in M._memo.values():
+            if isinstance(value, FinSet):
+                sets.append(value)
+            elif isinstance(value, FinFn):
+                sets += [value.dom, value.cod]
+        held = {id(s): s.name for s in sets if s._index is not None}
+        assert sets and not held, sorted(held.values())
+
+
+# SHA-256 of the centre monad's reports on each built-in: check_all at k=1..3
+# (language_writer k=1), check_commutative at k=3 (language_writer k=2),
+# check_centrality_conditions(Z, iota, 2).to_text(False) (not language_writer)
+# and check_graded_monad_morphism(iota, 2)
+CENTRE_MONAD_DIGESTS = {
+    "bool_writer_pair": (
+        "410567e89d670bbc5c3a73308d9861e3a541228eea4f5fc1798db3aa19bcccd5",
+        "eda3faf3d6c9928698b099eacec23b5d9c4ecb4a82f498ebc29d7ff8c51d04be",
+        "ed68ef5c8bcd759c51534e919d576d507dbd2bd3caf65158f2e52486c62ba348",
+        "325067d5a4edab27127ad5a7bbfd8d414081cdc1c54a534fefd051fe6f1b86d1",
+        "66b3de06ce65f59e3cfeeb0b8a4656b33edc2db85f21cd302af9861dc8ba37cf",
+        "1ea4b494ac24e4a63d57ee06fa26fbd58dfe8776de900d4a05989286cf12eadb",
+    ),
+    "identity": (
+        "6874d8a9f5a8955f58daa88c9b4d7d31ec47dfddda4692c6ffc597bb254b148f",
+        "e9dde6ec7fe169070464cd15e5056f107446030999392c6fa6ab0e33e30afb2b",
+        "945dd64236c2f52b95c3a098acd5b7b83837477c8427cc15bbb7e5861e706ad2",
+        "35a12bea2dcb6f45943c350d842bc742d9505f8a5337f6a086623ee3f70bcb18",
+        "b73ba4c40ba6c1dfcd6637b8114d361c7dde977bd63ee71c88a2475684fe4567",
+        "17494faba1bc20516a1976e315e73a2ff87fdbaaa1414a6b99bd27fc4e188bd3",
+    ),
+    "language_writer": (
+        "4a3cfa09da525bb945bc61c4eb540306c61128fe01a65afd160752e404f357de",
+        "5b6d7088a443799d35dbc7d7ffb6211e600283189c86b170b1cbb1ef62c6fce2",
+        "57148574042187abd704621b89c1e983eeccab0b7cea7cd0b4c012e62cabf094",
+    ),
+    "multi_error_writer": (
+        "e71d7c411c631bd88e8a34fc38e996912ac2fadcd70f40d60d938ec66826608e",
+        "8aa7c4144d467c6c924454cf965dbb439ca0e86a0e73ca9942db3a742bdd68cd",
+        "319e70f3aa9b2250872d8c93fe83699d8972465a6359a3250fb630e80aebf913",
+        "a53bb0bc591d722cb736a2f051c1ec7d5e195aeee7c77cc46797c6f714523a83",
+        "e704e4c5a384ab001f76789de9d87ecda07cd01ad9647c42f99e11dc3e9391d1",
+        "17494faba1bc20516a1976e315e73a2ff87fdbaaa1414a6b99bd27fc4e188bd3",
+    ),
+    "multi_error_writer_topped": (
+        "248b48a5997a79bbb3b916aad4e783e7f5200959b8028c4b7292162877be5da4",
+        "1d7c165007ba6c2e331169a4b52dc7df2f0c5ee4b2a964374500f3488cb70dc6",
+        "ab1d38366a254e95f23964b1ff3bb7e1363e3fc9eb6859410377b3ea917f65f7",
+        "ec53c57d67b70bf8ec5541160c8f878397507b7fb54dec2e4bb1480f844c8f55",
+        "0f08df109e5e4b2eec8cb89b248205bc38eba4ebcf5923135ca0f8494c17417d",
+        "ff2d1827eafd70c6ad906c3b947fef5b554e5d518aec029165bfb3e04a98eb3c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CENTRE_MONAD_DIGESTS))
+def test_centre_monads_keep_their_bytes(name):
+    res = build_centre_monad(registry()[name]())
+    Z, iota = res.monad, res.inclusion
+    small = name != "language_writer"
+    texts = [check_all(Z, k).to_json() for k in ((1, 2, 3) if small else (1,))]
+    texts.append(check_commutative(Z, 3 if small else 2).to_json())
+    if small:
+        texts.append(check_centrality_conditions(Z, iota, 2).to_text(False))
+    texts.append(check_graded_monad_morphism(iota, 2).to_json())
+    assert tuple(hashlib.sha256(t.encode()).hexdigest() for t in texts) == \
+        CENTRE_MONAD_DIGESTS[name]
 
 
 class TestCentralityConditions:

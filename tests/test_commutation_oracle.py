@@ -779,22 +779,36 @@ class TestPrefixTokenWitnesses:
         assert [r.witness for r in check_central_cone(M, cone).records] == [
             "", "apex (y0,a) vs (y0,b(c)) in T^ff Y1"]
 
-    def test_centre_monad_names_the_least_escaping_token(self):
+    @pytest.mark.parametrize("component", ["mult", "lift"])
+    def test_centre_monad_names_the_least_escaping_token(self, component):
         M = bool_writer_pair(z3_times_keep_last())
-        good = M.mult
+        good_mult, good_lift = M.mult, M.lift
 
         def escaping_mult(a, b, X):
             # only the centre monad's restriction asks for mult over a plain set
-            fn = good(a, b, X)
+            fn = good_mult(a, b, X)
             if (a, b) != ("ff", "ff") or X.factors is not None:
                 return fn
             return FinFn(fn.dom, fn.cod,
                          {t: make_pair(split_pair(split_pair(t)[0])[0], "p0") for t in fn.dom})
 
-        M.mult = escaping_mult
+        def escaping_lift(a, b, X):
+            # (x,u) goes to (x,p0); only the centre monad's restriction asks
+            # for a lift
+            fn = good_lift(a, b, X)
+            return FinFn(fn.dom, fn.cod, {t: make_pair(split_pair(t)[0], "p0") for t in fn.dom})
+
+        S, X = build_centre_monad(M).monad, canonical_set(1)
         with pytest.raises(CentralityViolation) as exc:
-            build_centre_monad(M).monad.mult_fn("ff", "ff", canonical_set(1))
-        assert exc.value.witness == "((y0,b(c)),b(c)) -> (y0,p0)"
+            if component == "mult":
+                M.mult = escaping_mult
+                S.mult_fn("ff", "ff", X)
+            else:
+                M.lift = escaping_lift
+                S.lift_fn("tt", "ff", X)
+        assert (exc.value.component, exc.value.witness) == {
+            "mult": ("mult(ff,ff)", "((y0,b(c)),b(c)) -> (y0,p0)"),
+            "lift": ("lift(tt,ff)", "(y0,b(c)) -> (y0,p0)")}[component]
 
 
 # --- drawn writers ----------------------------------------------------------------------
