@@ -56,7 +56,9 @@ readers, and so do ``alpha_then`` and ``alpha_inv_then``: both bracketings
 of x, y, z share one position, so a re-bracketing then id (x) g, or g (x)
 id, is that tensor's row read over the other bracketing.  ``then`` is one
 call into ``seq``, and ``tensor_fn`` reads f (x) g with ``tensor_row``'s
-code.
+code, unless g is an identity: then f (x) id is f's rows of the product
+grid, taken whole, and over a one-element set it is f's own table, so a
+writer's fmap image over a one-element annotation set builds no table.
 The structure maps are read off pair-order positions: the associators, the
 unitors and their inverses have the identity's table, ``gamma`` is a
 transpose of a grid, and ``twist``, a writer's costrength, reads a grid
@@ -492,9 +494,22 @@ def tensor(A: FinSet, B: FinSet) -> FinSet:
 
 
 def tensor_fn(f: FinFn, g: FinFn) -> FinFn:
-    """f (x) g: (x,y) goes to (f(x), g(y)), read as ``tensor_row`` reads it."""
+    """f (x) g: (x,y) goes to (f(x), g(y)), read as ``tensor_row`` reads it.
+
+    When g is an identity (its domain is its codomain and its table is the
+    shared ``_positions`` tuple), f (x) id sends row i of the product grid
+    to row f(i) whole, so the table is f's rows of the codomain's grid; over
+    a one-element set that is f's own table.
+    """
     cod = tensor(f.cod, g.cod)
-    return FinFn._table(tensor(f.dom, g.dom), cod, tuple(_tensor_positions(f, g, cod)))
+    dom = tensor(f.dom, g.dom)
+    gi = g.idx
+    if g.dom is g.cod and gi is _positions(len(gi)):
+        idx = f.idx if len(gi) == 1 else tuple(
+            itertools.chain.from_iterable(_pick(cod.pair_grid(), f.idx)))
+    else:
+        idx = tuple(_tensor_positions(f, g, cod))
+    return FinFn._table(dom, cod, idx)
 
 
 # --- law sides: chains of maps read as one index row ------------------------

@@ -1,6 +1,8 @@
+import collections
 import gc
 import itertools
 import operator
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from centrekit import finkit
 from centrekit.finkit import (
     Const,
     FinFn,
@@ -43,6 +46,7 @@ from centrekit.finkit import (
     tensor_then,
     unit_set,
 )
+from centrekit.graded_monad import check_all, multi_error_writer
 
 
 # Helpers only the tests use, kept here rather than in the library: the size
@@ -929,6 +933,93 @@ class TestLawSideBuilders:
                   {"a": "b", "a*": "b(c)"})
         with pytest.raises(ValueError, match="cannot compose"):
             build(f, FinSet("W", ("w",)))
+
+
+# --- f (x) id read as whole rows of the product grid ---------------------------
+
+@pytest.fixture
+def entry_readings(monkeypatch):
+    """Counts the calls to ``_tensor_positions``, the entry-by-entry reading of
+    f (x) g, by whether an ``apply_mor`` frame is on the stack."""
+    calls = collections.Counter()
+    reading = finkit._tensor_positions
+
+    def counted(f, g, AB):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not apply_mor.__code__:
+            frame = frame.f_back
+        calls["apply_mor" if frame is not None else "other"] += 1
+        return reading(f, g, AB)
+
+    monkeypatch.setattr(finkit, "_tensor_positions", counted)
+    return calls
+
+
+def small_maps():
+    """Every map between the canonical sets of sizes 0..3."""
+    for n, m in itertools.product(range(4), repeat=2):
+        yield from all_fns(canonical_set(n), canonical_set(m))
+
+
+# annotation sets: empty, a point, three tokens one of which prefixes another,
+# and a product, whose pairs sort off row-major order
+ANNOTATIONS = (FinSet("E", ()), FinSet("W1", ("w",)), FinSet("W3", ("a", "a*", "b")),
+               tensor(FinSet("L", ("a", "a*")), FinSet("R", ("b", "b(c)"))))
+
+
+class TestTensorWithAnIdentity:
+    @pytest.mark.parametrize("W", ANNOTATIONS, ids=lambda W: W.name)
+    def test_rows_are_the_entry_by_entry_reading(self, entry_readings, W):
+        g = identity_fn(W)
+        for f in small_maps():
+            image = tensor_fn(f, g)
+            assert image.idx == tuple(finkit._tensor_positions(f, g, image.cod))
+            is_table(image, *dict_tensor_fn(f, g))
+            same_map(image, ref_par(f, g))
+            if len(W) == 1:
+                assert image.idx is f.idx
+        # only the reference readings above called it
+        assert entry_readings["other"] == sum(1 for _ in small_maps())
+
+    @pytest.mark.parametrize("W", ANNOTATIONS, ids=lambda W: W.name)
+    def test_look_alikes_take_the_entry_by_entry_reading(self, entry_readings, W):
+        copied = FinFn(W, W, {t: t for t in W})
+        look_alikes = [lam(W), rho(W), alpha(W, unit_set(), W)]
+        if W:
+            # the empty table is one tuple, so only a non-empty copy differs
+            assert copied.idx == identity_fn(W).idx and copied.idx is not identity_fn(W).idx
+            look_alikes.append(copied)
+        assert lam(W).idx is rho(W).idx is identity_fn(W).idx
+        for g in look_alikes:
+            entry_readings.clear()
+            for f in small_maps():
+                image = tensor_fn(f, g)
+                is_table(image, *dict_tensor_fn(f, g))
+            assert entry_readings["other"] == sum(1 for _ in small_maps())
+
+    def test_a_writer_image_over_a_point_keeps_the_maps_table(self):
+        M = multi_error_writer()
+        f = FinFn(X, Y, {"x0": "y2", "x1": "y0"})
+        assert M.fmap("wa", f).idx is f.idx
+
+    def test_check_all_reads_no_fmap_image_entry_by_entry(self, entry_readings):
+        assert check_all(multi_error_writer(), 2).ok
+        assert entry_readings["apply_mor"] == 0
+        assert entry_readings["other"] > 0   # the counter sees the law sides' readings
+
+    @pytest.mark.parametrize("expr, entry_by_entry", [
+        (Prod(Const(FinSet("W", ("a", "a*"))), Id()), True),
+        (Prod(Id(), Id()), True),
+        (Prod(Prod(Id(), Const(FinSet("W", ("a", "a*")))), Const(FinSet("V", ("b", "b(c)")))),
+         False),
+    ])
+    def test_apply_mor_is_the_token_definition(self, entry_readings, expr, entry_by_entry):
+        for f in small_maps():
+            dom = apply_obj(expr, f.dom)
+            is_table(apply_mor(expr, f), dom, apply_obj(expr, f.cod),
+                     {t: ref_map_token(expr, f, t) for t in dom})
+        # the first two still read an entry at a time: the general path stays covered
+        assert (entry_readings["apply_mor"] > 0) == entry_by_entry
 
 
 # --- product tokens are built from checked tokens and not checked again -------
