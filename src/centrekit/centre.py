@@ -85,11 +85,16 @@ def _require_central_grade(M: GradedStrongMonad, z: str) -> None:
 def _failing_rows(M: GradedStrongMonad, z: str, b: str, X: FinSet, rows, sets, top=None):
     """Yield (row, Y, column) for each entry of ``rows`` (positions in T^z X)
     that fails to commute with some s in T^b Y, at the first such Y of ``sets``,
-    and drop it; the column is the least failing s (``commutation_witness``)."""
+    and drop it; the column is the least failing s (``commutation_witness``).
+    A Y with T^b Y empty is skipped unscanned: z*b = b*z for a central z, and a
+    ``top`` lifts both sides, so the kernel would compare no carriers there
+    and find no element to fail at."""
     alive = list(rows)
     for Y in sets:
         if not alive:
             return
+        if len(M.carrier(b, Y)) == 0:
+            continue
         bad = commutation_witness(M, z, b, X, Y, top)
         if bad:
             yield from ((r, Y, bad[r]) for r in alive if r in bad)

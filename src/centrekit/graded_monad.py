@@ -23,12 +23,15 @@ Conventions that everything below depends on:
   comparison.  A block, a law with its grades and sets, checks its
   endpoints once with ``report.endpoints``; an fmap image runs between the
   carriers of f's domain and codomain, so the carriers stand for it.  Each
-  law calls fmap on every f, the component under test, and hoists the rest
-  out of the loop over f: an earlier law of the suite has fetched them, and
-  mult-natural fetches each mult at its first f, so a faulty component
-  raises the same first error.  The strength-natural laws read the hoisted
-  strength as rows (``pair_rows``); each note, and each f (x) id handed to
-  fmap, is built once per set tuple.
+  image of f under fmap, the component under test, is fetched once per map:
+  unit- and mult-natural keep T^c f by grade c for the f at hand, and
+  strength-natural-right keeps T^a g's table per (Y, Y2, a, g) from the
+  first X on; only repeated memo hits are skipped, so no first build moves.
+  The rest is hoisted out of the loop over f: an earlier law of the suite
+  has fetched it, and mult-natural fetches each mult at its first f, so a
+  faulty component raises the same first error.  The strength-natural laws
+  read the hoisted strength as rows (``pair_rows``); each note, and each
+  f (x) id handed to fmap, is built once per set tuple.
 * Every law side is a chain read by finkit's composite vocabulary, which
   checks each link: the row laws read their sides with ``seq_row`` and the
   other laws build theirs as maps with ``seq``, ``tensor_then`` and
@@ -450,6 +453,7 @@ def _strength_laws(M: GradedStrongMonad, k: int):
                 lhs = tuple(chain.from_iterable(map(rows.__getitem__, fi)))
                 yield ("strength-natural-left", grades, names, dom, cod, lhs,
                        seq_row(tau, M.fmap(a, f_id)), note)
+    images = {}   # the tables of T^a g, g: Y -> Y2 in maps order, by (Y, Y2, a)
     for X, Y, Y2 in product(sets, sets, sets):
         names, XY, XY2 = (X.name, Y.name, Y2.name), tensor(X, Y), tensor(X, Y2)
         xy, at = XY.pair_list(), XY2.pair_grid()
@@ -462,9 +466,11 @@ def _strength_laws(M: GradedStrongMonad, k: int):
             rows, XT = pair_rows(tau2, X, M.carrier(a, Y2)), tensor(X, TaY)
             dom, cod = endpoints("strength-natural-right", XT, tau2.cod, tau.dom,
                                  M.carrier(a, XY2))
-            for g, g_id, note in gs:
-                G = M.fmap(a, g).idx
-                lhs = tuple([row[j] for row in rows for j in G])
+            Gs = images.setdefault((Y.vid, Y2.vid, a), [])
+            for n, (g, g_id, note) in enumerate(gs):
+                if n == len(Gs):   # at the first X, in loop order
+                    Gs.append(M.fmap(a, g).idx)
+                lhs = tuple([row[j] for row in rows for j in Gs[n]])
                 yield ("strength-natural-right", grades, names, dom, cod, lhs,
                        seq_row(tau, M.fmap(a, g_id)), note)
     if not P.is_discrete():
@@ -539,19 +545,23 @@ def _naturality(M: GradedStrongMonad, k: int):
         unit_Y, unit_X = M.unit_fn(Y), M.unit_fn(X)
         dom, cod = endpoints("unit-natural", X, unit_Y.cod, unit_X.dom, M.carrier(i, Y))
         for f, note in _maps(X, Y):
+            Tf = {i: M.fmap(i, f)}   # T^c f by grade c, each fetched once
             yield ("unit-natural", (i,), names, dom, cod, seq_row(f, unit_Y),
-                   seq_row(unit_X, M.fmap(i, f)), note)
+                   seq_row(unit_X, Tf[i]), note)
             for a, b, ab in grade_pairs:
-                FF = M.fmap(a, M.fmap(b, f))
+                if b not in Tf:
+                    Tf[b] = M.fmap(b, f)
+                FF = M.fmap(a, Tf[b])
                 if (a, b) not in mults:
                     mu_Y, mu_X = M.mult_fn(a, b, Y), M.mult_fn(a, b, X)
                     mults[a, b] = (a, b), mu_Y, mu_X, *endpoints(
                         "mult-natural", M.carrier(a, M.carrier(b, X)), mu_Y.cod, mu_X.dom,
                         M.carrier(ab, Y))
                 grades, mu_Y, mu_X, dom_ab, cod_ab = mults[a, b]
-                F = M.fmap(ab, f)
+                if ab not in Tf:
+                    Tf[ab] = M.fmap(ab, f)
                 yield ("mult-natural", grades, names, dom_ab, cod_ab, seq_row(FF, mu_Y),
-                       seq_row(mu_X, F), note)
+                       seq_row(mu_X, Tf[ab]), note)
 
 
 def check_monad_laws(M: GradedStrongMonad, k: int = 3) -> Report:

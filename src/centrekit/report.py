@@ -10,15 +10,18 @@ into a Report.  Every comparison goes through ``Report.compare``, which
 compares two index rows over a declared domain and codomain with
 ``finkit.mismatch``: equal rows pass at once, and unequal ones give the
 least token of the domain at which they differ.  Two maps are compared as their rows
-once their domains and codomains are seen to agree.  Reports render as text
-or JSON and parse back losslessly.
+once their domains and codomains are seen to agree.  A Report keeps each
+record as the plain tuple of its ``LawRecord`` fields: a passing comparison
+costs one tuple, which the collector stops tracking, and no LawRecord.
+``Report.records`` builds the LawRecords when read; the text and JSON
+renderings read the tuples, and the JSON parses back losslessly.
 """
 
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import cache
 
 from .finkit import FinFn, check_ends, mismatch
@@ -35,26 +38,35 @@ class LawRecord:
     rhs: str | None = None
     note: str = ""
 
+    def fields(self) -> tuple:
+        """The record's eight fields in declaration order, as a Report keeps them."""
+        return (self.law, self.grades, self.sets, self.ok, self.witness, self.lhs, self.rhs,
+                self.note)
+
     def line(self) -> str:
-        head = "pass" if self.ok else "FAIL"
-        bits = [f"{head}  {self.law}"]
-        if self.grades:
-            bits.append("grades=" + ",".join(self.grades))
-        if self.sets:
-            bits.append("sets=" + ",".join(self.sets))
-        if not self.ok:
-            if self.witness is not None:
-                bits.append(f"witness={self.witness}")
-            if self.lhs is not None:
-                bits.append(f"lhs={self.lhs}")
-            if self.rhs is not None:
-                bits.append(f"rhs={self.rhs}")
-        if self.note:
-            bits.append(f"note={self.note}")
-        return "  ".join(bits)
+        return _line(*self.fields())
 
     def to_dict(self) -> dict:
         return {**asdict(self), "grades": list(self.grades), "sets": list(self.sets)}
+
+
+def _line(law, grades, sets, ok, witness, lhs, rhs, note) -> str:
+    """A record's line of text, from its fields."""
+    bits = [f"{'pass' if ok else 'FAIL'}  {law}"]
+    if grades:
+        bits.append("grades=" + ",".join(grades))
+    if sets:
+        bits.append("sets=" + ",".join(sets))
+    if not ok:
+        if witness is not None:
+            bits.append(f"witness={witness}")
+        if lhs is not None:
+            bits.append(f"lhs={lhs}")
+        if rhs is not None:
+            bits.append(f"rhs={rhs}")
+    if note:
+        bits.append(f"note={note}")
+    return "  ".join(bits)
 
 
 def endpoints(law: str, dom, cod, dom2, cod2) -> tuple:
@@ -110,22 +122,36 @@ def _list(items) -> str:
     return "[\n        " + ",\n        ".join(map(_value, items)) + "\n      ]"
 
 
-@dataclass
 class Report:
-    title: str
-    records: list[LawRecord] = field(default_factory=list)
+    """The records of one law suite, each kept as the plain tuple of its
+    LawRecord fields in declaration order; ``records`` builds the LawRecords
+    when read."""
+
+    def __init__(self, title: str, records=()):
+        self.title = title
+        self._rows = [r.fields() for r in records]
+        self._failed = sum(not row[3] for row in self._rows)
+        self._records = None   # the LawRecords of _rows when last read
+
+    @property
+    def records(self) -> list[LawRecord]:
+        if self._records is None or len(self._records) != len(self._rows):
+            self._records = [LawRecord(*row) for row in self._rows]
+        return self._records
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.records)
+        return self._failed == 0
 
     def add(self, record: LawRecord) -> None:
-        self.records.append(record)
+        self._rows.append(record.fields())
+        if not record.ok:
+            self._failed += 1
 
     def failures(self) -> list[LawRecord]:
-        return [r for r in self.records if not r.ok]
+        return [LawRecord(*row) for row in self._rows if not row[3]]
 
-    def compare(self, law, grades, sets, dom, cod, lhs=None, rhs=None, note="") -> LawRecord:
+    def compare(self, law, grades, sets, dom, cod, lhs=None, rhs=None, note="") -> None:
         """Record whether two index rows over dom agree.
 
         lhs[i] and rhs[i] are the positions in cod of the two sides' images
@@ -141,26 +167,23 @@ class Report:
                 note = lhs
             dom, cod = endpoints(law, f.dom, f.cod, g.dom, g.cod)
             lhs, rhs = f.idx, g.idx
-        # most instances pass: equal rows skip the call
-        failure = None if lhs == rhs else mismatch(dom, cod, lhs, rhs)
-        if failure is None:
-            rec = LawRecord(law, tuple(grades), tuple(sets), True, None, None, None, note)
+        # most instances pass: equal rows skip the call, and their record is one tuple
+        if lhs == rhs or (failure := mismatch(dom, cod, lhs, rhs)) is None:
+            self._rows.append((law, tuple(grades), tuple(sets), True, None, None, None, note))
         else:
-            rec = LawRecord(law, tuple(grades), tuple(sets), False, *failure, note)
-        self.records.append(rec)
-        return rec
+            self._failed += 1
+            self._rows.append((law, tuple(grades), tuple(sets), False, *failure, note))
 
     def summary(self) -> str:
-        bad = len(self.failures())
-        verdict = "OK" if bad == 0 else f"{bad} failing"
-        return f"{self.title}: {len(self.records)} checks, {verdict}"
+        verdict = "OK" if self._failed == 0 else f"{self._failed} failing"
+        return f"{self.title}: {len(self._rows)} checks, {verdict}"
 
     def to_text(self, failures_only: bool = True) -> str:
         lines = [self.summary()]
-        for r in self.records:
-            if r.ok and failures_only:
+        for row in self._rows:
+            if row[3] and failures_only:
                 continue
-            lines.append("  " + r.line())
+            lines.append("  " + _line(*row))
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -179,8 +202,9 @@ class Report:
             return _RECORD % (_value(law), listed(grades), listed(sets), _value(ok),
                               _value(witness), _value(lhs), _value(rhs))
 
-        records = ",\n".join(start(r.law, r.grades, r.sets, r.ok, r.witness, r.lhs, r.rhs)
-                              + _value(r.note) + "\n    }" for r in self.records)
+        records = ",\n".join(start(law, grades, sets, ok, witness, lhs, rhs)
+                              + _value(note) + "\n    }"
+                              for law, grades, sets, ok, witness, lhs, rhs, note in self._rows)
         records = f"[\n{records}\n  ]" if records else "[]"
         return (f'{{\n  "title": {_value(self.title)},\n  "ok": {_value(self.ok)},\n'
                 f'  "records": {records}\n}}')

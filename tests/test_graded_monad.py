@@ -1,3 +1,4 @@
+import collections
 from dataclasses import replace
 from itertools import product
 
@@ -47,6 +48,7 @@ from centrekit.pomonoid import (
     multi_error_pomonoid,
 )
 from centrekit.relaxations import LanguageError
+from centrekit.report import Report
 from test_centre import keep_last_on_prefix_tokens
 from test_pomonoid import identity_pomonoid_morphism, trivial_pomonoid
 
@@ -574,6 +576,45 @@ class TestFmapMemo:
             for z in Z.pomonoid.elements:
                 assert Z.fmap(z, f) == Z.fmap_fn(z, f)
                 assert Z.fmap(z, f) is Z.fmap(z, f)
+
+    @pytest.mark.parametrize("laws, quantified", [
+        # T^c f for every grade c, unit-natural's T^i f included, once per f
+        ({"unit-natural", "mult-natural"}, lambda X, Y, Z: X is Z),
+        # T^a g once per g: Y -> Y2, at the first X and for every later one
+        ({"strength-natural-right"}, lambda X, Y, Y2: X is canonical_set(0)),
+    ], ids=["mult-natural", "strength-natural-right"])
+    def test_the_map_quantified_laws_fetch_each_image_once(self, monkeypatch, laws, quantified):
+        # no carrier of this monad is a canonical set, so every fmap on a map
+        # between canonical sets is handed an f or a g itself
+        M = bool_writer_pair()
+        sets = canonical_sets(2)
+        names = {S.name for S in sets}
+        calls = []   # (grade, f) of each fmap on a map between canonical sets, and each law
+        fmap, compare = GradedStrongMonad.fmap, Report.compare
+
+        def logged_fmap(M, a, f):
+            if f.dom.name in names and f.cod.name in names:
+                calls.append((a, f.dom.name, f.cod.name, f.idx))
+            return fmap(M, a, f)
+
+        def logged_compare(rep, law, *args):
+            calls.append(law)
+            return compare(rep, law, *args)
+
+        monkeypatch.setattr(GradedStrongMonad, "fmap", logged_fmap)
+        monkeypatch.setattr(Report, "compare", logged_compare)
+        assert check_all(M, 2).ok
+        fetched, pending = collections.Counter(), []
+        for call in calls:   # the fetches ahead of a record are its law's
+            if isinstance(call, str):
+                if call in laws:
+                    fetched.update(pending)
+                pending = []
+            else:
+                pending.append(call)
+        expected = {(c, Y.name, Y2.name, f.idx) for X, Y, Y2 in product(sets, repeat=3)
+                    if quantified(X, Y, Y2) for f in all_fns(Y, Y2) for c in M.pomonoid.elements}
+        assert set(fetched) == expected and set(fetched.values()) == {1}
 
     @pytest.mark.parametrize("wrong", [
         # an image out of T^a Y instead of T^a X

@@ -449,8 +449,8 @@ def test_compare_on_rows_is_first_mismatch_on_maps(sides, note):
     expected = (LawRecord("law", ("a",), (dom.name,), note=note) if tok is None else
                 LawRecord("law", ("a",), (dom.name,), False, tok, f(tok), g(tok), note))
     rows, maps = Report("rows"), Report("maps")
-    assert rows.compare("law", ("a",), (dom.name,), dom, cod, lhs, rhs, note) == expected
-    assert maps.compare("law", ("a",), (dom.name,), f, g, note) == expected
+    rows.compare("law", ("a",), (dom.name,), dom, cod, lhs, rhs, note)
+    maps.compare("law", ("a",), (dom.name,), f, g, note)
     assert rows.records == maps.records == [expected]
 
 
